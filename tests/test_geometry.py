@@ -61,6 +61,37 @@ class TestClassify:
         vs = VertexSet(2, [(0, 0), (1, 0), (2, 0), (3, 0), (0, 1)])
         assert classify(vs).kind is Degeneracy.NEITHER
 
+    def test_matches_brute_force_rank_classification(self):
+        from itertools import combinations
+
+        from polymom import RatMat, rank
+
+        def flat(vs, s):
+            return rank(RatMat.from_rows([(1,) + vs.points[i] for i in s])) < vs.dim + 1
+
+        rng = random.Random(31)
+        kinds = set()
+        for _ in range(60):
+            dim = rng.randint(1, 3)
+            n = rng.randint(dim + 1, dim + 4)
+            pts = [tuple(rng.randint(0, 2) for _ in range(dim)) for _ in range(n)]
+            pts[rng.randrange(n)] = pts[rng.randrange(n)]
+            try:
+                vs = VertexSet(dim, pts)
+            except NotSpanningError:
+                continue
+            degenerate = tuple(s for s in combinations(range(n), dim + 1) if flat(vs, s))
+            if not degenerate:
+                kind = Degeneracy.STRONG
+            elif any(flat(vs, s) for s in combinations(range(n), dim + 2)):
+                kind = Degeneracy.NEITHER
+            else:
+                kind = Degeneracy.WEAK
+            cls = classify(vs)
+            assert (cls.kind, cls.degenerate) == (kind, degenerate)
+            kinds.add(kind)
+        assert kinds == set(Degeneracy)
+
     def test_strong_implies_weak_criterion(self, pentagon_set):
         vs = pentagon_set
         for idx in __import__("itertools").combinations(range(5), 4):

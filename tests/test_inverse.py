@@ -5,6 +5,7 @@ from math import comb
 import pytest
 
 from polymom import (
+    Degeneracy,
     FormBasis,
     MomentTable,
     Poly,
@@ -12,6 +13,7 @@ from polymom import (
     VertexSet,
     WeightedMeasure,
     build_extended,
+    classify,
     det_factor_report,
     dimension_and_basis,
     explicit_inverse,
@@ -29,6 +31,7 @@ from polymom import (
 )
 from polymom.errors import (
     IncompleteMomentsError,
+    NotSpanningError,
     NotStronglyNonDegenerateError,
     NotWeaklyNonDegenerateError,
 )
@@ -419,3 +422,79 @@ class TestDetFactor:
         assert (m.rows, m.cols) == (3, 4)
         assert m.row(0) == (1, 1, 1, 1)
         assert form_matrix(pentagon_set, include_last=True).cols == 5
+
+
+def _random_multiset(rng, dim, n, span=3):
+    """Small-grid points, some repeated, that affinely span R^dim."""
+    while True:
+        pts = [tuple(rng.randint(-1, span - 2) for _ in range(dim)) for _ in range(n)]
+        if rng.random() < 0.5:
+            pts[rng.randrange(n)] = pts[rng.randrange(n)]
+        try:
+            return VertexSet(dim, pts)
+        except NotSpanningError:
+            continue
+
+
+def _naive_column(column, vs):
+    from polymom.genfunc import LinearForm
+
+    prod = Poly.constant(vs.dim, 1)
+    for i in column:
+        prod = prod * LinearForm(vs.points[i]).poly()
+    return [prod.coefficient(e) for e in monomials_upto(vs.dim, numerator_degree(vs))]
+
+
+def _greedy_minor_columns(vs, pivot):
+    """Columns admitted one by one when independent of those before them."""
+    n = len(vs)
+    degenerate = set(classify(vs).degenerate)
+    buckets = ([], [], [])
+    for c in extended_columns(vs):
+        s = tuple(sorted(set(range(n)) - set(c)))
+        buckets[0 if s in degenerate else 1 if pivot in s else 2].append(c)
+    target = comb(n - 1, vs.dim)
+    echelon, chosen = [], []
+    for c in buckets[0] + buckets[1] + buckets[2]:
+        v = _naive_column(c, vs)
+        for lead, row in echelon:
+            if v[lead] != 0:
+                f = v[lead] / row[lead]
+                v = [a - f * b for a, b in zip(v, row)]
+        lead = next((i for i, a in enumerate(v) if a != 0), None)
+        if lead is not None:
+            echelon.append((lead, v))
+            chosen.append(c)
+            if len(chosen) == target:
+                break
+    return tuple(sorted(chosen))
+
+
+class TestProductColumnsProperties:
+    def test_product_matrix_equals_naive_products(self):
+        rng = random.Random(2024)
+        for _ in range(40):
+            dim = rng.randint(1, 3)
+            vs = _random_multiset(rng, dim, rng.randint(dim + 2, dim + 5))
+            cols = list(extended_columns(vs))
+            rng.shuffle(cols)
+            cols = [tuple(reversed(c)) if rng.random() < 0.3 else c for c in cols[: rng.randint(1, len(cols))]]
+            m = product_matrix(FormBasis(vs, len(vs) - 1, tuple(cols)))
+            assert (m.rows, m.cols) == (comb(len(vs) - 1, dim), len(cols))
+            for j, c in enumerate(cols):
+                assert list(m.column(j)) == _naive_column(c, vs)
+
+    def test_select_minor_matches_incremental_greedy(self):
+        rng = random.Random(77)
+        checked = weak = 0
+        while checked < 40:
+            dim = rng.choice((2, 3))
+            vs = _random_multiset(rng, dim, rng.randint(dim + 2, dim + 4))
+            kind = classify(vs).kind
+            if kind is Degeneracy.NEITHER:
+                continue
+            pivot = rng.randrange(len(vs))
+            assert select_minor(vs, pivot).columns == _greedy_minor_columns(vs, pivot)
+            checked += 1
+            weak += kind is Degeneracy.WEAK
+        assert weak >= 10
