@@ -61,6 +61,17 @@ def _load_json(path):
         raise CliError(EXIT_PARSE, f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}")
 
 
+def _decode(convert, path):
+    """Convert a JSON input file; a wrong shape or value type is malformed input."""
+    data = _load_json(path)
+    try:
+        return convert(data)
+    except KeyError as exc:
+        raise CliError(EXIT_PARSE, f"{path}: missing key {exc}")
+    except (TypeError, ValueError, ArithmeticError) as exc:
+        raise CliError(EXIT_PARSE, f"{path}: {exc}")
+
+
 def _write_json(path, data):
     text = json.dumps(data, indent=2, sort_keys=True) + "\n"
     if path is None or path == "-":
@@ -71,14 +82,14 @@ def _write_json(path, data):
 
 
 def cmd_moments(args):
-    measure = jsonio.measure_from_json(_load_json(args.measure))
+    measure = _decode(jsonio.measure_from_json, args.measure)
     table = oracle.measure_moments(measure, args.order)
     _write_json(args.out, jsonio.moment_table_to_json(table))
     return EXIT_OK
 
 
 def cmd_genfunc(args):
-    measure = jsonio.measure_from_json(_load_json(args.measure))
+    measure = _decode(jsonio.measure_from_json, args.measure)
     f = genfunc.measure_genfunc(measure)
     _write_json(args.out, jsonio.ratfun_to_json(f))
     if args.out not in (None, "-"):
@@ -97,8 +108,8 @@ def _parse_columns(text, vs):
 
 
 def cmd_invert(args):
-    vs = jsonio.vertex_set_from_json(_load_json(args.vertices))
-    table = jsonio.moment_table_from_json(_load_json(args.moments))
+    vs = _decode(jsonio.vertex_set_from_json, args.vertices)
+    table = _decode(jsonio.moment_table_from_json, args.moments)
     kind = classify(vs).kind
     pivot = args.pivot
     if kind is Degeneracy.STRONG and args.columns is None:
@@ -129,8 +140,8 @@ def cmd_invert(args):
 
 
 def cmd_chambers(args):
-    vs = jsonio.vertex_set_from_json(_load_json(args.vertices))
-    measure = jsonio.measure_from_json(_load_json(args.measure))
+    vs = _decode(jsonio.vertex_set_from_json, args.vertices)
+    measure = _decode(jsonio.measure_from_json, args.measure)
     if measure.vertex_set != vs:
         raise CliError(EXIT_PRECONDITION, "measure vertex set differs from the vertices file")
     from .geometry import density

@@ -114,8 +114,10 @@ def classify(vs: VertexSet) -> Classification:
     )
     if not degenerate:
         return Classification(Degeneracy.STRONG, ())
+    # d+2 points fail to span exactly when each d+1 of them is degenerate
+    flat = set(degenerate)
     for s in combinations(range(len(vs)), d + 2):
-        if not vs.spans(s):
+        if all(f in flat for f in combinations(s, d + 1)):
             return Classification(Degeneracy.NEITHER, degenerate)
     return Classification(Degeneracy.WEAK, degenerate)
 

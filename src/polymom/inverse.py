@@ -12,7 +12,7 @@ degenerate simplices carry singular limit measures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -24,7 +24,7 @@ from .errors import (
     NotWeaklyNonDegenerateError,
 )
 from .geometry import Degeneracy, VertexSet, classify, is_degenerate, simplex
-from .linalg import RatMat, det, solve
+from .linalg import RatMat, _pivot_columns, det, solve
 from .oracle import MomentTable
 from .poly import Poly, monomials_upto
 from .genfunc import LinearForm, moments_to_series
@@ -46,6 +46,7 @@ class FormBasis:
     vertex_set: VertexSet
     pivot: int
     columns: tuple  # tuples of 0-based form indices, each of size N-d-1
+    _minor: RatMat | None = field(default=None, compare=False, repr=False)  # set by select_minor
 
     def __post_init__(self):
         n = len(self.vertex_set)
@@ -85,11 +86,25 @@ def extended_columns(vs: VertexSet):
     return tuple(tuple(c) for c in combinations(range(len(vs)), numerator_degree(vs)))
 
 
-def _column_poly(column, vs: VertexSet) -> Poly:
-    p = Poly.constant(vs.dim, 1)
-    for i in column:
-        p = p * LinearForm(vs.points[i]).poly()
-    return p
+def _product_columns(vs: VertexSet, columns) -> RatMat:
+    """Coefficient vectors of the form products, one matrix column per column.
+
+    The index subsets are walked depth-first in lexicographic order, so each
+    product is formed once, as its prefix's product times one form, and only
+    the products along the current path are held.
+    """
+    forms = [LinearForm(p).poly() for p in vs.points]
+    path, stack, vectors = (), [Poly.constant(vs.dim, 1)], {}
+    rows = monomials_upto(vs.dim, numerator_degree(vs))
+    for key in sorted({tuple(sorted(c)) for c in columns}):
+        shared = next((j for j, (a, b) in enumerate(zip(path, key)) if a != b), len(path))
+        del stack[shared + 1 :]
+        for i in key[shared:]:
+            stack.append(stack[-1] * forms[i])
+        path = key
+        vectors[key] = [stack[-1].coefficient(e) for e in rows]
+    order = [vectors[tuple(sorted(c))] for c in columns]
+    return RatMat.from_rows([[v[r] for v in order] for r in range(len(rows))])
 
 
 def product_matrix(basis: FormBasis) -> RatMat:
@@ -99,10 +114,7 @@ def product_matrix(basis: FormBasis) -> RatMat:
     order, which reproduces the row order (1, u1, u2, u1^2, u1*u2, u2^2)
     used throughout the worked examples.
     """
-    vs = basis.vertex_set
-    rows = monomials_upto(vs.dim, numerator_degree(vs))
-    polys = [_column_poly(c, vs) for c in basis.columns]
-    return RatMat.from_rows([[p.coefficient(e) for p in polys] for e in rows])
+    return _product_columns(basis.vertex_set, basis.columns)
 
 
 def build_extended(vs: VertexSet) -> RatMat:
@@ -246,8 +258,9 @@ class Reconstruction:
         return WeightedMeasure(self.vertex_set, atoms)
 
 
-def _reconstruction(basis: FormBasis, weights) -> Reconstruction:
+def _reconstruction(table: MomentTable, basis: FormBasis, m: RatMat) -> Reconstruction:
     vs = basis.vertex_set
+    weights = _solve_numerator(recover_numerator(table, vs), vs, m)
     entries = []
     for column, w in zip(basis.columns, weights):
         s = simplex_for_column(column, len(vs))
@@ -263,20 +276,19 @@ def solve_strong(table: MomentTable, vs: VertexSet, pivot=None) -> Reconstructio
             f"vertex set has degenerate subsets {cls.degenerate}; use solve_weak"
         )
     basis = strong_basis(vs, pivot)
-    numerator = recover_numerator(table, vs)
-    rhs = [numerator.coefficient(e) for e in monomials_upto(vs.dim, numerator_degree(vs))]
-    weights = solve(product_matrix(basis), rhs)
-    return _reconstruction(basis, weights)
+    return _reconstruction(table, basis, product_matrix(basis))
 
 
 def select_minor(vs: VertexSet, pivot=None, forced=None) -> FormBasis:
     """Deterministic full-rank column choice for the extended matrix.
 
-    Columns are admitted greedily by exact rank, trying first the columns
-    complementary to degenerate simplices (these are forced: the singular
-    measures they carry are independent of everything else), then columns
-    complementary to through-pivot simplices, then the rest, each bucket in
-    ascending column order.
+    The candidates come in three buckets, each in ascending column order:
+    the columns complementary to degenerate simplices (the singular measures
+    they carry are independent of everything else), then those
+    complementary to through-pivot simplices, then the rest.  The minor
+    keeps the first candidates independent of the candidates before them,
+    i.e. the pivot columns of one exact elimination of the candidate matrix
+    in bucket order.  A forced column set replaces the search.
     """
     n = len(vs)
     pivot = _check_pivot(pivot, n)
@@ -285,75 +297,50 @@ def select_minor(vs: VertexSet, pivot=None, forced=None) -> FormBasis:
         raise NotWeaklyNonDegenerateError(
             "some d+2 points lie in a hyperplane; the product columns cannot reach full rank"
         )
-    degenerate = set(cls.degenerate)
     all_columns = extended_columns(vs)
     if forced is not None:
         chosen = [tuple(c) for c in forced]
         if sorted(chosen) != sorted(set(chosen)) or any(c not in all_columns for c in chosen):
             raise DimensionError("forced column set is not a set of valid columns")
+        m = _product_columns(vs, chosen)
     else:
-        first, second, third = [], [], []
+        degenerate = set(cls.degenerate)
+        buckets = ([], [], [])
         for c in all_columns:
             s = simplex_for_column(c, n)
-            if s in degenerate:
-                first.append(c)
-            elif pivot in s:
-                second.append(c)
-            else:
-                third.append(c)
-        chosen = []
-        rows = monomials_upto(vs.dim, numerator_degree(vs))
-        target = comb(n - 1, vs.dim)
-        echelon = []
-        for c in first + second + third:
-            vec = [_column_poly(c, vs).coefficient(e) for e in rows]
-            if _extends_rank(echelon, vec):
-                chosen.append(c)
-                if len(chosen) == target:
-                    break
-        chosen.sort()
-    basis = FormBasis(vs, pivot, tuple(chosen))
-    m = product_matrix(basis)
+            buckets[0 if s in degenerate else 1 if pivot in s else 2].append(c)
+        candidates = buckets[0] + buckets[1] + buckets[2]
+        m = _product_columns(vs, candidates)
+        keep = sorted(_pivot_columns(m), key=candidates.__getitem__)
+        chosen = [candidates[j] for j in keep]
+        m = RatMat.from_rows([[row[j] for j in keep] for row in m.row_lists()])
     if m.rows != m.cols or det(m) == 0:
         raise NotWeaklyNonDegenerateError("selected columns do not form a non-vanishing minor")
-    return basis
-
-
-def _extends_rank(echelon, vec):
-    """Reduce vec against the stored echelon rows; keep it if independent."""
-    v = list(vec)
-    for lead, row in echelon:
-        if v[lead] != 0:
-            f = v[lead] / row[lead]
-            v = [a - f * b for a, b in zip(v, row)]
-    lead = next((i for i, a in enumerate(v) if a != 0), None)
-    if lead is None:
-        return False
-    echelon.append((lead, v))
-    return True
+    return FormBasis(vs, pivot, tuple(chosen), m)
 
 
 def solve_weak(table: MomentTable, vs: VertexSet, pivot=None, columns=None) -> Reconstruction:
     """Weights over a selected minor, with singular terms on degenerate columns."""
     basis = select_minor(vs, pivot, columns)
-    numerator = recover_numerator(table, vs)
-    rhs = [numerator.coefficient(e) for e in monomials_upto(vs.dim, numerator_degree(vs))]
-    weights = solve(product_matrix(basis), rhs)
-    return _reconstruction(basis, weights)
+    return _reconstruction(table, basis, basis._minor)
 
 
 def solve_weights(numerator: Poly, basis: FormBasis):
     """Weights realizing a given numerator over the basis columns."""
-    rhs = [numerator.coefficient(e) for e in monomials_upto(basis.vertex_set.dim, numerator_degree(basis.vertex_set))]
-    return solve(product_matrix(basis), rhs)
+    return _solve_numerator(numerator, basis.vertex_set, product_matrix(basis))
+
+
+def _solve_numerator(numerator: Poly, vs: VertexSet, m: RatMat):
+    rhs = [numerator.coefficient(e) for e in monomials_upto(vs.dim, numerator_degree(vs))]
+    return solve(m, rhs)
 
 
 def dimension_and_basis(vs: VertexSet, pivot=None):
     """Dimension of the simplicial measure space, with a pruned simplex basis.
 
     The dimension is C(N-1, d) minus the number of degenerate (d+1)-subsets.
-    The basis consists of non-degenerate through-pivot simplices, greedily
-    pruned to independent columns in canonical simplex order.
+    The basis consists of the non-degenerate through-pivot simplices whose
+    columns are independent of those before them in canonical simplex order.
     """
     n = len(vs)
     pivot = _check_pivot(pivot, n)
@@ -361,20 +348,13 @@ def dimension_and_basis(vs: VertexSet, pivot=None):
     if cls.kind is Degeneracy.NEITHER:
         raise NotWeaklyNonDegenerateError("dimension formula requires a weakly non-degenerate set")
     dim_space = comb(n - 1, vs.dim) - len(cls.degenerate)
-    candidates = sorted(
-        simplex(c + (pivot,))
-        for c in combinations([i for i in range(n) if i != pivot], vs.dim)
+    degenerate = set(cls.degenerate)
+    through_pivot = (
+        simplex(c + (pivot,)) for c in combinations([i for i in range(n) if i != pivot], vs.dim)
     )
-    rows = monomials_upto(vs.dim, numerator_degree(vs))
-    echelon = []
-    chosen = []
-    for s in candidates:
-        if s in set(cls.degenerate):
-            continue
-        column = tuple(sorted(set(range(n)) - set(s)))
-        vec = [_column_poly(column, vs).coefficient(e) for e in rows]
-        if _extends_rank(echelon, vec):
-            chosen.append(s)
+    candidates = sorted(s for s in through_pivot if s not in degenerate)
+    m = _product_columns(vs, [simplex_for_column(s, n) for s in candidates])
+    chosen = [candidates[j] for j in _pivot_columns(m)]
     if len(chosen) != dim_space:
         raise NotWeaklyNonDegenerateError(
             f"pruned basis has size {len(chosen)}, expected {dim_space}"

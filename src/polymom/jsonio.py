@@ -49,7 +49,12 @@ def moment_table_to_json(t: MomentTable) -> dict:
 
 
 def moment_table_from_json(data) -> MomentTable:
-    moments = {tuple(m["index"]): rat(m["value"]) for m in data["moments"]}
+    moments = {}
+    for m in data["moments"]:
+        index = tuple(m["index"])
+        if index in moments:
+            raise ValueError(f"duplicate moment index {index}")
+        moments[index] = rat(m["value"])
     return MomentTable(data["dim"], data["order"], moments)
 
 

@@ -171,11 +171,16 @@ def det(m: RatMat) -> Fraction:
 
 def rank(m: RatMat) -> int:
     """Exact rank via the same fraction-free elimination."""
+    return len(_pivot_columns(m))
+
+
+def _pivot_columns(m: RatMat) -> list:
+    """Echelon pivot columns: exactly the columns independent of those before them."""
     if m.rows == 0 or m.cols == 0:
-        return 0
+        return []
     rows, _ = _integer_rows(m)
     _, pivots = _bareiss_forward(rows, m.cols)
-    return len(pivots)
+    return [c for _, c in pivots]
 
 
 def solve(m: RatMat, b) -> tuple:

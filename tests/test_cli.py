@@ -182,6 +182,34 @@ class TestInvert:
         assert main(["invert", vertices, moments]) == 3
 
 
+class TestInvertMalformedInput:
+    def _invert(self, tmp_path, capsys, vertices, moments):
+        code = main([
+            "invert", write(tmp_path / "v.json", vertices), write(tmp_path / "m.json", moments),
+        ])
+        return code, capsys.readouterr().err
+
+    def test_missing_key(self, tmp_path, capsys, pentagon_moments):
+        moments = jsonio.moment_table_to_json(pentagon_moments)
+        code, err = self._invert(tmp_path, capsys, {"dim": 2}, moments)
+        assert code == 2
+        assert err.startswith("error:") and "points" in err and err.count("\n") == 1
+
+    def test_float_moment_value(self, tmp_path, capsys, pentagon_set, pentagon_moments):
+        moments = jsonio.moment_table_to_json(pentagon_moments)
+        moments["moments"][0]["value"] = 1.0
+        code, err = self._invert(tmp_path, capsys, jsonio.vertex_set_to_json(pentagon_set), moments)
+        assert code == 2
+        assert err.startswith("error:") and "float" in err and err.count("\n") == 1
+
+    def test_duplicate_moment_index(self, tmp_path, capsys, pentagon_set, pentagon_moments):
+        moments = jsonio.moment_table_to_json(pentagon_moments)
+        moments["moments"].append({"index": [1, 1], "value": "0"})
+        code, err = self._invert(tmp_path, capsys, jsonio.vertex_set_to_json(pentagon_set), moments)
+        assert code == 2
+        assert err.startswith("error:") and "(1, 1)" in err and err.count("\n") == 1
+
+
 class TestChambersCommand:
     def test_pentagon(self, pentagon_files, tmp_path, capsys):
         svg = tmp_path / "map.svg"
