@@ -99,7 +99,10 @@ def cmd_genfunc(args):
 
 def _parse_columns(text, vs):
     """Translate the 1-based column numbers of the worked examples."""
-    numbers = [int(x) for x in text.split(",") if x.strip()]
+    try:
+        numbers = [int(x) for x in text.split(",") if x.strip()]
+    except ValueError:
+        raise CliError(EXIT_PARSE, f"--columns takes comma-separated integers, got {text!r}")
     all_columns = inverse.extended_columns(vs)
     for number in numbers:
         if not 1 <= number <= len(all_columns):

@@ -209,6 +209,13 @@ class TestInvertMalformedInput:
         assert code == 2
         assert err.startswith("error:") and "(1, 1)" in err and err.count("\n") == 1
 
+    def test_non_integer_column_number(self, tmp_path, capsys, square_with_center, pentagon_moments):
+        vertices = write(tmp_path / "v.json", jsonio.vertex_set_to_json(square_with_center))
+        moments = write(tmp_path / "m.json", jsonio.moment_table_to_json(pentagon_moments))
+        assert main(["invert", vertices, moments, "--columns", "1,x"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'1,x'" in err and err.count("\n") == 1
+
 
 class TestChambersCommand:
     def test_pentagon(self, pentagon_files, tmp_path, capsys):
