@@ -498,3 +498,33 @@ class TestProductColumnsProperties:
             checked += 1
             weak += kind is Degeneracy.WEAK
         assert weak >= 10
+
+
+class TestSolverProperties:
+    def test_planted_weights_come_back(self):
+        rng = random.Random(404)
+        checked = weak = 0
+        while checked < 40:
+            dim = rng.choice((2, 3))
+            vs = _random_multiset(rng, dim, rng.randint(dim + 2, dim + 4))
+            cls = classify(vs)
+            if cls.kind is Degeneracy.NEITHER:
+                continue
+            pivot = rng.randrange(len(vs))
+            simplices = select_minor(vs, pivot).simplices()
+            planted = {
+                s: F(rng.randint(-9, 9), rng.randint(1, 3))
+                for s in simplices
+                if s not in cls.degenerate
+            }
+            order = numerator_degree(vs)
+            table = measure_moments(WeightedMeasure(vs, planted.items()), order)
+            solver = solve_strong if cls.kind is Degeneracy.STRONG else solve_weak
+            rec = solver(table, vs, pivot)
+            assert [s for s, _, _ in rec.weights] == simplices
+            assert [w for _, w, _ in rec.weights] == [planted.get(s, 0) for s in simplices]
+            assert {s for s, _, dg in rec.weights if dg} == set(cls.degenerate)
+            assert measure_moments(rec.to_measure(), order) == table
+            checked += 1
+            weak += cls.kind is Degeneracy.WEAK
+        assert weak >= 10
