@@ -53,12 +53,10 @@ from .inverse import (
     dimension_and_basis,
     explicit_inverse,
     extended_columns,
-    form_matrix,
     product_matrix,
+    reconstruct,
     recover_numerator,
     select_minor,
-    solve_strong,
-    solve_weak,
     strong_basis,
 )
 from .linalg import RatMat, det, rank, rat, rat_str, solve

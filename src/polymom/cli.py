@@ -1,9 +1,9 @@
 """Command-line interface.
 
-Exit codes: 0 success, 2 unreadable or malformed input, 3 violated
-precondition (not spanning, incomplete moments, degenerate input, not weakly
-non-degenerate), 4 singular reconstruction (output is still written), 5
-internal error.
+Exit codes: 0 success, 2 unreadable or malformed input or an output path
+that cannot be written, 3 violated precondition (not spanning, incomplete
+moments, degenerate input, not weakly non-degenerate), 4 singular
+reconstruction (output is still written), 5 internal error.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .errors import (
     NotWeaklyNonDegenerateError,
     PolymomError,
 )
-from .geometry import Degeneracy, classify
 from .linalg import det
 from .verify import SUITES, random_simplex_vertices, random_strong_set
 
@@ -113,13 +112,8 @@ def _parse_columns(text, vs):
 def cmd_invert(args):
     vs = _decode(jsonio.vertex_set_from_json, args.vertices)
     table = _decode(jsonio.moment_table_from_json, args.moments)
-    kind = classify(vs).kind
-    pivot = args.pivot
-    if kind is Degeneracy.STRONG and args.columns is None:
-        rec = inverse.solve_strong(table, vs, pivot)
-    else:
-        columns = _parse_columns(args.columns, vs) if args.columns else None
-        rec = inverse.solve_weak(table, vs, pivot, columns)
+    columns = _parse_columns(args.columns, vs) if args.columns else None
+    rec = inverse.reconstruct(table, vs, args.pivot, columns)
     _write_json(args.out, jsonio.reconstruction_to_json(rec))
     if args.svg:
         if vs.dim != 2:
@@ -240,6 +234,9 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     except _PRECONDITION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION

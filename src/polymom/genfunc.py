@@ -315,16 +315,6 @@ class SimplePolytope:
         raise AttributeError("SimplePolytope is immutable")
 
 
-def _pairing_poly(vector, dim) -> Poly:
-    terms = {}
-    for k, c in enumerate(vector):
-        if c != 0:
-            exps = [0] * dim
-            exps[k] = 1
-            terms[tuple(exps)] = rat(c)
-    return Poly(dim, terms)
-
-
 def brion_genfunc(p: SimplePolytope) -> RatFun:
     """Vertex-sum generating function, combined symbolically and cancelled.
 
@@ -336,7 +326,7 @@ def brion_genfunc(p: SimplePolytope) -> RatFun:
     d = p.dim
     sign = (-1) ** d
     vertex_forms = [LinearForm(c.vertex) for c in p.cones]
-    edge_polys = [[_pairing_poly(e, d) for e in c.edges] for c in p.cones]
+    edge_polys = [[LinearForm(e).pairing() for e in c.edges] for c in p.cones]
     numerator = Poly.zero(d)
     for i, cone in enumerate(p.cones):
         part = Poly.constant(d, sign * cone.det_abs)

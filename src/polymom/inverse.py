@@ -122,19 +122,6 @@ def build_extended(vs: VertexSet) -> RatMat:
     return product_matrix(FormBasis(vs, len(vs) - 1, extended_columns(vs)))
 
 
-def form_matrix(vs: VertexSet, include_last=False) -> RatMat:
-    """The (d+1) x (N-1) matrix with a unit top row and -v_i below, per form.
-
-    With include_last, the pivot form's column is appended as in the extended
-    setting.
-    """
-    n = len(vs) if include_last else len(vs) - 1
-    rows = [[Fraction(1)] * n]
-    for k in range(vs.dim):
-        rows.append([-vs.points[i][k] for i in range(n)])
-    return RatMat.from_rows(rows)
-
-
 def _form_minor_det(vs: VertexSet, indices) -> Fraction:
     """Determinant of the homogenized forms of the given d+1 vertices."""
     rows = [[Fraction(1)] * len(indices)]
@@ -221,15 +208,12 @@ class Reconstruction:
 
     `singular` is true exactly when some degenerate simplex carries nonzero
     weight, meaning the input moments do not come from a generalized-polytope
-    measure on this vertex set.  `residual` is the difference between the
-    recovered numerator and the one realized by the weights; the exact solve
-    leaves it identically zero.
+    measure on this vertex set.
     """
 
     vertex_set: VertexSet
     pivot: int
     weights: tuple  # (simplex, weight, is_degenerate) triples in column order
-    residual: Poly
 
     @property
     def singular_simplices(self):
@@ -258,27 +242,6 @@ class Reconstruction:
         return WeightedMeasure(self.vertex_set, atoms)
 
 
-def _reconstruction(table: MomentTable, basis: FormBasis, m: RatMat) -> Reconstruction:
-    vs = basis.vertex_set
-    weights = _solve_numerator(recover_numerator(table, vs), vs, m)
-    entries = []
-    for column, w in zip(basis.columns, weights):
-        s = simplex_for_column(column, len(vs))
-        entries.append((s, w, is_degenerate(s, vs)))
-    return Reconstruction(vs, basis.pivot, tuple(entries), Poly.zero(vs.dim))
-
-
-def solve_strong(table: MomentTable, vs: VertexSet, pivot=None) -> Reconstruction:
-    """Unique weights on the through-pivot simplices matching the moments."""
-    cls = classify(vs)
-    if cls.kind is not Degeneracy.STRONG:
-        raise NotStronglyNonDegenerateError(
-            f"vertex set has degenerate subsets {cls.degenerate}; use solve_weak"
-        )
-    basis = strong_basis(vs, pivot)
-    return _reconstruction(table, basis, product_matrix(basis))
-
-
 def select_minor(vs: VertexSet, pivot=None, forced=None) -> FormBasis:
     """Deterministic full-rank column choice for the extended matrix.
 
@@ -288,7 +251,9 @@ def select_minor(vs: VertexSet, pivot=None, forced=None) -> FormBasis:
     complementary to through-pivot simplices, then the rest.  The minor
     keeps the first candidates independent of the candidates before them,
     i.e. the pivot columns of one exact elimination of the candidate matrix
-    in bucket order.  A forced column set replaces the search.
+    in bucket order.  On a strongly non-degenerate set that choice is exactly
+    the through-pivot basis, which is taken directly, without the
+    elimination.  A forced column set replaces the search.
     """
     n = len(vs)
     pivot = _check_pivot(pivot, n)
@@ -297,6 +262,9 @@ def select_minor(vs: VertexSet, pivot=None, forced=None) -> FormBasis:
         raise NotWeaklyNonDegenerateError(
             "some d+2 points lie in a hyperplane; the product columns cannot reach full rank"
         )
+    if forced is None and cls.kind is Degeneracy.STRONG:
+        basis = strong_basis(vs, pivot)
+        return FormBasis(vs, pivot, basis.columns, product_matrix(basis))
     all_columns = extended_columns(vs)
     if forced is not None:
         chosen = [tuple(c) for c in forced]
@@ -319,20 +287,20 @@ def select_minor(vs: VertexSet, pivot=None, forced=None) -> FormBasis:
     return FormBasis(vs, pivot, tuple(chosen), m)
 
 
-def solve_weak(table: MomentTable, vs: VertexSet, pivot=None, columns=None) -> Reconstruction:
-    """Weights over a selected minor, with singular terms on degenerate columns."""
+def reconstruct(table: MomentTable, vs: VertexSet, pivot=None, columns=None) -> Reconstruction:
+    """Weights over the minor `select_minor` chooses, matching the moments.
+
+    On a strongly non-degenerate set this is the through-pivot basis;
+    otherwise degenerate columns carry the singular terms.
+    """
     basis = select_minor(vs, pivot, columns)
-    return _reconstruction(table, basis, basis._minor)
-
-
-def solve_weights(numerator: Poly, basis: FormBasis):
-    """Weights realizing a given numerator over the basis columns."""
-    return _solve_numerator(numerator, basis.vertex_set, product_matrix(basis))
-
-
-def _solve_numerator(numerator: Poly, vs: VertexSet, m: RatMat):
+    numerator = recover_numerator(table, vs)
     rhs = [numerator.coefficient(e) for e in monomials_upto(vs.dim, numerator_degree(vs))]
-    return solve(m, rhs)
+    entries = []
+    for column, w in zip(basis.columns, solve(basis._minor, rhs)):
+        s = simplex_for_column(column, len(vs))
+        entries.append((s, w, is_degenerate(s, vs)))
+    return Reconstruction(vs, basis.pivot, tuple(entries))
 
 
 def dimension_and_basis(vs: VertexSet, pivot=None):

@@ -9,6 +9,7 @@ order reads 1, u1, u2, u1^2, u1*u2, u2^2.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -49,7 +50,10 @@ class Poly:
     def __init__(self, dim, terms=None):
         clean = {}
         for exps, coef in (terms or {}).items():
-            exps = tuple(int(e) for e in exps)
+            try:
+                exps = tuple(map(operator.index, exps))
+            except TypeError:
+                raise DimensionError(f"non-integer exponent in {exps}") from None
             if len(exps) != dim or any(e < 0 for e in exps):
                 raise DimensionError(f"bad exponent tuple {exps} for dim {dim}")
             coef = rat(coef)

@@ -158,7 +158,7 @@ def suite_detfactor(seed: int) -> SuiteReport:
 
 
 def suite_roundtrip(seed: int, cases=200) -> SuiteReport:
-    """solve_strong inverts oracle moments of random weighted measures exactly."""
+    """reconstruct inverts oracle moments of random weighted measures exactly."""
     rng = random.Random(seed)
     report = SuiteReport("roundtrip")
     shapes = [(2, n) for n in (4, 5, 6, 7)] + [(3, 5), (3, 6)]
@@ -169,7 +169,7 @@ def suite_roundtrip(seed: int, cases=200) -> SuiteReport:
         weights = [random_rational(rng, span=9, max_den=3) for _ in basis.columns]
         measure = WeightedMeasure(vs, list(zip(basis.simplices(), weights)))
         table = oracle.measure_moments(measure, inverse.numerator_degree(vs))
-        rec = inverse.solve_strong(table, vs)
+        rec = inverse.reconstruct(table, vs)
         got = dict(((s, w) for s, w, _ in rec.weights))
         want = {}
         for s, w in zip(basis.simplices(), weights):

@@ -217,6 +217,16 @@ class TestInvertMalformedInput:
         assert err.startswith("error:") and "'1,x'" in err and err.count("\n") == 1
 
 
+class TestInvertUnwritableOutput:
+    @pytest.mark.parametrize("flag", ["--out", "--svg"])
+    def test_missing_directory(self, pentagon_files, tmp_path, capsys, flag):
+        target = tmp_path / "missing" / "x"
+        code = main(["invert", pentagon_files["vertices"], pentagon_files["moments"], flag, str(target)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and str(target) in err and err.count("\n") == 1
+
+
 class TestChambersCommand:
     def test_pentagon(self, pentagon_files, tmp_path, capsys):
         svg = tmp_path / "map.svg"

@@ -18,14 +18,12 @@ from polymom import (
     dimension_and_basis,
     explicit_inverse,
     extended_columns,
-    form_matrix,
     mat_inverse,
     measure_moments,
     product_matrix,
+    reconstruct,
     recover_numerator,
     select_minor,
-    solve_strong,
-    solve_weak,
     strong_basis,
     uniform_measure,
 )
@@ -35,7 +33,8 @@ from polymom.errors import (
     NotStronglyNonDegenerateError,
     NotWeaklyNonDegenerateError,
 )
-from polymom.inverse import numerator_degree, solve_weights
+from polymom.inverse import numerator_degree
+from polymom.linalg import solve
 from polymom.poly import monomials_upto
 from polymom.verify import random_strong_set
 
@@ -182,7 +181,7 @@ class TestExplicitInverse:
 
 class TestSolveStrong:
     def test_pentagon_weights(self, pentagon_set, pentagon_moments):
-        rec = solve_strong(pentagon_moments, pentagon_set)
+        rec = reconstruct(pentagon_moments, pentagon_set)
         assert rec.weight_vector() == (1, -22, 26, 15, -16, -2)
         assert not rec.is_singular
         got = dict((s, w) for s, w, _ in rec.weights)
@@ -192,7 +191,7 @@ class TestSolveStrong:
         basis = strong_basis(pentagon_set)
         target = basis.simplices()[2]
         m = WeightedMeasure(pentagon_set, [(target, 1)])
-        rec = solve_strong(measure_moments(m, 2), pentagon_set)
+        rec = reconstruct(measure_moments(m, 2), pentagon_set)
         expect = tuple(1 if s == target else 0 for s in basis.simplices())
         assert rec.weight_vector() == expect
 
@@ -202,12 +201,8 @@ class TestSolveStrong:
         for _ in range(5):
             weights = [F(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(6)]
             m = WeightedMeasure(pentagon_set, list(zip(basis.simplices(), weights)))
-            rec = solve_strong(measure_moments(m, 2), pentagon_set)
+            rec = reconstruct(measure_moments(m, 2), pentagon_set)
             assert list(rec.weight_vector()) == weights
-
-    def test_weak_set_redirected(self, square_with_center, pentagon_moments):
-        with pytest.raises(NotStronglyNonDegenerateError):
-            solve_strong(pentagon_moments, square_with_center)
 
 
 class TestExtended:
@@ -271,8 +266,7 @@ class TestSolveWeak:
         rng = random.Random(5)
         for _ in range(5):
             a = [F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(6)]
-            numerator = Poly(2, dict(zip(monomials_upto(2, 2), a)))
-            weights = solve_weights(numerator, basis)
+            weights = solve(m, a)
             assert weights == frozen(*a)
 
     def test_square_center_journal_inverse_is_transposed(self, square_with_center):
@@ -298,7 +292,7 @@ class TestSolveWeak:
     def test_square_measure_has_no_singular_part(self, square_with_center):
         square = VertexSet(2, [(0, 0), (2, 0), (2, 2), (0, 2)])
         table = measure_moments(uniform_measure(square, [(0, 1, 2), (0, 2, 3)]), 2)
-        rec = solve_weak(table, square_with_center, pivot=0)
+        rec = reconstruct(table, square_with_center, pivot=0)
         weights = dict((s, w) for s, w, _ in rec.weights)
         assert not rec.is_singular
         assert weights[(0, 2, 4)] == 0 and weights[(0, 1, 3)] == 0
@@ -307,7 +301,7 @@ class TestSolveWeak:
 
     def test_zero_moments(self, square_with_center):
         table = MomentTable(2, 2, {e: F(0) for e in monomials_upto(2, 2)})
-        rec = solve_weak(table, square_with_center)
+        rec = reconstruct(table, square_with_center)
         assert all(w == 0 for w in rec.weight_vector())
 
     def test_multiset_paper_columns(self, multiset_with_duplicate):
@@ -342,7 +336,7 @@ class TestSolveWeak:
         big = uniform_measure(vs, [(1, 2, 4), (2, 3, 4)])
         cols = extended_columns(vs)
         paper_cols = [cols[i - 1] for i in (1, 3, 4, 5, 6, 8)]
-        rec = solve_weak(measure_moments(big, 2), vs, columns=paper_cols)
+        rec = reconstruct(measure_moments(big, 2), vs, columns=paper_cols)
         weights = dict((s, w) for s, w, _ in rec.weights)
         assert weights[(2, 3, 4)] == 2 and weights[(1, 2, 4)] == 2
         assert all(w == 0 for s, w, dg in rec.weights if dg)
@@ -352,7 +346,7 @@ class TestSolveWeak:
         table = measure_moments(uniform_measure(square, [(0, 1, 2), (0, 2, 3)]), 2)
         bumped = dict(table.moments)
         bumped[(1, 1)] += 1
-        rec = solve_weak(MomentTable(2, 2, bumped), square_with_center, pivot=0)
+        rec = reconstruct(MomentTable(2, 2, bumped), square_with_center, pivot=0)
         assert rec.is_singular
         with pytest.raises(NotWeaklyNonDegenerateError):
             rec.to_measure()
@@ -382,7 +376,7 @@ class TestDimensionAndBasis:
         weights = [F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in basis]
         m = WeightedMeasure(square_with_center, list(zip(basis, weights)))
         table = measure_moments(m, 2)
-        rec = solve_weak(table, square_with_center)
+        rec = reconstruct(table, square_with_center)
         assert not rec.is_singular
         assert measure_moments(rec.to_measure(), 2) == table
 
@@ -416,12 +410,6 @@ class TestDetFactor:
         report = det_factor_report(vs, self._full_strong_columns())
         assert len(report.qualifying) == 4
         assert 3 * len(report.qualifying) == 2 * comb(4, 2)
-
-    def test_form_matrix_shape(self, pentagon_set):
-        m = form_matrix(pentagon_set)
-        assert (m.rows, m.cols) == (3, 4)
-        assert m.row(0) == (1, 1, 1, 1)
-        assert form_matrix(pentagon_set, include_last=True).cols == 5
 
 
 def _random_multiset(rng, dim, n, span=3):
@@ -519,8 +507,7 @@ class TestSolverProperties:
             }
             order = numerator_degree(vs)
             table = measure_moments(WeightedMeasure(vs, planted.items()), order)
-            solver = solve_strong if cls.kind is Degeneracy.STRONG else solve_weak
-            rec = solver(table, vs, pivot)
+            rec = reconstruct(table, vs, pivot)
             assert [s for s, _, _ in rec.weights] == simplices
             assert [w for _, w, _ in rec.weights] == [planted.get(s, 0) for s in simplices]
             assert {s for s, _, dg in rec.weights if dg} == set(cls.degenerate)

@@ -118,6 +118,12 @@ def test_dimension_mismatch():
         Poly.variable(2, 0) * Poly.variable(3, 0)
 
 
+@pytest.mark.parametrize("exponent", [1.5, F(1, 2)])
+def test_non_integer_exponent_rejected(exponent):
+    with pytest.raises(DimensionError):
+        Poly(2, {(exponent, 0): 1})
+
+
 def test_no_stored_zeros():
     p = Poly(2, {(1, 0): F(1)}) - Poly(2, {(1, 0): F(1)})
     assert p.terms == {} and p.is_zero()
