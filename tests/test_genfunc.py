@@ -8,6 +8,7 @@ from polymom import (
     LinearForm,
     Poly,
     RatFun,
+    Series,
     SimplePolytope,
     TangentCone,
     VertexSet,
@@ -28,7 +29,13 @@ from polymom import (
 from polymom.errors import DegenerateDirectionError, DegenerateSimplexError, DimensionError
 from polymom.genfunc import divide_linear
 from polymom.poly import monomials_upto
-from polymom.verify import box_polytope, random_simplex_vertices, triangle_polytope
+from polymom.verify import (
+    box_polytope,
+    random_point,
+    random_rational,
+    random_simplex_vertices,
+    triangle_polytope,
+)
 
 
 def form(*coords):
@@ -305,3 +312,34 @@ class TestSingularTerm:
             f = simplex_genfunc(s, vs, w)
             m = uniform_measure(vs, [s])
             assert series_to_moments(taylor(f, 4), dim) == measure_moments(m, 4)
+
+
+def _reference_taylor(f, order):
+    """Expansion by truncated geometric-series powers, one full product per form."""
+    result = Series(f.numerator, order)
+    for form in f.denominator:
+        g = form.pairing().truncate(order)
+        geo = Series(Poly.constant(f.dim, 1), order)
+        power = Series(Poly.constant(f.dim, 1), order)
+        for _ in range(order):
+            power = power * g
+            if power.poly.is_zero():
+                break
+            geo = geo + power
+        result = result * geo
+    return result
+
+
+def test_taylor_matches_geometric_series_reference():
+    rng = random.Random(71)
+    for case in range(40):
+        dim = rng.choice([1, 2, 3])
+        order = case % 7
+        points = [random_point(rng, dim) for _ in range(rng.randint(1, 4))]
+        forms = [LinearForm(rng.choice(points)) for _ in range(rng.randint(1, 5))]
+        numerator = Poly(dim, {
+            tuple(rng.randint(0, order + 2) for _ in range(dim)): random_rational(rng)
+            for _ in range(rng.randint(1, 6))
+        })
+        f = RatFun(numerator, forms)
+        assert taylor(f, order) == _reference_taylor(f, order)
