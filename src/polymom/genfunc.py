@@ -51,13 +51,7 @@ class LinearForm:
         return all(c == 0 for c in self.vertex)
 
     def poly(self) -> Poly:
-        terms = {(0,) * self.dim: Fraction(1)}
-        for k, c in enumerate(self.vertex):
-            if c != 0:
-                exps = [0] * self.dim
-                exps[k] = 1
-                terms[tuple(exps)] = -c
-        return Poly(self.dim, terms)
+        return 1 - self.pairing()
 
     def pairing(self) -> Poly:
         """The homogeneous part <v, u>."""
@@ -226,21 +220,19 @@ def measure_genfunc(m: WeightedMeasure) -> RatFun:
 def taylor(f: RatFun, order: int) -> Series:
     """Exact truncated expansion of the rational function about the origin.
 
-    Every denominator form has constant term 1, so 1/(1 - <v,u>) expands as
-    the truncated geometric series in the homogeneous pairing.
+    Dividing a series H by a denominator form 1 - <v,u> gives the G with
+    G = H + <v,u> G, which fixes G one homogeneous degree at a time:
+    G_k = H_k + <v,u> G_(k-1).  Applied once per form, this expands
+    1/prod(1 - <v_i,u>) as the complete homogeneous symmetric polynomials in
+    the pairings, and forms no term above the order.
     """
-    result = Series(f.numerator, order)
+    num = f.numerator.terms
+    parts = [Poly(f.dim, {e: c for e, c in num.items() if sum(e) == k}) for k in range(order + 1)]
     for form in f.denominator:
-        g = form.pairing().truncate(order)
-        geo = Series(Poly.constant(f.dim, 1), order)
-        power = Series(Poly.constant(f.dim, 1), order)
-        for _ in range(order):
-            power = power * g
-            if power.poly.is_zero():
-                break
-            geo = geo + power
-        result = result * geo
-    return result
+        pairing = form.pairing()
+        for k in range(1, order + 1):
+            parts[k] = parts[k] + pairing * parts[k - 1]
+    return Series(sum(parts, Poly.zero(f.dim)), order)
 
 
 def series_to_moments(series: Series, dim: int) -> MomentTable:

@@ -23,7 +23,7 @@ from .errors import (
     NotStronglyNonDegenerateError,
     NotWeaklyNonDegenerateError,
 )
-from .geometry import Degeneracy, VertexSet, classify, is_degenerate, simplex
+from .geometry import Degeneracy, VertexSet, classify, simplex
 from .linalg import RatMat, _pivot_columns, det, solve
 from .oracle import MomentTable
 from .poly import Poly, monomials_upto
@@ -46,7 +46,9 @@ class FormBasis:
     vertex_set: VertexSet
     pivot: int
     columns: tuple  # tuples of 0-based form indices, each of size N-d-1
-    _minor: RatMat | None = field(default=None, compare=False, repr=False)  # set by select_minor
+    # set by select_minor: the chosen minor, and every degenerate (d+1)-subset of the set
+    _minor: RatMat | None = field(default=None, compare=False, repr=False)
+    _degenerate: frozenset = field(default=frozenset(), compare=False, repr=False)
 
     def __post_init__(self):
         n = len(self.vertex_set)
@@ -198,8 +200,8 @@ def recover_numerator(table: MomentTable, vs: VertexSet) -> Poly:
     series = moments_to_series(table)
     phi = Poly.constant(vs.dim, 1)
     for p in vs.points:
-        phi = (phi * LinearForm(p).poly()).drop_above(k)
-    return (series.poly * phi).drop_above(k)
+        phi = phi.mul(LinearForm(p).poly(), k)
+    return series.poly.mul(phi, k)
 
 
 @dataclass(frozen=True)
@@ -262,9 +264,10 @@ def select_minor(vs: VertexSet, pivot=None, forced=None) -> FormBasis:
         raise NotWeaklyNonDegenerateError(
             "some d+2 points lie in a hyperplane; the product columns cannot reach full rank"
         )
+    degenerate = frozenset(cls.degenerate)
     if forced is None and cls.kind is Degeneracy.STRONG:
         basis = strong_basis(vs, pivot)
-        return FormBasis(vs, pivot, basis.columns, product_matrix(basis))
+        return FormBasis(vs, pivot, basis.columns, product_matrix(basis), degenerate)
     all_columns = extended_columns(vs)
     if forced is not None:
         chosen = [tuple(c) for c in forced]
@@ -272,7 +275,6 @@ def select_minor(vs: VertexSet, pivot=None, forced=None) -> FormBasis:
             raise DimensionError("forced column set is not a set of valid columns")
         m = _product_columns(vs, chosen)
     else:
-        degenerate = set(cls.degenerate)
         buckets = ([], [], [])
         for c in all_columns:
             s = simplex_for_column(c, n)
@@ -284,7 +286,7 @@ def select_minor(vs: VertexSet, pivot=None, forced=None) -> FormBasis:
         m = RatMat.from_rows([[row[j] for j in keep] for row in m.row_lists()])
     if m.rows != m.cols or det(m) == 0:
         raise NotWeaklyNonDegenerateError("selected columns do not form a non-vanishing minor")
-    return FormBasis(vs, pivot, tuple(chosen), m)
+    return FormBasis(vs, pivot, tuple(chosen), m, degenerate)
 
 
 def reconstruct(table: MomentTable, vs: VertexSet, pivot=None, columns=None) -> Reconstruction:
@@ -299,7 +301,7 @@ def reconstruct(table: MomentTable, vs: VertexSet, pivot=None, columns=None) -> 
     entries = []
     for column, w in zip(basis.columns, solve(basis._minor, rhs)):
         s = simplex_for_column(column, len(vs))
-        entries.append((s, w, is_degenerate(s, vs)))
+        entries.append((s, w, s in basis._degenerate))
     return Reconstruction(vs, basis.pivot, tuple(entries))
 
 

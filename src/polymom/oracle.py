@@ -6,8 +6,11 @@ Dirichlet formula
 
     integral over T_d of t^K dt  =  (prod k_i!) / (|K| + d)!
 
-This path shares no code with the generating-function machinery, so it can
-arbitrate its results.
+A moment table builds its pulled-back integrands degree by degree: the
+integrand of x^I is that of its parent, I with the last nonzero exponent
+lowered by one, times one coordinate function, and only the previous
+degree's integrands are kept.  This path shares no code with the
+generating-function machinery, so it can arbitrate its results.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from math import factorial
 from .errors import DegenerateSimplexError, DimensionError
 from .geometry import VertexSet, WeightedMeasure, check_simplex, edge_det
 from .linalg import rat
-from .poly import Poly, grlex_key, monomials_upto
+from .poly import Poly, grlex_key, monomials_of_degree, monomials_upto
 
 
 @dataclass(frozen=True)
@@ -117,17 +120,21 @@ def measure_moments(m: WeightedMeasure, order: int, rho: Poly | None = None) -> 
                 for j, k in enumerate(exps):
                     term = term * coords[j] ** k
                 rho_t = rho_t + term
-        powers = [[Poly.constant(d, 1)] for _ in range(d)]
-        for j in range(d):
-            for _ in range(order):
-                powers[j].append(powers[j][-1] * coords[j])
-        for exps in table:
-            integrand = rho_t
-            for j, k in enumerate(exps):
-                if k:
-                    integrand = integrand * powers[j][k]
-            table[exps] += w * _standard_simplex_integral(integrand)
+        level = {(0,) * d: rho_t}
+        for degree in range(order + 1):
+            if degree:
+                level = {e: _parent_integrand(level, e, coords) for e in monomials_of_degree(d, degree)}
+            for exps, integrand in level.items():
+                table[exps] += w * _standard_simplex_integral(integrand)
     return MomentTable(d, order, table)
+
+
+def _parent_integrand(level, exps, coords):
+    """rho(x(t)) x(t)^I from the integrand one degree lower: the parent lowers
+    the last nonzero exponent of I by one, so it is multiplied by that coordinate."""
+    j = max(i for i, k in enumerate(exps) if k)
+    parent = exps[:j] + (exps[j] - 1,) + exps[j + 1 :]
+    return level[parent] * coords[j]
 
 
 def axial_moment(m: WeightedMeasure, z, j: int) -> Fraction:

@@ -5,13 +5,18 @@ coefficients.  The canonical term order used for iteration, serialization and
 matrix building is graded lexicographic: ascending total degree, and within a
 degree descending lexicographic exponents, so that for two variables the
 order reads 1, u1, u2, u1^2, u1*u2, u2^2.
+
+`Poly(dim, terms)` checks and coerces what it is given; the results of
+arithmetic go through the unchecked `Poly._of`.  All products come from one
+kernel, `Poly.mul`, whose optional degree bound keeps it from forming any
+term above the bound, so a truncated product costs only the terms it keeps.
 """
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from operator import add, index, itemgetter
 
 from .errors import DimensionError
 from .linalg import rat
@@ -51,7 +56,7 @@ class Poly:
         clean = {}
         for exps, coef in (terms or {}).items():
             try:
-                exps = tuple(map(operator.index, exps))
+                exps = tuple(map(index, exps))
             except TypeError:
                 raise DimensionError(f"non-integer exponent in {exps}") from None
             if len(exps) != dim or any(e < 0 for e in exps):
@@ -63,6 +68,15 @@ class Poly:
                     del clean[exps]
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def _of(cls, dim, terms) -> "Poly":
+        """Unchecked constructor for results built here: integer exponent
+        tuples of length `dim` mapped to Fractions, zero coefficients dropped."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "dim", dim)
+        object.__setattr__(p, "terms", {e: c for e, c in terms.items() if c})
+        return p
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -113,12 +127,12 @@ class Poly:
         out = dict(self.terms)
         for e, c in other.terms.items():
             out[e] = out.get(e, Fraction(0)) + c
-        return Poly(self.dim, out)
+        return Poly._of(self.dim, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.dim, {e: -c for e, c in self.terms.items()})
+        return Poly._of(self.dim, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, Poly):
@@ -128,17 +142,28 @@ class Poly:
     def __rsub__(self, other):
         return (-self) + other
 
-    def __mul__(self, other):
+    def mul(self, other, degree=None) -> "Poly":
+        """Product with a Poly or a scalar, without any term of total degree
+        above `degree`: each term stops at the first factor term (by ascending
+        degree) that would pass the bound, so none is formed."""
         if not isinstance(other, Poly):
-            c = rat(other)
-            return Poly(self.dim, {e: co * c for e, co in self.terms.items()})
+            other = Poly.constant(self.dim, other)
         self._check_dim(other)
+        if degree is None:
+            degree = self.degree() + other.degree()
+        right = sorted(((sum(e), e, c) for e, c in other.terms.items()), key=itemgetter(0))
         out = {}
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return Poly(self.dim, out)
+            room = degree - sum(e1)
+            for d2, e2, c2 in right:
+                if d2 > room:
+                    break
+                e = tuple(map(add, e1, e2))
+                out[e] = out.get(e, 0) + c1 * c2
+        return Poly._of(self.dim, out)
+
+    def __mul__(self, other):
+        return self.mul(other)
 
     __rmul__ = __mul__
 
@@ -180,11 +205,11 @@ class Poly:
             ne = list(e)
             ne[k] -= 1
             out[tuple(ne)] = c * e[k]
-        return Poly(self.dim, out)
+        return Poly._of(self.dim, out)
 
     def drop_above(self, degree) -> "Poly":
         """Discard all terms of total degree > degree."""
-        return Poly(self.dim, {e: c for e, c in self.terms.items() if sum(e) <= degree})
+        return Poly._of(self.dim, {e: c for e, c in self.terms.items() if sum(e) <= degree})
 
     def truncate(self, degree) -> "Series":
         return Series(self.drop_above(degree), degree)
@@ -203,7 +228,7 @@ class Poly:
         out = {}
         for e, c in self.terms.items():
             out[(total - sum(e),) + e] = c
-        return Poly(self.dim + 1, out)
+        return Poly._of(self.dim + 1, out)
 
     def dehomogenize(self) -> "Poly":
         """Set the leading variable to 1."""
@@ -213,7 +238,7 @@ class Poly:
         for e, c in self.terms.items():
             key = e[1:]
             out[key] = out.get(key, Fraction(0)) + c
-        return Poly(self.dim - 1, out)
+        return Poly._of(self.dim - 1, out)
 
     def __repr__(self):
         return f"Poly({self})"
@@ -274,9 +299,10 @@ class Series:
         return Series(self.poly - other, self.order)
 
     def __mul__(self, other):
+        order = self.order
         if isinstance(other, Series):
-            return Series(self.poly * other.poly, min(self.order, other.order))
-        return Series(self.poly * other, self.order)
+            other, order = other.poly, min(order, other.order)
+        return Series(self.poly.mul(other, order), order)
 
     __rmul__ = __mul__
 
