@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import factorial
+from operator import index
 
 from .errors import DegenerateSimplexError, DimensionError, NotSpanningError
 from .linalg import RatMat, det, rank, rat
@@ -30,6 +31,7 @@ class VertexSet:
     __slots__ = ("dim", "points")
 
     def __init__(self, dim, points):
+        dim = index(dim)
         pts = tuple(tuple(rat(c) for c in p) for p in points)
         if any(len(p) != dim for p in pts):
             raise DimensionError(f"every point must have {dim} coordinates")
@@ -66,7 +68,7 @@ class VertexSet:
 
 def simplex(indices) -> tuple:
     """Canonical simplex: a sorted tuple of vertex indices."""
-    return tuple(sorted(int(i) for i in indices))
+    return tuple(sorted(map(index, indices)))
 
 
 def check_simplex(s, vs: VertexSet):

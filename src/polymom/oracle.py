@@ -34,6 +34,8 @@ class MomentTable:
     moments: dict
 
     def __post_init__(self):
+        if self.order < 0:
+            raise DimensionError(f"moment order must be non-negative, got {self.order}")
         expected = set(monomials_upto(self.dim, self.order))
         got = set(self.moments)
         if got != expected:

@@ -89,6 +89,20 @@ class TestMoments:
         bad.write_text("{not json")
         assert main(["moments", str(bad), "--order", "1"]) == 2
 
+    def test_non_integer_simplex_index(self, tmp_path, capsys, triangle_115232):
+        data = jsonio.measure_to_json(uniform_measure(triangle_115232, [(0, 1, 2)]))
+        data["atoms"][0]["simplex"] = [0, 1.5, 2]
+        code = main(["moments", write(tmp_path / "m.json", data), "--order", "1"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+    def test_negative_order(self, pentagon_files, capsys):
+        code = main(["moments", pentagon_files["measure"], "--order", "-1"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
 
 class TestGenfunc:
     def test_triangle(self, tmp_path, triangle_115232, capsys):
@@ -208,6 +222,13 @@ class TestInvertMalformedInput:
         code, err = self._invert(tmp_path, capsys, jsonio.vertex_set_to_json(pentagon_set), moments)
         assert code == 2
         assert err.startswith("error:") and "(1, 1)" in err and err.count("\n") == 1
+
+    def test_non_integer_dim(self, tmp_path, capsys, pentagon_set, pentagon_moments):
+        vertices = jsonio.vertex_set_to_json(pentagon_set)
+        vertices["dim"] = 2.0
+        code, err = self._invert(tmp_path, capsys, vertices, jsonio.moment_table_to_json(pentagon_moments))
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_non_integer_column_number(self, tmp_path, capsys, square_with_center, pentagon_moments):
         vertices = write(tmp_path / "v.json", jsonio.vertex_set_to_json(square_with_center))

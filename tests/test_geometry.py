@@ -203,3 +203,8 @@ class TestDensity:
     def test_degenerate_rejected_without_flag(self, square_with_center):
         with pytest.raises(DegenerateSimplexError):
             WeightedMeasure(square_with_center, [((0, 2, 4), 1)])
+
+    @pytest.mark.parametrize("index", [1.5, 1.0, F(1)], ids=["1.5", "1.0", "Fraction(1)"])
+    def test_non_integer_simplex_index_rejected(self, pentagon_set, index):
+        with pytest.raises(TypeError):
+            WeightedMeasure(pentagon_set, [((0, index, 4), 1)])

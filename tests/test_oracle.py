@@ -78,6 +78,13 @@ def test_table_completeness_enforced():
         MomentTable(2, 1, {(0, 0): F(1)})
 
 
+def test_negative_order_rejected(triangle_115232):
+    with pytest.raises(DimensionError):
+        MomentTable(2, -1, {})
+    with pytest.raises(DimensionError):
+        measure_moments(uniform_measure(triangle_115232, [(0, 1, 2)]), -1)
+
+
 def test_additivity_under_dissection():
     # split a triangle through an interior point; moments add exactly
     vs = VertexSet(2, [(0, 0), (3, 0), (0, 3), (1, 1)])
