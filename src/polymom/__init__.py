@@ -15,6 +15,7 @@ from .errors import (
     NotStronglyNonDegenerateError,
     NotWeaklyNonDegenerateError,
     PolymomError,
+    PreconditionError,
     SingularMatrixError,
 )
 from .genfunc import (

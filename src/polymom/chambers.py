@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import gcd, lcm
 
-from .errors import DimensionError, NotWeaklyNonDegenerateError
-from .geometry import VertexSet, volume
+from .errors import DimensionError
+from .geometry import VertexSet
 
 
 def _canonical_line(p, q):
@@ -162,7 +162,7 @@ def chamber_densities(cm: ChamberMap, simplex_densities) -> ChamberMap:
     """Assign each chamber the density sum of the triangles covering it.
 
     `simplex_densities` is a list of (simplex, density) pairs over the map's
-    vertex set, as produced by geometry.density or a reconstruction.
+    vertex set, as produced by geometry.density.
     """
     vs = cm.vertex_set
     tris = [([vs.points[i] for i in s], d) for s, d in simplex_densities]
@@ -174,21 +174,6 @@ def chamber_densities(cm: ChamberMap, simplex_densities) -> ChamberMap:
                 total += dens
         chambers.append(Chamber(ch.polygon, ch.point, total))
     return ChamberMap(vs, cm.lines, tuple(chambers))
-
-
-def densities_from_reconstruction(rec) -> list:
-    """Per-simplex densities of a non-singular reconstruction."""
-    if rec.is_singular:
-        raise NotWeaklyNonDegenerateError(
-            f"cannot draw a singular reconstruction (degenerate weight on {rec.singular_simplices})"
-        )
-    vs = rec.vertex_set
-    out = []
-    for s, w, dg in rec.weights:
-        if dg or w == 0:
-            continue
-        out.append((s, w / (factorial(vs.dim) * volume(s, vs))))
-    return out
 
 
 # --- SVG output -----------------------------------------------------------

@@ -1,9 +1,11 @@
 """Command-line interface.
 
-Exit codes: 0 success, 2 unreadable or malformed input or an output path
-that cannot be written, 3 violated precondition (not spanning, incomplete
-moments, degenerate input, not weakly non-degenerate), 4 singular
-reconstruction (output is still written), 5 internal error.
+Exit codes: 0 success, 2 unreadable or malformed input (a non-integer
+dimension or simplex index included) or an output path that cannot be
+written, 3 violated precondition, i.e. any `PreconditionError` (not
+spanning, incomplete moments, a negative order, degenerate input, not weakly
+non-degenerate), 4 singular reconstruction (output is still written),
+5 internal error.
 """
 
 from __future__ import annotations
@@ -11,37 +13,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 
 from . import chambers, genfunc, inverse, jsonio, oracle, verify
-from .errors import (
-    DegenerateDirectionError,
-    DegenerateSimplexError,
-    DimensionError,
-    IncompleteMomentsError,
-    NotSpanningError,
-    NotStronglyNonDegenerateError,
-    NotWeaklyNonDegenerateError,
-    PolymomError,
-)
-from .linalg import det
-from .verify import SUITES, random_simplex_vertices, random_strong_set
+from .errors import PolymomError, PreconditionError
+from .geometry import density
+from .verify import SUITES
 
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 EXIT_SINGULAR = 4
 EXIT_INTERNAL = 5
-
-_PRECONDITION_ERRORS = (
-    DegenerateDirectionError,
-    DegenerateSimplexError,
-    DimensionError,
-    IncompleteMomentsError,
-    NotSpanningError,
-    NotStronglyNonDegenerateError,
-    NotWeaklyNonDegenerateError,
-)
 
 
 class CliError(Exception):
@@ -123,9 +105,7 @@ def cmd_invert(args):
                 EXIT_SINGULAR,
                 f"singular reconstruction (degenerate weight on {rec.singular_simplices}); no SVG",
             )
-        cm = chambers.chamber_densities(
-            chambers.build_chambers(vs), chambers.densities_from_reconstruction(rec)
-        )
+        cm = chambers.chamber_densities(chambers.build_chambers(vs), density(rec.to_measure()))
         chambers.write_svg(cm, args.svg)
     if rec.is_singular:
         print(
@@ -141,8 +121,6 @@ def cmd_chambers(args):
     measure = _decode(jsonio.measure_from_json, args.measure)
     if measure.vertex_set != vs:
         raise CliError(EXIT_PRECONDITION, "measure vertex set differs from the vertices file")
-    from .geometry import density
-
     cm = chambers.chamber_densities(chambers.build_chambers(vs), density(measure))
     chambers.write_svg(cm, args.svg)
     summary = [
@@ -156,28 +134,6 @@ def cmd_verify(args):
     report = verify.run_suite(args.suite, args.seed)
     print(report.summary())
     return EXIT_OK if report.passed else EXIT_INTERNAL
-
-
-def cmd_bench(args):
-    import random
-
-    rng = random.Random(args.seed)
-    rows = []
-    t0 = time.perf_counter()
-    for _ in range(20):
-        vs = random_strong_set(rng, 2, 6)
-        m = inverse.product_matrix(inverse.strong_basis(vs))
-        det(m)
-    rows.append(("det 10x10 product matrix x20", time.perf_counter() - t0))
-    t0 = time.perf_counter()
-    for _ in range(50):
-        vs = random_simplex_vertices(rng, 3)
-        f = genfunc.simplex_genfunc((0, 1, 2, 3), vs, 1)
-        genfunc.taylor(f, 5)
-    rows.append(("taylor order 5 of 3-d simplex x50", time.perf_counter() - t0))
-    for label, seconds in rows:
-        print(f"{label}: {seconds:.3f}s")
-    return EXIT_OK
 
 
 def build_parser():
@@ -219,10 +175,6 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("bench", help="time the core kernels")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_bench)
-
     return parser
 
 
@@ -237,7 +189,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except _PRECONDITION_ERRORS as exc:
+    except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except PolymomError as exc:

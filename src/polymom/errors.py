@@ -5,7 +5,11 @@ class PolymomError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class DimensionError(PolymomError):
+class PreconditionError(PolymomError):
+    """The input violates a documented precondition of the operation."""
+
+
+class DimensionError(PreconditionError):
     """Operands have incompatible dimensions or shapes."""
 
 
@@ -20,23 +24,23 @@ class SingularMatrixError(PolymomError):
         self.rank = rank
 
 
-class NotSpanningError(PolymomError):
+class NotSpanningError(PreconditionError):
     """A point set does not affinely span its ambient space."""
 
 
-class DegenerateSimplexError(PolymomError):
+class DegenerateSimplexError(PreconditionError):
     """A simplex with zero volume appeared where a full-dimensional one is required."""
 
 
-class NotStronglyNonDegenerateError(PolymomError):
+class NotStronglyNonDegenerateError(PreconditionError):
     """The vertex set has a degenerate (d+1)-subset; use the weak solver."""
 
 
-class NotWeaklyNonDegenerateError(PolymomError):
+class NotWeaklyNonDegenerateError(PreconditionError):
     """Some (d+2)-subset of the vertex set lies in a hyperplane; no solver applies."""
 
 
-class IncompleteMomentsError(PolymomError):
+class IncompleteMomentsError(PreconditionError):
     """A moment table is missing entries required for the requested operation."""
 
     def __init__(self, message, missing):
@@ -44,7 +48,7 @@ class IncompleteMomentsError(PolymomError):
         self.missing = tuple(sorted(missing))
 
 
-class DegenerateDirectionError(PolymomError):
+class DegenerateDirectionError(PreconditionError):
     """An evaluation direction annihilates an edge pairing at some vertex."""
 
     def __init__(self, vertex):

@@ -181,19 +181,6 @@ class Poly:
     def __hash__(self):
         return hash((self.dim, frozenset(self.terms.items())))
 
-    def evaluate(self, point):
-        point = [rat(p) for p in point]
-        if len(point) != self.dim:
-            raise DimensionError(f"point of length {len(point)} for dim {self.dim}")
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            v = c
-            for x, k in zip(point, e):
-                if k:
-                    v *= x**k
-            total += v
-        return total
-
     def partial(self, k) -> "Poly":
         """Exact partial derivative with respect to variable k."""
         if not 0 <= k < self.dim:
@@ -287,29 +274,6 @@ class Series:
 
     def coefficient(self, exponents):
         return self.poly.coefficient(exponents)
-
-    def __add__(self, other):
-        if isinstance(other, Series):
-            return Series(self.poly + other.poly, min(self.order, other.order))
-        return Series(self.poly + other, self.order)
-
-    def __sub__(self, other):
-        if isinstance(other, Series):
-            return Series(self.poly - other.poly, min(self.order, other.order))
-        return Series(self.poly - other, self.order)
-
-    def __mul__(self, other):
-        order = self.order
-        if isinstance(other, Series):
-            other, order = other.poly, min(order, other.order)
-        return Series(self.poly.mul(other, order), order)
-
-    __rmul__ = __mul__
-
-    def partial(self, k) -> "Series":
-        if self.order == 0:
-            raise DimensionError("cannot differentiate a series known only to order 0")
-        return Series(self.poly.partial(k), self.order - 1)
 
     def truncate(self, order) -> "Series":
         if order > self.order:

@@ -55,12 +55,7 @@ def random_point(rng, dim, span=5, max_den=4):
 
 def random_simplex_vertices(rng, dim):
     """dim+1 points in general position (non-degenerate by construction)."""
-    while True:
-        pts = [random_point(rng, dim) for _ in range(dim + 1)]
-        try:
-            return VertexSet(dim, pts)
-        except NotSpanningError:
-            continue
+    return random_strong_set(rng, dim, dim + 1)
 
 
 def random_strong_set(rng, dim, n):

@@ -5,13 +5,15 @@ import pytest
 
 from polymom import (
     MomentTable,
+    PolymomError,
+    PreconditionError,
     VertexSet,
     WeightedMeasure,
     measure_moments,
     uniform_measure,
 )
 from polymom.cli import main
-from polymom import jsonio
+from polymom import errors, jsonio
 from polymom.poly import monomials_upto
 
 
@@ -272,6 +274,27 @@ class TestVerifyCommand:
     def test_unknown_suite_rejected(self):
         with pytest.raises(SystemExit):
             main(["verify", "nonsense"])
+
+
+def test_bench_is_not_a_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench"])
+    assert exc.value.code == 2 and "invalid choice: 'bench'" in capsys.readouterr().err
+
+
+def test_precondition_errors_share_one_base():
+    for cls in (
+        errors.DegenerateDirectionError,
+        errors.DegenerateSimplexError,
+        errors.DimensionError,
+        errors.IncompleteMomentsError,
+        errors.NotSpanningError,
+        errors.NotStronglyNonDegenerateError,
+        errors.NotWeaklyNonDegenerateError,
+    ):
+        assert issubclass(cls, PreconditionError)
+    assert issubclass(PreconditionError, PolymomError)
+    assert not issubclass(errors.SingularMatrixError, PreconditionError)
 
 
 def test_moments_then_invert_round_trip(pentagon_files, tmp_path):

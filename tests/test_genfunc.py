@@ -315,19 +315,19 @@ class TestSingularTerm:
 
 
 def _reference_taylor(f, order):
-    """Expansion by truncated geometric-series powers, one full product per form."""
-    result = Series(f.numerator, order)
+    """Expansion by truncated geometric-series powers, one product per form."""
+    result = f.numerator.drop_above(order)
     for form in f.denominator:
-        g = form.pairing().truncate(order)
-        geo = Series(Poly.constant(f.dim, 1), order)
-        power = Series(Poly.constant(f.dim, 1), order)
+        g = form.pairing()
+        geo = Poly.constant(f.dim, 1)
+        power = Poly.constant(f.dim, 1)
         for _ in range(order):
-            power = power * g
-            if power.poly.is_zero():
+            power = power.mul(g, order)
+            if power.is_zero():
                 break
             geo = geo + power
-        result = result * geo
-    return result
+        result = result.mul(geo, order)
+    return Series(result, order)
 
 
 def test_taylor_matches_geometric_series_reference():
