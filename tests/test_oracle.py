@@ -5,6 +5,11 @@ from math import factorial
 
 import pytest
 
+try:
+    from hypothesis import assume, given, settings, strategies as st
+except ImportError:  # the properties below are skipped without hypothesis
+    given = None
+
 from polymom import (
     MomentTable,
     Poly,
@@ -15,7 +20,7 @@ from polymom import (
     simplex_monomial_moment,
     uniform_measure,
 )
-from polymom.errors import DegenerateSimplexError, DimensionError
+from polymom.errors import DegenerateSimplexError, DimensionError, NotSpanningError
 from polymom.geometry import edge_det, is_degenerate
 from polymom.poly import monomials_upto
 from polymom.verify import random_point, random_rational, random_simplex_vertices
@@ -198,6 +203,58 @@ def test_measure_moments_match_power_table_reference():
                 for _ in range(rng.randint(1, 3))
             })
         assert measure_moments(m, order, rho) == _reference_measure_moments(m, order, rho)
+
+
+if given is not None:
+    rationals = st.builds(F, st.integers(-12, 12), st.integers(1, 4))
+    nonzero_rationals = st.builds(F, st.integers(-6, 6).filter(bool), st.integers(1, 4))
+    properties = settings(derandomize=True, database=None, deadline=None, max_examples=100)
+
+    @st.composite
+    def signed_measures(draw):
+        """A signed measure on d+2 or d+3 rational points, d = 1, 2, 3, and an order."""
+        dim = draw(st.sampled_from([1, 2, 3]))
+        order = draw(st.integers(0, 6 if dim < 3 else 4))
+        n = draw(st.integers(dim + 2, dim + 3))
+        points = draw(st.lists(st.tuples(*[rationals] * dim), min_size=n, max_size=n))
+        assume(len(set(points)) == n)
+        try:
+            vs = VertexSet(dim, points)
+        except NotSpanningError:
+            assume(False)
+        simplices = [s for s in combinations(range(n), dim + 1) if not is_degenerate(s, vs)]
+        chosen = draw(st.lists(st.sampled_from(simplices), unique=True, min_size=1, max_size=4))
+        return WeightedMeasure(vs, [(s, draw(nonzero_rationals)) for s in chosen]), order
+
+    @st.composite
+    def densities(draw, dim):
+        """None, the zero polynomial, or a non-homogeneous one with rational coefficients."""
+        kind = draw(st.sampled_from(["poly", "none", "zero"]))
+        if kind == "none":
+            return None
+        if kind == "zero":
+            return Poly.zero(dim)
+        exponents = st.tuples(*[st.integers(0, 2)] * dim).filter(lambda e: 1 <= sum(e) <= 2)
+        terms = draw(st.dictionaries(exponents, nonzero_rationals, min_size=1, max_size=3))
+        terms[(0,) * dim] = draw(nonzero_rationals)
+        return Poly(dim, terms)
+
+    @properties
+    @given(st.data())
+    def test_measure_moments_match_reference_property(data):
+        m, order = data.draw(signed_measures())
+        rho = data.draw(densities(m.vertex_set.dim))
+        assert measure_moments(m, order, rho) == _reference_measure_moments(m, order, rho)
+
+    @properties
+    @given(signed_measures())
+    def test_simplex_monomial_moment_is_the_one_atom_table(case):
+        m, order = case
+        vs = m.vertex_set
+        s, _ = m.atoms[0]
+        table = measure_moments(WeightedMeasure(vs, [(s, abs(edge_det(s, vs)))]), order)
+        for e in monomials_upto(vs.dim, order):
+            assert simplex_monomial_moment(s, vs, e) == table[e]
 
 
 class TestSympyCrossCheck:
