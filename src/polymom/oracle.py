@@ -1,26 +1,32 @@
-"""Brute-force exact moments, used as ground truth by every other module.
+"""Exact moments by rational simplex cubature, the ground truth for every other module.
 
-A monomial is integrated over a simplex by pulling back through the affine
-map onto the standard simplex and integrating term by term with the
-Dirichlet formula
+An atom (s, w) contributes w times the integral over the standard simplex
+T_d of the pulled-back integrand x(t)^I rho(x(t)), computed with the
+Grundmann-Moller rule (SIAM J. Numer. Anal. 15, 1978).  With index s the rule
+is exact to degree 2s+1.  Its group i = 0..s has the nodes with barycentric
+coordinates (2 beta_j + 1) / D_i, D_i = d+2s+1-2i and |beta| = s-i, and the
+weight (-1)^i D_i^(2s+1) / (4^s i! (d+2s+1-i)!) on T_d.  All of these are
+rational, so the result is exact.  A table to order k with a density of
+degree r takes the smallest s with 2s+1 >= k + r.
 
-    integral over T_d of t^K dt  =  (prod k_i!) / (|K| + d)!
-
-A moment table builds its pulled-back integrands degree by degree: the
-integrand of x^I is that of its parent, I with the last nonzero exponent
-lowered by one, times one coordinate function, and only the previous
-degree's integrands are kept.  This path shares no code with the
-generating-function machinery, so it can arbitrate its results.
+The arithmetic is in integers: the vertices of a simplex are scaled once by
+their common denominator L, so a node is X / (D_i L) with X an integer
+vector.  The values X^I are built degree by degree from the parent
+monomial's, summed per group, and the groups are folded over one denominator
+per degree.  The oracle only evaluates monomials at points and shares no code
+with `genfunc` or `inverse`, so it can arbitrate their results.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from itertools import combinations_with_replacement
+from math import comb, factorial, lcm, prod
+from operator import mul
 
 from .errors import DegenerateSimplexError, DimensionError
-from .geometry import VertexSet, WeightedMeasure, check_simplex, edge_det
+from .geometry import VertexSet, WeightedMeasure, edge_det
 from .linalg import rat
 from .poly import Poly, grlex_key, monomials_of_degree, monomials_upto
 
@@ -59,44 +65,47 @@ class MomentTable:
         )
 
 
-def _standard_simplex_integral(p: Poly) -> Fraction:
-    """Exact integral of a polynomial over the standard simplex T_d."""
-    d = p.dim
-    total = Fraction(0)
-    for exps, coef in p.terms.items():
-        num = 1
-        for k in exps:
-            num *= factorial(k)
-        total += coef * Fraction(num, factorial(sum(exps) + d))
-    return total
+def _rule(d, degree):
+    """The rule exact to degree 2s+1 >= `degree`: 2s+1, the common denominator
+    (d+2s+1)! 4^s of its weights, and per group (k_i, D_i, nodes), where group i
+    weighs k_i D_i^(2s+1), k_i = (-1)^i C(d+2s+1, i), over that denominator and
+    a node is given by its barycentric numerators 2 beta + 1."""
+    s = max(degree, 0) // 2
+    n = d + 2 * s + 1
+    groups = []
+    for i in range(s + 1):
+        nodes = []
+        for beta in combinations_with_replacement(range(d + 1), s - i):
+            odd = [1] * (d + 1)
+            for j in beta:
+                odd[j] += 2
+            nodes.append(odd)
+        groups.append(((-1) ** i * comb(n, i), n - 2 * i, nodes))
+    return 2 * s + 1, factorial(n) * 4**s, groups
 
 
-def _pullback_coordinates(s, vs: VertexSet):
-    """Coordinate functions x_j(t) of the affine map onto the simplex."""
-    s = check_simplex(s, vs)
-    d = vs.dim
-    base = vs.points[s[0]]
-    coords = []
-    for j in range(d):
-        terms = {(0,) * d: base[j]}
-        for i, v in enumerate(s[1:]):
-            exps = [0] * d
-            exps[i] = 1
-            terms[tuple(exps)] = vs.points[v][j] - base[j]
-        coords.append(Poly(d, terms))
-    return coords
+def _atom_nodes(groups, simplex, vs: VertexSet):
+    """The common denominator L of the simplex's vertices, and the rule's nodes
+    on it as integer vectors X, one list per group: a node of group i is the
+    point X / (D_i L)."""
+    if edge_det(simplex, vs) == 0:
+        raise DegenerateSimplexError(f"degenerate simplex {simplex}")
+    points = [vs.points[v] for v in simplex]
+    scale = lcm(*(c.denominator for p in points for c in p))
+    ints = [[c.numerator * (scale // c.denominator) for c in p] for p in points]
+    return scale, [
+        [tuple(sum(b * p[j] for b, p in zip(odd, ints)) for j in range(vs.dim)) for odd in nodes]
+        for _, _, nodes in groups
+    ]
 
 
 def simplex_monomial_moment(s, vs: VertexSet, index) -> Fraction:
-    """Exact integral of x^I over the simplex, Lebesgue measure."""
+    """Exact integral of x^I over the simplex, Lebesgue measure: the entry of
+    the one-atom table whose weight is |det|."""
     dvol = edge_det(s, vs)
     if dvol == 0:
         raise DegenerateSimplexError(f"degenerate simplex {s}")
-    coords = _pullback_coordinates(s, vs)
-    integrand = Poly.constant(vs.dim, 1)
-    for j, k in enumerate(index):
-        integrand = integrand * coords[j] ** k
-    return abs(dvol) * _standard_simplex_integral(integrand)
+    return measure_moments(WeightedMeasure(vs, [(s, abs(dvol))]), sum(index))[index]
 
 
 def measure_moments(m: WeightedMeasure, order: int, rho: Poly | None = None) -> MomentTable:
@@ -107,55 +116,58 @@ def measure_moments(m: WeightedMeasure, order: int, rho: Poly | None = None) -> 
     """
     vs = m.vertex_set
     d = vs.dim
-    if rho is not None and rho.dim != d:
+    if rho is None:
+        rho = Poly.constant(d, 1)
+    elif rho.dim != d:
         raise DimensionError(f"density has {rho.dim} variables, measure lives in R^{d}")
+    r = max(rho.degree(), 0)
+    clear = lcm(*(c.denominator for c in rho.terms.values()))
+    rho_ints = [(c.numerator * (clear // c.denominator), K, r - sum(K)) for K, c in rho.terms.items()]
+    exact, den, groups = _rule(d, order + r)
     table = {e: Fraction(0) for e in monomials_upto(d, order)}
-    for s, w in m.atoms:
-        if edge_det(s, vs) == 0:
-            raise DegenerateSimplexError(f"degenerate simplex {s}")
-        coords = _pullback_coordinates(s, vs)
-        rho_t = Poly.constant(d, 1)
-        if rho is not None:
-            rho_t = Poly.zero(d)
-            for exps, coef in rho.terms.items():
-                term = Poly.constant(d, coef)
-                for j, k in enumerate(exps):
-                    term = term * coords[j] ** k
-                rho_t = rho_t + term
-        level = {(0,) * d: rho_t}
+    for simplex, w in m.atoms:
+        scale, nodes = _atom_nodes(groups, simplex, vs)
+        # clear * (D_i L)^r * rho(X / (D_i L)) is an integer form of degree r in X
+        level = {(0,) * d: [
+            [sum(c * (D * scale) ** gap * prod(map(pow, X, K)) for c, K, gap in rho_ints) for X in xs]
+            for (_, D, _), xs in zip(groups, nodes)
+        ]}
+        columns = [list(zip(*xs)) for xs in nodes]
         for degree in range(order + 1):
             if degree:
-                level = {e: _parent_integrand(level, e, coords) for e in monomials_of_degree(d, degree)}
-            for exps, integrand in level.items():
-                table[exps] += w * _standard_simplex_integral(integrand)
+                level = {e: _parent_values(level, e, columns) for e in monomials_of_degree(d, degree)}
+            weights = [w.numerator * k * D ** (exact - degree - r) for k, D, _ in groups]
+            scaled = w.denominator * den * clear * scale ** (degree + r)
+            for e, values in level.items():
+                table[e] += Fraction(sum(map(mul, weights, map(sum, values))), scaled)
     return MomentTable(d, order, table)
 
 
-def _parent_integrand(level, exps, coords):
-    """rho(x(t)) x(t)^I from the integrand one degree lower: the parent lowers
-    the last nonzero exponent of I by one, so it is multiplied by that coordinate."""
+def _parent_values(level, exps, columns):
+    """X^I at every node from its parent's values: the parent lowers the last
+    nonzero exponent of I by one, so each value is multiplied by that coordinate."""
     j = max(i for i, k in enumerate(exps) if k)
     parent = exps[:j] + (exps[j] - 1,) + exps[j + 1 :]
-    return level[parent] * coords[j]
+    return [list(map(mul, values, cols[j])) for values, cols in zip(level[parent], columns)]
 
 
 def axial_moment(m: WeightedMeasure, z, j: int) -> Fraction:
-    """Exact integral of <x, z>^j against the measure, by multinomial expansion."""
+    """Exact integral of <x, z>^j against the measure, by the rule exact to degree j."""
     z = [rat(c) for c in z]
     vs = m.vertex_set
     if len(z) != vs.dim:
         raise DimensionError(f"direction of length {len(z)} in R^{vs.dim}")
-    table = measure_moments(m, j)
+    if j < 0:
+        raise DimensionError(f"moment order must be non-negative, got {j}")
+    clear = lcm(*(c.denominator for c in z))
+    z_ints = [c.numerator * (clear // c.denominator) for c in z]
+    exact, den, groups = _rule(vs.dim, j)
     total = Fraction(0)
-    for exps, value in table.moments.items():
-        if sum(exps) != j:
-            continue
-        coef = factorial(j)
-        zpow = Fraction(1)
-        for zc, k in zip(z, exps):
-            coef //= factorial(k)
-            zpow *= zc**k
-        total += coef * zpow * value
+    for simplex, w in m.atoms:
+        scale, nodes = _atom_nodes(groups, simplex, vs)
+        num = sum(
+            k * D ** (exact - j) * sum(sum(map(mul, X, z_ints)) ** j for X in xs)
+            for (k, D, _), xs in zip(groups, nodes)
+        )
+        total += w * Fraction(num, den * (clear * scale) ** j)
     return total
-
-
