@@ -5,7 +5,7 @@ dimension or simplex index included) or an output path that cannot be
 written, 3 violated precondition, i.e. any `PreconditionError` (not
 spanning, incomplete moments, a negative order, degenerate input, not weakly
 non-degenerate), 4 singular reconstruction (output is still written),
-5 internal error.
+5 internal error, any other exception included, reported in one line.
 """
 
 from __future__ import annotations
@@ -194,6 +194,9 @@ def main(argv=None) -> int:
         return EXIT_PRECONDITION
     except PolymomError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except Exception as exc:  # a bug: one line and exit 5, never a traceback
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

@@ -106,6 +106,20 @@ class TestMoments:
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
 
+    def test_unexpected_exception_is_one_line_exit_5(self, pentagon_files, capsys, monkeypatch):
+        from polymom import oracle
+
+        def fail(*args, **kwargs):
+            raise RuntimeError("oracle failed")
+
+        monkeypatch.setattr(oracle, "measure_moments", fail)
+        code = main(["moments", pentagon_files["measure"], "--order", "2"])
+        captured = capsys.readouterr()
+        assert code == 5 and captured.out == ""
+        assert captured.err == "internal error: RuntimeError: oracle failed\n"
+        assert "Traceback" not in captured.err
+
+
 class TestGenfunc:
     def test_triangle(self, tmp_path, triangle_115232, capsys):
         from polymom import simplex_genfunc
