@@ -201,32 +201,6 @@ class Poly:
     def truncate(self, degree) -> "Series":
         return Series(self.drop_above(degree), degree)
 
-    def homogenize(self, total) -> "Poly":
-        """Pad each term with a power of a fresh leading variable up to `total`.
-
-        The new variable is prepended, matching the identification of degree
-        <= k polynomials in d variables with homogeneous degree-k forms in
-        d+1 variables.
-        """
-        if self.degree() > total:
-            raise DimensionError(
-                f"cannot homogenize degree {self.degree()} polynomial to total degree {total}"
-            )
-        out = {}
-        for e, c in self.terms.items():
-            out[(total - sum(e),) + e] = c
-        return Poly._of(self.dim + 1, out)
-
-    def dehomogenize(self) -> "Poly":
-        """Set the leading variable to 1."""
-        if self.dim == 0:
-            raise DimensionError("cannot dehomogenize a 0-variable polynomial")
-        out = {}
-        for e, c in self.terms.items():
-            key = e[1:]
-            out[key] = out.get(key, Fraction(0)) + c
-        return Poly._of(self.dim - 1, out)
-
     def __repr__(self):
         return f"Poly({self})"
 
