@@ -66,10 +66,13 @@ class MomentTable:
 
 
 def _rule(d, degree):
-    """The rule exact to degree 2s+1 >= `degree`: 2s+1, the common denominator
-    (d+2s+1)! 4^s of its weights, and per group (k_i, D_i, nodes), where group i
-    weighs k_i D_i^(2s+1), k_i = (-1)^i C(d+2s+1, i), over that denominator and
-    a node is given by its barycentric numerators 2 beta + 1."""
+    """The Grundmann-Moller rule on T_d exact to a degree 2s+1 >= `degree`.
+
+    Returns 2s+1, the common denominator (d+2s+1)! 4^s of the weights, and
+    the groups as (k_i, D_i, nodes): group i weighs k_i D_i^(2s+1) over that
+    denominator, with k_i = (-1)^i C(d+2s+1, i), and lists each node by its
+    barycentric numerators 2 beta + 1 over D_i.
+    """
     s = max(degree, 0) // 2
     n = d + 2 * s + 1
     groups = []
@@ -87,7 +90,7 @@ def _rule(d, degree):
 def _atom_nodes(groups, simplex, vs: VertexSet):
     """The common denominator L of the simplex's vertices, and the rule's nodes
     on it as integer vectors X, one list per group: a node of group i is the
-    point X / (D_i L)."""
+    point X / (D_i L).  A flat simplex raises DegenerateSimplexError."""
     if edge_det(simplex, vs) == 0:
         raise DegenerateSimplexError(f"degenerate simplex {simplex}")
     points = [vs.points[v] for v in simplex]

@@ -105,7 +105,6 @@ class TestMoments:
         assert code == 3 and captured.out == ""
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
-
     def test_unexpected_exception_is_one_line_exit_5(self, pentagon_files, capsys, monkeypatch):
         from polymom import oracle
 

@@ -145,7 +145,8 @@ class TestAxialMoments:
 
 
 def _reference_measure_moments(m, order, rho=None):
-    """The power-table oracle: every integrand a product of full coordinate powers."""
+    """The pullback oracle: every integrand a product of full coordinate powers,
+    integrated over the standard simplex term by term with the Dirichlet formula."""
     vs = m.vertex_set
     d = vs.dim
     table = {e: F(0) for e in monomials_upto(d, order)}
