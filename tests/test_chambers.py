@@ -1,6 +1,12 @@
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
+
+try:
+    from hypothesis import assume, given, settings, strategies as st
+except ImportError:  # the properties below are skipped without hypothesis
+    given = None
 
 from polymom import VertexSet, WeightedMeasure, density, measure_moments, uniform_measure
 from polymom.chambers import (
@@ -9,7 +15,8 @@ from polymom.chambers import (
     convex_hull_2d,
     render_svg,
 )
-from polymom.errors import DimensionError
+from polymom.errors import DimensionError, NotSpanningError
+from polymom.geometry import is_degenerate
 
 PENTAGON_WEIGHTS = {
     (2, 3, 4): 1,
@@ -141,6 +148,65 @@ def test_hull_is_counterclockwise(pentagon_set):
         for i in range(5)
     )
     assert area2 > 0
+
+
+def _reference_densities(cm, simplex_densities):
+    """Density of each chamber by testing its vertex centroid against every triangle."""
+    points = cm.vertex_set.points
+    out = []
+    for ch in cm.chambers:
+        n = len(ch.polygon)
+        cx = sum(p[0] for p in ch.polygon) / n
+        cy = sum(p[1] for p in ch.polygon) / n
+        total = F(0)
+        for s, d in simplex_densities:
+            tri = [points[i] for i in s]
+            values = []
+            for i in range(3):
+                x1, y1 = tri[i]
+                x2, y2 = tri[(i + 1) % 3]
+                values.append((x2 - x1) * (cy - y1) - (y2 - y1) * (cx - x1))
+            nz = [v > 0 for v in values if v != 0]
+            if all(nz) or not any(nz):
+                total += d
+        out.append(total)
+    return out
+
+
+if given is not None:
+    # a 5 x 5 grid centred on the origin, as in the weak benchmark workload
+    GRID = [(x, y) for x in range(-2, 3) for y in range(-2, 3)]
+    nonzero_rationals = st.builds(F, st.integers(-9, 9).filter(bool), st.integers(1, 3))
+
+    def _has_collinear_triple(points):
+        return any(
+            (q[0] - p[0]) * (r[1] - p[1]) == (q[1] - p[1]) * (r[0] - p[0])
+            for p, q, r in combinations(points, 3)
+        )
+
+    @st.composite
+    def grid_measures(draw):
+        """A signed measure on a grid multiset with a repeated point and a flat triple."""
+        n = draw(st.integers(5, 7))
+        distinct = draw(st.lists(st.sampled_from(GRID), min_size=n - 1, max_size=n - 1, unique=True))
+        assume(_has_collinear_triple(distinct))
+        points = draw(st.permutations(distinct + [draw(st.sampled_from(distinct))]))
+        try:
+            vs = VertexSet(2, points)
+        except NotSpanningError:
+            assume(False)
+        triangles = [s for s in combinations(range(n), 3) if not is_degenerate(s, vs)]
+        chosen = draw(st.lists(st.sampled_from(triangles), unique=True, min_size=1, max_size=6))
+        return WeightedMeasure(vs, [(s, draw(nonzero_rationals)) for s in chosen])
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=80)
+    @given(grid_measures())
+    def test_densities_match_centroid_rule_and_balance_mass(m):
+        dens = density(m)
+        cm = chamber_densities(build_chambers(m.vertex_set), dens)
+        assert [ch.density for ch in cm.chambers] == _reference_densities(cm, dens)
+        mass = sum(ch.density * ch.area() for ch in cm.chambers)
+        assert mass == sum(w for _, w in m.atoms) / 2 == measure_moments(m, 0)[(0, 0)]
 
 
 class TestSvg:
