@@ -2,9 +2,13 @@
 
 The hull of the vertex set is split incrementally by every line through two
 distinct points, keeping exact rational vertices throughout; the resulting
-cells are the chambers.  Each chamber gets the sum of the densities of the
-basis triangles containing its representative point, and the map can be
-rendered as a deterministic SVG with exact "p/q" labels.
+cells are the chambers.  A chamber lies wholly on one side of every line, and
+the split records that side as a bit of the chamber's sign vector
+(Edelsbrunner, *Algorithms in Combinatorial Geometry*, 1987).  Every edge of
+a basis triangle is one of the lines, so a chamber lies in a triangle exactly
+when its sides of the three edge lines are those of the opposite vertices.
+Each chamber gets the sum of the densities of the triangles containing it,
+and the map can be rendered as a deterministic SVG with exact "p/q" labels.
 """
 
 from __future__ import annotations
@@ -60,27 +64,34 @@ def convex_hull_2d(points):
 def _split_polygon(polygon, line):
     """Split a convex polygon by a line into (negative side, positive side).
 
-    Either part may be None when the line misses the interior.
+    When the line misses the interior, the polygon lies wholly on one side:
+    it is returned as that part and the other part is None.
     """
     a, b, c = line
-    values = [a * x + b * y + c for (x, y) in polygon]
-    if all(v >= 0 for v in values) or all(v <= 0 for v in values):
-        return None
+    # a*x + b*y + c at each vertex as (numerator, positive denominator)
+    values = []
+    for x, y in polygon:
+        dx, dy = x.denominator, y.denominator
+        values.append((a * x.numerator * dy + b * y.numerator * dx + c * dx * dy, dx * dy))
+    if all(v >= 0 for v, _ in values):
+        return None, polygon
+    if all(v <= 0 for v, _ in values):
+        return polygon, None
     neg, pos = [], []
     n = len(polygon)
     for i in range(n):
-        p, vp = polygon[i], values[i]
-        q, vq = polygon[(i + 1) % n], values[(i + 1) % n]
+        p, (vp, dp) = polygon[i], values[i]
+        q, (vq, dq) = polygon[(i + 1) % n], values[(i + 1) % n]
         if vp <= 0:
             neg.append(p)
         if vp >= 0:
             pos.append(p)
         if (vp < 0 < vq) or (vq < 0 < vp):
-            t = vp / (vp - vq)
+            t = Fraction(vp * dq, vp * dq - vq * dp)
             cut = (p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1]))
             neg.append(cut)
             pos.append(cut)
-    return neg, pos
+    return tuple(neg), tuple(pos)
 
 
 def _polygon_area(polygon) -> Fraction:
@@ -105,6 +116,7 @@ def _centroid(polygon):
 class Chamber:
     polygon: tuple  # CCW cycle of exact (x, y) vertices
     point: tuple  # representative interior point (vertex centroid)
+    sides: int  # bit k set iff the chamber lies on the positive side of lines[k]
     density: Fraction | None = None
 
     def area(self) -> Fraction:
@@ -131,31 +143,42 @@ def build_chambers(vs: VertexSet) -> ChamberMap:
             if pts[i] != pts[j]
         }
     )
-    cells = [tuple(convex_hull_2d(pts))]
-    for line in lines:
+    cells = [(tuple(convex_hull_2d(pts)), 0)]
+    for k, line in enumerate(lines):
         next_cells = []
-        for cell in cells:
-            split = _split_polygon(cell, line)
-            if split is None:
-                next_cells.append(cell)
-            else:
-                next_cells.extend((tuple(part) for part in split))
+        for cell, sides in cells:
+            neg, pos = _split_polygon(cell, line)
+            if neg is not None:
+                next_cells.append((neg, sides))
+            if pos is not None:
+                next_cells.append((pos, sides | 1 << k))
         cells = next_cells
-    chambers = [Chamber(cell, _centroid(cell)) for cell in cells]
+    chambers = [Chamber(cell, _centroid(cell), sides) for cell, sides in cells]
     chambers.sort(key=lambda ch: ch.point)
     return ChamberMap(vs, tuple(lines), tuple(chambers))
 
 
-def _triangle_contains(tri_pts, point):
-    px, py = point
-    signs = []
-    for i in range(3):
-        x1, y1 = tri_pts[i]
-        x2, y2 = tri_pts[(i + 1) % 3]
-        cr = (x2 - x1) * (py - y1) - (y2 - y1) * (px - x1)
-        if cr != 0:
-            signs.append(cr > 0)
-    return all(signs) or not any(signs)
+def _triangle_sides(tri, index):
+    """(mask, sides): a chamber lies in the triangle iff its sides & mask == sides.
+
+    mask has the bits of the three edge lines, sides those of the edges whose
+    opposite vertex is on the positive side.  A flat triangle covers no
+    chamber and gives None.
+    """
+    mask = sides = 0
+    for k in range(3):
+        p, q, r = tri[k], tri[k - 2], tri[k - 1]
+        if p == q:
+            return None
+        a, b, c = line = _canonical_line(p, q)
+        value = a * r[0] + b * r[1] + c
+        if value == 0:
+            return None
+        bit = 1 << index[line]
+        mask |= bit
+        if value > 0:
+            sides |= bit
+    return mask, sides
 
 
 def chamber_densities(cm: ChamberMap, simplex_densities) -> ChamberMap:
@@ -165,14 +188,19 @@ def chamber_densities(cm: ChamberMap, simplex_densities) -> ChamberMap:
     vertex set, as produced by geometry.density.
     """
     vs = cm.vertex_set
-    tris = [([vs.points[i] for i in s], d) for s, d in simplex_densities]
+    index = {line: k for k, line in enumerate(cm.lines)}
+    tris = []
+    for s, dens in simplex_densities:
+        test = _triangle_sides([vs.points[i] for i in s], index)
+        if test is not None:
+            tris.append((*test, dens))
     chambers = []
     for ch in cm.chambers:
         total = Fraction(0)
-        for pts, dens in tris:
-            if _triangle_contains(pts, ch.point):
+        for mask, sides, dens in tris:
+            if ch.sides & mask == sides:
                 total += dens
-        chambers.append(Chamber(ch.polygon, ch.point, total))
+        chambers.append(Chamber(ch.polygon, ch.point, ch.sides, total))
     return ChamberMap(vs, cm.lines, tuple(chambers))
 
 
