@@ -95,11 +95,11 @@ def cmd_invert(args):
     vs = _decode(jsonio.vertex_set_from_json, args.vertices)
     table = _decode(jsonio.moment_table_from_json, args.moments)
     columns = _parse_columns(args.columns, vs) if args.columns else None
+    if args.svg and vs.dim != 2:
+        raise CliError(EXIT_PRECONDITION, "--svg requires a 2-d vertex set")
     rec = inverse.reconstruct(table, vs, args.pivot, columns)
     _write_json(args.out, jsonio.reconstruction_to_json(rec))
     if args.svg:
-        if vs.dim != 2:
-            raise CliError(EXIT_PRECONDITION, "--svg requires a 2-d vertex set")
         if rec.is_singular:
             raise CliError(
                 EXIT_SINGULAR,

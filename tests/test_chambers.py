@@ -150,6 +150,30 @@ def test_hull_is_counterclockwise(pentagon_set):
     assert area2 > 0
 
 
+def _assert_sign_vectors(cm):
+    """Each chamber's recorded sides are the line signs at its centroid, and unique."""
+    for ch in cm.chambers:
+        for k, (a, b, c) in enumerate(cm.lines):
+            value = a * ch.point[0] + b * ch.point[1] + c
+            assert value != 0
+            assert bool(ch.sides >> k & 1) == (value > 0)
+    assert len({ch.sides for ch in cm.chambers}) == len(cm.chambers)
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        [(1, 0), (2, 1), (1, 2), (0, 1), (0, 0)],
+        [(1, 1), (2, 0), (2, 2), (0, 2), (0, 0)],
+        [(0, 0), (2, 0), (1, 1), (0, 2), (0, 0)],
+        [(0, 0), (4, 0), (2, 3), (2, -1), (0, 2), (4, 2)],
+    ],
+    ids=["pentagon", "square-with-center", "multiset", "two-triangles"],
+)
+def test_sign_vectors_match_centroids(points):
+    _assert_sign_vectors(build_chambers(VertexSet(2, points)))
+
+
 def _reference_densities(cm, simplex_densities):
     """Density of each chamber by testing its vertex centroid against every triangle."""
     points = cm.vertex_set.points
@@ -204,6 +228,7 @@ if given is not None:
     def test_densities_match_centroid_rule_and_balance_mass(m):
         dens = density(m)
         cm = chamber_densities(build_chambers(m.vertex_set), dens)
+        _assert_sign_vectors(cm)
         assert [ch.density for ch in cm.chambers] == _reference_densities(cm, dens)
         mass = sum(ch.density * ch.area() for ch in cm.chambers)
         assert mass == sum(w for _, w in m.atoms) / 2 == measure_moments(m, 0)[(0, 0)]

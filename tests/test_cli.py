@@ -210,6 +210,20 @@ class TestInvert:
         moments = write(tmp_path / "m.json", jsonio.moment_table_to_json(table))
         assert main(["invert", vertices, moments]) == 3
 
+    def test_svg_of_3d_set_writes_nothing(self, tmp_path, capsys):
+        vs = VertexSet(3, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)])
+        table = measure_moments(uniform_measure(vs, [(0, 1, 2, 3)]), 1)
+        vertices = write(tmp_path / "v.json", jsonio.vertex_set_to_json(vs))
+        moments = write(tmp_path / "m.json", jsonio.moment_table_to_json(table))
+        assert main(["invert", vertices, moments]) == 0
+        capsys.readouterr()
+        svg, out = tmp_path / "map.svg", tmp_path / "rec.json"
+        assert main(["invert", vertices, moments, "--svg", str(svg)]) == 3
+        assert capsys.readouterr() == ("", "error: --svg requires a 2-d vertex set\n")
+        assert main(["invert", vertices, moments, "--svg", str(svg), "--out", str(out)]) == 3
+        assert capsys.readouterr().out == ""
+        assert not out.exists() and not svg.exists()
+
 
 class TestInvertMalformedInput:
     def _invert(self, tmp_path, capsys, vertices, moments):
