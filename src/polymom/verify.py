@@ -12,13 +12,14 @@ from fractions import Fraction
 from itertools import combinations
 from math import factorial
 
-from . import genfunc, inverse, oracle
+from . import chambers, genfunc, inverse, oracle
 from .errors import NotSpanningError
 from .geometry import (
     Degeneracy,
     VertexSet,
     WeightedMeasure,
     classify,
+    density,
     rebase,
     uniform_measure,
     volume,
@@ -245,12 +246,40 @@ def suite_density_op(seed: int, cases=25) -> SuiteReport:
     return report
 
 
+def suite_chambers(seed: int, cases=40) -> SuiteReport:
+    """Chamber maps of grid multisets carry the oracle's mass; sign vectors are distinct."""
+    rng = random.Random(seed)
+    report = SuiteReport("chambers")
+    grid = [(x, y) for x in range(-2, 3) for y in range(-2, 3)]
+    while report.cases < cases:
+        n = rng.randint(5, 8)
+        pts = rng.sample(grid, n - 1)
+        pts.append(rng.choice(pts))  # a repeated point, as in a multiset
+        rng.shuffle(pts)
+        try:
+            vs = VertexSet(2, pts)
+        except NotSpanningError:
+            continue
+        triangles = [s for s in combinations(range(n), 3) if volume(s, vs) != 0]
+        chosen = rng.sample(triangles, min(len(triangles), rng.randint(1, 12)))
+        measure = WeightedMeasure(vs, [(s, random_rational(rng, span=9, max_den=3)) for s in chosen])
+        cm = chambers.chamber_densities(chambers.build_chambers(vs), density(measure))
+        report.cases += 1
+        mass = sum(ch.density * ch.area() for ch in cm.chambers)
+        if mass != oracle.measure_moments(measure, 0)[(0, 0)]:
+            report.failures.append(f"chamber mass {mass} differs from m00 of {measure.atoms} on {vs}")
+        if len({ch.sides for ch in cm.chambers}) != len(cm.chambers):
+            report.failures.append(f"two chambers share a sign vector on {vs}")
+    return report
+
+
 SUITES = {
     "brion": suite_brion,
     "detfactor": suite_detfactor,
     "roundtrip": suite_roundtrip,
     "rebase": suite_rebase,
     "density-op": suite_density_op,
+    "chambers": suite_chambers,
 }
 
 
