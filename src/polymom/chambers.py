@@ -162,21 +162,15 @@ def _triangle_sides(tri, index):
     """(mask, sides): a chamber lies in the triangle iff its sides & mask == sides.
 
     mask has the bits of the three edge lines, sides those of the edges whose
-    opposite vertex is on the positive side.  A flat triangle covers no
-    chamber and gives None.
+    opposite vertex is on the positive side.  The triangle must not be flat.
     """
     mask = sides = 0
     for k in range(3):
         p, q, r = tri[k], tri[k - 2], tri[k - 1]
-        if p == q:
-            return None
         a, b, c = line = _canonical_line(p, q)
-        value = a * r[0] + b * r[1] + c
-        if value == 0:
-            return None
         bit = 1 << index[line]
         mask |= bit
-        if value > 0:
+        if a * r[0] + b * r[1] + c > 0:
             sides |= bit
     return mask, sides
 
@@ -184,16 +178,12 @@ def _triangle_sides(tri, index):
 def chamber_densities(cm: ChamberMap, simplex_densities) -> ChamberMap:
     """Assign each chamber the density sum of the triangles covering it.
 
-    `simplex_densities` is a list of (simplex, density) pairs over the map's
-    vertex set, as produced by geometry.density.
+    `simplex_densities` is a list of (simplex, density) pairs of non-degenerate
+    triangles over the map's vertex set, as produced by geometry.density.
     """
     vs = cm.vertex_set
     index = {line: k for k, line in enumerate(cm.lines)}
-    tris = []
-    for s, dens in simplex_densities:
-        test = _triangle_sides([vs.points[i] for i in s], index)
-        if test is not None:
-            tris.append((*test, dens))
+    tris = [(*_triangle_sides([vs.points[i] for i in s], index), d) for s, d in simplex_densities]
     chambers = []
     for ch in cm.chambers:
         total = Fraction(0)
