@@ -225,6 +225,33 @@ class TestInvert:
         assert not out.exists() and not svg.exists()
 
 
+class TestInvertForcedColumns:
+    """`--columns` on the square with its centre, which the fixture lists first."""
+
+    @pytest.fixture
+    def files(self, tmp_path, square_with_center):
+        square = VertexSet(2, [(0, 0), (2, 0), (2, 2), (0, 2)])
+        table = measure_moments(uniform_measure(square, [(0, 1, 2), (0, 2, 3)]), 2)
+        return [
+            write(tmp_path / "v.json", jsonio.vertex_set_to_json(square_with_center)),
+            write(tmp_path / "m.json", jsonio.moment_table_to_json(table)),
+        ]
+
+    def test_journal_minor_solves(self, files, capsys):
+        assert main(["invert", *files, "--columns", "5,6,7,8,9,10"]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize(
+        "columns",
+        ["1,2,3,4,5,6", "1,2", "5,5,6,7,8,9", ","],
+        ids=["singular", "wrong-size", "repeated", "empty"],
+    )
+    def test_rejected_set_exits_3_in_one_line(self, files, capsys, columns):
+        assert main(["invert", *files, "--columns", columns]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1
+
+
 class TestInvertMalformedInput:
     def _invert(self, tmp_path, capsys, vertices, moments):
         code = main([

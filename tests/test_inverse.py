@@ -351,6 +351,13 @@ class TestSolveWeak:
         with pytest.raises(NotWeaklyNonDegenerateError):
             rec.to_measure()
 
+    def test_forced_singular_set_is_a_precondition_error(self, square_with_center):
+        square = VertexSet(2, [(0, 0), (2, 0), (2, 2), (0, 2)])
+        table = measure_moments(uniform_measure(square, [(0, 1, 2), (0, 2, 3)]), 2)
+        singular = extended_columns(square_with_center)[:6]  # the journal's minor is 5..10
+        with pytest.raises(NotWeaklyNonDegenerateError):
+            reconstruct(table, square_with_center, columns=singular)
+
 
 class TestDimensionAndBasis:
     def test_pentagon(self, pentagon_set):

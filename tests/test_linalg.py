@@ -3,6 +3,11 @@ from fractions import Fraction as F
 
 import pytest
 
+try:
+    from hypothesis import assume, given, settings, strategies as st
+except ImportError:  # the properties below are skipped without hypothesis
+    given = None
+
 from polymom import RatMat, det, mat_inverse, rank, rat, rat_str, solve
 from polymom.errors import DimensionError, SingularMatrixError
 
@@ -147,3 +152,71 @@ class TestRatStrings:
     def test_float_rejected(self):
         with pytest.raises(TypeError):
             rat(0.5)
+
+
+def reference_rank(m):
+    """Independent oracle: Fraction Gauss-Jordan elimination to reduced echelon form."""
+    rows = m.row_lists()
+    r = 0
+    for c in range(m.cols):
+        p = next((i for i in range(r, m.rows) if rows[i][c] != 0), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(m.rows):
+            if i != r and rows[i][c] != 0:
+                rows[i] = [a - rows[i][c] * b for a, b in zip(rows[i], rows[r])]
+        r += 1
+    return r
+
+
+if given is not None:
+    rationals = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
+    properties = settings(derandomize=True, database=None, deadline=None, max_examples=80)
+
+    @st.composite
+    def matrices(draw, square=False, plant=True):
+        """Random rational matrices; with `plant`, some columns combine earlier ones."""
+        n_rows = draw(st.integers(1, 5))
+        n_cols = n_rows if square else draw(st.integers(1, 5))
+        columns = []
+        for _ in range(n_cols):
+            if plant and columns and draw(st.booleans()):
+                coeffs = draw(st.lists(rationals, min_size=len(columns), max_size=len(columns)))
+                columns.append([sum(a * col[i] for a, col in zip(coeffs, columns)) for i in range(n_rows)])
+            else:
+                columns.append(draw(st.lists(rationals, min_size=n_rows, max_size=n_rows)))
+        return RatMat.from_rows([[col[i] for col in columns] for i in range(n_rows)])
+
+    class TestEliminationProperties:
+        @properties
+        @given(matrices())
+        def test_rank_matches_gauss_jordan(self, m):
+            assert rank(m) == reference_rank(m)
+
+        @properties
+        @given(matrices(square=True, plant=False), st.data())
+        def test_solve_recovers_planted_solution(self, m, data):
+            assume(reference_rank(m) == m.rows)
+            x = tuple(data.draw(st.lists(rationals, min_size=m.cols, max_size=m.cols)))
+            assert solve(m, m.matvec(x)) == x
+
+        @properties
+        @given(matrices(square=True), st.data())
+        def test_singular_error_carries_reference_rank(self, m, data):
+            r = reference_rank(m)
+            assume(r < m.rows)
+            b = data.draw(st.lists(rationals, min_size=m.rows, max_size=m.rows))
+            with pytest.raises(SingularMatrixError) as exc:
+                solve(m, b)
+            assert exc.value.rank == r
+            with pytest.raises(SingularMatrixError) as exc:
+                mat_inverse(m)
+            assert exc.value.rank == r
+
+        @properties
+        @given(matrices(square=True, plant=False))
+        def test_inverse_times_matrix_is_identity(self, m):
+            assume(reference_rank(m) == m.rows)
+            assert mat_inverse(m).matmul(m) == RatMat.identity(m.rows)
