@@ -7,12 +7,14 @@ against the matrix whose columns are the coefficient vectors of all products
 of N-d-1 vertex forms.  Strongly non-degenerate sets use the square matrix
 over a through-pivot basis; weakly non-degenerate ones (including multisets)
 use a full-rank minor of the extended matrix, where columns complementary to
-degenerate simplices carry singular limit measures.
+degenerate simplices carry singular limit measures.  Either way one exact
+elimination of the candidate columns, augmented by the numerator's
+coefficients, both picks the minor and solves on it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -24,7 +26,7 @@ from .errors import (
     NotWeaklyNonDegenerateError,
 )
 from .geometry import Degeneracy, VertexSet, classify, simplex
-from .linalg import RatMat, _pivot_columns, det, solve
+from .linalg import RatMat, det, eliminate
 from .oracle import MomentTable
 from .poly import Poly, monomials_upto
 from .genfunc import LinearForm, moments_to_series
@@ -46,9 +48,6 @@ class FormBasis:
     vertex_set: VertexSet
     pivot: int
     columns: tuple  # tuples of 0-based form indices, each of size N-d-1
-    # set by select_minor: the chosen minor, and every degenerate (d+1)-subset of the set
-    _minor: RatMat | None = field(default=None, compare=False, repr=False)
-    _degenerate: frozenset = field(default=frozenset(), compare=False, repr=False)
 
     def __post_init__(self):
         n = len(self.vertex_set)
@@ -124,12 +123,14 @@ def build_extended(vs: VertexSet) -> RatMat:
     return product_matrix(FormBasis(vs, len(vs) - 1, extended_columns(vs)))
 
 
+def _homogenized(vs: VertexSet, indices) -> list:
+    """Rows 1, -x_1, ..., -x_d of the given vertices' forms, one column per vertex."""
+    return [[Fraction(1)] * len(indices)] + [[-vs.points[i][k] for i in indices] for k in range(vs.dim)]
+
+
 def _form_minor_det(vs: VertexSet, indices) -> Fraction:
     """Determinant of the homogenized forms of the given d+1 vertices."""
-    rows = [[Fraction(1)] * len(indices)]
-    for k in range(vs.dim):
-        rows.append([-vs.points[i][k] for i in indices])
-    return det(RatMat.from_rows(rows))
+    return det(RatMat.from_rows(_homogenized(vs, indices)))
 
 
 def explicit_inverse(basis: FormBasis) -> RatMat:
@@ -157,17 +158,8 @@ def explicit_inverse(basis: FormBasis) -> RatMat:
         complement = [i for i in ground if i not in column]
         if len(complement) != d:
             raise DimensionError("explicit inverse requires a strong through-pivot basis")
-        coeffs = []
-        for j in range(d + 1):
-            minor_rows = []
-            for r in range(d + 1):
-                if r == j:
-                    continue
-                if r == 0:
-                    minor_rows.append([Fraction(1)] * d)
-                else:
-                    minor_rows.append([-vs.points[i][r - 1] for i in complement])
-            coeffs.append((-1) ** j * det(RatMat.from_rows(minor_rows)))
+        hom = _homogenized(vs, complement)
+        coeffs = [(-1) ** j * det(RatMat.from_rows(hom[:j] + hom[j + 1 :])) for j in range(d + 1)]
         denom = Fraction(1)
         for j in column:
             denom *= _form_minor_det(vs, [j] + complement)
@@ -244,18 +236,22 @@ class Reconstruction:
         return WeightedMeasure(self.vertex_set, atoms)
 
 
-def select_minor(vs: VertexSet, pivot=None, forced=None) -> FormBasis:
-    """Deterministic full-rank column choice for the extended matrix.
+def _choose(vs: VertexSet, pivot, forced, table=None):
+    """The column choice and solve behind `select_minor` and `reconstruct`.
 
-    The candidates come in three buckets, each in ascending column order:
-    the columns complementary to degenerate simplices (the singular measures
-    they carry are independent of everything else), then those
-    complementary to through-pivot simplices, then the rest.  The minor
-    keeps the first candidates independent of the candidates before them,
-    i.e. the pivot columns of one exact elimination of the candidate matrix
-    in bucket order.  On a strongly non-degenerate set that choice is exactly
-    the through-pivot basis, which is taken directly, without the
-    elimination.  A forced column set replaces the search.
+    A forced set, its size C(N-1, d) included, is checked before any moment
+    is read.  The candidates are the forced columns; or on a strong set the
+    through-pivot columns, which are all the buckets below would keep; or
+    else three buckets, each ascending: columns complementary to degenerate
+    simplices (their singular measures are independent of everything else),
+    then to through-pivot simplices, then the rest.  One elimination of [candidates | numerator coefficients]
+    keeps the candidates independent of those before them; the right-hand
+    side comes last, so it does not change them.  Pivot columns of a full
+    elimination are independent, so the pivot count, not a determinant,
+    decides that the minor is square and does not vanish.
+
+    Returns the basis (forced order, else ascending), one solution row per
+    column (empty without a table) and the degenerate simplices.
     """
     n = len(vs)
     pivot = _check_pivot(pivot, n)
@@ -265,28 +261,38 @@ def select_minor(vs: VertexSet, pivot=None, forced=None) -> FormBasis:
             "some d+2 points lie in a hyperplane; the product columns cannot reach full rank"
         )
     degenerate = frozenset(cls.degenerate)
-    if forced is None and cls.kind is Degeneracy.STRONG:
-        basis = strong_basis(vs, pivot)
-        return FormBasis(vs, pivot, basis.columns, product_matrix(basis), degenerate)
-    all_columns = extended_columns(vs)
+    not_a_minor = "selected columns do not form a non-vanishing minor"
     if forced is not None:
-        chosen = [tuple(c) for c in forced]
-        if sorted(chosen) != sorted(set(chosen)) or any(c not in all_columns for c in chosen):
+        candidates = [tuple(c) for c in forced]
+        if len(set(candidates)) != len(candidates) or not set(candidates) <= set(extended_columns(vs)):
             raise DimensionError("forced column set is not a set of valid columns")
-        m = _product_columns(vs, chosen)
+        if len(candidates) != comb(n - 1, vs.dim):
+            raise NotWeaklyNonDegenerateError(not_a_minor)
+    elif cls.kind is Degeneracy.STRONG:
+        candidates = list(strong_basis(vs, pivot).columns)
     else:
-        buckets = ([], [], [])
-        for c in all_columns:
+        def bucket(c):
             s = simplex_for_column(c, n)
-            buckets[0 if s in degenerate else 1 if pivot in s else 2].append(c)
-        candidates = buckets[0] + buckets[1] + buckets[2]
-        m = _product_columns(vs, candidates)
-        keep = sorted(_pivot_columns(m), key=candidates.__getitem__)
-        chosen = [candidates[j] for j in keep]
-        m = RatMat.from_rows([[row[j] for j in keep] for row in m.row_lists()])
-    if m.rows != m.cols or det(m) == 0:
-        raise NotWeaklyNonDegenerateError("selected columns do not form a non-vanishing minor")
-    return FormBasis(vs, pivot, tuple(chosen), m, degenerate)
+            return 0 if s in degenerate else 1 if pivot in s else 2
+        candidates = sorted(extended_columns(vs), key=bucket)  # stable: ascending in each bucket
+    rhs = []
+    if table is not None:
+        numerator = recover_numerator(table, vs)
+        rhs.append([numerator.coefficient(e) for e in monomials_upto(vs.dim, numerator_degree(vs))])
+    m = _product_columns(vs, candidates)
+    pivots, solutions = eliminate(m, rhs)
+    if len(pivots) != m.rows:
+        raise NotWeaklyNonDegenerateError(not_a_minor)
+    chosen = [(candidates[j], x) for j, x in zip(pivots, solutions)]
+    if forced is None:
+        chosen.sort(key=lambda pair: pair[0])
+    basis = FormBasis(vs, pivot, tuple(c for c, _ in chosen))
+    return basis, [x for _, x in chosen], degenerate
+
+
+def select_minor(vs: VertexSet, pivot=None, forced=None) -> FormBasis:
+    """Deterministic full-rank column choice for the extended matrix; see `_choose`."""
+    return _choose(vs, pivot, forced)[0]
 
 
 def reconstruct(table: MomentTable, vs: VertexSet, pivot=None, columns=None) -> Reconstruction:
@@ -295,14 +301,9 @@ def reconstruct(table: MomentTable, vs: VertexSet, pivot=None, columns=None) -> 
     On a strongly non-degenerate set this is the through-pivot basis;
     otherwise degenerate columns carry the singular terms.
     """
-    basis = select_minor(vs, pivot, columns)
-    numerator = recover_numerator(table, vs)
-    rhs = [numerator.coefficient(e) for e in monomials_upto(vs.dim, numerator_degree(vs))]
-    entries = []
-    for column, w in zip(basis.columns, solve(basis._minor, rhs)):
-        s = simplex_for_column(column, len(vs))
-        entries.append((s, w, s in basis._degenerate))
-    return Reconstruction(vs, basis.pivot, tuple(entries))
+    basis, solutions, degenerate = _choose(vs, pivot, columns, table)
+    entries = tuple((s, w, s in degenerate) for s, (w,) in zip(basis.simplices(), solutions))
+    return Reconstruction(vs, basis.pivot, entries)
 
 
 def dimension_and_basis(vs: VertexSet, pivot=None):
@@ -324,7 +325,7 @@ def dimension_and_basis(vs: VertexSet, pivot=None):
     )
     candidates = sorted(s for s in through_pivot if s not in degenerate)
     m = _product_columns(vs, [simplex_for_column(s, n) for s in candidates])
-    chosen = [candidates[j] for j in _pivot_columns(m)]
+    chosen = [candidates[j] for j in eliminate(m)[0]]
     if len(chosen) != dim_space:
         raise NotWeaklyNonDegenerateError(
             f"pruned basis has size {len(chosen)}, expected {dim_space}"

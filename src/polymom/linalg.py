@@ -108,19 +108,19 @@ class RatMat:
         return f"RatMat({self.rows}x{self.cols}: {body})"
 
 
-def _integer_rows(m: RatMat):
+def _integer_rows(rows):
     """Scale each row to integers; return (int rows, product of scale factors).
 
     The scale product divides the determinant of the scaled matrix to recover
     the determinant of the original one.
     """
-    rows = []
-    scale = Fraction(1)
-    for i in range(m.rows):
-        denoms = lcm(*(e.denominator for e in m.row(i))) if m.cols else 1
-        rows.append([int(e * denoms) for e in m.row(i)])
+    out = []
+    scale = 1
+    for row in rows:
+        denoms = lcm(*(e.denominator for e in row))
+        out.append([int(e * denoms) for e in row])
         scale *= denoms
-    return rows, scale
+    return out, scale
 
 
 def _bareiss_forward(rows, ncols):
@@ -162,7 +162,7 @@ def det(m: RatMat) -> Fraction:
         raise DimensionError(f"determinant of non-square {m.rows}x{m.cols} matrix")
     if m.rows == 0:
         return Fraction(1)
-    rows, scale = _integer_rows(m)
+    rows, scale = _integer_rows(map(m.row, range(m.rows)))
     sign, pivots = _bareiss_forward(rows, m.cols)
     if len(pivots) < m.rows:
         return Fraction(0)
@@ -171,16 +171,32 @@ def det(m: RatMat) -> Fraction:
 
 def rank(m: RatMat) -> int:
     """Exact rank via the same fraction-free elimination."""
-    return len(_pivot_columns(m))
+    return len(eliminate(m)[0])
 
 
-def _pivot_columns(m: RatMat) -> list:
-    """Echelon pivot columns: exactly the columns independent of those before them."""
-    if m.rows == 0 or m.cols == 0:
-        return []
-    rows, _ = _integer_rows(m)
-    _, pivots = _bareiss_forward(rows, m.cols)
-    return [c for _, c in pivots]
+def eliminate(m: RatMat, rhs_list=()):
+    """Eliminate [m | rhs...] once; return (pivot columns of m, solutions on them).
+
+    The pivot columns are exactly the columns of m independent of those
+    before them; the right-hand sides come last, so they do not change that
+    choice.  sols[i][k] is the component at the i-th pivot column of the
+    solution of the minor on the pivot columns for right-hand side k, found
+    by back-substitution on the pivot columns only.  It solves the full
+    system when the pivots fill every row of m, which callers check.
+    """
+    n = m.cols
+    rows, _ = _integer_rows(m.row(i) + tuple(rhs[i] for rhs in rhs_list) for i in range(m.rows))
+    _, pivots = _bareiss_forward(rows, n + len(rhs_list))
+    cols = [c for _, c in pivots if c < n]
+    sols = [None] * len(cols)
+    for r in reversed(range(len(cols))):
+        row = rows[r]
+        later = [(row[c], sols[s]) for s, c in enumerate(cols[r + 1 :], r + 1)]
+        sols[r] = [
+            (row[n + t] - sum(a * x[t] for a, x in later)) / Fraction(row[cols[r]])
+            for t in range(len(rhs_list))
+        ]
+    return cols, sols
 
 
 def solve(m: RatMat, b) -> tuple:
@@ -190,8 +206,10 @@ def solve(m: RatMat, b) -> tuple:
     b = [rat(v) for v in b]
     if len(b) != m.rows:
         raise DimensionError(f"right-hand side of length {len(b)} against {m.rows}x{m.rows} matrix")
-    sols = _solve_many(m, [b])
-    return tuple(s[0] for s in sols)
+    pivots, sols = eliminate(m, [b])
+    if len(pivots) < m.rows:
+        raise SingularMatrixError("matrix is singular", len(pivots))
+    return tuple(x for x, in sols)
 
 
 def inverse(m: RatMat) -> RatMat:
@@ -199,33 +217,7 @@ def inverse(m: RatMat) -> RatMat:
     if m.rows != m.cols:
         raise DimensionError(f"inverse requires a square matrix, got {m.rows}x{m.cols}")
     n = m.rows
-    cols = _solve_many(m, [[Fraction(int(i == j)) for i in range(n)] for j in range(n)])
-    return RatMat(n, n, [cols[i][j] for i in range(n) for j in range(n)])
-
-
-def _solve_many(m: RatMat, rhs_list):
-    """Forward-eliminate the augmented system once, back-substitute each column.
-
-    Returns a list of rows: result[i][k] is component i of the solution for
-    right-hand side k.
-    """
-    n = m.rows
-    k = len(rhs_list)
-    aug = RatMat.from_rows(
-        [list(m.row(i)) + [rhs[i] for rhs in rhs_list] for i in range(n)]
-    )
-    rows, _ = _integer_rows(aug)
-    _, pivots = _bareiss_forward(rows, n + k)
-    pivot_cols = [c for (_, c) in pivots if c < n]
-    if len(pivot_cols) < n:
-        raise SingularMatrixError("matrix is singular", len(pivot_cols))
-    sols = [[Fraction(0)] * k for _ in range(n)]
-    for r in range(n - 1, -1, -1):
-        c = pivot_cols[r]
-        piv = rows[r][c]
-        for t in range(k):
-            acc = Fraction(rows[r][n + t])
-            for j in range(c + 1, n):
-                acc -= rows[r][j] * sols[j][t]
-            sols[c][t] = acc / piv
-    return sols
+    pivots, sols = eliminate(m, [[Fraction(int(i == j)) for i in range(n)] for j in range(n)])
+    if len(pivots) < n:
+        raise SingularMatrixError("matrix is singular", len(pivots))
+    return RatMat(n, n, [x for row in sols for x in row])

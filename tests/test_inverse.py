@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction as F
 from math import comb
@@ -27,7 +28,9 @@ from polymom import (
     strong_basis,
     uniform_measure,
 )
+from polymom import inverse, linalg
 from polymom.errors import (
+    DimensionError,
     IncompleteMomentsError,
     NotSpanningError,
     NotStronglyNonDegenerateError,
@@ -522,3 +525,68 @@ class TestSolverProperties:
             checked += 1
             weak += cls.kind is Degeneracy.WEAK
         assert weak >= 10
+
+
+def _square_moments():
+    square = VertexSet(2, [(0, 0), (2, 0), (2, 2), (0, 2)])
+    return measure_moments(uniform_measure(square, [(0, 1, 2), (0, 2, 3)]), 2)
+
+
+@pytest.fixture
+def solver_cases(pentagon_set, pentagon_moments, square_with_center):
+    """(vertex set, moments, pivot, forced columns) on a strong, a weak and a forced input."""
+    journal = [extended_columns(square_with_center)[i - 1] for i in (5, 6, 7, 8, 9, 10)]
+    return [
+        (pentagon_set, pentagon_moments, None, None),
+        (square_with_center, _square_moments(), None, None),
+        (square_with_center, _square_moments(), 0, journal),
+    ]
+
+
+class TestOneElimination:
+    def test_form_basis_carries_no_solver_state(self):
+        assert [f.name for f in dataclasses.fields(FormBasis)] == ["vertex_set", "pivot", "columns"]
+
+    def test_no_det_or_solve(self, solver_cases, monkeypatch):
+        expected = [
+            (select_minor(vs, pivot, forced), reconstruct(table, vs, pivot, forced))
+            for vs, table, pivot, forced in solver_cases
+        ]
+
+        def fail(*args, **kwargs):
+            raise AssertionError("the solver must not call det or solve")
+
+        monkeypatch.setattr(inverse, "det", fail)
+        monkeypatch.setattr(linalg, "solve", fail)
+        for (vs, table, pivot, forced), (basis, rec) in zip(solver_cases, expected):
+            assert select_minor(vs, pivot, forced) == basis
+            assert reconstruct(table, vs, pivot, forced) == rec
+
+    def test_one_elimination_beyond_classify(self, solver_cases, monkeypatch):
+        calls = []
+        forward = linalg._bareiss_forward
+
+        def counted(*args):
+            calls.append(1)
+            return forward(*args)
+
+        monkeypatch.setattr(linalg, "_bareiss_forward", counted)
+        for vs, table, pivot, forced in solver_cases:
+            calls.clear()
+            classify(vs)
+            by_classify = len(calls)
+            calls.clear()
+            reconstruct(table, vs, pivot, forced)
+            assert len(calls) == by_classify + 1
+
+    def test_moment_errors_come_before_a_singular_forced_minor(self, square_with_center):
+        """A square forced set is only found singular by the elimination, after the moments."""
+        singular = extended_columns(square_with_center)[:6]
+        incomplete = MomentTable(2, 1, {e: F(0) for e in monomials_upto(2, 1)})
+        wrong_dim = MomentTable(1, 2, {(i,): F(0) for i in range(3)})
+        with pytest.raises(IncompleteMomentsError):
+            reconstruct(incomplete, square_with_center, columns=singular)
+        with pytest.raises(DimensionError):
+            reconstruct(wrong_dim, square_with_center, columns=singular)
+        with pytest.raises(NotWeaklyNonDegenerateError):  # a wrong size is found first
+            reconstruct(incomplete, square_with_center, columns=singular[:2])
