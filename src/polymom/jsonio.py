@@ -9,6 +9,8 @@ sorted graded-lex; that ordering is normative for matrix reproduction.
 
 from __future__ import annotations
 
+from operator import index
+
 from .genfunc import LinearForm, RatFun, SimplePolytope, TangentCone
 from .geometry import VertexSet, WeightedMeasure
 from .inverse import Reconstruction
@@ -51,10 +53,10 @@ def moment_table_to_json(t: MomentTable) -> dict:
 def moment_table_from_json(data) -> MomentTable:
     moments = {}
     for m in data["moments"]:
-        index = tuple(m["index"])
-        if index in moments:
-            raise ValueError(f"duplicate moment index {index}")
-        moments[index] = rat(m["value"])
+        exps = tuple(map(index, m["index"]))
+        if exps in moments:
+            raise ValueError(f"duplicate moment index {exps}")
+        moments[exps] = rat(m["value"])
     return MomentTable(data["dim"], data["order"], moments)
 
 

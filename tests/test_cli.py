@@ -279,6 +279,15 @@ class TestInvertMalformedInput:
         assert code == 2
         assert err.startswith("error:") and "(1, 1)" in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("index", [[1.0, 0], [1.5, 0], ["1", "0"]])
+    def test_non_integer_moment_index(self, tmp_path, capsys, pentagon_set, pentagon_moments, index):
+        moments = jsonio.moment_table_to_json(pentagon_moments)
+        assert moments["moments"][1]["index"] == [1, 0]
+        moments["moments"][1]["index"] = index
+        code, err = self._invert(tmp_path, capsys, jsonio.vertex_set_to_json(pentagon_set), moments)
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_non_integer_dim(self, tmp_path, capsys, pentagon_set, pentagon_moments):
         vertices = jsonio.vertex_set_to_json(pentagon_set)
         vertices["dim"] = 2.0
