@@ -250,8 +250,8 @@ def _choose(vs: VertexSet, pivot, forced, table=None):
     elimination are independent, so the pivot count, not a determinant,
     decides that the minor is square and does not vanish.
 
-    Returns the basis (forced order, else ascending), one solution row per
-    column (empty without a table) and the degenerate simplices.
+    Returns the basis (forced order, else ascending), its weights (None
+    without a table) and the degenerate simplices.
     """
     n = len(vs)
     pivot = _check_pivot(pivot, n)
@@ -283,11 +283,11 @@ def _choose(vs: VertexSet, pivot, forced, table=None):
     pivots, solutions = eliminate(m, rhs)
     if len(pivots) != m.rows:
         raise NotWeaklyNonDegenerateError(not_a_minor)
-    chosen = [(candidates[j], x) for j, x in zip(pivots, solutions)]
+    order = range(len(pivots))
     if forced is None:
-        chosen.sort(key=lambda pair: pair[0])
-    basis = FormBasis(vs, pivot, tuple(c for c, _ in chosen))
-    return basis, [x for _, x in chosen], degenerate
+        order = sorted(order, key=lambda i: candidates[pivots[i]])
+    weights = [solutions[0][i] for i in order] if rhs else None
+    return FormBasis(vs, pivot, tuple(candidates[pivots[i]] for i in order)), weights, degenerate
 
 
 def select_minor(vs: VertexSet, pivot=None, forced=None) -> FormBasis:
@@ -301,8 +301,8 @@ def reconstruct(table: MomentTable, vs: VertexSet, pivot=None, columns=None) -> 
     On a strongly non-degenerate set this is the through-pivot basis;
     otherwise degenerate columns carry the singular terms.
     """
-    basis, solutions, degenerate = _choose(vs, pivot, columns, table)
-    entries = tuple((s, w, s in degenerate) for s, (w,) in zip(basis.simplices(), solutions))
+    basis, weights, degenerate = _choose(vs, pivot, columns, table)
+    entries = tuple((s, w, s in degenerate) for s, w in zip(basis.simplices(), weights))
     return Reconstruction(vs, basis.pivot, entries)
 
 

@@ -175,27 +175,28 @@ def rank(m: RatMat) -> int:
 
 
 def eliminate(m: RatMat, rhs_list=()):
-    """Eliminate [m | rhs...] once; return (pivot columns of m, solutions on them).
+    """Eliminate [m | rhs...] once; return (pivot columns of m, one solution per rhs).
 
     The pivot columns are exactly the columns of m independent of those
     before them; the right-hand sides come last, so they do not change that
-    choice.  sols[i][k] is the component at the i-th pivot column of the
-    solution of the minor on the pivot columns for right-hand side k, found
-    by back-substitution on the pivot columns only.  It solves the full
-    system when the pivots fill every row of m, which callers check.
+    choice.  Solution k holds, pivot column by pivot column, the solution of
+    the minor on the pivot columns for right-hand side k, found by
+    back-substitution on those columns only.  It solves the full system when
+    the pivots fill every row of m, which callers check.
     """
     n = m.cols
-    rows, _ = _integer_rows(m.row(i) + tuple(rhs[i] for rhs in rhs_list) for i in range(m.rows))
+    extra = list(zip(*rhs_list)) or [()] * m.rows
+    rows, _ = _integer_rows(m.row(i) + extra[i] for i in range(m.rows))
     _, pivots = _bareiss_forward(rows, n + len(rhs_list))
     cols = [c for _, c in pivots if c < n]
-    sols = [None] * len(cols)
-    for r in reversed(range(len(cols))):
-        row = rows[r]
-        later = [(row[c], sols[s]) for s, c in enumerate(cols[r + 1 :], r + 1)]
-        sols[r] = [
-            (row[n + t] - sum(a * x[t] for a, x in later)) / Fraction(row[cols[r]])
-            for t in range(len(rhs_list))
-        ]
+    sols = []
+    for b in range(n, n + len(rhs_list)):
+        x = [None] * len(cols)
+        for r in reversed(range(len(cols))):
+            row = rows[r]
+            later = sum(row[c] * x[s] for s, c in enumerate(cols[r + 1 :], r + 1))
+            x[r] = (row[b] - later) / Fraction(row[cols[r]])
+        sols.append(x)
     return cols, sols
 
 
@@ -209,7 +210,7 @@ def solve(m: RatMat, b) -> tuple:
     pivots, sols = eliminate(m, [b])
     if len(pivots) < m.rows:
         raise SingularMatrixError("matrix is singular", len(pivots))
-    return tuple(x for x, in sols)
+    return tuple(sols[0])
 
 
 def inverse(m: RatMat) -> RatMat:
@@ -220,4 +221,4 @@ def inverse(m: RatMat) -> RatMat:
     pivots, sols = eliminate(m, [[Fraction(int(i == j)) for i in range(n)] for j in range(n)])
     if len(pivots) < n:
         raise SingularMatrixError("matrix is singular", len(pivots))
-    return RatMat(n, n, [x for row in sols for x in row])
+    return RatMat.from_rows(zip(*sols))
