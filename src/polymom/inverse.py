@@ -244,11 +244,12 @@ def _choose(vs: VertexSet, pivot, forced, table=None):
     through-pivot columns, which are all the buckets below would keep; or
     else three buckets, each ascending: columns complementary to degenerate
     simplices (their singular measures are independent of everything else),
-    then to through-pivot simplices, then the rest.  One elimination of [candidates | numerator coefficients]
-    keeps the candidates independent of those before them; the right-hand
-    side comes last, so it does not change them.  Pivot columns of a full
-    elimination are independent, so the pivot count, not a determinant,
-    decides that the minor is square and does not vanish.
+    then to through-pivot simplices, then the rest.  One elimination of
+    [candidates | numerator coefficients] keeps the candidates independent
+    of those before them; the right-hand side comes last, so it does not
+    change them.  Pivot columns of a full elimination are independent, so
+    the pivot count, not a determinant, decides that the minor is square
+    and does not vanish.
 
     Returns the basis (forced order, else ascending), its weights (None
     without a table) and the degenerate simplices.
