@@ -253,8 +253,12 @@ def render_svg(cm: ChamberMap) -> str:
     lo = min(densities, default=Fraction(0))
     hi = max(densities, default=Fraction(0))
     span = hi - lo
+    coords = {}  # each distinct polygon vertex, formatted once
     for ch in cm.chambers:
-        points = " ".join(f"{sx(x)},{sy(y)}" for x, y in ch.polygon)
+        for x, y in ch.polygon:
+            if (x, y) not in coords:
+                coords[x, y] = f"{sx(x)},{sy(y)}"
+        points = " ".join(coords[p] for p in ch.polygon)
         if ch.density is None:
             fill = "none"
         else:

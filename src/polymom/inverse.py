@@ -7,9 +7,11 @@ against the matrix whose columns are the coefficient vectors of all products
 of N-d-1 vertex forms.  Strongly non-degenerate sets use the square matrix
 over a through-pivot basis; weakly non-degenerate ones (including multisets)
 use a full-rank minor of the extended matrix, where columns complementary to
-degenerate simplices carry singular limit measures.  Either way one exact
-elimination of the candidate columns, augmented by the numerator's
-coefficients, both picks the minor and solves on it.
+degenerate simplices carry singular limit measures.  The columns are built
+in integers, each vertex form scaled by the lcm of its coordinates'
+denominators, and eliminated in blocks of C(N-1, d) candidates, stopping at
+the first block whose pivots fill every row.  A strong or forced set is one
+block, so one exact elimination both picks its minor and solves on it.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, lcm
+from operator import add
 
 from .errors import (
     DimensionError,
@@ -87,25 +90,46 @@ def extended_columns(vs: VertexSet):
     return tuple(tuple(c) for c in combinations(range(len(vs)), numerator_degree(vs)))
 
 
-def _product_columns(vs: VertexSet, columns) -> RatMat:
-    """Coefficient vectors of the form products, one matrix column per column.
+def _product_columns(vs: VertexSet, columns):
+    """Integer coefficient vectors of the form products, with their scales.
 
-    The index subsets are walked depth-first in lexicographic order, so each
-    product is formed once, as its prefix's product times one form, and only
-    the products along the current path are held.
+    Each vertex form 1 - <v, u> is scaled to integers by the lcm of its
+    coefficients' denominators.  A column's vector holds the coefficients of
+    the product of its scaled forms over `monomials_upto(d, N-d-1)`, and its
+    scale is the product of those lcms, so the vector over the scale is the
+    product of the forms themselves.  The index subsets are walked
+    depth-first in lexicographic order, so each product is formed once, as
+    its prefix's product times one form, and only the products along the
+    current path are held.
+
+    Returns one (vector, scale) pair per column, in the given order.
     """
-    forms = [LinearForm(p).poly() for p in vs.points]
-    path, stack, vectors = (), [Poly.constant(vs.dim, 1)], {}
-    rows = monomials_upto(vs.dim, numerator_degree(vs))
+    d, k = vs.dim, numerator_degree(vs)
+    rows = monomials_upto(d, k)
+    at = {e: r for r, e in enumerate(rows)}
+    units = [tuple(int(i == v) for i in range(d)) for v in range(d)]
+    # up[v][q] is the row of u_v times the monomial of row q, for rows below degree k
+    up = [[at[tuple(map(add, e, unit))] for e in rows[: comb(d + k - 1, d)]] for unit in units]
+    forms = []
+    for p in vs.points:
+        coefs = list(map(LinearForm(p).poly().coefficient, [(0,) * d] + units))
+        scale = lcm(*(c.denominator for c in coefs))
+        c0, *cv = (c.numerator * (scale // c.denominator) for c in coefs)
+        forms.append((c0, [(up[v], c) for v, c in enumerate(cv) if c], scale))
+    path, stack, vectors = (), [([1] + [0] * (len(rows) - 1), 1)], {}
     for key in sorted({tuple(sorted(c)) for c in columns}):
         shared = next((j for j, (a, b) in enumerate(zip(path, key)) if a != b), len(path))
         del stack[shared + 1 :]
         for i in key[shared:]:
-            stack.append(stack[-1] * forms[i])
+            (vector, scale), (c0, terms, form_scale) = stack[-1], forms[i]
+            out = [c0 * x for x in vector]
+            for up_v, c in terms:
+                for q, x in zip(up_v, vector):
+                    out[q] += c * x
+            stack.append((out, scale * form_scale))
         path = key
-        vectors[key] = [stack[-1].coefficient(e) for e in rows]
-    order = [vectors[tuple(sorted(c))] for c in columns]
-    return RatMat.from_rows([[v[r] for v in order] for r in range(len(rows))])
+        vectors[key] = stack[-1]
+    return [vectors[tuple(sorted(c))] for c in columns]
 
 
 def product_matrix(basis: FormBasis) -> RatMat:
@@ -115,7 +139,10 @@ def product_matrix(basis: FormBasis) -> RatMat:
     order, which reproduces the row order (1, u1, u2, u1^2, u1*u2, u2^2)
     used throughout the worked examples.
     """
-    return _product_columns(basis.vertex_set, basis.columns)
+    vs = basis.vertex_set
+    columns = _product_columns(vs, basis.columns)
+    rows = range(comb(len(vs) - 1, vs.dim))
+    return RatMat.from_rows([[Fraction(v[r], scale) for v, scale in columns] for r in rows])
 
 
 def build_extended(vs: VertexSet) -> RatMat:
@@ -244,12 +271,18 @@ def _choose(vs: VertexSet, pivot, forced, table=None):
     through-pivot columns, which are all the buckets below would keep; or
     else three buckets, each ascending: columns complementary to degenerate
     simplices (their singular measures are independent of everything else),
-    then to through-pivot simplices, then the rest.  One elimination of
-    [candidates | numerator coefficients] keeps the candidates independent
-    of those before them; the right-hand side comes last, so it does not
-    change them.  Pivot columns of a full elimination are independent, so
-    the pivot count, not a determinant, decides that the minor is square
-    and does not vanish.
+    then to through-pivot simplices, then the rest.
+
+    The candidates are taken in blocks of C(N-1, d), the minor size and the
+    row count.  Each block eliminates [pivot columns kept so far | next
+    block | numerator coefficients] on the integer columns of
+    `_product_columns`.  The kept columns span every earlier candidate, so a
+    candidate is a pivot exactly when it is independent of all candidates
+    before it; the right-hand side comes last, so it does not change that
+    choice.  The search stops when the pivots fill every row; pivot columns
+    are independent, so the pivot count, not a determinant, decides that the
+    minor is square and does not vanish.  Each weight is the back-substituted
+    value times its column's scale.
 
     Returns the basis (forced order, else ascending), its weights (None
     without a table) and the degenerate simplices.
@@ -263,11 +296,12 @@ def _choose(vs: VertexSet, pivot, forced, table=None):
         )
     degenerate = frozenset(cls.degenerate)
     not_a_minor = "selected columns do not form a non-vanishing minor"
+    size = comb(n - 1, vs.dim)
     if forced is not None:
         candidates = [tuple(c) for c in forced]
         if len(set(candidates)) != len(candidates) or not set(candidates) <= set(extended_columns(vs)):
             raise DimensionError("forced column set is not a set of valid columns")
-        if len(candidates) != comb(n - 1, vs.dim):
+        if len(candidates) != size:
             raise NotWeaklyNonDegenerateError(not_a_minor)
     elif cls.kind is Degeneracy.STRONG:
         candidates = list(strong_basis(vs, pivot).columns)
@@ -280,15 +314,21 @@ def _choose(vs: VertexSet, pivot, forced, table=None):
     if table is not None:
         numerator = recover_numerator(table, vs)
         rhs.append([numerator.coefficient(e) for e in monomials_upto(vs.dim, numerator_degree(vs))])
-    m = _product_columns(vs, candidates)
-    pivots, solutions = eliminate(m, rhs)
-    if len(pivots) != m.rows:
+    kept = []  # (column, integer vector, scale) of the pivot columns so far
+    for start in range(0, len(candidates), size):
+        new = candidates[start : start + size]
+        block = kept + [(c, v, scale) for c, (v, scale) in zip(new, _product_columns(vs, new))]
+        pivots, solutions = eliminate(zip(*(v for _, v, _ in block)), rhs)
+        kept = [block[j] for j in pivots]
+        if len(kept) == size:
+            break
+    else:
         raise NotWeaklyNonDegenerateError(not_a_minor)
-    order = range(len(pivots))
+    order = range(size)
     if forced is None:
-        order = sorted(order, key=lambda i: candidates[pivots[i]])
-    weights = [solutions[0][i] for i in order] if rhs else None
-    return FormBasis(vs, pivot, tuple(candidates[pivots[i]] for i in order)), weights, degenerate
+        order = sorted(order, key=lambda i: kept[i][0])
+    weights = [solutions[0][i] * kept[i][2] for i in order] if rhs else None
+    return FormBasis(vs, pivot, tuple(kept[i][0] for i in order)), weights, degenerate
 
 
 def select_minor(vs: VertexSet, pivot=None, forced=None) -> FormBasis:
@@ -325,8 +365,8 @@ def dimension_and_basis(vs: VertexSet, pivot=None):
         simplex(c + (pivot,)) for c in combinations([i for i in range(n) if i != pivot], vs.dim)
     )
     candidates = sorted(s for s in through_pivot if s not in degenerate)
-    m = _product_columns(vs, [simplex_for_column(s, n) for s in candidates])
-    chosen = [candidates[j] for j in eliminate(m)[0]]
+    columns = _product_columns(vs, [simplex_for_column(s, n) for s in candidates])
+    chosen = [candidates[j] for j in eliminate(zip(*(v for v, _ in columns)))[0]]
     if len(chosen) != dim_space:
         raise NotWeaklyNonDegenerateError(
             f"pruned basis has size {len(chosen)}, expected {dim_space}"

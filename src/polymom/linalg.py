@@ -111,14 +111,15 @@ class RatMat:
 def _integer_rows(rows):
     """Scale each row to integers; return (int rows, product of scale factors).
 
-    The scale product divides the determinant of the scaled matrix to recover
+    Entries may be ints or Fractions; each is scaled by its row's lcm of
+    denominators in integer arithmetic.  The scale product divides the determinant of the scaled matrix to recover
     the determinant of the original one.
     """
     out = []
     scale = 1
     for row in rows:
         denoms = lcm(*(e.denominator for e in row))
-        out.append([int(e * denoms) for e in row])
+        out.append([e.numerator * (denoms // e.denominator) for e in row])
         scale *= denoms
     return out, scale
 
@@ -171,22 +172,24 @@ def det(m: RatMat) -> Fraction:
 
 def rank(m: RatMat) -> int:
     """Exact rank via the same fraction-free elimination."""
-    return len(eliminate(m)[0])
+    return len(eliminate(map(m.row, range(m.rows)))[0])
 
 
-def eliminate(m: RatMat, rhs_list=()):
-    """Eliminate [m | rhs...] once; return (pivot columns of m, one solution per rhs).
+def eliminate(rows, rhs_list=()):
+    """Eliminate [rows | rhs...] once; return (pivot columns, one solution per rhs).
 
-    The pivot columns are exactly the columns of m independent of those
-    before them; the right-hand sides come last, so they do not change that
-    choice.  Solution k holds, pivot column by pivot column, the solution of
-    the minor on the pivot columns for right-hand side k, found by
-    back-substitution on those columns only.  It solves the full system when
-    the pivots fill every row of m, which callers check.
+    `rows` are the rows of a matrix m, as ints or Fractions.  The pivot
+    columns are exactly the columns of m independent of those before them;
+    the right-hand sides come last, so they do not change that choice.
+    Solution k holds, pivot column by pivot column, the solution of the minor
+    on the pivot columns for right-hand side k, found by back-substitution on
+    those columns only.  It solves the full system when the pivots fill every
+    row of m, which callers check.
     """
-    n = m.cols
-    extra = list(zip(*rhs_list)) or [()] * m.rows
-    rows, _ = _integer_rows(m.row(i) + extra[i] for i in range(m.rows))
+    rows = list(rows)
+    n = len(rows[0]) if rows else 0
+    extra = list(zip(*rhs_list)) or [()] * len(rows)
+    rows, _ = _integer_rows([*r, *e] for r, e in zip(rows, extra))
     _, pivots = _bareiss_forward(rows, n + len(rhs_list))
     cols = [c for _, c in pivots if c < n]
     sols = []
@@ -207,7 +210,7 @@ def solve(m: RatMat, b) -> tuple:
     b = [rat(v) for v in b]
     if len(b) != m.rows:
         raise DimensionError(f"right-hand side of length {len(b)} against {m.rows}x{m.rows} matrix")
-    pivots, sols = eliminate(m, [b])
+    pivots, sols = eliminate(map(m.row, range(m.rows)), [b])
     if len(pivots) < m.rows:
         raise SingularMatrixError("matrix is singular", len(pivots))
     return tuple(sols[0])
@@ -218,7 +221,7 @@ def inverse(m: RatMat) -> RatMat:
     if m.rows != m.cols:
         raise DimensionError(f"inverse requires a square matrix, got {m.rows}x{m.cols}")
     n = m.rows
-    pivots, sols = eliminate(m, [[Fraction(int(i == j)) for i in range(n)] for j in range(n)])
+    pivots, sols = eliminate(map(m.row, range(n)), [[int(i == j) for i in range(n)] for j in range(n)])
     if len(pivots) < n:
         raise SingularMatrixError("matrix is singular", len(pivots))
     return RatMat.from_rows(zip(*sols))

@@ -527,6 +527,64 @@ class TestSolverProperties:
         assert weak >= 10
 
 
+def _rational_multiset(rng, n):
+    """n points of a 5 x 5 grid, one repeated, under a rational affine map.
+
+    The map keeps every flat triple of the grid and gives every first
+    coordinate a denominator of 3, 4, 6 or 12, so no vertex form has integer
+    coefficients and every column scale exceeds 1.
+    """
+    grid = [(x, y) for x in range(-2, 3) for y in range(-2, 3)]
+    while True:
+        pts = rng.sample(grid, n - 1)
+        pts.append(rng.choice(pts))
+        rng.shuffle(pts)
+        a, b = rng.choice((2, 3)), rng.choice((2, 3))
+        s, t = rng.randint(-2, 2), rng.randint(-2, 2)
+        try:
+            return VertexSet(2, [(F(x + s, a) + F(1, a + 1), F(y + t, b)) for x, y in pts])
+        except NotSpanningError:
+            continue
+
+
+class TestScaledColumnsProperties:
+    def test_rational_multisets_across_blocks(self, monkeypatch):
+        """Minor and planted weights on rational multisets, many needing several blocks."""
+        calls = []
+        forward = linalg._bareiss_forward
+
+        def counted(*args):
+            calls.append(1)
+            return forward(*args)
+
+        monkeypatch.setattr(linalg, "_bareiss_forward", counted)
+        rng = random.Random(909)
+        checked = several = 0
+        while checked < 24:
+            vs = _rational_multiset(rng, rng.randint(7, 9))
+            cls = classify(vs)
+            if cls.kind is Degeneracy.NEITHER:
+                continue
+            pivot = rng.randrange(len(vs))
+            basis = select_minor(vs, pivot)
+            assert basis.columns == _greedy_minor_columns(vs, pivot)
+            simplices = basis.simplices()
+            planted = {
+                s: F(rng.randint(-9, 9), rng.randint(1, 3)) for s in simplices if s not in cls.degenerate
+            }
+            table = measure_moments(WeightedMeasure(vs, planted.items()), numerator_degree(vs))
+            calls.clear()
+            classify(vs)
+            by_classify = len(calls)
+            calls.clear()
+            rec = reconstruct(table, vs, pivot)
+            several += len(calls) > by_classify + 1
+            assert [s for s, _, _ in rec.weights] == simplices
+            assert [w for _, w, _ in rec.weights] == [planted.get(s, 0) for s in simplices]
+            checked += 1
+        assert several >= 8
+
+
 def _square_moments():
     square = VertexSet(2, [(0, 0), (2, 0), (2, 2), (0, 2)])
     return measure_moments(uniform_measure(square, [(0, 1, 2), (0, 2, 3)]), 2)
