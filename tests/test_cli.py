@@ -243,8 +243,8 @@ class TestInvertForcedColumns:
 
     @pytest.mark.parametrize(
         "columns",
-        ["1,2,3,4,5,6", "1,2", "5,5,6,7,8,9", ","],
-        ids=["singular", "wrong-size", "repeated", "empty"],
+        ["1,2,3,4,5,6", "1,2", "5,5,6,7,8,9", ",", "0,1", "5,6,7,8,9,11"],
+        ids=["singular", "wrong-size", "repeated", "empty", "zero", "past-last"],
     )
     def test_rejected_set_exits_3_in_one_line(self, files, capsys, columns):
         assert main(["invert", *files, "--columns", columns]) == 3
@@ -327,6 +327,14 @@ class TestChambersCommand:
         assert {c["density"] for c in data["chambers"]} == {
             "5", "-10", "-2", "26/3", "-31/3", "-7/3", "2/3", "1", "14/3",
         }
+
+    def test_measure_on_other_vertices_exits_3(self, pentagon_files, tmp_path, capsys):
+        square = VertexSet(2, [(0, 0), (2, 0), (2, 2), (0, 2)])
+        measure = write(tmp_path / "square.json", jsonio.measure_to_json(uniform_measure(square, [(0, 1, 2)])))
+        code = main(["chambers", pentagon_files["vertices"], measure, "--svg", str(tmp_path / "map.svg")])
+        assert code == 3
+        assert capsys.readouterr().err == "error: measure vertex set differs from the vertices file\n"
+        assert not (tmp_path / "map.svg").exists()
 
 
 class TestVerifyCommand:

@@ -39,7 +39,7 @@ from polymom.errors import (
 from polymom.inverse import numerator_degree
 from polymom.linalg import solve
 from polymom.poly import monomials_upto
-from polymom.verify import random_strong_set
+from polymom.verify import random_point, random_strong_set
 
 PENTAGON_MAT = [
     [1, 1, 1, 1, 1, 1],
@@ -126,6 +126,65 @@ class TestRecoverNumerator:
         assert len(f.denominator) == 4  # all nontrivial vertex forms present
         table = series_to_moments(taylor(f, 2), 2)
         assert recover_numerator(table, pentagon_set) == f.numerator
+
+
+def _reference_numerator(table, vs):
+    """The numerator as N bounded `Poly.mul` calls over the forms, then one with the series."""
+    from polymom.genfunc import LinearForm, moments_to_series
+
+    k = numerator_degree(vs)
+    phi = Poly.constant(vs.dim, 1)
+    for p in vs.points:
+        phi = phi.mul(LinearForm(p).poly(), k)
+    return moments_to_series(table).poly.mul(phi, k)
+
+
+def _rational_multiset_any_dim(rng, dim, n):
+    """n rational points spanning R^dim, one of them repeated."""
+    while True:
+        pts = [random_point(rng, dim, span=3, max_den=3) for _ in range(n)]
+        i, j = rng.sample(range(n), 2)
+        pts[i] = pts[j]
+        try:
+            return VertexSet(dim, pts)
+        except NotSpanningError:
+            continue
+
+
+def _random_table(rng, dim, order, base=None):
+    """Arbitrary rational moments to the given order, agreeing with `base` where it has them."""
+    moments = {e: F(rng.randint(-30, 30), rng.randint(1, 12)) for e in monomials_upto(dim, order)}
+    moments.update(base.moments if base else {})
+    return MomentTable(dim, order, moments)
+
+
+class TestNumeratorProperties:
+    def test_matches_reference_from_both_table_orders(self):
+        """Seeded rational strong sets and multisets, d = 1..3, tables of order N-d-1 and N-d+1."""
+        rng = random.Random(1010)
+        solved = weak = 0
+        for case in range(36):
+            dim = 1 + case % 3
+            n = rng.randint(dim + 2, dim + 4)
+            if case % 2:
+                vs = _rational_multiset_any_dim(rng, dim, n)
+            else:
+                vs = random_strong_set(rng, dim, n)
+            k = numerator_degree(vs)
+            low = _random_table(rng, dim, k)
+            high = _random_table(rng, dim, k + 2, base=low)
+            expected = _reference_numerator(low, vs)
+            assert recover_numerator(low, vs) == expected
+            assert recover_numerator(high, vs) == expected
+            assert _reference_numerator(high, vs) == expected
+            kind = classify(vs).kind
+            if kind is Degeneracy.NEITHER:
+                continue
+            pivot = rng.randrange(n)
+            assert reconstruct(high, vs, pivot).weights == reconstruct(low, vs, pivot).weights
+            solved += 1
+            weak += kind is Degeneracy.WEAK
+        assert solved >= 24 and weak >= 6
 
 
 class TestProductMatrix:
