@@ -199,17 +199,16 @@ def chamber_densities(cm: ChamberMap, simplex_densities) -> ChamberMap:
 _SVG_SCALE = 100  # user units per coordinate unit
 
 
-def _fixed(value: Fraction, digits=2) -> str:
-    """Exact decimal rendering with the given number of digits (round half up)."""
-    scaled = value * 10**digits
+def _fixed(value: Fraction) -> str:
+    """Exact decimal rendering with two digits (round half up)."""
+    scaled = value * 100
     n = scaled.numerator
     d = scaled.denominator
     q, r = divmod(abs(n), d)
     if 2 * r >= d:
         q += 1
     sign = "-" if n < 0 else ""
-    text = f"{sign}{q // 10**digits}.{q % 10**digits:0{digits}d}"
-    return text
+    return f"{sign}{q // 100}.{q % 100:02d}"
 
 
 def _color(t: Fraction) -> str:

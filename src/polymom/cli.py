@@ -15,7 +15,7 @@ import json
 import sys
 
 from . import chambers, genfunc, inverse, jsonio, oracle, verify
-from .errors import PolymomError, PreconditionError
+from .errors import DimensionError, PolymomError, PreconditionError
 from .geometry import density
 from .verify import SUITES
 
@@ -27,6 +27,8 @@ EXIT_INTERNAL = 5
 
 
 class CliError(Exception):
+    """Malformed input (exit 2) or a singular reconstruction given --svg (exit 4)."""
+
     def __init__(self, code, message):
         super().__init__(message)
         self.code = code
@@ -87,7 +89,7 @@ def _parse_columns(text, vs):
     all_columns = inverse.extended_columns(vs)
     for number in numbers:
         if not 1 <= number <= len(all_columns):
-            raise CliError(EXIT_PRECONDITION, f"column number {number} out of range")
+            raise DimensionError(f"column number {number} out of range")
     return [all_columns[number - 1] for number in numbers]
 
 
@@ -96,7 +98,7 @@ def cmd_invert(args):
     table = _decode(jsonio.moment_table_from_json, args.moments)
     columns = _parse_columns(args.columns, vs) if args.columns else None
     if args.svg and vs.dim != 2:
-        raise CliError(EXIT_PRECONDITION, "--svg requires a 2-d vertex set")
+        raise DimensionError("--svg requires a 2-d vertex set")
     rec = inverse.reconstruct(table, vs, args.pivot, columns)
     _write_json(args.out, jsonio.reconstruction_to_json(rec))
     if args.svg:
@@ -120,7 +122,7 @@ def cmd_chambers(args):
     vs = _decode(jsonio.vertex_set_from_json, args.vertices)
     measure = _decode(jsonio.measure_from_json, args.measure)
     if measure.vertex_set != vs:
-        raise CliError(EXIT_PRECONDITION, "measure vertex set differs from the vertices file")
+        raise DimensionError("measure vertex set differs from the vertices file")
     cm = chambers.chamber_densities(chambers.build_chambers(vs), density(measure))
     chambers.write_svg(cm, args.svg)
     summary = [

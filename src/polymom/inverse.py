@@ -1,17 +1,16 @@
 """The inverse moment problem on a known vertex set.
 
 Given moments up to order N-d-1 of a signed simplicial measure on N known
-vertices, the numerator of its generating function is recovered by one
-truncated multiplication, and the weights fall out of an exact linear solve
-against the matrix whose columns are the coefficient vectors of all products
-of N-d-1 vertex forms.  Strongly non-degenerate sets use the square matrix
-over a through-pivot basis; weakly non-degenerate ones (including multisets)
-use a full-rank minor of the extended matrix, where columns complementary to
-degenerate simplices carry singular limit measures.  The columns are built
-in integers, each vertex form scaled by the lcm of its coordinates'
-denominators, and eliminated in blocks of C(N-1, d) candidates, stopping at
-the first block whose pivots fill every row.  A strong or forced set is one
-block, so one exact elimination both picks its minor and solves on it.
+vertices, the numerator of its generating function is the moment series
+times all N vertex forms, truncated at degree N-d-1.  The weights solve an
+exact linear system whose columns are products of N-d-1 vertex forms, on a
+full-rank minor of the extended matrix (the through-pivot basis on a
+strongly non-degenerate set), where columns complementary to degenerate
+simplices carry singular limit measures.  One integer kernel,
+`_product_columns`, forms every product of forms, the numerator's included.
+Candidates are eliminated in blocks of C(N-1, d) against the integer
+numerator, stopping at the first block whose pivots fill every row; a strong
+or forced set is one block, so one elimination picks its minor and solves.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb, lcm
+from math import comb
 from operator import add
 
 from .errors import (
@@ -28,8 +27,8 @@ from .errors import (
     NotStronglyNonDegenerateError,
     NotWeaklyNonDegenerateError,
 )
-from .geometry import Degeneracy, VertexSet, classify, simplex
-from .linalg import RatMat, det, eliminate
+from .geometry import Degeneracy, VertexSet, WeightedMeasure, classify
+from .linalg import RatMat, det, eliminate, integer_vector
 from .oracle import MomentTable
 from .poly import Poly, monomials_upto
 from .genfunc import LinearForm, moments_to_series
@@ -90,17 +89,17 @@ def extended_columns(vs: VertexSet):
     return tuple(tuple(c) for c in combinations(range(len(vs)), numerator_degree(vs)))
 
 
-def _product_columns(vs: VertexSet, columns):
+def _product_columns(vs: VertexSet, columns, start=None):
     """Integer coefficient vectors of the form products, with their scales.
 
-    Each vertex form 1 - <v, u> is scaled to integers by the lcm of its
-    coefficients' denominators.  A column's vector holds the coefficients of
-    the product of its scaled forms over `monomials_upto(d, N-d-1)`, and its
-    scale is the product of those lcms, so the vector over the scale is the
-    product of the forms themselves.  The index subsets are walked
-    depth-first in lexicographic order, so each product is formed once, as
-    its prefix's product times one form, and only the products along the
-    current path are held.
+    Each product starts from `start`, an (integer vector, scale) pair over
+    `monomials_upto(d, N-d-1)`, by default the constant 1, and multiplies in
+    its vertex forms 1 - <v, u>, each scaled to integers by `integer_vector`;
+    no monomial above degree N-d-1 is formed.  Its scale is the start's times
+    the forms', so the vector over the scale is the product itself.  The
+    index subsets are walked depth-first in lexicographic order, so each
+    product is formed once, as its prefix's product times one form, and only
+    the products along the current path are held.
 
     Returns one (vector, scale) pair per column, in the given order.
     """
@@ -112,11 +111,9 @@ def _product_columns(vs: VertexSet, columns):
     up = [[at[tuple(map(add, e, unit))] for e in rows[: comb(d + k - 1, d)]] for unit in units]
     forms = []
     for p in vs.points:
-        coefs = list(map(LinearForm(p).poly().coefficient, [(0,) * d] + units))
-        scale = lcm(*(c.denominator for c in coefs))
-        c0, *cv = (c.numerator * (scale // c.denominator) for c in coefs)
+        (c0, *cv), scale = integer_vector(map(LinearForm(p).poly().coefficient, [(0,) * d] + units))
         forms.append((c0, [(up[v], c) for v, c in enumerate(cv) if c], scale))
-    path, stack, vectors = (), [([1] + [0] * (len(rows) - 1), 1)], {}
+    path, stack, vectors = (), [start or ([1] + [0] * (len(rows) - 1), 1)], {}
     for key in sorted({tuple(sorted(c)) for c in columns}):
         shared = next((j for j, (a, b) in enumerate(zip(path, key)) if a != b), len(path))
         del stack[shared + 1 :]
@@ -205,22 +202,20 @@ def recover_numerator(table: MomentTable, vs: VertexSet) -> Poly:
     """Numerator of the generating function from moments up to order N-d-1.
 
     This is the truncation at degree N-d-1 of the normalized moment series
-    times the product of all N vertex forms.
+    times the product of all N vertex forms: `_product_columns` carries the
+    series, scaled to integers over one lcm, through all N forms and reads
+    no moment above that order.
     """
     k = numerator_degree(vs)
     if table.dim != vs.dim:
         raise DimensionError(f"moments in R^{table.dim} against vertices in R^{vs.dim}")
-    needed = set(monomials_upto(vs.dim, k))
-    missing = needed - set(table.moments)
+    rows = monomials_upto(vs.dim, k)
+    missing = set(rows) - set(table.moments)
     if missing:
         raise IncompleteMomentsError(f"need all moments up to order {k}", missing)
-    if table.order > k:
-        table = MomentTable(vs.dim, k, {e: table.moments[e] for e in needed})
-    series = moments_to_series(table)
-    phi = Poly.constant(vs.dim, 1)
-    for p in vs.points:
-        phi = phi.mul(LinearForm(p).poly(), k)
-    return series.poly.mul(phi, k)
+    start = integer_vector(map(moments_to_series(table).coefficient, rows))
+    [(vector, scale)] = _product_columns(vs, [range(len(vs))], start)
+    return Poly(vs.dim, {e: Fraction(x, scale) for e, x in zip(rows, vector)})
 
 
 @dataclass(frozen=True)
@@ -247,15 +242,9 @@ class Reconstruction:
     def weight_vector(self):
         return tuple(w for _, w, _ in self.weights)
 
-    def to_measure(self, drop_degenerate=False):
-        """The non-singular part as a WeightedMeasure.
-
-        Raises if a degenerate simplex carries weight and drop_degenerate is
-        not set.
-        """
-        from .geometry import WeightedMeasure
-
-        if self.is_singular and not drop_degenerate:
+    def to_measure(self):
+        """The non-degenerate weights as a WeightedMeasure; raises on a singular reconstruction."""
+        if self.is_singular:
             raise NotWeaklyNonDegenerateError(
                 f"reconstruction is singular on {self.singular_simplices}"
             )
@@ -267,22 +256,23 @@ def _choose(vs: VertexSet, pivot, forced, table=None):
     """The column choice and solve behind `select_minor` and `reconstruct`.
 
     A forced set, its size C(N-1, d) included, is checked before any moment
-    is read.  The candidates are the forced columns; or on a strong set the
-    through-pivot columns, which are all the buckets below would keep; or
-    else three buckets, each ascending: columns complementary to degenerate
-    simplices (their singular measures are independent of everything else),
-    then to through-pivot simplices, then the rest.
+    is read.  The candidates are the forced columns, or else three buckets,
+    each ascending: columns complementary to degenerate simplices (their
+    singular measures are independent of everything else), then to
+    through-pivot simplices, then the rest.  A strong set has no degenerate
+    simplex, so its through-pivot columns come first and fill every row.
 
     The candidates are taken in blocks of C(N-1, d), the minor size and the
     row count.  Each block eliminates [pivot columns kept so far | next
-    block | numerator coefficients] on the integer columns of
-    `_product_columns`.  The kept columns span every earlier candidate, so a
-    candidate is a pivot exactly when it is independent of all candidates
-    before it; the right-hand side comes last, so it does not change that
-    choice.  The search stops when the pivots fill every row; pivot columns
-    are independent, so the pivot count, not a determinant, decides that the
-    minor is square and does not vanish.  Each weight is the back-substituted
-    value times its column's scale.
+    block | numerator] on integer vectors: the columns of `_product_columns`
+    and the coefficients of `recover_numerator` over one scale.  The kept
+    columns span every earlier candidate, so a candidate is a pivot exactly
+    when it is independent of all candidates before it; the right-hand side
+    comes last, so it does not change that choice.  The search stops when
+    the pivots fill every row; pivot columns are independent, so the pivot
+    count, not a determinant, decides that the minor is square and does not
+    vanish.  Each weight is the back-substituted value times its column's
+    scale over the numerator's.
 
     Returns the basis (forced order, else ascending), its weights (None
     without a table) and the degenerate simplices.
@@ -303,17 +293,16 @@ def _choose(vs: VertexSet, pivot, forced, table=None):
             raise DimensionError("forced column set is not a set of valid columns")
         if len(candidates) != size:
             raise NotWeaklyNonDegenerateError(not_a_minor)
-    elif cls.kind is Degeneracy.STRONG:
-        candidates = list(strong_basis(vs, pivot).columns)
     else:
         def bucket(c):
             s = simplex_for_column(c, n)
             return 0 if s in degenerate else 1 if pivot in s else 2
         candidates = sorted(extended_columns(vs), key=bucket)  # stable: ascending in each bucket
-    rhs = []
+    rhs, rhs_scale = [], 1
     if table is not None:
-        numerator = recover_numerator(table, vs)
-        rhs.append([numerator.coefficient(e) for e in monomials_upto(vs.dim, numerator_degree(vs))])
+        numerator = recover_numerator(table, vs).coefficient
+        vector, rhs_scale = integer_vector(map(numerator, monomials_upto(vs.dim, numerator_degree(vs))))
+        rhs.append(vector)
     kept = []  # (column, integer vector, scale) of the pivot columns so far
     for start in range(0, len(candidates), size):
         new = candidates[start : start + size]
@@ -327,7 +316,7 @@ def _choose(vs: VertexSet, pivot, forced, table=None):
     order = range(size)
     if forced is None:
         order = sorted(order, key=lambda i: kept[i][0])
-    weights = [solutions[0][i] * kept[i][2] for i in order] if rhs else None
+    weights = [solutions[0][i] * kept[i][2] / rhs_scale for i in order] if rhs else None
     return FormBasis(vs, pivot, tuple(kept[i][0] for i in order)), weights, degenerate
 
 
@@ -354,19 +343,14 @@ def dimension_and_basis(vs: VertexSet, pivot=None):
     The basis consists of the non-degenerate through-pivot simplices whose
     columns are independent of those before them in canonical simplex order.
     """
-    n = len(vs)
-    pivot = _check_pivot(pivot, n)
+    basis = strong_basis(vs, pivot)
     cls = classify(vs)
     if cls.kind is Degeneracy.NEITHER:
         raise NotWeaklyNonDegenerateError("dimension formula requires a weakly non-degenerate set")
-    dim_space = comb(n - 1, vs.dim) - len(cls.degenerate)
-    degenerate = set(cls.degenerate)
-    through_pivot = (
-        simplex(c + (pivot,)) for c in combinations([i for i in range(n) if i != pivot], vs.dim)
-    )
-    candidates = sorted(s for s in through_pivot if s not in degenerate)
-    columns = _product_columns(vs, [simplex_for_column(s, n) for s in candidates])
-    chosen = [candidates[j] for j in eliminate(zip(*(v for v, _ in columns)))[0]]
+    dim_space = comb(len(vs) - 1, vs.dim) - len(cls.degenerate)
+    candidates = sorted((s, c) for s, c in zip(basis.simplices(), basis.columns) if s not in cls.degenerate)
+    columns = _product_columns(vs, [c for _, c in candidates])
+    chosen = [candidates[j][0] for j in eliminate(zip(*(v for v, _ in columns)))[0]]
     if len(chosen) != dim_space:
         raise NotWeaklyNonDegenerateError(
             f"pruned basis has size {len(chosen)}, expected {dim_space}"

@@ -10,7 +10,7 @@ and the scaling is undone at the end.  There is no floating point anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 from .errors import DimensionError, SingularMatrixError
 
@@ -108,20 +108,21 @@ class RatMat:
         return f"RatMat({self.rows}x{self.cols}: {body})"
 
 
-def _integer_rows(rows):
-    """Scale each row to integers; return (int rows, product of scale factors).
+def integer_vector(values):
+    """(ints, scale): the values, ints or Fractions, times the lcm of their denominators, and that lcm."""
+    values = list(values)
+    scale = lcm(*(e.denominator for e in values))
+    return [e.numerator * (scale // e.denominator) for e in values], scale
 
-    Entries may be ints or Fractions; each is scaled by its row's lcm of
-    denominators in integer arithmetic.  The scale product divides the determinant of the scaled matrix to recover
+
+def _integer_rows(rows):
+    """Scale each row by `integer_vector`; return (int rows, product of scale factors).
+
+    The scale product divides the determinant of the scaled matrix to recover
     the determinant of the original one.
     """
-    out = []
-    scale = 1
-    for row in rows:
-        denoms = lcm(*(e.denominator for e in row))
-        out.append([e.numerator * (denoms // e.denominator) for e in row])
-        scale *= denoms
-    return out, scale
+    scaled = [integer_vector(row) for row in rows]
+    return [ints for ints, _ in scaled], prod(scale for _, scale in scaled)
 
 
 def _bareiss_forward(rows, ncols):
