@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction as F
 from math import factorial
 
@@ -12,6 +13,7 @@ from polymom import (
     SimplePolytope,
     TangentCone,
     VertexSet,
+    WeightedMeasure,
     brion_axial_moment,
     brion_genfunc,
     brion_identity_residuals,
@@ -28,6 +30,7 @@ from polymom import (
 )
 from polymom.errors import DegenerateDirectionError, DegenerateSimplexError, DimensionError
 from polymom.genfunc import divide_linear
+from polymom.geometry import is_degenerate
 from polymom.poly import monomials_upto
 from polymom.verify import (
     box_polytope,
@@ -343,3 +346,65 @@ def test_taylor_matches_geometric_series_reference():
         })
         f = RatFun(numerator, forms)
         assert taylor(f, order) == _reference_taylor(f, order)
+
+
+def _reference_measure_genfunc(m):
+    """Common-denominator numerator as a chain of `Poly` products, then `cancel`."""
+    vs = m.vertex_set
+    if not m.atoms:
+        return RatFun(Poly.zero(vs.dim))
+    denominators = [
+        Counter(f for f in (LinearForm(vs.points[i]) for i in s) if not f.is_trivial()) for s, _ in m.atoms
+    ]
+    common = Counter()
+    for counts in denominators:
+        common |= counts
+    numerator = Poly.zero(vs.dim)
+    for (_, w), counts in zip(m.atoms, denominators):
+        part = Poly.constant(vs.dim, w)
+        for f in (common - counts).elements():
+            part = part * f.poly()
+        numerator = numerator + part
+    return RatFun(numerator, common.elements()).cancel()
+
+
+def _random_measure(rng, dim):
+    """A signed measure on random points, some repeated, some at the origin;
+    every fourth one the uniform measure on a simplex fanned from an interior
+    point, whose form cancels; some empty."""
+    if rng.random() < 0.25:
+        corners = random_simplex_vertices(rng, dim).points
+        weights = [F(rng.randint(1, 4)) for _ in corners]
+        centre = tuple(sum(w * p[k] for w, p in zip(weights, corners)) / sum(weights) for k in range(dim))
+        vs = VertexSet(dim, list(corners) + [centre])
+        fan = [tuple(sorted(set(range(dim + 1)) - {i})) + (dim + 1,) for i in range(dim + 1)]
+        return uniform_measure(vs, fan)
+    points = list(random_simplex_vertices(rng, dim).points)
+    points += [random_point(rng, dim, span=3, max_den=2) for _ in range(rng.randint(0, 3))]
+    if rng.random() < 0.5:
+        points.append(rng.choice(points))
+    if rng.random() < 0.4:
+        points.append((0,) * dim)
+    vs = VertexSet(dim, points)
+    atoms = []
+    for _ in range(rng.randint(0, 4)):
+        s = tuple(sorted(rng.sample(range(len(points)), dim + 1)))
+        if not is_degenerate(s, vs):
+            atoms.append((s, random_rational(rng)))
+    return WeightedMeasure(vs, atoms)
+
+
+def test_measure_genfunc_matches_poly_product_reference():
+    rng = random.Random(83)
+    seen = Counter()
+    for case in range(60):
+        m = _random_measure(rng, 1 + case % 3)
+        f = measure_genfunc(m)
+        assert f == _reference_measure_genfunc(m)
+        points = m.vertex_set.points
+        used = {i for s, _ in m.atoms for i in s}
+        seen["empty"] += not m.atoms
+        seen["origin"] += any(not any(points[i]) for i in used)
+        seen["repeated"] += len({points[i] for i in used}) < len(used)
+        seen["cancelled"] += len(f.denominator) < len({points[i] for i in used if any(points[i])})
+    assert min(seen[k] for k in ("empty", "origin", "repeated", "cancelled")) >= 3, seen

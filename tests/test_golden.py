@@ -1,11 +1,17 @@
-"""Byte pins of `polymom invert` on three committed inputs.
+"""Byte pins of `polymom invert` and `polymom genfunc` on committed inputs.
 
-Each case under tests/data holds `vertices.json` and `table.json` and the
-expected bytes of one run per entry of RUNS: the `--out` JSON, the SVG when
-`--svg` is given, stderr, and the exit code below.  The cases are a strong
-2-d set of 12 rational points (order 9), a weak grid multiset of 9 points
-with its chamber map, and a singular grid multiset of 7 points, run with
-and without `--svg`.
+Each invert case under tests/data holds `vertices.json` and `table.json` and
+the expected bytes of one run per entry of RUNS: the `--out` JSON, the SVG
+when `--svg` is given, stderr, and the exit code below.  The cases are a
+strong 2-d set of 12 rational points (order 9), a weak grid multiset of 9
+points with its chamber map, and a singular grid multiset of 7 points, run
+with and without `--svg`.
+
+Each genfunc case holds `measure.json` and the expected `--out` JSON and
+stdout line of `polymom genfunc`, which exits 0 on all of them.  The cases
+are a triangle dissected at an interior point, whose vertex form cancels; a
+signed 2-d measure on a multiset with a repeated point; and a signed sum of
+three tetrahedra in R^3, one vertex at the origin.
 """
 
 from pathlib import Path
@@ -42,3 +48,17 @@ def test_invert_bytes(case, run, svg, code, tmp_path, capsys):
         assert svg_path.read_bytes() == expected_svg.read_bytes()
     else:
         assert not svg_path.exists()
+
+
+GENFUNC_CASES = ["genfunc_dissection", "genfunc_multiset_d2", "genfunc_signed_d3"]
+
+
+@pytest.mark.parametrize("case", GENFUNC_CASES)
+def test_genfunc_bytes(case, tmp_path, capsys):
+    inputs = DATA / case
+    out = tmp_path / "f.json"
+    assert main(["genfunc", str(inputs / "measure.json"), "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == (inputs / "genfunc.stdout").read_text(encoding="utf-8")
+    assert out.read_bytes() == (inputs / "genfunc.json").read_bytes()
