@@ -8,13 +8,15 @@ For the uniform measure on a simplex this is d!*Vol divided by the product
 of the vertex forms 1 - <v, u>, which makes every function here rational
 with denominator a sub-multiset of vertex forms.  Denominators are kept as
 form multisets and never expanded; cancellation is trial division by the
-candidate forms only.
+candidate forms only.  One integer kernel, `FormKernel`, multiplies and
+divides by vertex forms, for `measure_genfunc`, `taylor` and the inverse solve.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from .errors import (
     DegenerateDirectionError,
@@ -23,7 +25,7 @@ from .errors import (
     PolymomError,
 )
 from .geometry import VertexSet, WeightedMeasure, check_simplex, is_degenerate
-from .linalg import RatMat, det, rat
+from .linalg import RatMat, det, integer_vector, rat
 from .oracle import MomentTable
 from .poly import Poly, Series, monomials_upto
 
@@ -53,6 +55,10 @@ class LinearForm:
     def poly(self) -> Poly:
         return 1 - self.pairing()
 
+    def coefficients(self) -> list:
+        """Integer coefficients (c0, c1, ..., cd) of the form times c0, its scale."""
+        return integer_vector([Fraction(1), *(-c for c in self.vertex)])[0]
+
     def pairing(self) -> Poly:
         """The homogeneous part <v, u>."""
         terms = {}
@@ -74,6 +80,54 @@ class LinearForm:
 
     def __repr__(self):
         return f"LinearForm({self.vertex})"
+
+
+class FormKernel:
+    """Dense integer arithmetic with vertex forms, below a degree bound.
+
+    A polynomial is an (integer vector, scale) pair over the `rows`,
+    `monomials_upto(dim, degree)`; a form is its `LinearForm.coefficients`.
+    No monomial above the degree is ever formed.
+    """
+
+    __slots__ = ("dim", "degree", "rows", "up")
+
+    def __init__(self, dim, degree):
+        self.dim, self.degree, self.rows = dim, degree, monomials_upto(dim, degree)
+        at = {e: r for r, e in enumerate(self.rows)}
+        # up[v][q] is the row of u_v times the monomial of row q, for the rows below the degree
+        below = [e for e in self.rows if sum(e) < degree]
+        self.up = [[at[e[:v] + (e[v] + 1,) + e[v + 1 :]] for e in below] for v in range(dim)]
+
+    def poly(self, pair) -> Poly:
+        vector, scale = pair
+        return Poly._of(self.dim, {e: Fraction(x, scale) for e, x in zip(self.rows, vector) if x})
+
+    def times(self, pair, form):
+        """The product with the form; the scale gains c0."""
+        (vector, scale), (c0, *cv) = pair, form
+        out = [c0 * x for x in vector]
+        for up_v, c in zip(self.up, cv):
+            if c:
+                for q, x in zip(up_v, vector):
+                    out[q] += c * x
+        return out, scale * c0
+
+    def over(self, pair, form):
+        """The series quotient by the form; the scale gains c0^degree.
+
+        G = H / (1 - <v, u>) has G_j = H_j + <v, u> G_(j-1) in each degree j,
+        run in place over ascending rows of c0^degree * H.  A row of degree j
+        then stays a multiple of c0^(degree-j), so its carry divides exactly.
+        """
+        (vector, scale), (c0, *cv) = pair, form
+        top = c0**self.degree
+        out = [top * x for x in vector]
+        for q, ups in enumerate(zip(*self.up)):
+            carry = out[q] // c0
+            for r, c in zip(ups, cv):
+                out[r] -= c * carry
+        return out, scale * top
 
 
 class RatFun:
@@ -188,51 +242,41 @@ def simplex_genfunc(s, vs: VertexSet, weight, allow_degenerate=False) -> RatFun:
 def measure_genfunc(m: WeightedMeasure) -> RatFun:
     """Sum of the per-atom transforms over a common denominator, cancelled.
 
-    The resulting denominator is always a sub-multiset of the vertex forms of
-    the input; interior vertices introduced by a dissection cancel out.
+    Each atom's weight times the common forms it lacks comes from
+    `FormKernel.times`.  The resulting denominator is always a sub-multiset of
+    the vertex forms of the input; interior vertices introduced by a
+    dissection cancel out.
     """
     vs = m.vertex_set
-    if not m.atoms:
-        return RatFun(Poly.zero(vs.dim))
-    denominators = []
-    for s, _ in m.atoms:
-        counts = {}
-        for i in s:
-            f = LinearForm(vs.points[i])
-            if not f.is_trivial():
-                counts[f] = counts.get(f, 0) + 1
-        denominators.append(counts)
-    common = {}
+    denominators = [
+        Counter(f for f in (LinearForm(vs.points[i]) for i in s) if not f.is_trivial()) for s, _ in m.atoms
+    ]
+    common = Counter()
     for counts in denominators:
-        for f, c in counts.items():
-            common[f] = max(common.get(f, 0), c)
-    numerator = Poly.zero(vs.dim)
-    for (s, w), counts in zip(m.atoms, denominators):
-        part = Poly.constant(vs.dim, w)
-        for f, c in common.items():
-            for _ in range(c - counts.get(f, 0)):
-                part = part * f.poly()
-        numerator = numerator + part
-    forms = [f for f, c in common.items() for _ in range(c)]
-    return RatFun(numerator, forms).cancel()
+        common |= counts
+    kernel = FormKernel(vs.dim, max((sum((common - counts).values()) for counts in denominators), default=0))
+    parts = []
+    for (_, w), counts in zip(m.atoms, denominators):
+        part = ([w.numerator] + [0] * (len(kernel.rows) - 1), w.denominator)
+        for f in (common - counts).elements():
+            part = kernel.times(part, f.coefficients())
+        parts.append(part)
+    scale = lcm(*(s for _, s in parts))
+    numerator = [sum(v[r] * (scale // s) for v, s in parts) for r in range(len(kernel.rows))]
+    return RatFun(kernel.poly((numerator, scale)), common.elements()).cancel()
 
 
 def taylor(f: RatFun, order: int) -> Series:
     """Exact truncated expansion of the rational function about the origin.
 
-    Dividing a series H by a denominator form 1 - <v,u> gives the G with
-    G = H + <v,u> G, which fixes G one homogeneous degree at a time:
-    G_k = H_k + <v,u> G_(k-1).  Applied once per form, this expands
-    1/prod(1 - <v_i,u>) as the complete homogeneous symmetric polynomials in
-    the pairings, and forms no term above the order.
+    The numerator, scaled to integers, is divided by each denominator form in
+    turn with `FormKernel.over`, which forms no term above the order.
     """
-    num = f.numerator.terms
-    parts = [Poly(f.dim, {e: c for e, c in num.items() if sum(e) == k}) for k in range(order + 1)]
+    kernel = FormKernel(f.dim, order)
+    series = integer_vector(map(f.numerator.coefficient, kernel.rows))
     for form in f.denominator:
-        pairing = form.pairing()
-        for k in range(1, order + 1):
-            parts[k] = parts[k] + pairing * parts[k - 1]
-    return Series(sum(parts, Poly.zero(f.dim)), order)
+        series = kernel.over(series, form.coefficients())
+    return Series(kernel.poly(series), order)
 
 
 def series_to_moments(series: Series, dim: int) -> MomentTable:

@@ -6,8 +6,9 @@ times all N vertex forms, truncated at degree N-d-1.  The weights solve an
 exact linear system whose columns are products of N-d-1 vertex forms, on a
 full-rank minor of the extended matrix (the through-pivot basis on a
 strongly non-degenerate set), where columns complementary to degenerate
-simplices carry singular limit measures.  One integer kernel,
-`_product_columns`, forms every product of forms, the numerator's included.
+simplices carry singular limit measures.  Every product of forms, the
+numerator's included, comes from `genfunc.FormKernel`, the integer kernel
+that `taylor` and `measure_genfunc` use too.
 Candidates are eliminated in blocks of C(N-1, d) against the integer
 numerator, stopping at the first block whose pivots fill every row; a strong
 or forced set is one block, so one elimination picks its minor and solves.
@@ -19,7 +20,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
-from operator import add
 
 from .errors import (
     DimensionError,
@@ -31,7 +31,7 @@ from .geometry import Degeneracy, VertexSet, WeightedMeasure, classify
 from .linalg import RatMat, det, eliminate, integer_vector
 from .oracle import MomentTable
 from .poly import Poly, monomials_upto
-from .genfunc import LinearForm, moments_to_series
+from .genfunc import FormKernel, LinearForm, moments_to_series
 
 
 def numerator_degree(vs: VertexSet) -> int:
@@ -89,41 +89,21 @@ def extended_columns(vs: VertexSet):
     return tuple(tuple(c) for c in combinations(range(len(vs)), numerator_degree(vs)))
 
 
-def _product_columns(vs: VertexSet, columns, start=None):
-    """Integer coefficient vectors of the form products, with their scales.
+def _product_columns(vs: VertexSet, columns):
+    """`FormKernel` pairs of the form products, one per column, in the given order.
 
-    Each product starts from `start`, an (integer vector, scale) pair over
-    `monomials_upto(d, N-d-1)`, by default the constant 1, and multiplies in
-    its vertex forms 1 - <v, u>, each scaled to integers by `integer_vector`;
-    no monomial above degree N-d-1 is formed.  Its scale is the start's times
-    the forms', so the vector over the scale is the product itself.  The
-    index subsets are walked depth-first in lexicographic order, so each
+    The index subsets are walked depth-first in lexicographic order, so each
     product is formed once, as its prefix's product times one form, and only
     the products along the current path are held.
-
-    Returns one (vector, scale) pair per column, in the given order.
     """
-    d, k = vs.dim, numerator_degree(vs)
-    rows = monomials_upto(d, k)
-    at = {e: r for r, e in enumerate(rows)}
-    units = [tuple(int(i == v) for i in range(d)) for v in range(d)]
-    # up[v][q] is the row of u_v times the monomial of row q, for rows below degree k
-    up = [[at[tuple(map(add, e, unit))] for e in rows[: comb(d + k - 1, d)]] for unit in units]
-    forms = []
-    for p in vs.points:
-        (c0, *cv), scale = integer_vector(map(LinearForm(p).poly().coefficient, [(0,) * d] + units))
-        forms.append((c0, [(up[v], c) for v, c in enumerate(cv) if c], scale))
-    path, stack, vectors = (), [start or ([1] + [0] * (len(rows) - 1), 1)], {}
+    kernel = FormKernel(vs.dim, numerator_degree(vs))
+    forms = [LinearForm(p).coefficients() for p in vs.points]
+    path, stack, vectors = (), [([1] + [0] * (len(kernel.rows) - 1), 1)], {}
     for key in sorted({tuple(sorted(c)) for c in columns}):
         shared = next((j for j, (a, b) in enumerate(zip(path, key)) if a != b), len(path))
         del stack[shared + 1 :]
         for i in key[shared:]:
-            (vector, scale), (c0, terms, form_scale) = stack[-1], forms[i]
-            out = [c0 * x for x in vector]
-            for up_v, c in terms:
-                for q, x in zip(up_v, vector):
-                    out[q] += c * x
-            stack.append((out, scale * form_scale))
+            stack.append(kernel.times(stack[-1], forms[i]))
         path = key
         vectors[key] = stack[-1]
     return [vectors[tuple(sorted(c))] for c in columns]
@@ -202,20 +182,20 @@ def recover_numerator(table: MomentTable, vs: VertexSet) -> Poly:
     """Numerator of the generating function from moments up to order N-d-1.
 
     This is the truncation at degree N-d-1 of the normalized moment series
-    times the product of all N vertex forms: `_product_columns` carries the
+    times the product of all N vertex forms: `FormKernel.times` carries the
     series, scaled to integers over one lcm, through all N forms and reads
     no moment above that order.
     """
-    k = numerator_degree(vs)
+    kernel = FormKernel(vs.dim, numerator_degree(vs))
     if table.dim != vs.dim:
         raise DimensionError(f"moments in R^{table.dim} against vertices in R^{vs.dim}")
-    rows = monomials_upto(vs.dim, k)
-    missing = set(rows) - set(table.moments)
+    missing = set(kernel.rows) - set(table.moments)
     if missing:
-        raise IncompleteMomentsError(f"need all moments up to order {k}", missing)
-    start = integer_vector(map(moments_to_series(table).coefficient, rows))
-    [(vector, scale)] = _product_columns(vs, [range(len(vs))], start)
-    return Poly(vs.dim, {e: Fraction(x, scale) for e, x in zip(rows, vector)})
+        raise IncompleteMomentsError(f"need all moments up to order {kernel.degree}", missing)
+    series = integer_vector(map(moments_to_series(table).coefficient, kernel.rows))
+    for p in vs.points:
+        series = kernel.times(series, LinearForm(p).coefficients())
+    return kernel.poly(series)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, islice
 from math import comb, factorial, lcm, prod
 from operator import mul
 
@@ -42,12 +42,18 @@ class MomentTable:
     def __post_init__(self):
         if self.order < 0:
             raise DimensionError(f"moment order must be non-negative, got {self.order}")
-        expected = set(monomials_upto(self.dim, self.order))
-        got = set(self.moments)
-        if got != expected:
+        if self.dim < 0:
+            raise DimensionError(f"moment table dimension must be non-negative, got {self.dim}")
+        expected = comb(self.order + self.dim, self.dim)
+        for e in self.moments:
+            if len(e) != self.dim or min(e, default=0) < 0 or sum(e) > self.order:
+                raise DimensionError(f"moment index {e} is not in R^{self.dim} up to order {self.order}")
+        if len(self.moments) != expected:
+            walk = (e for j in range(self.order + 1) for e in monomials_of_degree(self.dim, j))
+            missing = list(islice((e for e in walk if e not in self.moments), 5))
             raise DimensionError(
-                f"moment table must be complete to order {self.order}; "
-                f"missing {sorted(expected - got)}, extra {sorted(got - expected)}"
+                f"moment table must be complete to order {self.order}: "
+                f"{len(self.moments)} of {expected} moments, first missing {missing}"
             )
 
     def __getitem__(self, index):

@@ -7,16 +7,17 @@ degree descending lexicographic exponents, so that for two variables the
 order reads 1, u1, u2, u1^2, u1*u2, u2^2.
 
 `Poly(dim, terms)` checks and coerces what it is given; the results of
-arithmetic go through the unchecked `Poly._of`.  All products come from one
-kernel, `Poly.mul`, whose optional degree bound keeps it from forming any
-term above the bound, so a truncated product costs only the terms it keeps.
+arithmetic, and of the integer vertex-form kernel `genfunc.FormKernel`, go
+through the unchecked `Poly._of`.  Products and series quotients by vertex
+forms 1 - <v, u> belong to that kernel, which never forms a term above its
+degree bound; `Poly.__mul__` is the plain full product.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from operator import add, index, itemgetter
+from operator import add, index
 
 from .errors import DimensionError
 from .linalg import rat
@@ -142,28 +143,17 @@ class Poly:
     def __rsub__(self, other):
         return (-self) + other
 
-    def mul(self, other, degree=None) -> "Poly":
-        """Product with a Poly or a scalar, without any term of total degree
-        above `degree`: each term stops at the first factor term (by ascending
-        degree) that would pass the bound, so none is formed."""
+    def __mul__(self, other):
+        """Product with a Poly or a scalar."""
         if not isinstance(other, Poly):
             other = Poly.constant(self.dim, other)
         self._check_dim(other)
-        if degree is None:
-            degree = self.degree() + other.degree()
-        right = sorted(((sum(e), e, c) for e, c in other.terms.items()), key=itemgetter(0))
         out = {}
         for e1, c1 in self.terms.items():
-            room = degree - sum(e1)
-            for d2, e2, c2 in right:
-                if d2 > room:
-                    break
+            for e2, c2 in other.terms.items():
                 e = tuple(map(add, e1, e2))
                 out[e] = out.get(e, 0) + c1 * c2
         return Poly._of(self.dim, out)
-
-    def __mul__(self, other):
-        return self.mul(other)
 
     __rmul__ = __mul__
 

@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -202,6 +203,16 @@ class TestInvert:
         vertices = write(tmp_path / "v.json", jsonio.vertex_set_to_json(pentagon_set))
         moments = write(tmp_path / "m.json", jsonio.moment_table_to_json(table))
         assert main(["invert", vertices, moments]) == 3
+
+    def test_huge_table_order_exits_3_at_once(self, tmp_path, capsys, pentagon_set):
+        vertices = write(tmp_path / "v.json", jsonio.vertex_set_to_json(pentagon_set))
+        table = {"dim": 2, "order": 10**30, "moments": [{"index": [0, 0], "value": "1"}]}
+        moments = write(tmp_path / "m.json", table)
+        start = time.perf_counter()
+        assert main(["invert", vertices, moments]) == 3
+        assert time.perf_counter() - start < 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and len(err) < 300
 
     def test_not_weak_exit_code(self, tmp_path):
         vs = VertexSet(2, [(0, 0), (1, 0), (2, 0), (3, 0), (0, 1)])

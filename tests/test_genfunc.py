@@ -325,11 +325,11 @@ def _reference_taylor(f, order):
         geo = Poly.constant(f.dim, 1)
         power = Poly.constant(f.dim, 1)
         for _ in range(order):
-            power = power.mul(g, order)
+            power = (power * g).drop_above(order)
             if power.is_zero():
                 break
             geo = geo + power
-        result = result.mul(geo, order)
+        result = (result * geo).drop_above(order)
     return Series(result, order)
 
 

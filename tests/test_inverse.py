@@ -129,14 +129,14 @@ class TestRecoverNumerator:
 
 
 def _reference_numerator(table, vs):
-    """The numerator as N bounded `Poly.mul` calls over the forms, then one with the series."""
+    """The numerator as N truncated `Poly` products over the forms, then one with the series."""
     from polymom.genfunc import LinearForm, moments_to_series
 
     k = numerator_degree(vs)
     phi = Poly.constant(vs.dim, 1)
     for p in vs.points:
-        phi = phi.mul(LinearForm(p).poly(), k)
-    return moments_to_series(table).poly.mul(phi, k)
+        phi = (phi * LinearForm(p).poly()).drop_above(k)
+    return (moments_to_series(table).poly * phi).drop_above(k)
 
 
 def _rational_multiset_any_dim(rng, dim, n):

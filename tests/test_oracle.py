@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction as F
 from itertools import combinations
 from math import factorial
@@ -316,3 +317,27 @@ def dot(p, q):
 
 def cross(p, q):
     return (p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2], p[0] * q[1] - p[1] * q[0])
+
+
+class TestTableChecks:
+    def test_huge_order_is_rejected_without_enumeration(self):
+        start = time.perf_counter()
+        with pytest.raises(DimensionError) as exc:
+            MomentTable(2, 10**30, {(0, 0): F(1)})
+        assert time.perf_counter() - start < 1
+        message = str(exc.value)
+        assert len(message) < 300
+        assert message.endswith(" moments, first missing [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]")
+        assert f"1 of {(10**30 + 2) * (10**30 + 1) // 2} moments" in message
+
+    def test_short_table_names_what_is_missing(self):
+        moments = {e: F(0) for e in monomials_upto(2, 2) if e != (1, 1)}
+        with pytest.raises(DimensionError, match=r"5 of 6 moments, first missing \[\(1, 1\)\]$"):
+            MomentTable(2, 2, moments)
+
+    @pytest.mark.parametrize("index", [(3, 0), (0, 0, 0), (-1, 1)])
+    def test_index_outside_the_table_is_named(self, index):
+        moments = {e: F(0) for e in monomials_upto(2, 2)}
+        moments[index] = F(1)
+        with pytest.raises(DimensionError, match=r"moment index \(.*\) is not in R\^2 up to order 2"):
+            MomentTable(2, 2, moments)

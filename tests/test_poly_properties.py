@@ -53,9 +53,3 @@ def test_additive_inverse_and_identities(a):
     assert a + Poly.zero(DIM) == a
     assert a * Poly.constant(DIM, 1) == a
     assert (a * Poly.zero(DIM)).is_zero()
-
-
-@laws
-@given(polys, polys, st.integers(-1, 7))
-def test_bounded_product_is_truncated_full_product(a, b, k):
-    assert a.mul(b, k) == (a * b).drop_above(k)
