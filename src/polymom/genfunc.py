@@ -100,6 +100,7 @@ class FormKernel:
         self.up = [[at[e[:v] + (e[v] + 1,) + e[v + 1 :]] for e in below] for v in range(dim)]
 
     def poly(self, pair) -> Poly:
+        """The polynomial a pair stands for."""
         vector, scale = pair
         return Poly._of(self.dim, {e: Fraction(x, scale) for e, x in zip(self.rows, vector) if x})
 

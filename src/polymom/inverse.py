@@ -183,8 +183,8 @@ def recover_numerator(table: MomentTable, vs: VertexSet) -> Poly:
 
     This is the truncation at degree N-d-1 of the normalized moment series
     times the product of all N vertex forms: `FormKernel.times` carries the
-    series, scaled to integers over one lcm, through all N forms and reads
-    no moment above that order.
+    series, scaled to integers over one lcm, through all N forms and forms no
+    term above that order.
     """
     kernel = FormKernel(vs.dim, numerator_degree(vs))
     if table.dim != vs.dim:

@@ -335,6 +335,13 @@ class TestTableChecks:
         with pytest.raises(DimensionError, match=r"5 of 6 moments, first missing \[\(1, 1\)\]$"):
             MomentTable(2, 2, moments)
 
+    @pytest.mark.parametrize("dim, order, kept", [(1, 9, 4), (3, 6, 40), (4, 4, 0), (4, 4, 33), (5, 3, 52)])
+    def test_missing_indices_come_in_canonical_order(self, dim, order, kept):
+        rows = monomials_upto(dim, order)
+        with pytest.raises(DimensionError) as exc:
+            MomentTable(dim, order, {e: F(0) for e in rows[:kept]})
+        assert str(exc.value).endswith(f" moments, first missing {rows[kept : kept + 5]}")
+
     @pytest.mark.parametrize("index", [(3, 0), (0, 0, 0), (-1, 1)])
     def test_index_outside_the_table_is_named(self, index):
         moments = {e: F(0) for e in monomials_upto(2, 2)}
