@@ -186,9 +186,9 @@ def recover_numerator(table: MomentTable, vs: VertexSet) -> Poly:
     series, scaled to integers over one lcm, through all N forms and forms no
     term above that order.
     """
-    kernel = FormKernel(vs.dim, numerator_degree(vs))
     if table.dim != vs.dim:
         raise DimensionError(f"moments in R^{table.dim} against vertices in R^{vs.dim}")
+    kernel = FormKernel(vs.dim, numerator_degree(vs))
     missing = set(kernel.rows) - set(table.moments)
     if missing:
         raise IncompleteMomentsError(f"need all moments up to order {kernel.degree}", missing)
