@@ -8,8 +8,7 @@ For the uniform measure on a simplex this is d!*Vol divided by the product
 of the vertex forms 1 - <v, u>, which makes every function here rational
 with denominator a sub-multiset of vertex forms.  Denominators are kept as
 form multisets and never expanded; cancellation is trial division by the
-candidate forms only.  One integer kernel, `FormKernel`, multiplies and
-divides by vertex forms, for `measure_genfunc`, `taylor` and the inverse solve.
+candidate forms only.  `FormKernel` multiplies and divides by forms in integers.
 """
 
 from __future__ import annotations
@@ -83,12 +82,9 @@ class LinearForm:
 
 
 class FormKernel:
-    """Dense integer arithmetic with vertex forms, below a degree bound.
-
-    A polynomial is an (integer vector, scale) pair over the `rows`,
-    `monomials_upto(dim, degree)`; a form is its `LinearForm.coefficients`.
-    No monomial above the degree is ever formed.
-    """
+    """Integer products and series quotients by vertex forms below a degree:
+    a polynomial is an (integer vector, scale) pair over the `rows`, and a
+    form is its `LinearForm.coefficients`."""
 
     __slots__ = ("dim", "degree", "rows", "up")
 
@@ -115,12 +111,10 @@ class FormKernel:
         return out, scale * c0
 
     def over(self, pair, form):
-        """The series quotient by the form; the scale gains c0^degree.
-
-        G = H / (1 - <v, u>) has G_j = H_j + <v, u> G_(j-1) in each degree j,
-        run in place over ascending rows of c0^degree * H.  A row of degree j
-        then stays a multiple of c0^(degree-j), so its carry divides exactly.
-        """
+        """The series quotient by the form; the scale gains c0^degree.  The
+        recurrence G_j = H_j + <v, u> G_(j-1) runs in place over ascending rows
+        of c0^degree * H: a row of degree j stays a multiple of c0^(degree-j),
+        so its carry divides exactly."""
         (vector, scale), (c0, *cv) = pair, form
         top = c0**self.degree
         out = [top * x for x in vector]
@@ -243,10 +237,8 @@ def simplex_genfunc(s, vs: VertexSet, weight, allow_degenerate=False) -> RatFun:
 def measure_genfunc(m: WeightedMeasure) -> RatFun:
     """Sum of the per-atom transforms over a common denominator, cancelled.
 
-    Each atom's weight times the common forms it lacks comes from
-    `FormKernel.times`.  The resulting denominator is always a sub-multiset of
-    the vertex forms of the input; interior vertices introduced by a
-    dissection cancel out.
+    The resulting denominator is always a sub-multiset of the vertex forms of
+    the input; interior vertices introduced by a dissection cancel out.
     """
     vs = m.vertex_set
     denominators = [
@@ -268,11 +260,7 @@ def measure_genfunc(m: WeightedMeasure) -> RatFun:
 
 
 def taylor(f: RatFun, order: int) -> Series:
-    """Exact truncated expansion of the rational function about the origin.
-
-    The numerator, scaled to integers, is divided by each denominator form in
-    turn with `FormKernel.over`, which forms no term above the order.
-    """
+    """Exact truncated expansion about the origin, one `FormKernel.over` per denominator form."""
     kernel = FormKernel(f.dim, order)
     series = integer_vector(map(f.numerator.coefficient, kernel.rows))
     for form in f.denominator:

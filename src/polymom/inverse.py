@@ -6,9 +6,8 @@ times all N vertex forms, truncated at degree N-d-1.  The weights solve an
 exact linear system whose columns are products of N-d-1 vertex forms, on a
 full-rank minor of the extended matrix (the through-pivot basis on a
 strongly non-degenerate set), where columns complementary to degenerate
-simplices carry singular limit measures.  Every product of forms, the
-numerator's included, comes from `genfunc.FormKernel`, the integer kernel
-that `taylor` and `measure_genfunc` use too.
+simplices carry singular limit measures.  The integer kernel
+`genfunc.FormKernel` forms every product of forms, the numerator's included.
 Candidates are eliminated in blocks of C(N-1, d) against the integer
 numerator, stopping at the first block whose pivots fill every row; a strong
 or forced set is one block, so one elimination picks its minor and solves.
@@ -182,9 +181,8 @@ def recover_numerator(table: MomentTable, vs: VertexSet) -> Poly:
     """Numerator of the generating function from moments up to order N-d-1.
 
     This is the truncation at degree N-d-1 of the normalized moment series
-    times the product of all N vertex forms: `FormKernel.times` carries the
-    series, scaled to integers over one lcm, through all N forms and forms no
-    term above that order.
+    times the product of all N vertex forms, which `FormKernel.times` forms
+    in integers from the series scaled over one lcm.
     """
     if table.dim != vs.dim:
         raise DimensionError(f"moments in R^{table.dim} against vertices in R^{vs.dim}")

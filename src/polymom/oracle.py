@@ -49,13 +49,10 @@ class MomentTable:
             if len(e) != self.dim or min(e, default=0) < 0 or sum(e) > self.order:
                 raise DimensionError(f"moment index {e} is not in R^{self.dim} up to order {self.order}")
         if len(self.moments) != expected:
-            # variable multisets in lexicographic order give the indices in canonical order, one at a time
-            indices = (
-                tuple(map(c.count, range(self.dim)))
-                for j in range(self.order + 1)
-                for c in combinations_with_replacement(range(self.dim), j)
-            )
-            missing = list(islice((e for e in indices if e not in self.moments), 5))
+            indices = (e for j in range(self.order + 1) for e in monomials_of_degree(self.dim, j))
+            absent = (e for e in indices if e not in self.moments)
+            # every index is in range, so exactly expected - len(moments) are absent: stop at the last
+            missing = list(islice(absent, min(5, expected - len(self.moments))))
             raise DimensionError(
                 f"moment table must be complete to order {self.order}: "
                 f"{len(self.moments)} of {expected} moments, first missing {missing}"

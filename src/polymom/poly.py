@@ -7,10 +7,8 @@ degree descending lexicographic exponents, so that for two variables the
 order reads 1, u1, u2, u1^2, u1*u2, u2^2.
 
 `Poly(dim, terms)` checks and coerces what it is given; the results of
-arithmetic, and of the integer vertex-form kernel `genfunc.FormKernel`, go
-through the unchecked `Poly._of`.  Products and series quotients by vertex
-forms 1 - <v, u> belong to that kernel, which never forms a term above its
-degree bound; `Poly.__mul__` is the plain full product.
+arithmetic go through the unchecked `Poly._of`.  `Poly.__mul__` is the full
+product; truncated products by vertex forms belong to `genfunc.FormKernel`.
 """
 
 from __future__ import annotations
@@ -29,23 +27,15 @@ def grlex_key(exponents):
 
 
 def monomials_of_degree(dim, degree):
-    """All exponent tuples of the given total degree, in canonical order."""
-    out = []
+    """All exponent tuples of the given total degree, one at a time, in canonical
+    order: variable multisets in lexicographic order count out to exactly that."""
     for combo in combinations_with_replacement(range(dim), degree):
-        exps = [0] * dim
-        for v in combo:
-            exps[v] += 1
-        out.append(tuple(exps))
-    out.sort(key=grlex_key)
-    return out
+        yield tuple(map(combo.count, range(dim)))
 
 
 def monomials_upto(dim, degree):
     """All exponent tuples of total degree <= degree, in canonical order."""
-    out = []
-    for k in range(degree + 1):
-        out.extend(monomials_of_degree(dim, k))
-    return out
+    return [e for k in range(degree + 1) for e in monomials_of_degree(dim, k)]
 
 
 class Poly:

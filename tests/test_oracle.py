@@ -330,6 +330,12 @@ class TestTableChecks:
         assert message.endswith(" moments, first missing [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]")
         assert f"1 of {(10**30 + 2) * (10**30 + 1) // 2} moments" in message
 
+    def test_zero_dimensional_table_stops_at_its_one_index(self):
+        start = time.perf_counter()
+        with pytest.raises(DimensionError, match=r": 0 of 1 moments, first missing \[\(\)\]$"):
+            MomentTable(0, 10**30, {})
+        assert time.perf_counter() - start < 1
+
     @pytest.mark.parametrize(
         "dim, order, holes",
         [(2, 2, [4]), (1, 9, range(4, 10)), (3, 6, [40, 41, 42, 50, 60, 70, 83]), (4, 4, range(70)), (5, 3, [52, 55])],

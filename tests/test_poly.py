@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction as F
+from math import comb
 
 import pytest
 
-from polymom import Poly, Series, monomials_upto
+from polymom import Poly, Series, monomials_of_degree, monomials_upto
 from polymom.errors import DimensionError
+from polymom.poly import grlex_key
 
 
 def linear(dim, const, coeffs):
@@ -26,6 +28,14 @@ def random_poly(rng, dim, degree, nterms=4):
 
 def test_canonical_order_is_the_printed_one():
     assert monomials_upto(2, 2) == [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+
+
+@pytest.mark.parametrize("dim", range(1, 6))
+def test_monomials_of_degree_come_sorted_by_grlex_key(dim):
+    for degree in range(6):
+        monos = list(monomials_of_degree(dim, degree))
+        assert monos == sorted(set(monos), key=grlex_key)
+        assert len(monos) == comb(degree + dim - 1, degree) and all(sum(e) == degree for e in monos)
 
 
 def test_product_of_two_forms():
