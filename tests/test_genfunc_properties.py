@@ -3,7 +3,9 @@ hypothesis properties.
 
 The divisors are the two kinds `genfunc` divides by: vertex forms
 1 - <v,u> (`RatFun.cancel`) and homogeneous edge pairings <w,u>
-(`brion_genfunc`).  Runs derandomized, so a failure repeats from run to run.
+(`brion_genfunc`).  sympy's division is the independent reference for the
+quotient and for exactness.  Runs derandomized, so a failure repeats from run
+to run.
 """
 
 from fractions import Fraction as F
@@ -11,6 +13,7 @@ from fractions import Fraction as F
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
+sympy = pytest.importorskip("sympy")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from polymom import LinearForm, Poly, RatFun, taylor  # noqa: E402
@@ -56,3 +59,41 @@ def test_cancel_removes_a_dividing_form_and_keeps_the_expansion(p, denominator, 
     cancelled = RatFun(p * f.poly(), denominator + [f]).cancel()
     assert len(cancelled.denominator) <= len(denominator)
     assert taylor(cancelled, 6) == taylor(RatFun(p, denominator), 6)
+
+U = sympy.symbols(f"u1:{DIM + 1}")
+
+
+def to_sympy(p):
+    return sympy.Poly.from_dict({e: sympy.Rational(c.numerator, c.denominator) for e, c in p.terms.items()}, *U, domain="QQ")
+
+
+def sympy_quotient(num, divisor):
+    """The exact quotient by sympy's division, else None: one divisor is a
+    Groebner basis of its ideal, so a zero remainder means it divides."""
+    q, r = sympy.div(to_sympy(num), to_sympy(divisor))
+    return Poly(DIM, {e: F(int(c.p), int(c.q)) for e, c in q.terms()}) if r.is_zero else None
+
+
+@properties
+@given(polys, forms, st.booleans(), polys)
+def test_divide_linear_agrees_with_sympy(p, form, homogeneous, noise):
+    g = form.pairing() if homogeneous else form.poly()
+    num = p * g + noise
+    assert divide_linear(num, g) == sympy_quotient(num, g)
+
+
+form_pools = st.lists(forms, min_size=1, max_size=3)
+picks = st.lists(st.integers(0, 2), min_size=1, max_size=4)
+
+
+@properties
+@given(nonzero_polys, form_pools, picks, picks)
+def test_cancel_leaves_no_dividing_form_and_keeps_the_expansion(p, pool, on_top, below):
+    num = p
+    for i in on_top:
+        num = num * pool[i % len(pool)].poly()
+    f = RatFun(num, [pool[i % len(pool)] for i in below])
+    cancelled = f.cancel()
+    for form in set(cancelled.denominator):
+        assert sympy_quotient(cancelled.numerator, form.poly()) is None
+    assert taylor(cancelled, 6) == taylor(f, 6)
