@@ -16,6 +16,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from math import factorial, lcm
+from operator import add
 
 from .errors import (
     DegenerateDirectionError,
@@ -165,27 +166,29 @@ class RatFun:
         return f"({num}) / {factors}" if " " in num else f"{num} / {factors}"
 
     def cancel(self) -> "RatFun":
-        """Divide out every denominator form that exactly divides the numerator."""
-        num = self.numerator
-        remaining = list(self.denominator)
-        changed = True
-        while changed and not num.is_zero():
-            changed = False
-            for i, f in enumerate(remaining):
-                q = divide_linear(num, f.poly())
-                if q is not None:
-                    num = q
-                    del remaining[i]
-                    changed = True
-                    break
+        """Divide out every denominator form that exactly divides the numerator.
+
+        Distinct vertex forms are coprime irreducibles, so dividing by one
+        leaves the multiplicity of every other in the numerator unchanged,
+        and one pass cancels each form as often as both sides hold it.
+        """
+        num, remaining = self.numerator, []
+        for f in self.denominator:
+            q = divide_linear(num, f.poly())
+            if q is None:
+                remaining.append(f)
+            else:
+                num = q
         return RatFun(num, remaining)
 
 
 def divide_linear(num: Poly, divisor: Poly):
     """Exact quotient num / divisor for a divisor of degree <= 1, else None.
 
-    Synthetic division viewing num as univariate in one variable carried by
-    the divisor, with polynomial coefficients in the others.
+    Division term by term in a variable u_k of the divisor a*u_k + rest: from
+    the top power of u_k down to 1, each term c*u_k^t*m left of num gives the
+    quotient term (c/a)*u_k^(t-1)*m, and subtracting that multiple of rest
+    lands at power t-1.  What is left at power 0 is the remainder.
     """
     if divisor.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
@@ -193,31 +196,18 @@ def divide_linear(num: Poly, divisor: Poly):
         raise DimensionError("divisor must be linear or constant")
     if divisor.degree() <= 0:
         return num * (1 / divisor.constant_term())
-    dim = num.dim
-    k = next(
-        v for v in range(dim) if any(e[v] == 1 and sum(e) == 1 for e in divisor.terms)
-    )
-    a = divisor.coefficient(tuple(1 if v == k else 0 for v in range(dim)))
-    rest = divisor - Poly.monomial(dim, tuple(1 if v == k else 0 for v in range(dim)), a)
-    by_deg = {}
-    for e, c in num.terms.items():
-        reduced = e[:k] + (0,) + e[k + 1 :]
-        by_deg.setdefault(e[k], {})[reduced] = c
-    top = max(by_deg, default=0)
-    quotient = {}
-    carry = Poly(dim, by_deg.get(top, {}))
-    for t in range(top, 0, -1):
-        q_t = carry * (1 / a)
-        quotient[t - 1] = q_t
-        below = Poly(dim, by_deg.get(t - 1, {}))
-        carry = below - rest * q_t
-    if not carry.is_zero():
-        return None
-    out = Poly.zero(dim)
-    uk = Poly.variable(dim, k)
-    for t, q in quotient.items():
-        out = out + q * uk**t
-    return out
+    k, a = next((e.index(1), c) for e, c in divisor.terms.items() if sum(e) == 1)
+    rest = [(e, c) for e, c in divisor.terms.items() if not e[k]]
+    left, quotient = dict(num.terms), {}
+    for t in range(max((e[k] for e in left), default=0), 0, -1):
+        for e in [e for e in left if e[k] == t]:
+            q = left.pop(e) / a
+            e = e[:k] + (t - 1,) + e[k + 1 :]
+            quotient[e] = q
+            for f, c in rest:
+                g = tuple(map(add, e, f))
+                left[g] = left.get(g, 0) - q * c
+    return None if any(left.values()) else Poly._of(num.dim, quotient)
 
 
 def simplex_genfunc(s, vs: VertexSet, weight, allow_degenerate=False) -> RatFun:

@@ -84,12 +84,6 @@ class Poly:
     def monomial(cls, dim, exponents, coef=1) -> "Poly":
         return cls(dim, {tuple(exponents): rat(coef)})
 
-    @classmethod
-    def variable(cls, dim, k) -> "Poly":
-        exps = [0] * dim
-        exps[k] = 1
-        return cls.monomial(dim, exps)
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -177,9 +171,6 @@ class Poly:
     def drop_above(self, degree) -> "Poly":
         """Discard all terms of total degree > degree."""
         return Poly._of(self.dim, {e: c for e, c in self.terms.items() if sum(e) <= degree})
-
-    def truncate(self, degree) -> "Series":
-        return Series(self.drop_above(degree), degree)
 
     def __repr__(self):
         return f"Poly({self})"

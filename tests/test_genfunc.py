@@ -58,7 +58,7 @@ class TestDivideLinear:
         assert divide_linear(l1 * l2 + 1, l1) is None
 
     def test_homogeneous_divisor(self):
-        u1 = Poly.variable(2, 0)
+        u1 = Poly.monomial(2, (1, 0))
         p = u1 * form(3, 7).poly()
         assert divide_linear(p, u1) == form(3, 7).poly()
 

@@ -52,8 +52,8 @@ def test_multiplicative_identity():
 
 
 def test_truncate_binomial():
-    p = (Poly.constant(1, 1) + Poly.variable(1, 0)) ** 3
-    assert p.truncate(1).poly == Poly(1, {(0,): 1, (1,): 3})
+    p = (Poly.constant(1, 1) + Poly.monomial(1, (1,))) ** 3
+    assert Series(p, 1).poly == Poly(1, {(0,): 1, (1,): 3})
 
 
 def test_partial_simple():
@@ -64,7 +64,7 @@ def test_partial_simple():
 
 def test_second_derivative_of_geometric_series():
     # d^2/du^2 of 1/(1-u) expanded to order 5 matches 2/(1-u)^3 to degree 3
-    geo = Poly(1, {(k,): 1 for k in range(6)}).truncate(5)
+    geo = Series(Poly(1, {(k,): 1 for k in range(6)}), 5)
     twice = geo.poly.partial(0).partial(0)
     expect = Poly(1, {(k,): (k + 1) * (k + 2) for k in range(4)})
     assert twice == expect
@@ -92,8 +92,8 @@ def test_truncated_product_law():
         a = random_poly(rng, 2, 4)
         b = random_poly(rng, 2, 4)
         k = rng.randint(0, 5)
-        lhs = (a * b).truncate(k)
-        rhs = (a.truncate(k).poly * b.truncate(k).poly).truncate(k)
+        lhs = Series(a * b, k)
+        rhs = Series(Series(a, k).poly * Series(b, k).poly, k)
         assert lhs == rhs
 
 
@@ -118,7 +118,7 @@ def test_homogenize_pentagon_product_column():
 
 def test_dimension_mismatch():
     with pytest.raises(DimensionError):
-        Poly.variable(2, 0) * Poly.variable(3, 0)
+        Poly.monomial(2, (1, 0)) * Poly.monomial(3, (1, 0, 0))
 
 
 @pytest.mark.parametrize("exponent", [1.5, F(1, 2)])
