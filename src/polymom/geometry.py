@@ -129,23 +129,21 @@ class WeightedMeasure:
 
     The weight of a simplex is d! times the measure it carries, so a weight
     of d!*Vol corresponds to density 1.  Duplicate simplices are merged and
-    exact-zero weights dropped.  Degenerate simplices are rejected unless
-    `allow_singular` is set (singular limit terms from the weak solver).
+    exact-zero weights dropped.  Degenerate simplices are rejected.
     """
 
     __slots__ = ("vertex_set", "atoms")
 
-    def __init__(self, vertex_set: VertexSet, atoms, allow_singular=False):
+    def __init__(self, vertex_set: VertexSet, atoms):
         merged = {}
         for s, w in atoms:
             s = check_simplex(s, vertex_set)
             w = rat(w)
             merged[s] = merged.get(s, Fraction(0)) + w
         clean = tuple(sorted((s, w) for s, w in merged.items() if w != 0))
-        if not allow_singular:
-            for s, _ in clean:
-                if is_degenerate(s, vertex_set):
-                    raise DegenerateSimplexError(f"degenerate simplex {s} in measure")
+        for s, _ in clean:
+            if is_degenerate(s, vertex_set):
+                raise DegenerateSimplexError(f"degenerate simplex {s} in measure")
         object.__setattr__(self, "vertex_set", vertex_set)
         object.__setattr__(self, "atoms", clean)
 
@@ -176,10 +174,7 @@ def density(m: WeightedMeasure):
     d = m.vertex_set.dim
     out = []
     for s, w in m.atoms:
-        vol = volume(s, m.vertex_set)
-        if vol == 0:
-            raise DegenerateSimplexError(f"degenerate simplex {s} has no density")
-        out.append((s, w / (factorial(d) * vol)))
+        out.append((s, w / (factorial(d) * volume(s, m.vertex_set))))
     return out
 
 
@@ -208,8 +203,6 @@ def rebase(m: WeightedMeasure, pivot: int) -> WeightedMeasure:
     p = vs.points[pivot]
     out = []
     for s, w in m.atoms:
-        if is_degenerate(s, vs):
-            raise DegenerateSimplexError(f"cannot rebase degenerate simplex {s}")
         if pivot in s:
             out.append((s, w))
             continue

@@ -30,7 +30,7 @@ from .geometry import Degeneracy, VertexSet, WeightedMeasure, classify
 from .linalg import RatMat, det, eliminate, integer_vector
 from .oracle import MomentTable
 from .poly import Poly, monomials_upto
-from .genfunc import FormKernel, LinearForm, moments_to_series
+from .genfunc import FormKernel, LinearForm, _normalizer
 
 
 def numerator_degree(vs: VertexSet) -> int:
@@ -187,10 +187,10 @@ def recover_numerator(table: MomentTable, vs: VertexSet) -> Poly:
     if table.dim != vs.dim:
         raise DimensionError(f"moments in R^{table.dim} against vertices in R^{vs.dim}")
     kernel = FormKernel(vs.dim, numerator_degree(vs))
-    missing = set(kernel.rows) - set(table.moments)
-    if missing:
+    if table.order < kernel.degree:
+        missing = [e for e in kernel.rows if sum(e) > table.order]
         raise IncompleteMomentsError(f"need all moments up to order {kernel.degree}", missing)
-    series = integer_vector(map(moments_to_series(table).coefficient, kernel.rows))
+    series = integer_vector(_normalizer(e, vs.dim, 0) * table[e] for e in kernel.rows)
     for p in vs.points:
         series = kernel.times(series, LinearForm(p).coefficients())
     return kernel.poly(series)

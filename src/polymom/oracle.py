@@ -49,28 +49,23 @@ class MomentTable:
             if len(e) != self.dim or min(e, default=0) < 0 or sum(e) > self.order:
                 raise DimensionError(f"moment index {e} is not in R^{self.dim} up to order {self.order}")
         if len(self.moments) != expected:
-            indices = (e for j in range(self.order + 1) for e in monomials_of_degree(self.dim, j))
-            absent = (e for e in indices if e not in self.moments)
+            message = f"moment table must be complete to order {self.order}: "
+            message += f"{len(self.moments)} of {expected} moments"
             # every index is in range, so exactly expected - len(moments) are absent: stop at the last
-            missing = list(islice(absent, min(5, expected - len(self.moments))))
-            raise DimensionError(
-                f"moment table must be complete to order {self.order}: "
-                f"{len(self.moments)} of {expected} moments, first missing {missing}"
-            )
+            shown = min(5, expected - len(self.moments))
+            # an index in R^dim prints in at least 3*dim characters: list the first absent
+            # ones, after ", first missing ", only if the line can stay under 300
+            if len(message) + 16 + shown * (3 * self.dim + 2) < 300:
+                indices = (e for j in range(self.order + 1) for e in monomials_of_degree(self.dim, j))
+                absent = (e for e in indices if e not in self.moments)
+                message += f", first missing {list(islice(absent, shown))}"
+            raise DimensionError(message)
 
     def __getitem__(self, index):
         return self.moments[tuple(index)]
 
     def sorted_items(self):
         return [(e, self.moments[e]) for e in sorted(self.moments, key=grlex_key)]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, MomentTable)
-            and self.dim == other.dim
-            and self.order == other.order
-            and self.moments == other.moments
-        )
 
 
 def _rule(d, degree):
@@ -98,9 +93,7 @@ def _rule(d, degree):
 def _atom_nodes(groups, simplex, vs: VertexSet):
     """The common denominator L of the simplex's vertices, and the rule's nodes
     on it as integer vectors X, one list per group: a node of group i is the
-    point X / (D_i L).  A flat simplex raises DegenerateSimplexError."""
-    if edge_det(simplex, vs) == 0:
-        raise DegenerateSimplexError(f"degenerate simplex {simplex}")
+    point X / (D_i L)."""
     points = [vs.points[v] for v in simplex]
     scale = lcm(*(c.denominator for p in points for c in p))
     ints = [[c.numerator * (scale // c.denominator) for c in p] for p in points]

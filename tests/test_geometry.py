@@ -138,12 +138,6 @@ class TestRebase:
         r = rebase(m, 2)
         assert measure_moments(r, 4) == measure_moments(m, 4)
 
-    def test_degenerate_atom_rejected(self):
-        vs = VertexSet(2, [(0, 0), (1, 1), (2, 2), (0, 1)])
-        m = WeightedMeasure(vs, [((0, 1, 2), 1)], allow_singular=True)
-        with pytest.raises(DegenerateSimplexError):
-            rebase(m, 3)
-
     def test_random_moment_preservation(self):
         rng = random.Random(41)
         for _ in range(10):
@@ -200,7 +194,7 @@ class TestDensity:
         m = WeightedMeasure(pentagon_set, [((0, 1, 4), 1), ((0, 1, 4), 2)])
         assert m.atoms == (((0, 1, 4), F(3)),)
 
-    def test_degenerate_rejected_without_flag(self, square_with_center):
+    def test_degenerate_rejected(self, square_with_center):
         with pytest.raises(DegenerateSimplexError):
             WeightedMeasure(square_with_center, [((0, 2, 4), 1)])
 

@@ -340,6 +340,14 @@ class TestTableChecks:
         assert len(message) < 300
         assert message.endswith(f": {tail}")
 
+    @pytest.mark.parametrize("dim, order, expected", [(10**6, 0, 1), (100, 2, 5151)])
+    def test_large_dimension_gives_counts_only(self, dim, order, expected):
+        start = time.perf_counter()
+        with pytest.raises(DimensionError) as exc:
+            MomentTable(dim, order, {})
+        assert time.perf_counter() - start < 1
+        assert str(exc.value) == f"moment table must be complete to order {order}: 0 of {expected} moments"
+
     @pytest.mark.parametrize(
         "dim, order, holes",
         [(2, 2, [4]), (1, 9, range(4, 10)), (3, 6, [40, 41, 42, 50, 60, 70, 83]), (4, 4, range(70)), (5, 3, [52, 55])],
