@@ -202,10 +202,10 @@ def divide_linear(num: Poly, divisor: Poly):
     for t in range(max((e[k] for e in left), default=0), 0, -1):
         for e in [e for e in left if e[k] == t]:
             q = left.pop(e) / a
-            e = e[:k] + (t - 1,) + e[k + 1 :]
-            quotient[e] = q
+            below = e[:k] + (t - 1,) + e[k + 1 :]
+            quotient[below] = q
             for f, c in rest:
-                g = tuple(map(add, e, f))
+                g = tuple(map(add, below, f))
                 left[g] = left.get(g, 0) - q * c
     return None if any(left.values()) else Poly._of(num.dim, quotient)
 
