@@ -33,14 +33,16 @@ FILES = {
     "measure": jsonio.measure_to_json(MEASURE),
     "table": jsonio.moment_table_to_json(measure_moments(MEASURE, 2)),
 }
-# each command: the files it reads, then its options; OUT and SVG name output files
+# each command: the files it reads, then its options; OUT and SVG stand for output paths
 COMMANDS = {
     "invert": (["vertices", "table"], ["--out", "OUT", "--svg", "SVG"]),
     "moments": (["measure"], ["--order", "2", "--out", "OUT"]),
     "genfunc": (["measure"], ["--out", "OUT"]),
     "chambers": (["vertices", "measure"], ["--svg", "SVG", "--out", "OUT"]),
 }
-REPLACEMENTS = {"null": None, "bool": True, "float": 0.5, "huge int": 10**40, "1/0": "1/0", "nested lists": [[1, [2]]]}
+REPLACEMENTS = {
+    "null": None, "bool": True, "float": 0.5, "huge int": 10**40, "1/0": "1/0", "nested lists": [[1, [2]]],
+}
 MUTATIONS = ["delete", "duplicate", *REPLACEMENTS]
 
 
@@ -81,7 +83,8 @@ def test_mutated_input_exits_documented_code_in_one_line(command, data):
             content = mutate(FILES[name], path, mutation) if name == target else FILES[name]
             argv.append(str(Path(tmp, f"{name}.json")))
             Path(argv[-1]).write_text(json.dumps(content))
-        argv += [str(Path(tmp, "out.json")) if o == "OUT" else str(Path(tmp, "map.svg")) if o == "SVG" else o for o in options]
+        outputs = {"OUT": str(Path(tmp, "out.json")), "SVG": str(Path(tmp, "map.svg"))}
+        argv += [outputs.get(o, o) for o in options]
         out, err = io.StringIO(), io.StringIO()
         start = time.perf_counter()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -64,7 +64,8 @@ U = sympy.symbols(f"u1:{DIM + 1}")
 
 
 def to_sympy(p):
-    return sympy.Poly.from_dict({e: sympy.Rational(c.numerator, c.denominator) for e, c in p.terms.items()}, *U, domain="QQ")
+    terms = {e: sympy.Rational(c.numerator, c.denominator) for e, c in p.terms.items()}
+    return sympy.Poly.from_dict(terms, *U, domain="QQ")
 
 
 def sympy_quotient(num, divisor):
