@@ -60,6 +60,7 @@ def test_cancel_removes_a_dividing_form_and_keeps_the_expansion(p, denominator, 
     assert len(cancelled.denominator) <= len(denominator)
     assert taylor(cancelled, 6) == taylor(RatFun(p, denominator), 6)
 
+
 U = sympy.symbols(f"u1:{DIM + 1}")
 
 
