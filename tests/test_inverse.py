@@ -586,6 +586,35 @@ class TestSolverProperties:
         assert weak >= 10
 
 
+class TestStrongSolveProperties:
+    def test_default_solve_equals_forced_strong_elimination(self):
+        """On strong sets the default solve and basis equal the forced through-pivot elimination."""
+        rng = random.Random(1313)
+        shapes = [(1, n) for n in (3, 4, 5, 6)] + [(2, n) for n in (4, 5, 6, 7)] + [(3, n) for n in (5, 6, 7)]
+        for case in range(44):
+            dim, n = shapes[case % len(shapes)]
+            vs = random_strong_set(rng, dim, n)
+            pivot = rng.randrange(n)
+            strong = strong_basis(vs, pivot)
+            assert select_minor(vs, pivot) == strong
+            k = numerator_degree(vs)
+            if case % 2:
+                planted = [F(rng.randint(-9, 9), rng.randint(1, 3)) for _ in strong.columns]
+                measure = WeightedMeasure(vs, list(zip(strong.simplices(), planted)))
+                tables = [measure_moments(measure, order) for order in (k, k + 2)]
+            else:
+                tables = []
+                for order in (k, k + 2):
+                    values = {e: F(rng.randint(-99, 99), rng.randint(1, 9)) for e in monomials_upto(dim, order)}
+                    tables.append(MomentTable(dim, order, values))
+            for table in tables:
+                rec = reconstruct(table, vs, pivot)
+                assert rec == reconstruct(table, vs, pivot, strong.columns)
+                assert [s for s, _, _ in rec.weights] == strong.simplices()
+            if case % 2:
+                assert list(rec.weight_vector()) == planted
+
+
 def _rational_multiset(rng, n):
     """n points of a 5 x 5 grid, one repeated, under a rational affine map.
 
