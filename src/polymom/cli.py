@@ -45,10 +45,10 @@ def _load_json(path):
 
 
 def _decode(convert, path):
-    """Convert a JSON input file; a wrong shape or value type is malformed input."""
-    data = _load_json(path)
+    """Convert a JSON input file; a wrong shape or value type is malformed input, and so is
+    a file `json.load` rejects with a plain ValueError (an integer past the digit limit)."""
     try:
-        return convert(data)
+        return convert(_load_json(path))
     except KeyError as exc:
         raise CliError(EXIT_PARSE, f"{path}: missing key {exc}")
     except (TypeError, ValueError, ArithmeticError) as exc:

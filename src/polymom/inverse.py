@@ -8,9 +8,9 @@ full-rank minor of the extended matrix (the through-pivot basis on a
 strongly non-degenerate set), where columns complementary to degenerate
 simplices carry singular limit measures.  The integer kernel
 `genfunc.FormKernel` forms every product of forms, the numerator's included.
-Candidates are eliminated in blocks of C(N-1, d) against the integer
-numerator, stopping at the first block whose pivots fill every row; a strong
-or forced set is one block, so one elimination picks its minor and solves.
+A strong set is solved in closed form, one numerator evaluation per weight;
+forced columns and weak sets are eliminated in blocks of C(N-1, d) against
+the integer numerator, up to the first block whose pivots fill every row.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, prod
+from operator import getitem, mul
 
 from .errors import (
     DimensionError,
@@ -126,55 +127,41 @@ def build_extended(vs: VertexSet) -> RatMat:
     return product_matrix(FormBasis(vs, len(vs) - 1, extended_columns(vs)))
 
 
-def _homogenized(vs: VertexSet, indices) -> list:
-    """Rows 1, -x_1, ..., -x_d of the given vertices' forms, one column per vertex."""
-    return [[Fraction(1)] * len(indices)] + [[-vs.points[i][k] for i in indices] for k in range(vs.dim)]
+def _cofactors(rows) -> list:
+    """Integer cofactors of d rows of length d+1: with a row x on top, the determinant is x . cofactors.
+    Laplace expansion along the first row, taking the rows bottom-up, forms each minor once."""
+    width, minors = len(rows) + 1, {(): 1}
+    for r, row in enumerate(reversed(rows), 1):
+        minors = {
+            cols: sum((-1) ** i * row[c] * minors[cols[:i] + cols[i + 1 :]] for i, c in enumerate(cols))
+            for cols in combinations(range(width), r)
+        }
+    return [(-1) ** i * minors[tuple(c for c in range(width) if c != i)] for i in range(width)]
 
 
-def _form_minor_det(vs: VertexSet, indices) -> Fraction:
-    """Determinant of the homogenized forms of the given d+1 vertices."""
-    return det(RatMat.from_rows(_homogenized(vs, indices)))
+def _closed_form(basis: FormBasis):
+    """Per column J of a strong through-pivot basis: at c_J, the `_cofactors` of the non-pivot forms
+    outside J, the monomials over `FormKernel.rows` homogenized to degree N-d-1, and the product P_J
+    of J's forms as the integer pair (P_J^h(c_J) * scale, scale), nonzero.  Every other column's
+    product vanishes at c_J, so p has weight p^h(c_J) / P_J^h(c_J) on J."""
+    vs = basis.vertex_set
+    k = numerator_degree(vs)
+    exponents = [(k - sum(e), *e) for e in monomials_upto(vs.dim, k)]
+    forms = [LinearForm(p).coefficients() for p in vs.points]
+    for column in basis.columns:
+        point = _cofactors([f for i, f in enumerate(forms) if i != basis.pivot and i not in column])
+        powers = [[x**t for t in range(k + 1)] for x in point]
+        values = [prod(map(getitem, powers, e)) for e in exponents]
+        yield values, prod(sum(map(mul, forms[j], point)) for j in column), prod(forms[j][0] for j in column)
 
 
 def explicit_inverse(basis: FormBasis) -> RatMat:
-    """Closed-form inverse of the product matrix for strong bases.
-
-    The row for a product of forms J has, at the monomial with homogenized
-    exponents (n_0, ..., n_d), the entry
-
-        prod_j  c_j ^ n_j   /   prod over j' in J of  D(j', complement)
-
-    where the c_j are the coefficients of the linear form obtained by
-    replacing the first column of the complement's homogenized minor with
-    (u_0, ..., u_d), and D(j', I) is that minor with the form j' in front.
-    """
-    vs = basis.vertex_set
-    d = vs.dim
-    n = len(vs)
-    k = numerator_degree(vs)
-    ground = [i for i in range(n) if i != basis.pivot]
-    if classify(vs).kind is not Degeneracy.STRONG:
+    """Closed-form inverse of the product matrix for strong bases: row J is `_closed_form` at c_J."""
+    if classify(basis.vertex_set).kind is not Degeneracy.STRONG:
         raise NotStronglyNonDegenerateError("explicit inverse requires a strongly non-degenerate set")
-    rows = []
-    mono = monomials_upto(d, k)
-    for column in basis.columns:
-        complement = [i for i in ground if i not in column]
-        if len(complement) != d:
-            raise DimensionError("explicit inverse requires a strong through-pivot basis")
-        hom = _homogenized(vs, complement)
-        coeffs = [(-1) ** j * det(RatMat.from_rows(hom[:j] + hom[j + 1 :])) for j in range(d + 1)]
-        denom = Fraction(1)
-        for j in column:
-            denom *= _form_minor_det(vs, [j] + complement)
-        row = []
-        for exps in mono:
-            n0 = k - sum(exps)
-            entry = coeffs[0] ** n0
-            for v, e in enumerate(exps):
-                entry *= coeffs[v + 1] ** e
-            row.append(entry / denom)
-        rows.append(row)
-    return RatMat.from_rows(rows)
+    if any(basis.pivot in column for column in basis.columns):
+        raise DimensionError("explicit inverse requires a strong through-pivot basis")
+    return RatMat.from_rows([[Fraction(x * s, p) for x in v] for v, p, s in _closed_form(basis)])
 
 
 def recover_numerator(table: MomentTable, vs: VertexSet) -> Poly:
@@ -234,11 +221,12 @@ def _choose(vs: VertexSet, pivot, forced, table=None):
     """The column choice and solve behind `select_minor` and `reconstruct`.
 
     A forced set, its size C(N-1, d) included, is checked before any moment
-    is read.  The candidates are the forced columns, or else three buckets,
-    each ascending: columns complementary to degenerate simplices (their
-    singular measures are independent of everything else), then to
-    through-pivot simplices, then the rest.  A strong set has no degenerate
-    simplex, so its through-pivot columns come first and fill every row.
+    is read.  A strong set without them takes its through-pivot basis, each
+    weight N^h(c_J) / P_J^h(c_J) by `_closed_form`.  Otherwise the candidates
+    are the forced columns, or else three buckets, each ascending: columns
+    complementary to degenerate simplices (their singular measures are
+    independent of everything else), then to through-pivot simplices, then
+    the rest.
 
     The candidates are taken in blocks of C(N-1, d), the minor size and the
     row count.  Each block eliminates [pivot columns kept so far | next
@@ -271,16 +259,22 @@ def _choose(vs: VertexSet, pivot, forced, table=None):
             raise DimensionError("forced column set is not a set of valid columns")
         if len(candidates) != size:
             raise NotWeaklyNonDegenerateError(not_a_minor)
-    else:
-        def bucket(c):
-            s = simplex_for_column(c, n)
-            return 0 if s in degenerate else 1 if pivot in s else 2
-        candidates = sorted(extended_columns(vs), key=bucket)  # stable: ascending in each bucket
     rhs, rhs_scale = [], 1
     if table is not None:
         numerator = recover_numerator(table, vs).coefficient
         vector, rhs_scale = integer_vector(map(numerator, monomials_upto(vs.dim, numerator_degree(vs))))
         rhs.append(vector)
+    if forced is None and cls.kind is Degeneracy.STRONG:
+        basis = strong_basis(vs, pivot)
+        if not rhs:
+            return basis, None, degenerate
+        weights = [Fraction(sum(map(mul, vector, v)) * s, rhs_scale * p) for v, p, s in _closed_form(basis)]
+        return basis, weights, degenerate
+    if forced is None:
+        def bucket(c):
+            s = simplex_for_column(c, n)
+            return 0 if s in degenerate else 1 if pivot in s else 2
+        candidates = sorted(extended_columns(vs), key=bucket)  # stable: ascending in each bucket
     kept = []  # (column, integer vector, scale) of the pivot columns so far
     for start in range(0, len(candidates), size):
         new = candidates[start : start + size]
@@ -306,8 +300,9 @@ def select_minor(vs: VertexSet, pivot=None, forced=None) -> FormBasis:
 def reconstruct(table: MomentTable, vs: VertexSet, pivot=None, columns=None) -> Reconstruction:
     """Weights over the minor `select_minor` chooses, matching the moments.
 
-    On a strongly non-degenerate set this is the through-pivot basis;
-    otherwise degenerate columns carry the singular terms.
+    On a strongly non-degenerate set this is the through-pivot basis, solved
+    in closed form unless columns are forced; otherwise degenerate columns
+    carry the singular terms.
     """
     basis, weights, degenerate = _choose(vs, pivot, columns, table)
     entries = tuple((s, w, s in degenerate) for s, w in zip(basis.simplices(), weights))
@@ -359,11 +354,11 @@ def det_factor_report(vs: VertexSet, columns) -> DetFactorReport:
     if m.rows != m.cols:
         raise DimensionError("determinant factorization needs a square minor")
     d_value = det(m)
-    qualifying = []
+    forms = [LinearForm(p).coefficients() for p in vs.points]
+    qualifying = [s for s in combinations(range(n), vs.dim + 1) if all(set(s) & set(c) for c in columns)]
     product = Fraction(1)
-    for j_set in combinations(range(n), vs.dim + 1):
-        if all(set(j_set) & set(c) for c in columns):
-            qualifying.append(j_set)
-            product *= _form_minor_det(vs, list(j_set))
+    for j_set in qualifying:
+        first, *rest = (forms[j] for j in j_set)
+        product *= Fraction(sum(map(mul, first, _cofactors(rest))), prod(forms[j][0] for j in j_set))
     ratio = d_value / product if product != 0 else None
     return DetFactorReport(d_value, tuple(qualifying), product, ratio)

@@ -44,13 +44,18 @@ class MomentTable:
             raise DimensionError(f"moment order must be non-negative, got {self.order}")
         if self.dim < 0:
             raise DimensionError(f"moment table dimension must be non-negative, got {self.dim}")
-        expected = comb(self.order + self.dim, self.dim)
+        # comb(order + dim, dim) in partial products, which at least double: stop past 10^100 > len(moments)
+        n, m, expected, cap = self.order + self.dim, min(self.order, self.dim), 1, 10**100
+        for i in range(1, m + 1):
+            expected = expected * (n - m + i) // i
+            if expected > cap:
+                break
         for e in self.moments:
             if len(e) != self.dim or min(e, default=0) < 0 or sum(e) > self.order:
                 raise DimensionError(f"moment index {e} is not in R^{self.dim} up to order {self.order}")
         if len(self.moments) != expected:
             message = f"moment table must be complete to order {self.order}: "
-            message += f"{len(self.moments)} of {expected} moments"
+            message += f"{len(self.moments)} of {expected if expected <= cap else 'more than 10^100'} moments"
             # every index is in range, so exactly expected - len(moments) are absent: stop at the last
             shown = min(5, expected - len(self.moments))
             # an index in R^dim prints in at least 3*dim characters: list the first absent

@@ -154,25 +154,25 @@ def suite_detfactor(seed: int) -> SuiteReport:
 
 
 def suite_roundtrip(seed: int, cases=200) -> SuiteReport:
-    """reconstruct inverts oracle moments of random weighted measures exactly."""
+    """reconstruct inverts oracle moments of random weighted measures exactly,
+    and its closed form agrees with the elimination on the same columns forced."""
     rng = random.Random(seed)
     report = SuiteReport("roundtrip")
     shapes = [(2, n) for n in (4, 5, 6, 7)] + [(3, 5), (3, 6)]
     while report.cases < cases:
         dim, n = rng.choice(shapes)
         vs = random_strong_set(rng, dim, n)
-        basis = inverse.strong_basis(vs)
+        pivot = rng.randrange(n)
+        basis = inverse.strong_basis(vs, pivot)
         weights = [random_rational(rng, span=9, max_den=3) for _ in basis.columns]
         measure = WeightedMeasure(vs, list(zip(basis.simplices(), weights)))
         table = oracle.measure_moments(measure, inverse.numerator_degree(vs))
-        rec = inverse.reconstruct(table, vs)
-        got = dict(((s, w) for s, w, _ in rec.weights))
-        want = {}
-        for s, w in zip(basis.simplices(), weights):
-            want[s] = want.get(s, Fraction(0)) + w
+        rec = inverse.reconstruct(table, vs, pivot)
         report.cases += 1
-        if any(got.get(s, 0) != w for s, w in want.items()):
-            report.failures.append(f"weights {want} came back as {got} on {vs}")
+        if list(rec.weight_vector()) != weights:
+            report.failures.append(f"weights {weights} came back as {rec.weights} on {vs} with pivot {pivot}")
+        if rec != inverse.reconstruct(table, vs, pivot, basis.columns):
+            report.failures.append(f"closed form and forced elimination differ on {vs} with pivot {pivot}")
     return report
 
 

@@ -306,6 +306,16 @@ class TestInvertMalformedInput:
         assert code == 2
         assert err.startswith("error:") and err.count("\n") == 1
 
+    def test_integer_past_the_digit_limit(self, tmp_path, capsys, pentagon_moments):
+        """json.load raises a plain ValueError for a literal of more than 4 300 digits."""
+        vertices = tmp_path / "v.json"
+        vertices.write_text('{"dim": 2, "points": [[%s, 0], [0, 1], [0, 0]]}' % ("9" * 4400))
+        moments = write(tmp_path / "m.json", jsonio.moment_table_to_json(pentagon_moments))
+        assert main(["invert", str(vertices), moments]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {vertices}: ") and "4400 digits" in err
+        assert err.count("\n") == 1 and len(err) <= 300
+
     def test_non_integer_column_number(self, tmp_path, capsys, square_with_center, pentagon_moments):
         vertices = write(tmp_path / "v.json", jsonio.vertex_set_to_json(square_with_center))
         moments = write(tmp_path / "m.json", jsonio.moment_table_to_json(pentagon_moments))

@@ -614,6 +614,34 @@ class TestStrongSolveProperties:
             if case % 2:
                 assert list(rec.weight_vector()) == planted
 
+    def test_forced_columns_on_strong_sets_keep_the_elimination(self, monkeypatch):
+        """Forced columns eliminate once, even a strong set's; the default solve does not eliminate."""
+        calls = []
+        forward = linalg._bareiss_forward
+
+        def counted(*args):
+            calls.append(1)
+            return forward(*args)
+
+        monkeypatch.setattr(linalg, "_bareiss_forward", counted)
+        rng = random.Random(1314)
+        for dim, n in [(1, 4), (2, 5), (2, 6), (3, 6)] * 3:
+            vs = random_strong_set(rng, dim, n)
+            pivot = rng.randrange(n)
+            other = strong_basis(vs, (pivot + 1) % n)
+            values = {e: F(rng.randint(-99, 99), rng.randint(1, 9)) for e in monomials_upto(dim, n - dim - 1)}
+            table = MomentTable(dim, n - dim - 1, values)
+            calls.clear()
+            classify(vs)
+            by_classify = len(calls)
+            calls.clear()
+            rec = reconstruct(table, vs, other.pivot)
+            assert len(calls) == by_classify
+            calls.clear()
+            forced = reconstruct(table, vs, pivot, other.columns)
+            assert len(calls) == by_classify + 1
+            assert (forced.pivot, forced.weights) == (pivot, rec.weights)
+
 
 def _rational_multiset(rng, n):
     """n points of a 5 x 5 grid, one repeated, under a rational affine map.
@@ -717,13 +745,17 @@ class TestOneElimination:
             return forward(*args)
 
         monkeypatch.setattr(linalg, "_bareiss_forward", counted)
-        for vs, table, pivot, forced in solver_cases:
+        # a default strong set is solved in closed form; weak and forced sets eliminate once
+        for (vs, table, pivot, forced), eliminations in zip(solver_cases, (0, 1, 1)):
             calls.clear()
             classify(vs)
             by_classify = len(calls)
             calls.clear()
             reconstruct(table, vs, pivot, forced)
-            assert len(calls) == by_classify + 1
+            assert len(calls) == by_classify + eliminations
+            calls.clear()
+            select_minor(vs, pivot, forced)
+            assert len(calls) == by_classify + eliminations
 
     def test_moment_errors_come_before_a_singular_forced_minor(self, square_with_center):
         """A square forced set is only found singular by the elimination, after the moments."""

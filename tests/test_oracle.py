@@ -21,6 +21,7 @@ from polymom import (
     simplex_monomial_moment,
     uniform_measure,
 )
+from polymom.cli import main
 from polymom.errors import DegenerateSimplexError, DimensionError, NotSpanningError
 from polymom.geometry import edge_det, is_degenerate
 from polymom.poly import monomials_upto
@@ -347,6 +348,19 @@ class TestTableChecks:
             MomentTable(dim, order, {})
         assert time.perf_counter() - start < 1
         assert str(exc.value) == f"moment table must be complete to order {order}: 0 of {expected} moments"
+
+    @pytest.mark.parametrize("dim", [200, 10**5])
+    def test_count_past_the_print_limit_exits_3_at_once(self, dim, tmp_path, capsys):
+        """comb(10^30 + dim, dim) is not computed: it has thousands of digits and takes seconds."""
+        vertices, moments = tmp_path / "v.json", tmp_path / "m.json"
+        vertices.write_text('{"dim": 2, "points": [[0, 0], [1, 0], [0, 1], [1, 1]]}')
+        moments.write_text('{"dim": %d, "order": %d, "moments": []}' % (dim, 10**30))
+        start = time.perf_counter()
+        assert main(["invert", str(vertices), str(moments)]) == 3
+        assert time.perf_counter() - start < 1
+        out, err = capsys.readouterr()
+        assert out == "" and len(err) <= 300
+        assert err == f"error: moment table must be complete to order {10**30}: 0 of more than 10^100 moments\n"
 
     @pytest.mark.parametrize(
         "dim, order, holes",
