@@ -45,8 +45,8 @@ def _load_json(path):
 
 
 def _decode(convert, path):
-    """Convert a JSON input file; a wrong shape or value type is malformed input, and so is
-    a file `json.load` rejects with a plain ValueError (an integer past the digit limit)."""
+    """Convert a JSON input file; a wrong shape or value type is malformed input, and so is a file
+    `json.load` rejects with a plain ValueError (not UTF-8, or an integer past the digit limit)."""
     try:
         return convert(_load_json(path))
     except KeyError as exc:

@@ -306,14 +306,22 @@ class TestInvertMalformedInput:
         assert code == 2
         assert err.startswith("error:") and err.count("\n") == 1
 
-    def test_integer_past_the_digit_limit(self, tmp_path, capsys, pentagon_moments):
-        """json.load raises a plain ValueError for a literal of more than 4 300 digits."""
+    @pytest.mark.parametrize(
+        "text, reason",
+        [
+            (b'{"dim": 2, "points": [[%s, 0], [0, 1], [0, 0]]}' % (b"9" * 4400), "4400 digits"),
+            (b'{"dim": 2, "points": [["\xff", 0]]}', "utf-8"),
+        ],
+        ids=["past-the-digit-limit", "not-utf-8"],
+    )
+    def test_plain_value_error_from_json_load(self, tmp_path, capsys, pentagon_moments, text, reason):
+        """json.load raises a plain ValueError for a literal past 4 300 digits or bytes not in UTF-8."""
         vertices = tmp_path / "v.json"
-        vertices.write_text('{"dim": 2, "points": [[%s, 0], [0, 1], [0, 0]]}' % ("9" * 4400))
+        vertices.write_bytes(text)
         moments = write(tmp_path / "m.json", jsonio.moment_table_to_json(pentagon_moments))
         assert main(["invert", str(vertices), moments]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {vertices}: ") and "4400 digits" in err
+        assert err.startswith(f"error: {vertices}: ") and reason in err
         assert err.count("\n") == 1 and len(err) <= 300
 
     def test_non_integer_column_number(self, tmp_path, capsys, square_with_center, pentagon_moments):
