@@ -65,4 +65,8 @@ from .linalg import inverse as mat_inverse
 from .oracle import MomentTable, axial_moment, measure_moments, simplex_monomial_moment
 from .poly import Poly, Series, monomials_of_degree, monomials_upto
 
+# The seeded property suites of `polymom verify`; suite "x-y" is `verify.suite_x_y`.
+# They are named here so that the CLI can list them without importing `verify`.
+SUITE_NAMES = ("brion", "chambers", "density-op", "detfactor", "rebase", "roundtrip")
+
 __version__ = "0.1.0"

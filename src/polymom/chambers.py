@@ -13,12 +13,12 @@ and the map can be rendered as a deterministic SVG with exact "p/q" labels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import DimensionError
 from .geometry import VertexSet
+from .value import Value
 
 
 def _canonical_line(p, q):
@@ -112,22 +112,36 @@ def _centroid(polygon):
     )
 
 
-@dataclass
-class Chamber:
-    polygon: tuple  # CCW cycle of exact (x, y) vertices
-    point: tuple  # representative interior point (vertex centroid)
-    sides: int  # bit k set iff the chamber lies on the positive side of lines[k]
-    density: Fraction | None = None
+class Chamber(Value):
+    """One cell of the map.
+
+    `polygon` is its CCW cycle of exact (x, y) vertices and `point` a
+    representative interior point (the vertex centroid).  Bit k of `sides`
+    is set iff the chamber lies on the positive side of `lines[k]`.
+    """
+
+    __slots__ = ("polygon", "point", "sides", "density")
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+
+    def __init__(self, polygon: tuple, point: tuple, sides: int, density: Fraction | None = None):
+        self._fill(polygon, point, sides, density)
 
     def area(self) -> Fraction:
         return _polygon_area(self.polygon)
 
 
-@dataclass
-class ChamberMap:
-    vertex_set: VertexSet
-    lines: tuple
-    chambers: tuple
+class ChamberMap(Value):
+    """The chambers of a vertex set's point-pair lines.
+
+    `edges` maps each index pair (i, j), i < j, of distinct points to the
+    position of their line in `lines`.
+    """
+
+    __slots__ = ("vertex_set", "lines", "chambers", "edges")
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+
+    def __init__(self, vertex_set: VertexSet, lines: tuple, chambers: tuple, edges: dict):
+        self._fill(vertex_set, lines, chambers, edges)
 
 
 def build_chambers(vs: VertexSet) -> ChamberMap:
@@ -135,14 +149,14 @@ def build_chambers(vs: VertexSet) -> ChamberMap:
     if vs.dim != 2:
         raise DimensionError("chamber decomposition is implemented for d = 2 only")
     pts = list(vs.points)
-    lines = sorted(
-        {
-            _canonical_line(pts[i], pts[j])
-            for i in range(len(pts))
-            for j in range(i + 1, len(pts))
-            if pts[i] != pts[j]
-        }
-    )
+    pairs = {
+        (i, j): _canonical_line(pts[i], pts[j])
+        for i in range(len(pts))
+        for j in range(i + 1, len(pts))
+        if pts[i] != pts[j]
+    }
+    lines = sorted(set(pairs.values()))
+    index = {line: k for k, line in enumerate(lines)}
     cells = [(tuple(convex_hull_2d(pts)), 0)]
     for k, line in enumerate(lines):
         next_cells = []
@@ -155,23 +169,24 @@ def build_chambers(vs: VertexSet) -> ChamberMap:
         cells = next_cells
     chambers = [Chamber(cell, _centroid(cell), sides) for cell, sides in cells]
     chambers.sort(key=lambda ch: ch.point)
-    return ChamberMap(vs, tuple(lines), tuple(chambers))
+    return ChamberMap(vs, tuple(lines), tuple(chambers), {pair: index[line] for pair, line in pairs.items()})
 
 
-def _triangle_sides(tri, index):
+def _triangle_sides(simplex, cm: ChamberMap):
     """(mask, sides): a chamber lies in the triangle iff its sides & mask == sides.
 
     mask has the bits of the three edge lines, sides those of the edges whose
     opposite vertex is on the positive side.  The triangle must not be flat.
     """
+    points = cm.vertex_set.points
     mask = sides = 0
-    for k in range(3):
-        p, q, r = tri[k], tri[k - 2], tri[k - 1]
-        a, b, c = line = _canonical_line(p, q)
-        bit = 1 << index[line]
-        mask |= bit
-        if a * r[0] + b * r[1] + c > 0:
-            sides |= bit
+    for k, opposite in enumerate(simplex):
+        line = cm.edges[tuple(sorted(simplex[:k] + simplex[k + 1 :]))]
+        a, b, c = cm.lines[line]
+        x, y = points[opposite]
+        mask |= 1 << line
+        if a * x + b * y + c > 0:
+            sides |= 1 << line
     return mask, sides
 
 
@@ -181,9 +196,7 @@ def chamber_densities(cm: ChamberMap, simplex_densities) -> ChamberMap:
     `simplex_densities` is a list of (simplex, density) pairs of non-degenerate
     triangles over the map's vertex set, as produced by geometry.density.
     """
-    vs = cm.vertex_set
-    index = {line: k for k, line in enumerate(cm.lines)}
-    tris = [(*_triangle_sides([vs.points[i] for i in s], index), d) for s, d in simplex_densities]
+    tris = [(*_triangle_sides(s, cm), d) for s, d in simplex_densities]
     chambers = []
     for ch in cm.chambers:
         total = Fraction(0)
@@ -191,7 +204,7 @@ def chamber_densities(cm: ChamberMap, simplex_densities) -> ChamberMap:
             if ch.sides & mask == sides:
                 total += dens
         chambers.append(Chamber(ch.polygon, ch.point, ch.sides, total))
-    return ChamberMap(vs, cm.lines, tuple(chambers))
+    return ChamberMap(cm.vertex_set, cm.lines, tuple(chambers), cm.edges)
 
 
 # --- SVG output -----------------------------------------------------------

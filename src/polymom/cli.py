@@ -14,10 +14,9 @@ import argparse
 import json
 import sys
 
-from . import chambers, genfunc, inverse, jsonio, oracle, verify
+from . import SUITE_NAMES, genfunc, inverse, jsonio, oracle
 from .errors import DimensionError, PolymomError, PreconditionError
 from .geometry import density
-from .verify import SUITES
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -107,6 +106,8 @@ def cmd_invert(args):
                 EXIT_SINGULAR,
                 f"singular reconstruction (degenerate weight on {rec.singular_simplices}); no SVG",
             )
+        from . import chambers  # on demand: an invert without --svg never draws
+
         cm = chambers.chamber_densities(chambers.build_chambers(vs), density(rec.to_measure()))
         chambers.write_svg(cm, args.svg)
     if rec.is_singular:
@@ -119,6 +120,8 @@ def cmd_invert(args):
 
 
 def cmd_chambers(args):
+    from . import chambers
+
     vs = _decode(jsonio.vertex_set_from_json, args.vertices)
     measure = _decode(jsonio.measure_from_json, args.measure)
     if measure.vertex_set != vs:
@@ -133,6 +136,8 @@ def cmd_chambers(args):
 
 
 def cmd_verify(args):
+    from . import verify
+
     report = verify.run_suite(args.suite, args.seed)
     print(report.summary())
     return EXIT_OK if report.passed else EXIT_INTERNAL
@@ -173,7 +178,7 @@ def build_parser():
     p.set_defaults(func=cmd_chambers)
 
     p = sub.add_parser("verify", help="run a seeded property suite")
-    p.add_argument("suite", choices=sorted(SUITES))
+    p.add_argument("suite", choices=sorted(SUITE_NAMES))
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_verify)
 

@@ -28,9 +28,10 @@ from .geometry import VertexSet, WeightedMeasure, check_simplex, is_degenerate
 from .linalg import RatMat, det, integer_vector, rat
 from .oracle import MomentTable
 from .poly import Poly, Series, monomials_upto
+from .value import Value
 
 
-class LinearForm:
+class LinearForm(Value):
     """The affine form 1 - <v, u> attached to a vertex v.
 
     The zero vertex stands for the constant form 1, which is dropped from
@@ -40,10 +41,7 @@ class LinearForm:
     __slots__ = ("vertex",)
 
     def __init__(self, vertex):
-        object.__setattr__(self, "vertex", tuple(rat(c) for c in vertex))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LinearForm is immutable")
+        self._fill(tuple(rat(c) for c in vertex))
 
     @property
     def dim(self):
@@ -68,9 +66,6 @@ class LinearForm:
                 exps[k] = 1
                 terms[tuple(exps)] = c
         return Poly(self.dim, terms)
-
-    def __eq__(self, other):
-        return isinstance(other, LinearForm) and self.vertex == other.vertex
 
     def __hash__(self):
         return hash(self.vertex)
@@ -126,7 +121,7 @@ class FormKernel:
         return out, scale * top
 
 
-class RatFun:
+class RatFun(Value):
     """Polynomial numerator over a multiset of vertex linear forms."""
 
     __slots__ = ("numerator", "denominator")
@@ -138,22 +133,13 @@ class RatFun:
                 raise DimensionError("denominator form dimension mismatch")
         if numerator.is_zero():
             denom = ()
-        object.__setattr__(self, "numerator", numerator)
-        object.__setattr__(self, "denominator", denom)
+        self._fill(numerator, denom)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("RatFun is immutable")
+    __hash__ = None
 
     @property
     def dim(self):
         return self.numerator.dim
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RatFun)
-            and self.numerator == other.numerator
-            and self.denominator == other.denominator
-        )
 
     def __repr__(self):
         return f"RatFun({self})"

@@ -9,14 +9,14 @@ tests, never epsilon comparisons.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import factorial
 from operator import index
 
 from .errors import DegenerateSimplexError, DimensionError, NotSpanningError
-from .linalg import RatMat, det, rank, rat
+from .linalg import RatMat, det, integer_rank, integer_vector, rank, rat
+from .value import Value
 
 
 class Degeneracy(enum.Enum):
@@ -25,7 +25,7 @@ class Degeneracy(enum.Enum):
     NEITHER = "neither"
 
 
-class VertexSet:
+class VertexSet(Value):
     """Ordered, possibly repeating points with Fraction coordinates in R^d."""
 
     __slots__ = ("dim", "points")
@@ -35,25 +35,12 @@ class VertexSet:
         pts = tuple(tuple(rat(c) for c in p) for p in points)
         if any(len(p) != dim for p in pts):
             raise DimensionError(f"every point must have {dim} coordinates")
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "points", pts)
+        self._fill(dim, pts)
         if self.affine_rank(range(len(pts))) != dim + 1:
             raise NotSpanningError(f"{len(pts)} points do not affinely span R^{dim}")
 
-    def __setattr__(self, name, value):
-        raise AttributeError("VertexSet is immutable")
-
     def __len__(self):
         return len(self.points)
-
-    def __eq__(self, other):
-        return isinstance(other, VertexSet) and self.dim == other.dim and self.points == other.points
-
-    def __hash__(self):
-        return hash((self.dim, self.points))
-
-    def __repr__(self):
-        return f"VertexSet(dim={self.dim}, points={self.points})"
 
     def affine_rank(self, indices) -> int:
         """Rank of the selected points viewed projectively (homogenized)."""
@@ -97,10 +84,13 @@ def is_degenerate(s, vs: VertexSet) -> bool:
     return edge_det(s, vs) == 0
 
 
-@dataclass(frozen=True)
-class Classification:
-    kind: Degeneracy
-    degenerate: tuple  # all non-spanning (d+1)-index-subsets, canonical order
+class Classification(Value):
+    """The kind of a vertex set, with all its non-spanning (d+1)-index-subsets in canonical order."""
+
+    __slots__ = ("kind", "degenerate")
+
+    def __init__(self, kind: Degeneracy, degenerate: tuple):
+        self._fill(kind, degenerate)
 
 
 def classify(vs: VertexSet) -> Classification:
@@ -109,10 +99,13 @@ def classify(vs: VertexSet) -> Classification:
     Strong: every (d+1)-subset spans.  Weak: some (d+1)-subset is flat but
     every (d+2)-subset still spans.  The degenerate list is exhaustive either
     way, which is what the dimension formula of the inverse solver consumes.
+    A (d+1)-subset spans when its homogenized points, each scaled to an
+    integer row once, have full `integer_rank`.
     """
     d = vs.dim
+    rows = [integer_vector([1, *p])[0] for p in vs.points]
     degenerate = tuple(
-        s for s in combinations(range(len(vs)), d + 1) if not vs.spans(s)
+        s for s in combinations(range(len(vs)), d + 1) if integer_rank(rows[i] for i in s) <= d
     )
     if not degenerate:
         return Classification(Degeneracy.STRONG, ())
@@ -124,7 +117,7 @@ def classify(vs: VertexSet) -> Classification:
     return Classification(Degeneracy.WEAK, degenerate)
 
 
-class WeightedMeasure:
+class WeightedMeasure(Value):
     """Finite signed combination of simplices with rational weights.
 
     The weight of a simplex is d! times the measure it carries, so a weight
@@ -144,18 +137,9 @@ class WeightedMeasure:
         for s, _ in clean:
             if is_degenerate(s, vertex_set):
                 raise DegenerateSimplexError(f"degenerate simplex {s} in measure")
-        object.__setattr__(self, "vertex_set", vertex_set)
-        object.__setattr__(self, "atoms", clean)
+        self._fill(vertex_set, clean)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("WeightedMeasure is immutable")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, WeightedMeasure)
-            and self.vertex_set == other.vertex_set
-            and self.atoms == other.atoms
-        )
+    __hash__ = None
 
     def __repr__(self):
         return f"WeightedMeasure({self.atoms})"

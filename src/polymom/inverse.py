@@ -15,7 +15,6 @@ the integer numerator, up to the first block whose pivots fill every row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb, prod
@@ -32,6 +31,7 @@ from .linalg import RatMat, det, eliminate, integer_vector
 from .oracle import MomentTable
 from .poly import Poly, monomials_upto
 from .genfunc import FormKernel, LinearForm, _normalizer
+from .value import Value
 
 
 def numerator_degree(vs: VertexSet) -> int:
@@ -43,15 +43,16 @@ def simplex_for_column(column, n) -> tuple:
     return tuple(sorted(set(range(n)) - set(column)))
 
 
-@dataclass(frozen=True)
-class FormBasis:
-    """A choice of product columns indexing a (candidate) basis of measures."""
+class FormBasis(Value):
+    """A choice of product columns indexing a (candidate) basis of measures.
 
-    vertex_set: VertexSet
-    pivot: int
-    columns: tuple  # tuples of 0-based form indices, each of size N-d-1
+    `columns` holds tuples of 0-based form indices, each of size N-d-1.
+    """
 
-    def __post_init__(self):
+    __slots__ = ("vertex_set", "pivot", "columns")
+
+    def __init__(self, vertex_set: VertexSet, pivot: int, columns: tuple):
+        self._fill(vertex_set, pivot, columns)
         n = len(self.vertex_set)
         k = numerator_degree(self.vertex_set)
         for c in self.columns:
@@ -183,18 +184,19 @@ def recover_numerator(table: MomentTable, vs: VertexSet) -> Poly:
     return kernel.poly(series)
 
 
-@dataclass(frozen=True)
-class Reconstruction:
+class Reconstruction(Value):
     """Solved weights, keyed by simplex, with degenerate ones marked.
 
-    `singular` is true exactly when some degenerate simplex carries nonzero
+    `weights` holds (simplex, weight, is_degenerate) triples in column order.
+    `is_singular` is true exactly when some degenerate simplex carries nonzero
     weight, meaning the input moments do not come from a generalized-polytope
     measure on this vertex set.
     """
 
-    vertex_set: VertexSet
-    pivot: int
-    weights: tuple  # (simplex, weight, is_degenerate) triples in column order
+    __slots__ = ("vertex_set", "pivot", "weights")
+
+    def __init__(self, vertex_set: VertexSet, pivot: int, weights: tuple):
+        self._fill(vertex_set, pivot, weights)
 
     @property
     def singular_simplices(self):
@@ -331,19 +333,22 @@ def dimension_and_basis(vs: VertexSet, pivot=None):
     return dim_space, chosen
 
 
-@dataclass(frozen=True)
-class DetFactorReport:
+class DetFactorReport(Value):
     """Determinant of a chosen minor against the product of form minors.
 
     Over configurations with the same column combinatorics the ratio is a
     fixed constant, and the determinant vanishes exactly when some qualifying
-    (d+1)-tuple of forms becomes dependent.
+    (d+1)-tuple of forms becomes dependent.  `qualifying` holds the
+    (d+1)-index-subsets meeting every column; `ratio` is None when the minor
+    product vanishes.
     """
 
-    determinant: Fraction
-    qualifying: tuple  # (d+1)-index-subsets meeting every column
-    minor_product: Fraction
-    ratio: Fraction | None
+    __slots__ = ("determinant", "qualifying", "minor_product", "ratio")
+
+    def __init__(
+        self, determinant: Fraction, qualifying: tuple, minor_product: Fraction, ratio: Fraction | None
+    ):
+        self._fill(determinant, qualifying, minor_product, ratio)
 
 
 def det_factor_report(vs: VertexSet, columns) -> DetFactorReport:

@@ -13,6 +13,7 @@ from fractions import Fraction
 from math import lcm, prod
 
 from .errors import DimensionError, SingularMatrixError
+from .value import Value
 
 
 def rat(value) -> Fraction:
@@ -29,7 +30,7 @@ def rat_str(value: Fraction) -> str:
     return str(Fraction(value))
 
 
-class RatMat:
+class RatMat(Value):
     """Immutable dense matrix of Fractions, row-major."""
 
     __slots__ = ("rows", "cols", "entries")
@@ -40,12 +41,7 @@ class RatMat:
             raise DimensionError(
                 f"expected {rows * cols} entries for a {rows}x{cols} matrix, got {len(entries)}"
             )
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RatMat is immutable")
+        self._fill(rows, cols, entries)
 
     @classmethod
     def from_rows(cls, row_lists) -> "RatMat":
@@ -91,17 +87,6 @@ class RatMat:
         if len(vec) != self.cols:
             raise DimensionError(f"vector of length {len(vec)} against {self.rows}x{self.cols} matrix")
         return tuple(sum(self.row(i)[k] * vec[k] for k in range(self.cols)) for i in range(self.rows))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RatMat)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
 
     def __repr__(self):
         body = "; ".join(" ".join(rat_str(e) for e in self.row(i)) for i in range(self.rows))
@@ -174,6 +159,12 @@ def det(m: RatMat) -> Fraction:
 def rank(m: RatMat) -> int:
     """Exact rank via the same fraction-free elimination."""
     return len(eliminate(map(m.row, range(m.rows)))[0])
+
+
+def integer_rank(rows) -> int:
+    """Rank of one or more equally long integer rows, eliminated on a copy without scaling."""
+    rows = [list(r) for r in rows]
+    return len(_bareiss_forward(rows, len(rows[0]))[1])
 
 
 def eliminate(rows, rhs_list=()):

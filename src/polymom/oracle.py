@@ -19,7 +19,6 @@ with `genfunc` or `inverse`, so it can arbitrate their results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, islice
 from math import comb, factorial, lcm, prod
@@ -29,17 +28,16 @@ from .errors import DegenerateSimplexError, DimensionError
 from .geometry import VertexSet, WeightedMeasure, edge_det
 from .linalg import rat
 from .poly import Poly, grlex_key, monomials_of_degree, monomials_upto
+from .value import Value
 
 
-@dataclass(frozen=True)
-class MomentTable:
+class MomentTable(Value):
     """All moments m_I with |I| <= order, zeros stored explicitly."""
 
-    dim: int
-    order: int
-    moments: dict
+    __slots__ = ("dim", "order", "moments")
 
-    def __post_init__(self):
+    def __init__(self, dim: int, order: int, moments: dict):
+        self._fill(dim, order, moments)
         if self.order < 0:
             raise DimensionError(f"moment order must be non-negative, got {self.order}")
         if self.dim < 0:

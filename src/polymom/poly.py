@@ -19,6 +19,7 @@ from operator import add, index
 
 from .errors import DimensionError
 from .linalg import rat
+from .value import Value
 
 
 def grlex_key(exponents):
@@ -38,7 +39,7 @@ def monomials_upto(dim, degree):
     return [e for k in range(degree + 1) for e in monomials_of_degree(dim, k)]
 
 
-class Poly:
+class Poly(Value):
     """Immutable sparse polynomial in `dim` variables over Fraction."""
 
     __slots__ = ("dim", "terms")
@@ -57,8 +58,7 @@ class Poly:
                 clean[exps] = clean.get(exps, Fraction(0)) + coef
                 if clean[exps] == 0:
                     del clean[exps]
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "terms", clean)
+        self._fill(dim, clean)
 
     @classmethod
     def _of(cls, dim, terms) -> "Poly":
@@ -68,9 +68,6 @@ class Poly:
         object.__setattr__(p, "dim", dim)
         object.__setattr__(p, "terms", {e: c for e, c in terms.items() if c})
         return p
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Poly is immutable")
 
     @classmethod
     def zero(cls, dim) -> "Poly":
@@ -149,9 +146,6 @@ class Poly:
             result = result * self
         return result
 
-    def __eq__(self, other):
-        return isinstance(other, Poly) and self.dim == other.dim and self.terms == other.terms
-
     def __hash__(self):
         return hash((self.dim, frozenset(self.terms.items())))
 
@@ -199,7 +193,7 @@ class Poly:
         return " ".join(parts)
 
 
-class Series:
+class Series(Value):
     """A polynomial together with the truncation order it is exact to."""
 
     __slots__ = ("poly", "order")
@@ -207,11 +201,9 @@ class Series:
     def __init__(self, poly: Poly, order: int):
         if order < 0:
             raise DimensionError("series order must be non-negative")
-        object.__setattr__(self, "poly", poly.drop_above(order))
-        object.__setattr__(self, "order", order)
+        self._fill(poly.drop_above(order), order)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Series is immutable")
+    __hash__ = None
 
     @property
     def dim(self):
@@ -224,9 +216,6 @@ class Series:
         if order > self.order:
             raise DimensionError(f"cannot extend a series from order {self.order} to {order}")
         return Series(self.poly, order)
-
-    def __eq__(self, other):
-        return isinstance(other, Series) and self.order == other.order and self.poly == other.poly
 
     def __repr__(self):
         return f"Series({self.poly}, order={self.order})"

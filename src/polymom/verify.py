@@ -7,12 +7,11 @@ counterexample exactly; an empty failure list is a pass.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import factorial
 
-from . import chambers, genfunc, inverse, oracle
+from . import SUITE_NAMES, chambers, genfunc, inverse, oracle
 from .errors import NotSpanningError
 from .geometry import (
     Degeneracy,
@@ -26,13 +25,17 @@ from .geometry import (
 )
 from .genfunc import SimplePolytope, TangentCone
 from .poly import Poly
+from .value import Value
 
 
-@dataclass
-class SuiteReport:
-    name: str
-    cases: int = 0
-    failures: list = field(default_factory=list)
+class SuiteReport(Value):
+    """A suite's case count and the counterexamples it found."""
+
+    __slots__ = ("name", "cases", "failures")
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+
+    def __init__(self, name: str, cases: int = 0, failures: list | None = None):
+        self._fill(name, cases, [] if failures is None else failures)
 
     @property
     def passed(self) -> bool:
@@ -273,14 +276,7 @@ def suite_chambers(seed: int, cases=40) -> SuiteReport:
     return report
 
 
-SUITES = {
-    "brion": suite_brion,
-    "detfactor": suite_detfactor,
-    "roundtrip": suite_roundtrip,
-    "rebase": suite_rebase,
-    "density-op": suite_density_op,
-    "chambers": suite_chambers,
-}
+SUITES = {name: globals()["suite_" + name.replace("-", "_")] for name in SUITE_NAMES}
 
 
 def run_suite(name: str, seed: int) -> SuiteReport:

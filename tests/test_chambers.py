@@ -122,6 +122,23 @@ def test_density_at_random_interior_points_matches_sum(pentagon_set):
     assert [ch.density for ch in cm.chambers] == _reference_densities(cm, dens)
 
 
+def test_one_line_derivation_per_point_pair(monkeypatch):
+    """Triangle edges are looked up by index pair; only `build_chambers` derives lines."""
+    from polymom import chambers
+
+    vs = VertexSet(2, [(0, 0), (2, 0), (1, 1), (0, 2), (0, 0), (2, 2)])
+    calls = []
+    derive = chambers._canonical_line
+    monkeypatch.setattr(chambers, "_canonical_line", lambda p, q: calls.append((p, q)) or derive(p, q))
+    cm = build_chambers(vs)
+    assert len(calls) == 14  # the 15 index pairs, less the repeated point's pair with itself
+    assert cm.edges[(0, 3)] == cm.edges[(3, 4)] and (0, 4) not in cm.edges
+    triangles = [s for s in combinations(range(6), 3) if not is_degenerate(s, vs)]
+    cm = chamber_densities(cm, [(s, F(1)) for s in triangles])
+    assert len(calls) == 14
+    assert [ch.density for ch in cm.chambers] == _reference_densities(cm, [(s, F(1)) for s in triangles])
+
+
 def test_requires_two_dimensions():
     vs = VertexSet(1, [(0,), (1,)])
     with pytest.raises(DimensionError):

@@ -92,6 +92,28 @@ class TestClassify:
             kinds.add(kind)
         assert kinds == set(Degeneracy)
 
+    def test_degenerate_subsets_match_spans_on_rational_multisets(self):
+        """The integer determinants agree with `VertexSet.spans` on rational points, repeats included."""
+        from itertools import combinations
+
+        rng = random.Random(47)
+        checked = set()
+        for _ in range(90):
+            dim = rng.randint(1, 3)
+            n = rng.randint(dim + 1, dim + 4)
+            grid = [F(rng.randint(-6, 6), rng.choice((1, 2, 3))) for _ in range(4)]
+            pts = [tuple(rng.choice(grid) for _ in range(dim)) for _ in range(n)]
+            for _ in range(rng.randint(0, 2)):
+                pts[rng.randrange(n)] = pts[rng.randrange(n)]
+            try:
+                vs = VertexSet(dim, pts)
+            except NotSpanningError:
+                continue
+            cls = classify(vs)
+            assert cls.degenerate == tuple(s for s in combinations(range(n), dim + 1) if not vs.spans(s))
+            checked.add((dim, bool(cls.degenerate), len(set(pts)) < n))
+        assert {(dim, True, True) for dim in (1, 2, 3)} | {(dim, False, False) for dim in (2, 3)} <= checked
+
     def test_strong_implies_weak_criterion(self, pentagon_set):
         vs = pentagon_set
         for idx in __import__("itertools").combinations(range(5), 4):

@@ -1,7 +1,12 @@
-"""Every module of the package uses each name it imports, and the oracle
-shares no code with the generating-function and inverse modules."""
+"""Every module of the package uses each name it imports, the oracle
+shares no code with the generating-function and inverse modules, and an
+invert child loads no module it does not run."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -61,3 +66,44 @@ def test_oracle_reaches_neither_genfunc_nor_inverse():
     assert "oracle" in reached and len(reached) > 1
     shared = sorted(reached & {"genfunc", "inverse"})
     assert not shared, f"polymom.oracle reaches {shared}"
+
+
+# A child that imports the CLI, then runs one invert, and prints the modules each step added.
+BUDGET_CHILD = """
+import json, sys
+before = set(sys.modules)
+from polymom.cli import main
+imported = set(sys.modules) - before
+code = main(sys.argv[1:])
+print(json.dumps([code, sorted(imported), sorted(set(sys.modules) - before)]))
+"""
+
+# loaded only by commands that need them, or by nothing in the package
+NOT_AT_START = {"dataclasses", "inspect", "polymom.chambers", "polymom.verify"}
+
+
+def _budget(tmp_path, case, *extra):
+    """(exit code, modules `import polymom.cli` added, modules added after the run)."""
+    data = Path(__file__).parent / "data" / case
+    argv = ["invert", str(data / "vertices.json"), str(data / "table.json"), "--out", str(tmp_path / "rec.json")]
+    path = [str(Path(polymom.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run(
+        [sys.executable, "-c", BUDGET_CHILD, *argv, *extra], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, imported, after = json.loads(proc.stdout.splitlines()[-1])
+    return code, set(imported), set(after)
+
+
+def test_invert_imports_neither_dataclasses_nor_chambers_nor_verify(tmp_path):
+    code, imported, after = _budget(tmp_path, "strong_d2n12")
+    assert code == 0 and "polymom.cli" in imported
+    assert not after & NOT_AT_START  # `after` includes what the import added
+
+
+def test_invert_svg_loads_chambers_and_still_not_dataclasses(tmp_path):
+    code, imported, after = _budget(tmp_path, "weak_n9", "--svg", str(tmp_path / "map.svg"))
+    assert code == 0 and (tmp_path / "map.svg").exists()
+    assert "polymom.chambers" in after and "polymom.chambers" not in imported
+    assert not after & NOT_AT_START - {"polymom.chambers"}

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from fractions import Fraction as F
 from math import comb
@@ -718,8 +717,9 @@ def solver_cases(pentagon_set, pentagon_moments, square_with_center):
 
 
 class TestOneElimination:
-    def test_form_basis_carries_no_solver_state(self):
-        assert [f.name for f in dataclasses.fields(FormBasis)] == ["vertex_set", "pivot", "columns"]
+    def test_form_basis_carries_no_solver_state(self, pentagon_set):
+        assert FormBasis.__slots__ == ("vertex_set", "pivot", "columns")
+        assert not hasattr(strong_basis(pentagon_set), "__dict__")
 
     def test_no_det_or_solve(self, solver_cases, monkeypatch):
         expected = [

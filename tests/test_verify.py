@@ -1,6 +1,22 @@
 import pytest
 
+from polymom import SUITE_NAMES, verify
 from polymom.verify import SUITES, run_suite, suite_roundtrip
+
+
+def test_one_list_names_every_suite(capsys):
+    """`SUITE_NAMES` is the one list: it names every suite function, and the CLI offers exactly those."""
+    from polymom.cli import main
+
+    functions = {name for name in vars(verify) if name.startswith("suite_")}
+    assert {SUITES[name].__name__ for name in SUITE_NAMES} == functions
+    assert list(SUITES) == list(SUITE_NAMES)
+    with pytest.raises(SystemExit):
+        main(["verify", "nosuch"])
+    err = capsys.readouterr().err.splitlines()[-1]
+    assert "invalid choice: 'nosuch'" in err
+    positions = [err.index(name) for name in sorted(SUITE_NAMES)]
+    assert positions == sorted(positions) and err.count(",") == len(SUITE_NAMES) - 1
 
 
 @pytest.mark.parametrize("name", sorted(set(SUITES) - {"roundtrip"}))
