@@ -3,7 +3,9 @@
 Vertex sets are ordered and may contain repeated points (a multiset); any
 (d+1)-subset of indices whose points fail to span is degenerate, which covers
 duplicates automatically.  All predicates are exact sign-of-determinant
-tests, never epsilon comparisons.
+tests, never epsilon comparisons: the homogenized rows (1, p) of a simplex,
+in the given order, have d! times its signed volume as determinant, taken by
+`linalg.integer_det` on the rows scaled to integers.
 """
 
 from __future__ import annotations
@@ -11,11 +13,11 @@ from __future__ import annotations
 import enum
 from fractions import Fraction
 from itertools import combinations
-from math import factorial
+from math import factorial, prod
 from operator import index
 
 from .errors import DegenerateSimplexError, DimensionError, NotSpanningError
-from .linalg import RatMat, det, integer_rank, integer_vector, rank, rat
+from .linalg import integer_det, integer_rank, integer_vector, rat
 from .value import Value
 
 
@@ -44,13 +46,22 @@ class VertexSet(Value):
 
     def affine_rank(self, indices) -> int:
         """Rank of the selected points viewed projectively (homogenized)."""
-        cols = [(Fraction(1),) + self.points[i] for i in indices]
-        if not cols:
-            return 0
-        return rank(RatMat.from_rows(cols))
+        rows = [r for r, _ in _homogenized(self.points[i] for i in indices)]
+        return integer_rank(rows) if rows else 0
 
     def spans(self, indices) -> bool:
         return self.affine_rank(indices) == self.dim + 1
+
+
+def _homogenized(points):
+    """The row (1, p) of each point p scaled to integers, as an `integer_vector` (ints, scale) pair."""
+    return [integer_vector([1, *p]) for p in points]
+
+
+def _det(rows) -> Fraction:
+    """Determinant of `_homogenized` rows taken in the given order."""
+    ints, scales = zip(*rows)
+    return Fraction(integer_det(ints), prod(scales))
 
 
 def simplex(indices) -> tuple:
@@ -68,11 +79,8 @@ def check_simplex(s, vs: VertexSet):
 
 
 def edge_det(s, vs: VertexSet) -> Fraction:
-    """Signed determinant of the edge vectors v_i - v_0 of the simplex."""
-    s = check_simplex(s, vs)
-    base = vs.points[s[0]]
-    rows = [[vs.points[i][k] - base[k] for k in range(vs.dim)] for i in s[1:]]
-    return det(RatMat.from_rows(rows))
+    """Signed determinant of the edge vectors v_i - v_0 of the simplex, which is that of its rows (1, v_i)."""
+    return _det(_homogenized(vs.points[i] for i in check_simplex(s, vs)))
 
 
 def volume(s, vs: VertexSet) -> Fraction:
@@ -99,13 +107,13 @@ def classify(vs: VertexSet) -> Classification:
     Strong: every (d+1)-subset spans.  Weak: some (d+1)-subset is flat but
     every (d+2)-subset still spans.  The degenerate list is exhaustive either
     way, which is what the dimension formula of the inverse solver consumes.
-    A (d+1)-subset spans when its homogenized points, each scaled to an
-    integer row once, have full `integer_rank`.
+    A (d+1)-subset spans when the determinant of its `_homogenized` rows,
+    each formed once, does not vanish.
     """
     d = vs.dim
-    rows = [integer_vector([1, *p])[0] for p in vs.points]
+    rows = [r for r, _ in _homogenized(vs.points)]
     degenerate = tuple(
-        s for s in combinations(range(len(vs)), d + 1) if integer_rank(rows[i] for i in s) <= d
+        s for s in combinations(range(len(vs)), d + 1) if integer_det(rows[i] for i in s) == 0
     )
     if not degenerate:
         return Classification(Degeneracy.STRONG, ())
@@ -162,14 +170,6 @@ def density(m: WeightedMeasure):
     return out
 
 
-def _facet_side(facet_points, x):
-    """Sign of x against the hyperplane through the facet points."""
-    base = facet_points[0]
-    rows = [[q[k] - base[k] for k in range(len(base))] for q in facet_points[1:]]
-    rows.append([x[k] - base[k] for k in range(len(base))])
-    return det(RatMat.from_rows(rows))
-
-
 def rebase(m: WeightedMeasure, pivot: int) -> WeightedMeasure:
     """Rewrite the measure on simplices through the pivot vertex.
 
@@ -178,27 +178,24 @@ def rebase(m: WeightedMeasure, pivot: int) -> WeightedMeasure:
     the opposite vertex (visible ones) contribute with a minus sign, the
     others with a plus sign, and facets whose hyperplane passes through the
     pivot are skipped.  Densities transfer, so the moment table is preserved
-    to every order.  The sign convention is the oracle-validated one; see the
-    test suite for the 1-d and 2-d witnesses that fix it.
+    to every order.  With the facet's rows first, the cone's weight is
+    w * det(facet, pivot) / det(facet, omitted vertex): the sign of the ratio
+    tells the sides apart and its size is the ratio of volumes.  The sign
+    convention is the oracle-validated one; see the test suite for the 1-d
+    and 2-d witnesses that fix it.
     """
     vs = m.vertex_set
     if not 0 <= pivot < len(vs):
         raise DimensionError(f"pivot index {pivot} out of range")
-    p = vs.points[pivot]
+    rows = _homogenized(vs.points)
     out = []
     for s, w in m.atoms:
         if pivot in s:
             out.append((s, w))
             continue
-        old_vol = volume(s, vs)
         for omit in s:
             facet = [i for i in s if i != omit]
-            facet_pts = [vs.points[i] for i in facet]
-            side_p = _facet_side(facet_pts, p)
-            if side_p == 0:
-                continue
-            side_v = _facet_side(facet_pts, vs.points[omit])
-            sign = 1 if (side_p > 0) == (side_v > 0) else -1
-            new_simplex = simplex(facet + [pivot])
-            out.append((new_simplex, sign * w * volume(new_simplex, vs) / old_vol))
+            cone = _det([rows[i] for i in facet] + [rows[pivot]])
+            if cone != 0:
+                out.append((simplex(facet + [pivot]), w * cone / _det([rows[i] for i in facet + [omit]])))
     return WeightedMeasure(vs, out)

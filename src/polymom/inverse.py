@@ -26,8 +26,8 @@ from .errors import (
     NotStronglyNonDegenerateError,
     NotWeaklyNonDegenerateError,
 )
-from .geometry import Degeneracy, VertexSet, WeightedMeasure, classify
-from .linalg import RatMat, det, eliminate, integer_vector
+from .geometry import Degeneracy, VertexSet, WeightedMeasure, classify, edge_det
+from .linalg import RatMat, det, eliminate, integer_det, integer_vector
 from .oracle import MomentTable
 from .poly import Poly, monomials_upto
 from .genfunc import FormKernel, LinearForm, _normalizer
@@ -128,29 +128,20 @@ def build_extended(vs: VertexSet) -> RatMat:
     return product_matrix(FormBasis(vs, len(vs) - 1, extended_columns(vs)))
 
 
-def _cofactors(rows) -> list:
-    """Integer cofactors of d rows of length d+1: with a row x on top, the determinant is x . cofactors.
-    Laplace expansion along the first row, taking the rows bottom-up, forms each minor once."""
-    width, minors = len(rows) + 1, {(): 1}
-    for r, row in enumerate(reversed(rows), 1):
-        minors = {
-            cols: sum((-1) ** i * row[c] * minors[cols[:i] + cols[i + 1 :]] for i, c in enumerate(cols))
-            for cols in combinations(range(width), r)
-        }
-    return [(-1) ** i * minors[tuple(c for c in range(width) if c != i)] for i in range(width)]
-
-
 def _closed_form(basis: FormBasis):
-    """Per column J of a strong through-pivot basis: at c_J, the `_cofactors` of the non-pivot forms
-    outside J, the monomials over `FormKernel.rows` homogenized to degree N-d-1, and the product P_J
-    of J's forms as the integer pair (P_J^h(c_J) * scale, scale), nonzero.  Every other column's
-    product vanishes at c_J, so p has weight p^h(c_J) / P_J^h(c_J) on J."""
+    """Per column J of a strong through-pivot basis: at c_J, the integer cofactors of the d non-pivot
+    forms outside J (with a row x on top, their determinant is x . c_J; entry i is (-1)^i times the
+    `integer_det` of the forms without coefficient i), the monomials over `FormKernel.rows`
+    homogenized to degree N-d-1, and the product P_J of J's forms as the integer pair
+    (P_J^h(c_J) * scale, scale), nonzero.  Every other column's product vanishes at c_J, so p has
+    weight p^h(c_J) / P_J^h(c_J) on J."""
     vs = basis.vertex_set
     k = numerator_degree(vs)
     exponents = [(k - sum(e), *e) for e in monomials_upto(vs.dim, k)]
     forms = [LinearForm(p).coefficients() for p in vs.points]
     for column in basis.columns:
-        point = _cofactors([f for i, f in enumerate(forms) if i != basis.pivot and i not in column])
+        rows = [f for i, f in enumerate(forms) if i != basis.pivot and i not in column]
+        point = [(-1) ** i * integer_det(f[:i] + f[i + 1 :] for f in rows) for i in range(vs.dim + 1)]
         powers = [[x**t for t in range(k + 1)] for x in point]
         values = [prod(map(getitem, powers, e)) for e in exponents]
         yield values, prod(sum(map(mul, forms[j], point)) for j in column), prod(forms[j][0] for j in column)
@@ -359,11 +350,8 @@ def det_factor_report(vs: VertexSet, columns) -> DetFactorReport:
     if m.rows != m.cols:
         raise DimensionError("determinant factorization needs a square minor")
     d_value = det(m)
-    forms = [LinearForm(p).coefficients() for p in vs.points]
     qualifying = [s for s in combinations(range(n), vs.dim + 1) if all(set(s) & set(c) for c in columns)]
-    product = Fraction(1)
-    for j_set in qualifying:
-        first, *rest = (forms[j] for j in j_set)
-        product *= Fraction(sum(map(mul, first, _cofactors(rest))), prod(forms[j][0] for j in j_set))
+    # the forms of s have the rows (1, -v), so their minor is (-1)^d times the rows (1, v)'s
+    product = prod(((-1) ** vs.dim * edge_det(s, vs) for s in qualifying), start=Fraction(1))
     ratio = d_value / product if product != 0 else None
     return DetFactorReport(d_value, tuple(qualifying), product, ratio)

@@ -2,9 +2,11 @@
 
 Values are `fractions.Fraction`, which already enforces the canonical reduced
 form (positive denominator, gcd 1) in its constructor.  Determinant, rank,
-solve and inverse all run fraction-free: every row is scaled to integers once
-up front, Bareiss elimination then stays in integers with exact divisions,
-and the scaling is undone at the end.  There is no floating point anywhere.
+solve and inverse all run fraction-free on one Bareiss kernel: every row is
+scaled to integers once up front, elimination then stays in integers with
+exact divisions, back-substitution solves for each unknown times the last
+pivot, again with exact divisions, and one `Fraction` per determinant or
+unknown undoes the scaling at the end.  There is no floating point anywhere.
 """
 
 from __future__ import annotations
@@ -147,18 +149,22 @@ def det(m: RatMat) -> Fraction:
     """Exact determinant via fraction-free Bareiss elimination."""
     if m.rows != m.cols:
         raise DimensionError(f"determinant of non-square {m.rows}x{m.cols} matrix")
-    if m.rows == 0:
-        return Fraction(1)
     rows, scale = _integer_rows(map(m.row, range(m.rows)))
-    sign, pivots = _bareiss_forward(rows, m.cols)
-    if len(pivots) < m.rows:
-        return Fraction(0)
-    return Fraction(sign * rows[m.rows - 1][m.cols - 1]) / scale
+    return Fraction(integer_det(rows), scale)
 
 
 def rank(m: RatMat) -> int:
     """Exact rank via the same fraction-free elimination."""
     return len(eliminate(map(m.row, range(m.rows)))[0])
+
+
+def integer_det(rows) -> int:
+    """Determinant of n integer rows of length n, eliminated on a copy; 1 for no rows."""
+    rows = [list(r) for r in rows]
+    if not rows:
+        return 1
+    sign, pivots = _bareiss_forward(rows, len(rows))
+    return sign * rows[-1][-1] if len(pivots) == len(rows) else 0
 
 
 def integer_rank(rows) -> int:
@@ -177,6 +183,10 @@ def eliminate(rows, rhs_list=()):
     on the pivot columns for right-hand side k, found by back-substitution on
     those columns only.  It solves the full system when the pivots fill every
     row of m, which callers check.
+
+    The last pivot is the determinant of that minor, so by Cramer's rule it
+    times each unknown is an integer: back-substitution solves for those
+    integers with exact divisions and forms one `Fraction` per unknown.
     """
     rows = list(rows)
     n = len(rows[0]) if rows else 0
@@ -184,14 +194,15 @@ def eliminate(rows, rhs_list=()):
     rows, _ = _integer_rows([*r, *e] for r, e in zip(rows, extra))
     _, pivots = _bareiss_forward(rows, n + len(rhs_list))
     cols = [c for _, c in pivots if c < n]
+    last = rows[len(cols) - 1][cols[-1]] if cols else 1
     sols = []
     for b in range(n, n + len(rhs_list)):
-        x = [None] * len(cols)
+        x = [0] * len(cols)
         for r in reversed(range(len(cols))):
             row = rows[r]
             later = sum(row[c] * x[s] for s, c in enumerate(cols[r + 1 :], r + 1))
-            x[r] = (row[b] - later) / Fraction(row[cols[r]])
-        sols.append(x)
+            x[r] = (last * row[b] - later) // row[cols[r]]
+        sols.append([Fraction(v, last) for v in x])
     return cols, sols
 
 

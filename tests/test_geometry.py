@@ -15,9 +15,30 @@ from polymom import (
     volume,
 )
 from polymom.errors import DegenerateSimplexError, NotSpanningError
+from polymom.geometry import edge_det
 
 
 class TestVolume:
+    def test_edge_det_matches_sympy_on_rational_simplices(self):
+        """Signed edge determinants against sympy's `det` of the edge vectors, flat draws included."""
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(71)
+        seen = set()
+        for case in range(48):
+            dim = case % 4 + 1
+            grid = [F(rng.randint(-9, 9), rng.choice((1, 2, 3, 5))) for _ in range(dim + 3)]
+            pts = [tuple(rng.choice(grid) for _ in range(dim)) for _ in range(dim + 1)]
+            if case % 12 >= 8:
+                pts[-1] = pts[0]
+            # the unit simplex after the drawn one makes every draw a spanning vertex set
+            unit = [tuple(F(int(k == j)) for k in range(dim)) for j in range(-1, dim)]
+            vs = VertexSet(dim, pts + unit)
+            edges = [[sympy.Rational(str(c - b)) for c, b in zip(p, pts[0])] for p in pts[1:]]
+            got = edge_det(range(dim + 1), vs)
+            assert sympy.Rational(str(got)) == sympy.Matrix(edges).det()
+            seen.add((dim, (got > 0) - (got < 0)))
+        assert {(dim, sign) for dim in (1, 2, 3, 4) for sign in (-1, 0, 1)} <= seen
+
     def test_standard_simplex(self):
         vs = VertexSet(2, [(0, 0), (1, 0), (0, 1)])
         assert volume((0, 1, 2), vs) == F(1, 2)
@@ -93,8 +114,14 @@ class TestClassify:
         assert kinds == set(Degeneracy)
 
     def test_degenerate_subsets_match_spans_on_rational_multisets(self):
-        """The integer determinants agree with `VertexSet.spans` on rational points, repeats included."""
+        """The integer determinants agree with sympy's rank on rational points, repeats included."""
         from itertools import combinations
+
+        sympy = pytest.importorskip("sympy")
+
+        def spans(vs, s):
+            rows = [[1, *(sympy.Rational(c.numerator, c.denominator) for c in vs.points[i])] for i in s]
+            return sympy.Matrix(rows).rank() == vs.dim + 1
 
         rng = random.Random(47)
         checked = set()
@@ -110,7 +137,7 @@ class TestClassify:
             except NotSpanningError:
                 continue
             cls = classify(vs)
-            assert cls.degenerate == tuple(s for s in combinations(range(n), dim + 1) if not vs.spans(s))
+            assert cls.degenerate == tuple(s for s in combinations(range(n), dim + 1) if not spans(vs, s))
             checked.add((dim, bool(cls.degenerate), len(set(pts)) < n))
         assert {(dim, True, True) for dim in (1, 2, 3)} | {(dim, False, False) for dim in (2, 3)} <= checked
 

@@ -589,9 +589,8 @@ class TestStrongSolveProperties:
     def test_default_solve_equals_forced_strong_elimination(self):
         """On strong sets the default solve and basis equal the forced through-pivot elimination."""
         rng = random.Random(1313)
-        shapes = [(1, n) for n in (3, 4, 5, 6)] + [(2, n) for n in (4, 5, 6, 7)] + [(3, n) for n in (5, 6, 7)]
-        for case in range(44):
-            dim, n = shapes[case % len(shapes)]
+
+        def check(case, dim, n):
             vs = random_strong_set(rng, dim, n)
             pivot = rng.randrange(n)
             strong = strong_basis(vs, pivot)
@@ -613,16 +612,23 @@ class TestStrongSolveProperties:
             if case % 2:
                 assert list(rec.weight_vector()) == planted
 
+        shapes = [(1, n) for n in (3, 4, 5, 6)] + [(2, n) for n in (4, 5, 6, 7)] + [(3, n) for n in (5, 6, 7)]
+        for case in range(44):
+            check(case, *shapes[case % len(shapes)])
+        # high dimensions, where the cofactors are d+1 determinants each: a random and a planted table per shape
+        for case, shape in enumerate([(4, 7), (4, 7), (6, 9), (6, 9), (8, 10), (8, 10)], 44):
+            check(case, *shape)
+
     def test_forced_columns_on_strong_sets_keep_the_elimination(self, monkeypatch):
         """Forced columns eliminate once, even a strong set's; the default solve does not eliminate."""
         calls = []
-        forward = linalg._bareiss_forward
+        elimination = inverse.eliminate
 
         def counted(*args):
             calls.append(1)
-            return forward(*args)
+            return elimination(*args)
 
-        monkeypatch.setattr(linalg, "_bareiss_forward", counted)
+        monkeypatch.setattr(inverse, "eliminate", counted)
         rng = random.Random(1314)
         for dim, n in [(1, 4), (2, 5), (2, 6), (3, 6)] * 3:
             vs = random_strong_set(rng, dim, n)
@@ -631,14 +637,11 @@ class TestStrongSolveProperties:
             values = {e: F(rng.randint(-99, 99), rng.randint(1, 9)) for e in monomials_upto(dim, n - dim - 1)}
             table = MomentTable(dim, n - dim - 1, values)
             calls.clear()
-            classify(vs)
-            by_classify = len(calls)
-            calls.clear()
             rec = reconstruct(table, vs, other.pivot)
-            assert len(calls) == by_classify
+            assert len(calls) == 0
             calls.clear()
             forced = reconstruct(table, vs, pivot, other.columns)
-            assert len(calls) == by_classify + 1
+            assert len(calls) == 1
             assert (forced.pivot, forced.weights) == (pivot, rec.weights)
 
 
@@ -738,24 +741,21 @@ class TestOneElimination:
 
     def test_one_elimination_beyond_classify(self, solver_cases, monkeypatch):
         calls = []
-        forward = linalg._bareiss_forward
+        elimination = inverse.eliminate
 
         def counted(*args):
             calls.append(1)
-            return forward(*args)
+            return elimination(*args)
 
-        monkeypatch.setattr(linalg, "_bareiss_forward", counted)
+        monkeypatch.setattr(inverse, "eliminate", counted)
         # a default strong set is solved in closed form; weak and forced sets eliminate once
         for (vs, table, pivot, forced), eliminations in zip(solver_cases, (0, 1, 1)):
             calls.clear()
-            classify(vs)
-            by_classify = len(calls)
-            calls.clear()
             reconstruct(table, vs, pivot, forced)
-            assert len(calls) == by_classify + eliminations
+            assert len(calls) == eliminations
             calls.clear()
             select_minor(vs, pivot, forced)
-            assert len(calls) == by_classify + eliminations
+            assert len(calls) == eliminations
 
     def test_moment_errors_come_before_a_singular_forced_minor(self, square_with_center):
         """A square forced set is only found singular by the elimination, after the moments."""

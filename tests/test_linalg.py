@@ -10,6 +10,7 @@ except ImportError:  # the properties below are skipped without hypothesis
 
 from polymom import RatMat, det, mat_inverse, rank, rat, rat_str, solve
 from polymom.errors import DimensionError, SingularMatrixError
+from polymom.linalg import eliminate
 
 
 def cofactor_det(rows):
@@ -154,11 +155,12 @@ class TestRatStrings:
             rat(0.5)
 
 
-def reference_rank(m):
-    """Independent oracle: Fraction Gauss-Jordan elimination to reduced echelon form."""
+def reference_pivots(m):
+    """Independent oracle: the pivot columns of Fraction Gauss-Jordan elimination to reduced echelon form."""
     rows = m.row_lists()
-    r = 0
+    pivots = []
     for c in range(m.cols):
+        r = len(pivots)
         p = next((i for i in range(r, m.rows) if rows[i][c] != 0), None)
         if p is None:
             continue
@@ -167,8 +169,12 @@ def reference_rank(m):
         for i in range(m.rows):
             if i != r and rows[i][c] != 0:
                 rows[i] = [a - rows[i][c] * b for a, b in zip(rows[i], rows[r])]
-        r += 1
-    return r
+        pivots.append(c)
+    return pivots
+
+
+def reference_rank(m):
+    return len(reference_pivots(m))
 
 
 if given is not None:
@@ -194,6 +200,24 @@ if given is not None:
         @given(matrices())
         def test_rank_matches_gauss_jordan(self, m):
             assert rank(m) == reference_rank(m)
+
+        @properties
+        @given(matrices(square=True))
+        def test_det_matches_cofactor_expansion(self, m):
+            assert det(m) == cofactor_det(m.row_lists())
+
+        @properties
+        @given(matrices(), st.data())
+        def test_eliminate_recovers_a_solution_on_the_pivot_columns(self, m, data):
+            """Rank-deficient and wide systems: b = m x with x zero off the pivot columns gives x back."""
+            pivots = reference_pivots(m)
+            planted = data.draw(st.lists(rationals, min_size=len(pivots), max_size=len(pivots)))
+            x = [F(0)] * m.cols
+            for c, v in zip(pivots, planted):
+                x[c] = v
+            b = m.matvec(x)
+            doubled = [2 * v for v in b]
+            assert eliminate(m.row_lists(), [b, doubled]) == (pivots, [planted, [2 * v for v in planted]])
 
         @properties
         @given(matrices(square=True, plant=False), st.data())
