@@ -60,7 +60,7 @@ from .inverse import (
     select_minor,
     strong_basis,
 )
-from .linalg import RatMat, det, rank, rat, rat_str, solve
+from .linalg import RatMat, det, rat, rat_str, solve
 from .linalg import inverse as mat_inverse
 from .oracle import MomentTable, axial_moment, measure_moments, simplex_monomial_moment
 from .poly import Poly, Series, monomials_of_degree, monomials_upto

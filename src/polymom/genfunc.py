@@ -272,10 +272,10 @@ def _normalizer(exps, dim, extra) -> Fraction:
     return scale
 
 
-class TangentCone:
+class TangentCone(Value):
     """A vertex of a simple polytope with its d outgoing edge directions."""
 
-    __slots__ = ("vertex", "edges", "det_abs")
+    __slots__ = ("vertex", "edges")
 
     def __init__(self, vertex, edges):
         vertex = tuple(rat(c) for c in vertex)
@@ -283,21 +283,17 @@ class TangentCone:
         d = len(vertex)
         if len(edges) != d or any(len(e) != d for e in edges):
             raise DimensionError(f"a simple vertex in R^{d} needs exactly {d} edge vectors")
-        dt = det(RatMat.from_rows(edges))
-        if dt == 0:
+        self._fill(vertex, edges)
+        if self.det_abs == 0:
             raise DegenerateSimplexError(f"edge vectors at vertex {vertex} are dependent")
-        object.__setattr__(self, "vertex", vertex)
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "det_abs", abs(dt))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("TangentCone is immutable")
-
-    def __repr__(self):
-        return f"TangentCone(vertex={self.vertex})"
+    @property
+    def det_abs(self) -> Fraction:
+        """|det| of the edge vectors."""
+        return abs(det(RatMat.from_rows(self.edges)))
 
 
-class SimplePolytope:
+class SimplePolytope(Value):
     """Vertex-and-edge description of a simple polytope, one cone per vertex."""
 
     __slots__ = ("dim", "cones")
@@ -309,11 +305,7 @@ class SimplePolytope:
         for c in cones:
             if len(c.vertex) != dim:
                 raise DimensionError("cone dimension mismatch")
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "cones", cones)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SimplePolytope is immutable")
+        self._fill(dim, cones)
 
 
 def brion_genfunc(p: SimplePolytope) -> RatFun:

@@ -38,19 +38,11 @@ class VertexSet(Value):
         if any(len(p) != dim for p in pts):
             raise DimensionError(f"every point must have {dim} coordinates")
         self._fill(dim, pts)
-        if self.affine_rank(range(len(pts))) != dim + 1:
+        if integer_rank(r for r, _ in _homogenized(pts)) != dim + 1:
             raise NotSpanningError(f"{len(pts)} points do not affinely span R^{dim}")
 
     def __len__(self):
         return len(self.points)
-
-    def affine_rank(self, indices) -> int:
-        """Rank of the selected points viewed projectively (homogenized)."""
-        rows = [r for r, _ in _homogenized(self.points[i] for i in indices)]
-        return integer_rank(rows) if rows else 0
-
-    def spans(self, indices) -> bool:
-        return self.affine_rank(indices) == self.dim + 1
 
 
 def _homogenized(points):

@@ -1,17 +1,18 @@
-"""JSON serialization for every interchange type.
+"""The CLI's file formats: what each command reads and writes.
 
 Rationals travel as strings "p/q" (just "p" for integers), sign on the
-numerator.  Vertex and simplex indices are 0-based on the wire; the paper's
-worked examples number from 1, so the CLI accepts 1-based column overrides
-but files are uniformly 0-based.  Polynomial terms and moment entries are
-sorted graded-lex; that ordering is normative for matrix reproduction.
+numerator.  A dimension, an order, a moment index entry and a simplex's
+vertex index must each be a JSON integer; a bool, float or string there is
+malformed input.  Vertex and simplex indices are 0-based on the wire; the
+paper's worked examples number from 1, so the CLI accepts 1-based column
+overrides but files are uniformly 0-based.  Polynomial terms and moment
+entries are sorted graded-lex; that ordering is normative for matrix
+reproduction.
 """
 
 from __future__ import annotations
 
-from operator import index
-
-from .genfunc import LinearForm, RatFun, SimplePolytope, TangentCone
+from .genfunc import RatFun
 from .geometry import VertexSet, WeightedMeasure
 from .inverse import Reconstruction
 from .linalg import rat, rat_str
@@ -19,12 +20,19 @@ from .oracle import MomentTable
 from .poly import Poly
 
 
+def _int(value) -> int:
+    """A JSON integer, which excludes bool; anything else is malformed input."""
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {type(value).__name__}")
+    return value
+
+
 def vertex_set_to_json(vs: VertexSet) -> dict:
     return {"dim": vs.dim, "points": [[rat_str(c) for c in p] for p in vs.points]}
 
 
 def vertex_set_from_json(data) -> VertexSet:
-    return VertexSet(data["dim"], [[rat(c) for c in p] for p in data["points"]])
+    return VertexSet(_int(data["dim"]), [[rat(c) for c in p] for p in data["points"]])
 
 
 def measure_to_json(m: WeightedMeasure) -> dict:
@@ -36,7 +44,7 @@ def measure_to_json(m: WeightedMeasure) -> dict:
 
 def measure_from_json(data) -> WeightedMeasure:
     vs = vertex_set_from_json(data["vertices"])
-    atoms = [(tuple(a["simplex"]), rat(a["weight"])) for a in data["atoms"]]
+    atoms = [(tuple(map(_int, a["simplex"])), rat(a["weight"])) for a in data["atoms"]]
     return WeightedMeasure(vs, atoms)
 
 
@@ -53,11 +61,11 @@ def moment_table_to_json(t: MomentTable) -> dict:
 def moment_table_from_json(data) -> MomentTable:
     moments = {}
     for m in data["moments"]:
-        exps = tuple(map(index, m["index"]))
+        exps = tuple(map(_int, m["index"]))
         if exps in moments:
             raise ValueError(f"duplicate moment index {exps}")
         moments[exps] = rat(m["value"])
-    return MomentTable(data["dim"], data["order"], moments)
+    return MomentTable(_int(data["dim"]), _int(data["order"]), moments)
 
 
 def poly_to_json(p: Poly) -> dict:
@@ -67,10 +75,6 @@ def poly_to_json(p: Poly) -> dict:
             {"exp": list(e), "coef": rat_str(c)} for e, c in p.sorted_terms()
         ],
     }
-
-
-def poly_from_json(data) -> Poly:
-    return Poly(data["dim"], {tuple(t["exp"]): rat(t["coef"]) for t in data["terms"]})
 
 
 def ratfun_to_json(f: RatFun) -> dict:
@@ -84,35 +88,6 @@ def ratfun_to_json(f: RatFun) -> dict:
             for v, n in sorted(counts.items())
         ],
     }
-
-
-def ratfun_from_json(data) -> RatFun:
-    forms = []
-    for entry in data["denominator"]:
-        form = LinearForm([rat(c) for c in entry["vertex"]])
-        forms.extend([form] * entry.get("mult", 1))
-    return RatFun(poly_from_json(data["numerator"]), forms)
-
-
-def polytope_to_json(p: SimplePolytope) -> dict:
-    return {
-        "dim": p.dim,
-        "cones": [
-            {
-                "vertex": [rat_str(c) for c in cone.vertex],
-                "edges": [[rat_str(c) for c in e] for e in cone.edges],
-            }
-            for cone in p.cones
-        ],
-    }
-
-
-def polytope_from_json(data) -> SimplePolytope:
-    cones = [
-        TangentCone([rat(c) for c in cone["vertex"]], [[rat(c) for c in e] for e in cone["edges"]])
-        for cone in data["cones"]
-    ]
-    return SimplePolytope(data["dim"], cones)
 
 
 def reconstruction_to_json(r: Reconstruction) -> dict:

@@ -1,8 +1,8 @@
 """Exact dense linear algebra over arbitrary-precision rationals.
 
 Values are `fractions.Fraction`, which already enforces the canonical reduced
-form (positive denominator, gcd 1) in its constructor.  Determinant, rank,
-solve and inverse all run fraction-free on one Bareiss kernel: every row is
+form (positive denominator, gcd 1) in its constructor.  Determinant, solve
+and inverse all run fraction-free on one Bareiss kernel: every row is
 scaled to integers once up front, elimination then stays in integers with
 exact divisions, back-substitution solves for each unknown times the last
 pivot, again with exact divisions, and one `Fraction` per determinant or
@@ -19,11 +19,11 @@ from .value import Value
 
 
 def rat(value) -> Fraction:
-    """Coerce ints, strings like "3/4" or "-2", and Fractions to Fraction."""
+    """Coerce ints, strings like "3/4" or "-2", and Fractions to Fraction; a float or bool is refused."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, float):
-        raise TypeError("refusing float input; pass an int, string or Fraction")
+    if isinstance(value, (float, bool)):
+        raise TypeError(f"refusing {type(value).__name__} input; pass an int, string or Fraction")
     return Fraction(value)
 
 
@@ -68,12 +68,6 @@ class RatMat(Value):
     def column(self, j):
         return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
 
-    def row_lists(self):
-        return [list(self.row(i)) for i in range(self.rows)]
-
-    def transpose(self) -> "RatMat":
-        return RatMat.from_rows([self.column(j) for j in range(self.cols)])
-
     def matmul(self, other: "RatMat") -> "RatMat":
         if self.cols != other.rows:
             raise DimensionError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
@@ -83,12 +77,6 @@ class RatMat(Value):
             for j in range(other.cols):
                 out.append(sum(r[k] * other.at(k, j) for k in range(self.cols)))
         return RatMat(self.rows, other.cols, out)
-
-    def matvec(self, vec):
-        vec = [rat(v) for v in vec]
-        if len(vec) != self.cols:
-            raise DimensionError(f"vector of length {len(vec)} against {self.rows}x{self.cols} matrix")
-        return tuple(sum(self.row(i)[k] * vec[k] for k in range(self.cols)) for i in range(self.rows))
 
     def __repr__(self):
         body = "; ".join(" ".join(rat_str(e) for e in self.row(i)) for i in range(self.rows))
@@ -153,11 +141,6 @@ def det(m: RatMat) -> Fraction:
     return Fraction(integer_det(rows), scale)
 
 
-def rank(m: RatMat) -> int:
-    """Exact rank via the same fraction-free elimination."""
-    return len(eliminate(map(m.row, range(m.rows)))[0])
-
-
 def integer_det(rows) -> int:
     """Determinant of n integer rows of length n, eliminated on a copy; 1 for no rows."""
     rows = [list(r) for r in rows]
@@ -168,9 +151,9 @@ def integer_det(rows) -> int:
 
 
 def integer_rank(rows) -> int:
-    """Rank of one or more equally long integer rows, eliminated on a copy without scaling."""
+    """Rank of equally long integer rows, eliminated on a copy without scaling; 0 for no rows."""
     rows = [list(r) for r in rows]
-    return len(_bareiss_forward(rows, len(rows[0]))[1])
+    return len(_bareiss_forward(rows, len(rows[0]))[1]) if rows else 0
 
 
 def eliminate(rows, rhs_list=()):

@@ -138,14 +138,6 @@ class Poly(Value):
 
     __rmul__ = __mul__
 
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("only non-negative integer powers")
-        result = Poly.constant(self.dim, 1)
-        for _ in range(n):
-            result = result * self
-        return result
-
     def __hash__(self):
         return hash((self.dim, frozenset(self.terms.items())))
 

@@ -1,12 +1,14 @@
-"""Every module of the package uses each name it imports, the oracle
-shares no code with the generating-function and inverse modules, and an
-invert child loads no module it does not run."""
+"""Every module of the package uses each name it imports, every name it
+defines has a reader in src or a reason to stay, the oracle shares no code
+with the generating-function and inverse modules, and an invert child loads
+no module it does not run."""
 
 import ast
 import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -107,3 +109,60 @@ def test_invert_svg_loads_chambers_and_still_not_dataclasses(tmp_path):
     assert code == 0 and (tmp_path / "map.svg").exists()
     assert "polymom.chambers" in after and "polymom.chambers" not in imported
     assert not after & NOT_AT_START - {"polymom.chambers"}
+
+
+
+ACCEPTANCE = Path(__file__).parent / "test_acceptance.py"
+
+# names that no src path reads, each with the reason it stays
+CALLED_ONLY_BY_TESTS = {
+    "suite_*": "`verify.SUITES` looks each suite up by name, `suite_` plus the CLI's suite name",
+    "measure_to_json": "writes the documented measure file format; the CLI tests build inputs with it",
+    "axial_moment": "the oracle's axial moment, which the tests compare with `brion_axial_moment`",
+    "brion_axial_moment": "Brion's axial moment, which the tests compare with the oracle's",
+}
+
+
+def _definitions(tree):
+    """(name, node) of each top-level function or class and of each non-dunder method."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
+                    yield item.name, item
+
+
+def _reads(tree):
+    """Each name the tree reads, as a bare name, an attribute or an import, with its count."""
+    names = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names[node.id] += 1
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            names[node.asname or node.name] += 1
+    return names
+
+
+def test_every_src_name_has_a_src_reader_or_a_reason():
+    """Each function, class and non-dunder method of the package is read by name somewhere in
+    src outside its own definition and `__init__`, or by the acceptance tests, or has a reason
+    in CALLED_ONLY_BY_TESTS.  Blind spots: dunders, which the language calls, and a name that a
+    local variable, a parameter or an attribute elsewhere shares, which counts as read."""
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in MODULES]
+    reads = sum(map(_reads, trees), Counter())
+    pinned = _reads(ast.parse(ACCEPTANCE.read_text(encoding="utf-8")))
+    prefixes = tuple(name[:-1] for name in CALLED_ONLY_BY_TESTS if name.endswith("*"))
+    unread = [
+        f"{path.stem}.{name}"
+        for path, tree in zip(MODULES, trees)
+        for name, node in _definitions(tree)
+        if reads[name] == _reads(node)[name]
+        and name not in pinned
+        and name not in CALLED_ONLY_BY_TESTS
+        and not name.startswith(prefixes)
+    ]
+    assert not unread, f"no src path reads {', '.join(unread)}"

@@ -274,9 +274,8 @@ class TestExtended:
         assert build_extended(multiset_with_duplicate) == RatMat.from_rows(MULTISET_EXT)
 
     def test_extended_rank(self, square_with_center):
-        from polymom import rank
-
-        assert rank(build_extended(square_with_center)) == 6
+        m = build_extended(square_with_center)
+        assert len(linalg.eliminate(map(m.row, range(m.rows)))[0]) == 6
 
     def test_select_minor_center_pivot_reproduces_journal_columns(self, square_with_center):
         sel = select_minor(square_with_center, pivot=0)
@@ -347,7 +346,7 @@ class TestSolveWeak:
         basis = FormBasis(square_with_center, 0, tuple(paper_cols))
         inv = mat_inverse(product_matrix(basis))
         scaled = RatMat(6, 6, [4 * x for x in inv.entries])
-        assert scaled.transpose() == printed
+        assert RatMat.from_rows(map(scaled.column, range(6))) == printed
         assert scaled != printed  # the table as printed is not the inverse
 
     def test_square_measure_has_no_singular_part(self, square_with_center):

@@ -8,9 +8,22 @@ try:
 except ImportError:  # the properties below are skipped without hypothesis
     given = None
 
-from polymom import RatMat, det, mat_inverse, rank, rat, rat_str, solve
+from polymom import RatMat, det, mat_inverse, rat, rat_str, solve
 from polymom.errors import DimensionError, SingularMatrixError
-from polymom.linalg import eliminate
+from polymom.linalg import eliminate, integer_rank
+
+
+def rows_of(m):
+    return [list(m.row(i)) for i in range(m.rows)]
+
+
+def rank(m):
+    """The number of pivot columns of the one elimination the package runs."""
+    return len(eliminate(rows_of(m))[0])
+
+
+def matvec(m, x):
+    return tuple(sum(a * b for a, b in zip(m.row(i), x)) for i in range(m.rows))
 
 
 def cofactor_det(rows):
@@ -65,7 +78,7 @@ class TestDet:
         rng = random.Random(5)
         for _ in range(15):
             m = random_matrix(rng, 4)
-            assert det(m) == cofactor_det(m.row_lists())
+            assert det(m) == cofactor_det(rows_of(m))
 
     def test_non_square_rejected(self):
         with pytest.raises(DimensionError):
@@ -98,7 +111,7 @@ class TestSolve:
         for _ in range(10):
             m = random_invertible(rng, 4)
             b = [F(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(4)]
-            assert list(m.matvec(solve(m, b))) == b
+            assert list(matvec(m, solve(m, b))) == b
 
     def test_singular_reports_rank(self):
         m = RatMat.from_rows([[1, 2], [2, 4]])
@@ -110,6 +123,9 @@ class TestSolve:
 class TestRankInverse:
     def test_zero_rank(self):
         assert rank(RatMat(3, 3, [0] * 9)) == 0
+
+    def test_integer_rank_of_no_rows(self):
+        assert integer_rank([]) == 0
 
     def test_rank_of_rectangular(self):
         m = RatMat.from_rows([[1, 0, 1], [0, 1, 1], [1, 1, 2]])
@@ -135,7 +151,7 @@ class TestRankInverse:
         rng = random.Random(13)
         m = random_matrix(rng, 4)
         r = rank(m)
-        rows = m.row_lists()
+        rows = rows_of(m)
         rows[0], rows[2] = rows[2], rows[0]
         rows[1] = [F(7, 3) * x for x in rows[1]]
         assert rank(RatMat.from_rows(rows)) == r
@@ -154,10 +170,14 @@ class TestRatStrings:
         with pytest.raises(TypeError):
             rat(0.5)
 
+    def test_bool_rejected(self):
+        with pytest.raises(TypeError, match="bool"):
+            rat(True)
+
 
 def reference_pivots(m):
     """Independent oracle: the pivot columns of Fraction Gauss-Jordan elimination to reduced echelon form."""
-    rows = m.row_lists()
+    rows = rows_of(m)
     pivots = []
     for c in range(m.cols):
         r = len(pivots)
@@ -204,7 +224,7 @@ if given is not None:
         @properties
         @given(matrices(square=True))
         def test_det_matches_cofactor_expansion(self, m):
-            assert det(m) == cofactor_det(m.row_lists())
+            assert det(m) == cofactor_det(rows_of(m))
 
         @properties
         @given(matrices(), st.data())
@@ -215,16 +235,16 @@ if given is not None:
             x = [F(0)] * m.cols
             for c, v in zip(pivots, planted):
                 x[c] = v
-            b = m.matvec(x)
+            b = matvec(m, x)
             doubled = [2 * v for v in b]
-            assert eliminate(m.row_lists(), [b, doubled]) == (pivots, [planted, [2 * v for v in planted]])
+            assert eliminate(rows_of(m), [b, doubled]) == (pivots, [planted, [2 * v for v in planted]])
 
         @properties
         @given(matrices(square=True, plant=False), st.data())
         def test_solve_recovers_planted_solution(self, m, data):
             assume(reference_rank(m) == m.rows)
             x = tuple(data.draw(st.lists(rationals, min_size=m.cols, max_size=m.cols)))
-            assert solve(m, m.matvec(x)) == x
+            assert solve(m, matvec(m, x)) == x
 
         @properties
         @given(matrices(square=True), st.data())

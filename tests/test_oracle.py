@@ -166,7 +166,8 @@ def _reference_measure_moments(m, order, rho=None):
             for exps, coef in rho.terms.items():
                 term = Poly.constant(d, coef)
                 for j, k in enumerate(exps):
-                    term = term * coords[j] ** k
+                    for _ in range(k):
+                        term = term * coords[j]
                 rho_t = rho_t + term
         powers = [[Poly.constant(d, 1)] for _ in range(d)]
         for j in range(d):

@@ -11,6 +11,8 @@ from polymom import (
     FormBasis,
     MomentTable,
     Reconstruction,
+    SimplePolytope,
+    TangentCone,
     VertexSet,
     classify,
     measure_moments,
@@ -82,6 +84,11 @@ class TestEquality:
     def test_equal_fields_of_one_class_are_equal(self):
         assert _triangle_reconstruction() == _triangle_reconstruction()
 
+    def test_cones_compare_by_value_and_take_det_abs_from_the_edges(self):
+        cone = TangentCone((1, 0), [(-1, 0), (-1, 1)])
+        assert cone == TangentCone((F(1), 0), [(-1, 0), (-1, F(2, 2))])
+        assert cone._fields() == ((1, 0), ((-1, 0), (-1, 1))) and cone.det_abs == 1
+
 
 FROZEN = [
     lambda: classify(SQUARE_CENTER),
@@ -90,6 +97,8 @@ FROZEN = [
     lambda: det_factor_report(VertexSet(2, [(0, 0), (1, 0), (0, 1), (1, 2)]), [(0,), (1,), (2,)]),
     lambda: MomentTable(1, 0, {(0,): F(1)}),
     lambda: TRIANGLE,
+    lambda: TangentCone((1, 0), [(-1, 0), (-1, 1)]),
+    lambda: SimplePolytope(1, [TangentCone((0,), [(1,)]), TangentCone((1,), [(-1,)])]),
 ]
 
 
