@@ -228,8 +228,35 @@ if given is not None:
         chosen = draw(st.lists(st.sampled_from(triangles), unique=True, min_size=1, max_size=6))
         return WeightedMeasure(vs, [(s, draw(nonzero_rationals)) for s in chosen])
 
-    @settings(derandomize=True, database=None, deadline=None, max_examples=80)
-    @given(grid_measures())
+    # coordinates in [-2, 2] with denominators 1 to 4, so cell vertices carry
+    # a common denominator W > 1 and cut points need their gcd reduced
+    RATIONALS = sorted({F(n, q) for q in range(1, 5) for n in range(-2 * q, 2 * q + 1)})
+
+    @st.composite
+    def rational_measures(draw):
+        """A signed measure on rational points with a repeated point and a flat triple.
+
+        The flat triple shares one coordinate, which keeps its denominators.
+        """
+        n = draw(st.integers(5, 7))
+        x = draw(st.sampled_from(RATIONALS))
+        ys = draw(st.lists(st.sampled_from(RATIONALS), min_size=3, max_size=3, unique=True))
+        rest = st.tuples(st.sampled_from(RATIONALS), st.sampled_from(RATIONALS))
+        distinct = [(x, y) for y in ys] + draw(st.lists(rest, min_size=n - 4, max_size=n - 4))
+        if draw(st.booleans()):
+            distinct = [(y, x) for x, y in distinct]
+        assume(len(set(distinct)) == n - 1)
+        points = draw(st.permutations(distinct + [draw(st.sampled_from(distinct))]))
+        try:
+            vs = VertexSet(2, points)
+        except NotSpanningError:
+            assume(False)
+        triangles = [s for s in combinations(range(n), 3) if not is_degenerate(s, vs)]
+        chosen = draw(st.lists(st.sampled_from(triangles), unique=True, min_size=1, max_size=6))
+        return WeightedMeasure(vs, [(s, draw(nonzero_rationals)) for s in chosen])
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=160)
+    @given(st.one_of(grid_measures(), rational_measures()))
     def test_densities_match_centroid_rule_and_balance_mass(m):
         dens = density(m)
         cm = chamber_densities(build_chambers(m.vertex_set), dens)

@@ -12,6 +12,12 @@ stdout line of `polymom genfunc`, which exits 0 on all of them.  The cases
 are a triangle dissected at an interior point, whose vertex form cancels; a
 signed 2-d measure on a multiset with a repeated point; and a signed sum of
 three tetrahedra in R^3, one vertex at the origin.
+
+The chambers case holds `vertices.json` and `measure.json` and the expected
+`--svg` and `--out` bytes of `polymom chambers`.  Its seven points have
+non-integer coordinates and one of them is repeated.  Two signed triangles
+give chamber densities -3, 0, 2 and 5, so the uncovered chambers sit at 3/8
+of the density span, where the fill's red and green channels fall on a tie.
 """
 
 from pathlib import Path
@@ -62,3 +68,14 @@ def test_genfunc_bytes(case, tmp_path, capsys):
     assert captured.err == ""
     assert captured.out == (inputs / "genfunc.stdout").read_text(encoding="utf-8")
     assert out.read_bytes() == (inputs / "genfunc.json").read_bytes()
+
+
+def test_chambers_bytes(tmp_path, capsys):
+    inputs = DATA / "chambers_rational"
+    out, svg_path = tmp_path / "chambers.json", tmp_path / "map.svg"
+    argv = ["chambers", str(inputs / "vertices.json"), str(inputs / "measure.json")]
+    assert main(argv + ["--svg", str(svg_path), "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "")
+    assert svg_path.read_bytes() == (inputs / "chambers.svg").read_bytes()
+    assert out.read_bytes() == (inputs / "chambers.json").read_bytes()
