@@ -1,16 +1,18 @@
 """Chamber decomposition of a planar convex hull by all point-pair lines.
 
 The hull of the vertex set is split incrementally by every line through two
-distinct points, keeping exact rational vertices throughout; the resulting
-cells are the chambers.  A chamber lies wholly on one side of every line, and
-the split records that side as a bit of the chamber's sign vector
-(Edelsbrunner, *Algorithms in Combinatorial Geometry*, 1987).  Every edge of
-a basis triangle is one of the lines, so a chamber lies in a triangle exactly
-when its sides of the three edge lines are those of the opposite vertices.
-Each chamber gets the sum of the densities of the triangles containing it,
-and the map can be rendered as a deterministic SVG with exact "p/q" labels.
+distinct points; the resulting cells are the chambers.  A cell vertex is the
+gcd-reduced integer triple (X, Y, W), W > 0, of the exact point (X/W, Y/W),
+so the split, centroids, densities and SVG run in integers and a `Fraction`
+is formed only where a caller reads one.  A chamber lies wholly on one side
+of every line, and the split records that side as a bit of the chamber's
+sign vector (Edelsbrunner, *Algorithms in Combinatorial Geometry*, 1987).
+Every edge of a basis triangle is one of the lines, so a chamber lies in a
+triangle exactly when its sides of the three edge lines are those of the
+opposite vertices.  Each chamber gets the sum of the densities of the
+triangles containing it, and the map can be rendered as a deterministic SVG
+with exact "p/q" labels.
 """
-
 from __future__ import annotations
 
 from fractions import Fraction
@@ -18,26 +20,27 @@ from math import gcd, lcm
 
 from .errors import DimensionError
 from .geometry import VertexSet
+from .linalg import integer_vector
 from .value import Value
 
 
+def _homogeneous(p) -> tuple:
+    """The point (x, y) as its gcd-reduced integer triple (X, Y, W), W > 0."""
+    return tuple(integer_vector((*p, 1))[0])
+
+
 def _canonical_line(p, q):
-    """Normalized (a, b, c) with a*x + b*y + c = 0 through p and q.
+    """Normalized (a, b, c) with a*X + b*Y + c*W = 0 through homogeneous p and q.
 
     Scaled to coprime integers with the first nonzero coefficient positive,
     so the same geometric line always produces the same triple.
     """
-    a = q[1] - p[1]
-    b = p[0] - q[0]
-    c = -(a * p[0] + b * p[1])
-    denom = lcm(a.denominator, b.denominator, c.denominator)
-    ia, ib, ic = int(a * denom), int(b * denom), int(c * denom)
-    g = gcd(ia, gcd(ib, ic))
-    ia, ib, ic = ia // g, ib // g, ic // g
-    lead = ia if ia != 0 else ib
-    if lead < 0:
-        ia, ib, ic = -ia, -ib, -ic
-    return (ia, ib, ic)
+    (x1, y1, w1), (x2, y2, w2) = p, q
+    a, b, c = w1 * y2 - y1 * w2, x1 * w2 - w1 * x2, y1 * x2 - x1 * y2
+    g = gcd(a, b, c)
+    if (a if a != 0 else b) < 0:
+        g = -g
+    return (a // g, b // g, c // g)
 
 
 def convex_hull_2d(points):
@@ -62,72 +65,71 @@ def convex_hull_2d(points):
 
 
 def _split_polygon(polygon, line):
-    """Split a convex polygon by a line into (negative side, positive side).
+    """Split a convex polygon of homogeneous vertices by a line into (negative side, positive side).
 
     When the line misses the interior, the polygon lies wholly on one side:
     it is returned as that part and the other part is None.
     """
     a, b, c = line
-    # a*x + b*y + c at each vertex as (numerator, positive denominator)
-    values = []
-    for x, y in polygon:
-        dx, dy = x.denominator, y.denominator
-        values.append((a * x.numerator * dy + b * y.numerator * dx + c * dx * dy, dx * dy))
-    if all(v >= 0 for v, _ in values):
+    values = [a * x + b * y + c * w for x, y, w in polygon]
+    if min(values) >= 0:
         return None, polygon
-    if all(v <= 0 for v, _ in values):
+    if max(values) <= 0:
         return polygon, None
     neg, pos = [], []
     n = len(polygon)
     for i in range(n):
-        p, (vp, dp) = polygon[i], values[i]
-        q, (vq, dq) = polygon[(i + 1) % n], values[(i + 1) % n]
+        p, vp = polygon[i], values[i]
+        q, vq = polygon[(i + 1) % n], values[(i + 1) % n]
         if vp <= 0:
             neg.append(p)
         if vp >= 0:
             pos.append(p)
         if (vp < 0 < vq) or (vq < 0 < vp):
-            t = Fraction(vp * dq, vp * dq - vq * dp)
-            cut = (p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1]))
+            s, t = abs(vq), abs(vp)  # the value s*vp + t*vq of the cut is 0
+            x, y, w = s * p[0] + t * q[0], s * p[1] + t * q[1], s * p[2] + t * q[2]
+            g = gcd(x, y, w)
+            cut = (x // g, y // g, w // g)
             neg.append(cut)
             pos.append(cut)
     return tuple(neg), tuple(pos)
 
 
-def _polygon_area(polygon) -> Fraction:
-    total = Fraction(0)
-    n = len(polygon)
-    for i in range(n):
-        x1, y1 = polygon[i]
-        x2, y2 = polygon[(i + 1) % n]
-        total += x1 * y2 - x2 * y1
-    return abs(total) / 2
-
-
-def _centroid(polygon):
-    n = len(polygon)
-    return (
-        sum(p[0] for p in polygon) / n,
-        sum(p[1] for p in polygon) / n,
-    )
+def _centroid(vertices):
+    """The vertex centroid of homogeneous vertices, over their one common denominator."""
+    w = lcm(*(v[2] for v in vertices))
+    sx = sy = 0
+    for x, y, v in vertices:
+        sx += x * (w // v)
+        sy += y * (w // v)
+    n = len(vertices) * w
+    return Fraction(sx, n), Fraction(sy, n)
 
 
 class Chamber(Value):
     """One cell of the map.
 
-    `polygon` is its CCW cycle of exact (x, y) vertices and `point` a
+    `vertices` is its CCW cycle of homogeneous integer vertices (X, Y, W),
+    W > 0 and gcd 1, and the property `polygon` the same cycle as exact
+    (X/W, Y/W) `Fraction` pairs, formed on each read.  `point` is a
     representative interior point (the vertex centroid).  Bit k of `sides`
     is set iff the chamber lies on the positive side of `lines[k]`.
     """
 
-    __slots__ = ("polygon", "point", "sides", "density")
+    __slots__ = ("vertices", "point", "sides", "density")
     __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
 
-    def __init__(self, polygon: tuple, point: tuple, sides: int, density: Fraction | None = None):
-        self._fill(polygon, point, sides, density)
+    def __init__(self, vertices: tuple, point: tuple, sides: int, density: Fraction | None = None):
+        self._fill(vertices, point, sides, density)
+
+    @property
+    def polygon(self) -> tuple:
+        return tuple((Fraction(x, w), Fraction(y, w)) for x, y, w in self.vertices)
 
     def area(self) -> Fraction:
-        return _polygon_area(self.polygon)
+        p = self.polygon
+        twice = sum((x1 * y2 - x2 * y1 for (x1, y1), (x2, y2) in zip(p, p[1:] + p[:1])), Fraction(0))
+        return abs(twice) / 2
 
 
 class ChamberMap(Value):
@@ -148,7 +150,7 @@ def build_chambers(vs: VertexSet) -> ChamberMap:
     """Subdivide conv(S) by the deduplicated lines through all point pairs."""
     if vs.dim != 2:
         raise DimensionError("chamber decomposition is implemented for d = 2 only")
-    pts = list(vs.points)
+    pts = [_homogeneous(p) for p in vs.points]
     pairs = {
         (i, j): _canonical_line(pts[i], pts[j])
         for i in range(len(pts))
@@ -157,7 +159,7 @@ def build_chambers(vs: VertexSet) -> ChamberMap:
     }
     lines = sorted(set(pairs.values()))
     index = {line: k for k, line in enumerate(lines)}
-    cells = [(tuple(convex_hull_2d(pts)), 0)]
+    cells = [(tuple(map(_homogeneous, convex_hull_2d(vs.points))), 0)]
     for k, line in enumerate(lines):
         next_cells = []
         for cell, sides in cells:
@@ -172,20 +174,20 @@ def build_chambers(vs: VertexSet) -> ChamberMap:
     return ChamberMap(vs, tuple(lines), tuple(chambers), {pair: index[line] for pair, line in pairs.items()})
 
 
-def _triangle_sides(simplex, cm: ChamberMap):
+def _triangle_sides(simplex, cm: ChamberMap, points):
     """(mask, sides): a chamber lies in the triangle iff its sides & mask == sides.
 
     mask has the bits of the three edge lines, sides those of the edges whose
-    opposite vertex is on the positive side.  The triangle must not be flat.
+    opposite vertex, of the homogeneous `points`, is on the positive side.
+    The triangle must not be flat.
     """
-    points = cm.vertex_set.points
     mask = sides = 0
     for k, opposite in enumerate(simplex):
         line = cm.edges[tuple(sorted(simplex[:k] + simplex[k + 1 :]))]
         a, b, c = cm.lines[line]
-        x, y = points[opposite]
+        x, y, w = points[opposite]
         mask |= 1 << line
-        if a * x + b * y + c > 0:
+        if a * x + b * y + c * w > 0:
             sides |= 1 << line
     return mask, sides
 
@@ -195,15 +197,18 @@ def chamber_densities(cm: ChamberMap, simplex_densities) -> ChamberMap:
 
     `simplex_densities` is a list of (simplex, density) pairs of non-degenerate
     triangles over the map's vertex set, as produced by geometry.density.
+    The sums run over integer numerators of one common denominator.
     """
-    tris = [(*_triangle_sides(s, cm), d) for s, d in simplex_densities]
+    points = [_homogeneous(p) for p in cm.vertex_set.points]
+    numerators, scale = integer_vector(d for _, d in simplex_densities)
+    tris = [(*_triangle_sides(s, cm, points), n) for (s, _), n in zip(simplex_densities, numerators)]
     chambers = []
     for ch in cm.chambers:
-        total = Fraction(0)
-        for mask, sides, dens in tris:
+        total = 0
+        for mask, sides, n in tris:
             if ch.sides & mask == sides:
-                total += dens
-        chambers.append(Chamber(ch.polygon, ch.point, ch.sides, total))
+                total += n
+        chambers.append(Chamber(ch.vertices, ch.point, ch.sides, Fraction(total, scale)))
     return ChamberMap(cm.vertex_set, cm.lines, tuple(chambers), cm.edges)
 
 
@@ -212,28 +217,27 @@ def chamber_densities(cm: ChamberMap, simplex_densities) -> ChamberMap:
 _SVG_SCALE = 100  # user units per coordinate unit
 
 
-def _fixed(value: Fraction) -> str:
-    """Exact decimal rendering with two digits (round half up)."""
-    scaled = value * 100
-    n = scaled.numerator
-    d = scaled.denominator
-    q, r = divmod(abs(n), d)
+def _fixed(n: int, d: int) -> str:
+    """Exact decimal rendering of n/d, d > 0, with two digits (round half up)."""
+    q, r = divmod(abs(n) * 100, d)
     if 2 * r >= d:
         q += 1
     sign = "-" if n < 0 else ""
     return f"{sign}{q // 100}.{q % 100:02d}"
 
 
-def _color(t: Fraction) -> str:
-    """Diverging blue-white-red scale for t in [0, 1], exact interpolation."""
-    t = min(max(t, Fraction(0)), Fraction(1))
-    lo, mid, hi = (69, 117, 180), (247, 247, 247), (215, 48, 39)
-    if t <= Fraction(1, 2):
-        f = 2 * t
-        rgb = [round(a + f * (b - a)) for a, b in zip(lo, mid)]
+def _color(offset: int, span: int) -> str:
+    """Blue-white-red at t = offset/span in [0, 1] (1/2 when span is 0), each channel rounded half to even."""
+    if span == 0:
+        offset, span = 1, 2
+    if 2 * offset <= span:
+        ends, f = ((69, 117, 180), (247, 247, 247)), 2 * offset  # f / span = 2t
     else:
-        f = 2 * t - 1
-        rgb = [round(a + f * (b - a)) for a, b in zip(mid, hi)]
+        ends, f = ((247, 247, 247), (215, 48, 39)), 2 * offset - span  # 2t - 1
+    rgb = []
+    for a, b in zip(*ends):
+        q, r = divmod(a * span + f * (b - a), span)
+        rgb.append(q + (2 * r > span or (2 * r == span and q % 2)))
     return f"#{rgb[0]:02x}{rgb[1]:02x}{rgb[2]:02x}"
 
 
@@ -242,54 +246,49 @@ def render_svg(cm: ChamberMap) -> str:
     pts = cm.vertex_set.points
     xs = [p[0] for p in pts]
     ys = [p[1] for p in pts]
-    width = max(xs) - min(xs)
-    height = max(ys) - min(ys)
-    margin_x = width * Fraction(5, 100)
-    margin_y = height * Fraction(5, 100)
-    x0, y0 = min(xs) - margin_x, min(ys) - margin_y
-    x1, y1 = max(xs) + margin_x, max(ys) + margin_y
+    x0 = min(xs) - (max(xs) - min(xs)) / 20  # a margin of 5% on each side
+    y0 = min(ys) - (max(ys) - min(ys)) / 20
+    x1 = max(xs) + (max(xs) - min(xs)) / 20
+    y1 = max(ys) + (max(ys) - min(ys)) / 20
+    (x0n, x0d), (y1n, y1d) = x0.as_integer_ratio(), y1.as_integer_ratio()
 
-    def sx(x):
-        return _fixed((x - x0) * _SVG_SCALE)
+    def sx(x, w):  # user units right of x0 at abscissa x/w
+        return _fixed(_SVG_SCALE * (x * x0d - x0n * w), w * x0d)
 
-    def sy(y):
-        return _fixed((y1 - y) * _SVG_SCALE)
+    def sy(y, w):  # user units below y1 at ordinate y/w
+        return _fixed(_SVG_SCALE * (y1n * w - y * y1d), w * y1d)
 
-    view_w = _fixed((x1 - x0) * _SVG_SCALE)
-    view_h = _fixed((y1 - y0) * _SVG_SCALE)
+    view_w = sx(*x1.as_integer_ratio())
+    view_h = sy(*y0.as_integer_ratio())
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" viewBox="0 0 {view_w} {view_h}">',
     ]
-    densities = [ch.density for ch in cm.chambers if ch.density is not None]
-    lo = min(densities, default=Fraction(0))
-    hi = max(densities, default=Fraction(0))
-    span = hi - lo
+    numerators, _ = integer_vector(ch.density for ch in cm.chambers if ch.density is not None)
+    lo = min(numerators, default=0)
+    span = max(numerators, default=0) - lo
+    offsets = (n - lo for n in numerators)
     coords = {}  # each distinct polygon vertex, formatted once
     for ch in cm.chambers:
-        for x, y in ch.polygon:
-            if (x, y) not in coords:
-                coords[x, y] = f"{sx(x)},{sy(y)}"
-        points = " ".join(coords[p] for p in ch.polygon)
-        if ch.density is None:
-            fill = "none"
-        else:
-            t = (ch.density - lo) / span if span != 0 else Fraction(1, 2)
-            fill = _color(t)
+        for x, y, w in ch.vertices:
+            if (x, y, w) not in coords:
+                coords[x, y, w] = f"{sx(x, w)},{sy(y, w)}"
+        points = " ".join(coords[v] for v in ch.vertices)
+        fill = "none" if ch.density is None else _color(next(offsets), span)
         out.append(
             f'  <polygon points="{points}" fill="{fill}" stroke="#333333" stroke-width="1"/>'
         )
     for ch in cm.chambers:
-        if ch.density is None:
-            continue
+        if ch.density is not None:
+            x, y = ch.point
+            out.append(
+                f'  <text x="{sx(*x.as_integer_ratio())}" y="{sy(*y.as_integer_ratio())}" '
+                f'font-size="14" text-anchor="middle" fill="#000000">{ch.density}</text>'
+            )
+    for i, (x, y, w) in enumerate(map(_homogeneous, pts)):
+        out.append(f'  <circle cx="{sx(x, w)}" cy="{sy(y, w)}" r="3" fill="#000000"/>')
         out.append(
-            f'  <text x="{sx(ch.point[0])}" y="{sy(ch.point[1])}" font-size="14" '
-            f'text-anchor="middle" fill="#000000">{ch.density}</text>'
-        )
-    for i, p in enumerate(pts):
-        out.append(f'  <circle cx="{sx(p[0])}" cy="{sy(p[1])}" r="3" fill="#000000"/>')
-        out.append(
-            f'  <text x="{sx(p[0])}" y="{sy(p[1])}" dx="5" dy="-5" font-size="12" '
+            f'  <text x="{sx(x, w)}" y="{sy(y, w)}" dx="5" dy="-5" font-size="12" '
             f'fill="#000000">v{i + 1}</text>'
         )
     out.append("</svg>")
