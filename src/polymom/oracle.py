@@ -22,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations_with_replacement, islice
 from math import comb, factorial, lcm, prod
-from operator import mul
+from operator import index, mul
 
 from .errors import DegenerateSimplexError, DimensionError
 from .geometry import VertexSet, WeightedMeasure, edge_det
@@ -37,7 +37,9 @@ class MomentTable(Value):
     __slots__ = ("dim", "order", "moments")
 
     def __init__(self, dim: int, order: int, moments: dict):
-        self._fill(dim, order, moments)
+        if isinstance(dim, bool) or isinstance(order, bool):
+            raise TypeError("moment table dim and order must be integers, not bool")
+        self._fill(index(dim), index(order), moments)
         if self.order < 0:
             raise DimensionError(f"moment order must be non-negative, got {self.order}")
         if self.dim < 0:

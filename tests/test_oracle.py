@@ -85,6 +85,14 @@ def test_table_completeness_enforced():
         MomentTable(2, 1, {(0, 0): F(1)})
 
 
+@pytest.mark.parametrize("dim, order", [(2.0, 1), (2, 1.0), (True, 1), (2, True)])
+def test_dim_and_order_must_be_integers(dim, order):
+    moments = {(0, 0): F(1), (1, 0): F(1, 3), (0, 1): F(1, 3)}
+    assert MomentTable(2, 1, moments).order == 1
+    with pytest.raises(TypeError):
+        MomentTable(dim, order, moments)
+
+
 def test_negative_order_rejected(triangle_115232):
     with pytest.raises(DimensionError):
         MomentTable(2, -1, {})
