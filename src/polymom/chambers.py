@@ -197,11 +197,11 @@ def chamber_densities(cm: ChamberMap, simplex_densities) -> ChamberMap:
 
     `simplex_densities` is a list of (simplex, density) pairs of non-degenerate
     triangles over the map's vertex set, as produced by geometry.density.
-    The sums run over integer numerators of one common denominator.
     """
     points = [_homogeneous(p) for p in cm.vertex_set.points]
-    numerators, scale = integer_vector(d for _, d in simplex_densities)
-    tris = [(*_triangle_sides(s, cm, points), n) for (s, _), n in zip(simplex_densities, numerators)]
+    tris = [(_triangle_sides(s, cm, points), d) for s, d in simplex_densities]
+    numerators, scale = integer_vector(d for _, d in tris)
+    tris = [(*t, n) for (t, _), n in zip(tris, numerators)]
     chambers = []
     for ch in cm.chambers:
         total = 0
@@ -246,10 +246,9 @@ def render_svg(cm: ChamberMap) -> str:
     pts = cm.vertex_set.points
     xs = [p[0] for p in pts]
     ys = [p[1] for p in pts]
-    x0 = min(xs) - (max(xs) - min(xs)) / 20  # a margin of 5% on each side
-    y0 = min(ys) - (max(ys) - min(ys)) / 20
-    x1 = max(xs) + (max(xs) - min(xs)) / 20
-    y1 = max(ys) + (max(ys) - min(ys)) / 20
+    (lx, hx), (ly, hy) = (min(xs), max(xs)), (min(ys), max(ys))
+    x0, x1 = lx - (hx - lx) / 20, hx + (hx - lx) / 20  # a margin of 5% on each side
+    y0, y1 = ly - (hy - ly) / 20, hy + (hy - ly) / 20
     (x0n, x0d), (y1n, y1d) = x0.as_integer_ratio(), y1.as_integer_ratio()
 
     def sx(x, w):  # user units right of x0 at abscissa x/w

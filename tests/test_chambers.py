@@ -8,7 +8,7 @@ try:
 except ImportError:  # the properties below are skipped without hypothesis
     given = None
 
-from polymom import VertexSet, WeightedMeasure, density, measure_moments, uniform_measure
+from polymom import VertexSet, WeightedMeasure, chambers, density, measure_moments, uniform_measure
 from polymom.chambers import (
     build_chambers,
     chamber_densities,
@@ -120,12 +120,11 @@ def test_density_at_random_interior_points_matches_sum(pentagon_set):
     dens = density(m)
     cm = chamber_densities(build_chambers(pentagon_set), dens)
     assert [ch.density for ch in cm.chambers] == _reference_densities(cm, dens)
+    assert chamber_densities(build_chambers(pentagon_set), iter(dens)) == cm  # read in one pass
 
 
 def test_one_line_derivation_per_point_pair(monkeypatch):
     """Triangle edges are looked up by index pair; only `build_chambers` derives lines."""
-    from polymom import chambers
-
     vs = VertexSet(2, [(0, 0), (2, 0), (1, 1), (0, 2), (0, 0), (2, 2)])
     calls = []
     derive = chambers._canonical_line
@@ -266,7 +265,28 @@ if given is not None:
         assert mass == sum(w for _, w in m.atoms) / 2 == measure_moments(m, 0)[(0, 0)]
 
 
+def _fraction_color(t):
+    """The fill colour by `Fraction` interpolation and `round`, as a reference."""
+    lo, mid, hi = (69, 117, 180), (247, 247, 247), (215, 48, 39)
+    ends, f = ((lo, mid), 2 * t) if t <= F(1, 2) else ((mid, hi), 2 * t - 1)
+    return "#%02x%02x%02x" % tuple(round(a + f * (b - a)) for a, b in zip(*ends))
+
+
 class TestSvg:
+    @pytest.mark.parametrize("span", [0, 1, 2, 3, 8, 16, 40, 123])
+    def test_color_matches_fraction_rounding(self, span):
+        for offset in range(span + 1):
+            t = F(offset, span) if span else F(1, 2)
+            assert chambers._color(offset, span) == _fraction_color(t)
+        assert chambers._color(3, 8) == "#cad6e6"  # red 202.5 and green 214.5 round to even
+
+    def test_fixed_rounds_half_up_in_magnitude(self):
+        for d in range(1, 9):
+            for n in range(-250, 251):
+                value = F(100 * n, d)
+                q = int(abs(value)) + (abs(value) % 1 >= F(1, 2))
+                assert chambers._fixed(n, d) == f"{'-' if n < 0 else ''}{q // 100}.{q % 100:02d}"
+
     def test_outline_only_without_densities(self, pentagon_set):
         svg = render_svg(build_chambers(pentagon_set))
         assert svg.startswith('<?xml version="1.0"')
