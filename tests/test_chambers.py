@@ -278,7 +278,6 @@ class TestSvg:
         for offset in range(span + 1):
             t = F(offset, span) if span else F(1, 2)
             assert chambers._color(offset, span) == _fraction_color(t)
-        assert chambers._color(3, 8) == "#cad6e6"  # red 202.5 and green 214.5 round to even
 
     def test_fixed_rounds_half_up_in_magnitude(self):
         for d in range(1, 9):
