@@ -1,4 +1,4 @@
-"""Byte pins of `polymom invert` and `polymom genfunc` on committed inputs.
+"""Byte pins of `polymom invert`, `genfunc`, `moments` and `chambers` on committed inputs.
 
 Each invert case under tests/data holds `vertices.json` and `table.json` and
 the expected bytes of one run per entry of RUNS: the `--out` JSON, the SVG
@@ -11,7 +11,9 @@ Each genfunc case holds `measure.json` and the expected `--out` JSON and
 stdout line of `polymom genfunc`, which exits 0 on all of them.  The cases
 are a triangle dissected at an interior point, whose vertex form cancels; a
 signed 2-d measure on a multiset with a repeated point; and a signed sum of
-three tetrahedra in R^3, one vertex at the origin.
+three tetrahedra in R^3, one vertex at the origin.  The same three measures
+also hold `moments-<k>.json`, the moment table `polymom moments --order k`
+writes, at orders 0, 3 and 8 (6 for the 3-d case).
 
 The chambers case holds `vertices.json` and `measure.json` and the expected
 `--svg` and `--out` bytes of `polymom chambers`.  Its seven points have
@@ -68,6 +70,22 @@ def test_genfunc_bytes(case, tmp_path, capsys):
     assert captured.err == ""
     assert captured.out == (inputs / "genfunc.stdout").read_text(encoding="utf-8")
     assert out.read_bytes() == (inputs / "genfunc.json").read_bytes()
+
+
+MOMENTS_RUNS = [(case, k) for case in GENFUNC_CASES for k in (0, 3, 6 if case.endswith("d3") else 8)]
+
+
+@pytest.mark.parametrize("case, order", MOMENTS_RUNS, ids=[f"{c}-{k}" for c, k in MOMENTS_RUNS])
+def test_moments_bytes(case, order, tmp_path, capsys):
+    inputs = DATA / case
+    expected = (inputs / f"moments-{order}.json").read_text(encoding="utf-8")
+    out = tmp_path / "m.json"
+    argv = ["moments", str(inputs / "measure.json"), "--order", str(order)]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert out.read_text(encoding="utf-8") == expected
+    assert main(argv) == 0
+    assert capsys.readouterr() == (expected, "")
 
 
 def test_chambers_bytes(tmp_path, capsys):

@@ -217,6 +217,67 @@ def test_measure_moments_match_power_table_reference():
         assert measure_moments(m, order, rho) == _reference_measure_moments(m, order, rho)
 
 
+LARGE = 10**12 + 39
+
+
+def _dense_rho(dim):
+    """A non-homogeneous density of degree 2 with pairwise different denominators."""
+    terms = {(0,) * dim: F(1, 3), (1,) + (0,) * (dim - 1): F(-2, 5), (0,) * (dim - 1) + (2,): F(7, 11)}
+    if dim > 1:
+        terms[(1, 1) + (0,) * (dim - 2)] = F(5, 4)
+    return Poly(dim, terms)
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["plain", "density"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_measure_without_atoms_is_zero_to_every_order(dim, dense):
+    vs = VertexSet(dim, [tuple(int(i == j) for i in range(dim)) for j in range(-1, dim)])
+    m = WeightedMeasure(vs, [])
+    rho = _dense_rho(dim) if dense else None
+    for order in range(4):
+        table = measure_moments(m, order, rho)
+        assert table == _reference_measure_moments(m, order, rho)
+        assert set(table.moments.values()) == {0}
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["plain", "density"])
+def test_atoms_over_pairwise_different_denominators(dense):
+    """Vertex denominators 1, 3, 5, 7 and a large one, weight denominators 2,
+    9, 10^9 + 7 and 4: the atoms' integer sums meet over one lcm per degree."""
+    vs = VertexSet(2, [
+        (0, 0), (F(1, 3), F(2, 3)), (F(7, 5), F(-1, 5)), (F(2, 7), F(9, 7)),
+        (1 + F(5, LARGE), 2 - F(3, LARGE)),
+    ])
+    atoms = [((0, 1, 2), F(3, 2)), ((0, 2, 3), F(-5, 9)), ((1, 3, 4), F(7, 10**9 + 7)), ((0, 2, 4), F(11, 4))]
+    m = WeightedMeasure(vs, atoms)
+    rho = _dense_rho(2) if dense else None
+    for order in range(5):
+        assert measure_moments(m, order, rho) == _reference_measure_moments(m, order, rho)
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["plain", "density"])
+@pytest.mark.parametrize("dim, order, seed", [(2, 10, 1), (3, 6, 2)])
+def test_forward_series_sizes(dim, order, seed, dense):
+    """A signed sum of four simplices on d+3 shared rational points, at the
+    largest order the forward-series benchmark asks in that dimension."""
+    rng = random.Random(seed)
+    vs = VertexSet(dim, [random_point(rng, dim) for _ in range(dim + 3)])
+    simplices = [s for s in combinations(range(dim + 3), dim + 1) if not is_degenerate(s, vs)]
+    m = WeightedMeasure(vs, [(s, random_rational(rng) or 1) for s in rng.sample(simplices, 4)])
+    rho = _dense_rho(dim) if dense else None
+    assert measure_moments(m, order, rho) == _reference_measure_moments(m, order, rho)
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["plain", "density"])
+@pytest.mark.parametrize("empty", [False, True], ids=["atoms", "empty"])
+def test_negative_order_names_the_order(triangle_115232, empty, dense):
+    m = WeightedMeasure(triangle_115232, [] if empty else [((0, 1, 2), F(7, 3))])
+    rho = _dense_rho(2) if dense else None
+    with pytest.raises(DimensionError) as exc:
+        measure_moments(m, -1, rho)
+    assert str(exc.value) == "moment order must be non-negative, got -1"
+
+
 if given is not None:
     rationals = st.builds(F, st.integers(-12, 12), st.integers(1, 4))
     nonzero_rationals = st.builds(F, st.integers(-6, 6).filter(bool), st.integers(1, 4))
