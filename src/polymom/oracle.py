@@ -11,10 +11,13 @@ degree r takes the smallest s with 2s+1 >= k + r.
 
 The arithmetic is in integers: the vertices of a simplex are scaled once by
 their common denominator L, so a node is X / (D_i L) with X an integer
-vector.  The values X^I are built degree by degree from the parent
-monomial's, summed per group, and the groups are folded over one denominator
-per degree.  The oracle only evaluates monomials at points and shares no code
-with `genfunc` or `inverse`, so it can arbitrate their results.
+vector.  The monomials of the table form a tree, built once per call, in
+which each is its parent's times one coordinate; the values X^I follow it,
+summed per group.  An atom of weight a/b keeps its sums as integers over
+b L^(k+r) at degree k, the atoms meet over the lcm of those per degree, and
+each moment takes one `Fraction` at the end.  The oracle only evaluates
+monomials at points and shares no code with `genfunc` or `inverse`, so it
+can arbitrate their results.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations_with_replacement, islice
 from math import comb, factorial, lcm, prod
-from operator import index, mul
+from operator import add, index, mul
 
 from .errors import DegenerateSimplexError, DimensionError
 from .geometry import VertexSet, WeightedMeasure, edge_det
@@ -101,11 +104,8 @@ def _atom_nodes(groups, simplex, vs: VertexSet):
     point X / (D_i L)."""
     points = [vs.points[v] for v in simplex]
     scale = lcm(*(c.denominator for p in points for c in p))
-    ints = [[c.numerator * (scale // c.denominator) for c in p] for p in points]
-    return scale, [
-        [tuple(sum(b * p[j] for b, p in zip(odd, ints)) for j in range(vs.dim)) for odd in nodes]
-        for _, _, nodes in groups
-    ]
+    columns = [[c.numerator * (scale // c.denominator) for c in col] for col in zip(*points)]
+    return scale, [[tuple(sum(map(mul, odd, col)) for col in columns) for odd in nodes] for _, _, nodes in groups]
 
 
 def simplex_monomial_moment(s, vs: VertexSet, index) -> Fraction:
@@ -133,31 +133,37 @@ def measure_moments(m: WeightedMeasure, order: int, rho: Poly | None = None) -> 
     clear = lcm(*(c.denominator for c in rho.terms.values()))
     rho_ints = [(c.numerator * (clear // c.denominator), K, r - sum(K)) for K, c in rho.terms.items()]
     exact, den, groups = _rule(d, order + r)
-    table = {e: Fraction(0) for e in monomials_upto(d, order)}
+    index = monomials_upto(d, order)
+    degrees = list(map(sum, index))
+    # the tree: each monomial past 1 is its parent's times x_j, j its last variable
+    where = {e: i for i, e in enumerate(index)}
+    tree = []
+    for e in index[1:]:
+        j = max(i for i, k in enumerate(e) if k)
+        tree.append((where[e[:j] + (e[j] - 1,) + e[j + 1 :]], j))
+    # group i weighs the sum of its node values at degree g by k_i D_i^(exact - r - g)
+    weights = [[k * D ** (exact - r - g) for g in degrees] for k, D, _ in groups]
+    atoms = []
     for simplex, w in m.atoms:
         scale, nodes = _atom_nodes(groups, simplex, vs)
-        # clear * (D_i L)^r * rho(X / (D_i L)) is an integer form of degree r in X
-        level = {(0,) * d: [
-            [sum(c * (D * scale) ** gap * prod(map(pow, X, K)) for c, K, gap in rho_ints) for X in xs]
-            for (_, D, _), xs in zip(groups, nodes)
-        ]}
-        columns = [list(zip(*xs)) for xs in nodes]
-        for degree in range(order + 1):
-            if degree:
-                level = {e: _parent_values(level, e, columns) for e in monomials_of_degree(d, degree)}
-            weights = [w.numerator * k * D ** (exact - degree - r) for k, D, _ in groups]
-            scaled = w.denominator * den * clear * scale ** (degree + r)
-            for e, values in level.items():
-                table[e] += Fraction(sum(map(mul, weights, map(sum, values))), scaled)
-    return MomentTable(d, order, table)
-
-
-def _parent_values(level, exps, columns):
-    """X^I at every node from its parent's values: the parent lowers the last
-    nonzero exponent of I by one, so each value is multiplied by that coordinate."""
-    j = max(i for i, k in enumerate(exps) if k)
-    parent = exps[:j] + (exps[j] - 1,) + exps[j + 1 :]
-    return [list(map(mul, values, cols[j])) for values, cols in zip(level[parent], columns)]
+        sums = [0] * len(index)
+        for (_, D, _), xs, weight in zip(groups, nodes, weights):
+            # clear * (D L)^r * rho(X / (D L)) is an integer form of degree r in X
+            rows = [[sum(c * (D * scale) ** gap * prod(map(pow, X, K)) for c, K, gap in rho_ints) for X in xs]]
+            columns = list(zip(*xs))
+            for parent, j in tree:
+                rows.append(list(map(mul, rows[parent], columns[j])))
+            sums = list(map(add, sums, map(mul, weight, map(sum, rows))))
+        # w times the sums, which stand over b L^(g+r) at degree g, b the weight's denominator
+        atoms.append((sums, w, scale))
+    lcms = [lcm(*(w.denominator * L ** (g + r) for _, w, L in atoms)) for g in range(order + 1)]
+    total = [0] * len(index)
+    for sums, w, L in atoms:
+        lift = [w.numerator * (q // (w.denominator * L ** (g + r))) for g, q in enumerate(lcms)]
+        total = [t + s * lift[g] for t, s, g in zip(total, sums, degrees)]
+    return MomentTable(d, order, {
+        e: Fraction(t, den * clear * lcms[g]) for e, t, g in zip(index, total, degrees)
+    })
 
 
 def axial_moment(m: WeightedMeasure, z, j: int) -> Fraction:
