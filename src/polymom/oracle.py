@@ -133,12 +133,12 @@ def measure_moments(m: WeightedMeasure, order: int, rho: Poly | None = None) -> 
     clear = lcm(*(c.denominator for c in rho.terms.values()))
     rho_ints = [(c.numerator * (clear // c.denominator), K, r - sum(K)) for K, c in rho.terms.items()]
     exact, den, groups = _rule(d, order + r)
-    index = monomials_upto(d, order)
-    degrees = list(map(sum, index))
+    monos = monomials_upto(d, order)
+    degrees = list(map(sum, monos))
     # the tree: each monomial past 1 is its parent's times x_j, j its last variable
-    where = {e: i for i, e in enumerate(index)}
+    where = {e: i for i, e in enumerate(monos)}
     tree = []
-    for e in index[1:]:
+    for e in monos[1:]:
         j = max(i for i, k in enumerate(e) if k)
         tree.append((where[e[:j] + (e[j] - 1,) + e[j + 1 :]], j))
     # group i weighs the sum of its node values at degree g by k_i D_i^(exact - r - g)
@@ -146,7 +146,7 @@ def measure_moments(m: WeightedMeasure, order: int, rho: Poly | None = None) -> 
     atoms = []
     for simplex, w in m.atoms:
         scale, nodes = _atom_nodes(groups, simplex, vs)
-        sums = [0] * len(index)
+        sums = [0] * len(monos)
         for (_, D, _), xs, weight in zip(groups, nodes, weights):
             # clear * (D L)^r * rho(X / (D L)) is an integer form of degree r in X
             rows = [[sum(c * (D * scale) ** gap * prod(map(pow, X, K)) for c, K, gap in rho_ints) for X in xs]]
@@ -157,12 +157,12 @@ def measure_moments(m: WeightedMeasure, order: int, rho: Poly | None = None) -> 
         # w times the sums, which stand over b L^(g+r) at degree g, b the weight's denominator
         atoms.append((sums, w, scale))
     lcms = [lcm(*(w.denominator * L ** (g + r) for _, w, L in atoms)) for g in range(order + 1)]
-    total = [0] * len(index)
+    total = [0] * len(monos)
     for sums, w, L in atoms:
         lift = [w.numerator * (q // (w.denominator * L ** (g + r))) for g, q in enumerate(lcms)]
         total = [t + s * lift[g] for t, s, g in zip(total, sums, degrees)]
     return MomentTable(d, order, {
-        e: Fraction(t, den * clear * lcms[g]) for e, t, g in zip(index, total, degrees)
+        e: Fraction(t, den * clear * lcms[g]) for e, t, g in zip(monos, total, degrees)
     })
 
 
