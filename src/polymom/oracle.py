@@ -105,7 +105,9 @@ def _atom_nodes(groups, simplex, vs: VertexSet):
     points = [vs.points[v] for v in simplex]
     scale = lcm(*(c.denominator for p in points for c in p))
     columns = [[c.numerator * (scale // c.denominator) for c in col] for col in zip(*points)]
-    return scale, [[tuple(sum(map(mul, odd, col)) for col in columns) for odd in nodes] for _, _, nodes in groups]
+    return scale, [
+        [tuple(sum(map(mul, odd, col)) for col in columns) for odd in nodes] for _, _, nodes in groups
+    ]
 
 
 def simplex_monomial_moment(s, vs: VertexSet, index) -> Fraction:
@@ -149,7 +151,9 @@ def measure_moments(m: WeightedMeasure, order: int, rho: Poly | None = None) -> 
         sums = [0] * len(monos)
         for (_, D, _), xs, weight in zip(groups, nodes, weights):
             # clear * (D L)^r * rho(X / (D L)) is an integer form of degree r in X
-            rows = [[sum(c * (D * scale) ** gap * prod(map(pow, X, K)) for c, K, gap in rho_ints) for X in xs]]
+            rows = [[
+                sum(c * (D * scale) ** gap * prod(map(pow, X, K)) for c, K, gap in rho_ints) for X in xs
+            ]]
             columns = list(zip(*xs))
             for parent, j in tree:
                 rows.append(list(map(mul, rows[parent], columns[j])))
