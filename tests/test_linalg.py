@@ -10,7 +10,7 @@ except ImportError:  # the properties below are skipped without hypothesis
 
 from polymom import RatMat, det, mat_inverse, rat, rat_str, solve
 from polymom.errors import DimensionError, SingularMatrixError
-from polymom.linalg import eliminate, integer_rank
+from polymom.linalg import eliminate, integer_det, integer_rank
 
 
 def rows_of(m):
@@ -27,8 +27,10 @@ def matvec(m, x):
 
 
 def cofactor_det(rows):
-    """Independent oracle: textbook cofactor expansion."""
+    """Independent oracle: textbook cofactor expansion; 1 for no rows."""
     n = len(rows)
+    if n == 0:
+        return 1
     if n == 1:
         return rows[0][0]
     total = F(0)
@@ -197,6 +199,11 @@ def reference_rank(m):
     return len(reference_pivots(m))
 
 
+def integer_reference_pivots(rows, ncols):
+    """`reference_pivots` of integer rows, which may be none or empty."""
+    return reference_pivots(RatMat(len(rows), ncols, [e for r in rows for e in r]))
+
+
 if given is not None:
     rationals = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
     properties = settings(derandomize=True, database=None, deadline=None, max_examples=80)
@@ -214,6 +221,62 @@ if given is not None:
             else:
                 columns.append(draw(st.lists(rationals, min_size=n_rows, max_size=n_rows)))
         return RatMat.from_rows([[col[i] for col in columns] for i in range(n_rows)])
+
+    @st.composite
+    def integer_matrices(draw, square=False):
+        """(rows, column count) of the shapes the solver eliminates.
+
+        Up to 6 rows and 14 columns, as wide as a weak minor search; no rows
+        or no columns; zero columns, planted combinations, and a first row
+        whose leading entries are zero, so that a pivot needs a row swap.
+        """
+        n_rows = draw(st.integers(0, 6))
+        n_cols = n_rows if square else draw(st.integers(0, 14))
+        entries = st.integers(-9, 9)
+        columns = []
+        for _ in range(n_cols):
+            kind = draw(st.sampled_from(("zero", "plant", "free", "free")))
+            if kind == "zero":
+                columns.append([0] * n_rows)
+            elif kind == "plant" and columns:
+                coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(columns), max_size=len(columns)))
+                columns.append([sum(a * col[i] for a, col in zip(coeffs, columns)) for i in range(n_rows)])
+            else:
+                columns.append(draw(st.lists(entries, min_size=n_rows, max_size=n_rows)))
+        rows = [[col[i] for col in columns] for i in range(n_rows)]
+        if rows:
+            for j in range(draw(st.integers(0, n_cols))):
+                rows[0][j] = 0
+        return rows, n_cols
+
+    class TestIntegerKernelProperties:
+        @properties
+        @given(integer_matrices(square=True))
+        def test_integer_det_matches_cofactor_expansion(self, shaped):
+            rows, _ = shaped
+            before = [list(r) for r in rows]
+            assert integer_det(rows) == cofactor_det(rows)
+            assert rows == before
+
+        @properties
+        @given(integer_matrices())
+        def test_integer_rank_matches_gauss_jordan(self, shaped):
+            rows, ncols = shaped
+            before = [list(r) for r in rows]
+            assert integer_rank(rows) == len(integer_reference_pivots(rows, ncols))
+            assert rows == before
+
+        @properties
+        @given(integer_matrices(), st.data())
+        def test_eliminate_finds_reference_pivots_and_planted_solution(self, shaped, data):
+            rows, ncols = shaped
+            pivots = integer_reference_pivots(rows, ncols)
+            planted = data.draw(st.lists(rationals, min_size=len(pivots), max_size=len(pivots)))
+            x = [F(0)] * ncols
+            for c, v in zip(pivots, planted):
+                x[c] = v
+            b = [sum(a * v for a, v in zip(r, x)) for r in rows]
+            assert eliminate(rows, [b]) == (pivots, [planted])
 
     class TestEliminationProperties:
         @properties
