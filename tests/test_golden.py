@@ -3,9 +3,11 @@
 Each invert case under tests/data holds `vertices.json` and `table.json` and
 the expected bytes of one run per entry of RUNS: the `--out` JSON, the SVG
 when `--svg` is given, stderr, and the exit code below.  The cases are a
-strong 2-d set of 12 rational points (order 9), a weak grid multiset of 9
-points with its chamber map, and a singular grid multiset of 7 points, run
-with and without `--svg`.
+strong 2-d set of 12 rational points (order 9); a weak grid multiset of 9
+points, run with its chamber map, at pivot 0, and with forced columns (the
+pivot-0 minor in descending order); a weak grid multiset of 8 points whose
+minor admits its last column after the first C(7, 2) candidates; and a
+singular grid multiset of 7 points, run with and without `--svg`.
 
 Each genfunc case holds `measure.json` and the expected `--out` JSON and
 stdout line of `polymom genfunc`, which exits 0 on all of them.  The cases
@@ -30,20 +32,26 @@ from polymom.cli import main
 
 DATA = Path(__file__).parent / "data"
 
-# (case directory, run name, write an SVG, expected exit code)
+# 1-based extended-matrix column numbers of the weak_n9 minor at pivot 0, descending
+WEAK_N9_FORCED = "81,80,79,78,77,75,74,73,72,70,69,68,67,64,62,61,60,59,58,57,54,46,43,28,18,9,7,5"
+
+# (case directory, run name, write an SVG, further options, expected exit code)
 RUNS = [
-    ("strong_d2n12", "invert", False, 0),
-    ("weak_n9", "invert-svg", True, 0),
-    ("singular_n7", "invert", False, 4),
-    ("singular_n7", "invert-svg", True, 4),
+    ("strong_d2n12", "invert", False, [], 0),
+    ("weak_n9", "invert-svg", True, [], 0),
+    ("weak_n9", "invert-pivot0", False, ["--pivot", "0"], 0),
+    ("weak_n9", "invert-columns", False, ["--columns", WEAK_N9_FORCED], 0),
+    ("weak_n8", "invert-svg", True, [], 0),
+    ("singular_n7", "invert", False, [], 4),
+    ("singular_n7", "invert-svg", True, [], 4),
 ]
 
 
-@pytest.mark.parametrize("case, run, svg, code", RUNS, ids=[f"{c}-{r}" for c, r, _, _ in RUNS])
-def test_invert_bytes(case, run, svg, code, tmp_path, capsys):
+@pytest.mark.parametrize("case, run, svg, options, code", RUNS, ids=[f"{c}-{r}" for c, r, _, _, _ in RUNS])
+def test_invert_bytes(case, run, svg, options, code, tmp_path, capsys):
     inputs = DATA / case
     out, svg_path = tmp_path / "rec.json", tmp_path / "map.svg"
-    argv = ["invert", str(inputs / "vertices.json"), str(inputs / "table.json"), "--out", str(out)]
+    argv = ["invert", str(inputs / "vertices.json"), str(inputs / "table.json"), "--out", str(out), *options]
     if svg:
         argv += ["--svg", str(svg_path)]
     assert main(argv) == code
