@@ -9,8 +9,8 @@ strongly non-degenerate set), where columns complementary to degenerate
 simplices carry singular limit measures.  The integer kernel
 `genfunc.FormKernel` forms every product of forms, the numerator's included.
 A strong set is solved in closed form, one numerator evaluation per weight;
-forced columns and weak sets are eliminated in blocks of C(N-1, d) against
-the integer numerator, up to the first block whose pivots fill every row.
+forced columns and weak sets are eliminated once against the integer
+numerator, column by column, up to the column whose pivot fills every row.
 """
 
 from __future__ import annotations
@@ -221,17 +221,15 @@ def _choose(vs: VertexSet, pivot, forced, table=None):
     independent of everything else), then to through-pivot simplices, then
     the rest.
 
-    The candidates are taken in blocks of C(N-1, d), the minor size and the
-    row count.  Each block eliminates [pivot columns kept so far | next
-    block | numerator] on integer vectors: the columns of `_product_columns`
-    and the coefficients of `recover_numerator` over one scale.  The kept
-    columns span every earlier candidate, so a candidate is a pivot exactly
-    when it is independent of all candidates before it; the right-hand side
-    comes last, so it does not change that choice.  The search stops when
-    the pivots fill every row; pivot columns are independent, so the pivot
-    count, not a determinant, decides that the minor is square and does not
-    vanish.  Each weight is the back-substituted value times its column's
-    scale over the numerator's.
+    One `eliminate` takes [candidates | numerator] on integer vectors: the
+    columns of `_product_columns` and the coefficients of `recover_numerator`
+    over one scale.  It takes the candidates one at a time, so a candidate is
+    a pivot exactly when it is independent of all candidates before it; the
+    right-hand side comes last, so it does not change that choice.  It stops
+    when the pivots fill the C(N-1, d) rows; pivot columns are independent,
+    so the pivot count, not a determinant, decides that the minor is square
+    and does not vanish.  Each weight is the back-substituted value times its
+    column's scale over the numerator's.
 
     Returns the basis (forced order, else ascending), its weights (None
     without a table) and the degenerate simplices.
@@ -268,21 +266,15 @@ def _choose(vs: VertexSet, pivot, forced, table=None):
             s = simplex_for_column(c, n)
             return 0 if s in degenerate else 1 if pivot in s else 2
         candidates = sorted(extended_columns(vs), key=bucket)  # stable: ascending in each bucket
-    kept = []  # (column, integer vector, scale) of the pivot columns so far
-    for start in range(0, len(candidates), size):
-        new = candidates[start : start + size]
-        block = kept + [(c, v, scale) for c, (v, scale) in zip(new, _product_columns(vs, new))]
-        pivots, solutions = eliminate(zip(*(v for _, v, _ in block)), rhs)
-        kept = [block[j] for j in pivots]
-        if len(kept) == size:
-            break
-    else:
+    vectors = _product_columns(vs, candidates)
+    pivots, solutions = eliminate(zip(*(v for v, _ in vectors)), rhs)
+    if len(pivots) < size:
         raise NotWeaklyNonDegenerateError(not_a_minor)
     order = range(size)
     if forced is None:
-        order = sorted(order, key=lambda i: kept[i][0])
-    weights = [solutions[0][i] * kept[i][2] / rhs_scale for i in order] if rhs else None
-    return FormBasis(vs, pivot, tuple(kept[i][0] for i in order)), weights, degenerate
+        order = sorted(order, key=lambda i: candidates[pivots[i]])
+    weights = [solutions[0][i] * vectors[pivots[i]][1] / rhs_scale for i in order] if rhs else None
+    return FormBasis(vs, pivot, tuple(candidates[pivots[i]] for i in order)), weights, degenerate
 
 
 def select_minor(vs: VertexSet, pivot=None, forced=None) -> FormBasis:

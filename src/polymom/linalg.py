@@ -1,17 +1,19 @@
 """Exact dense linear algebra over arbitrary-precision rationals.
 
 Values are `fractions.Fraction`, which already enforces the canonical reduced
-form (positive denominator, gcd 1) in its constructor.  Determinant, solve
-and inverse all run fraction-free on one Bareiss kernel: every row is
-scaled to integers once up front, elimination then stays in integers with
-exact divisions, back-substitution solves for each unknown times the last
-pivot, again with exact divisions, and one `Fraction` per determinant or
-unknown undoes the scaling at the end.  There is no floating point anywhere.
+form (positive denominator, gcd 1) in its constructor.  Determinant, rank,
+solve and inverse all run on one fraction-free Bareiss kernel (Math. Comp.
+22, 1968) that takes integer columns one at a time and stops reading them
+once its pivots fill every row.  Rows are scaled to integers once up front;
+elimination and back-substitution, which solves for each unknown times the
+last pivot, stay in integers with exact divisions, and one `Fraction` per
+determinant or unknown undoes the scaling.  There is no floating point.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 from math import lcm, prod
 
 from .errors import DimensionError, SingularMatrixError
@@ -100,37 +102,40 @@ def _integer_rows(rows):
     return [ints for ints, _ in scaled], prod(scale for _, scale in scaled)
 
 
-def _bareiss_forward(rows, ncols):
-    """Fraction-free elimination with row swaps and column skipping.
-
-    Mutates `rows` into an upper echelon of exact integer minors.  Returns
-    (sign, pivot positions).  Entry (i, j) after processing pivot k equals the
-    minor on pivot rows/columns extended by row i, column j, divided by the
-    previous pivot, so every division below is exact.
-    """
-    nrows = len(rows)
-    sign = 1
+def _replay(column, steps):
+    """Apply each step's row swap and Bareiss update to the column, in place, and return it."""
     prev = 1
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r >= nrows:
-            break
-        p = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
-        if p is None:
-            continue
-        if p != r:
-            rows[r], rows[p] = rows[p], rows[r]
-            sign = -sign
-        pivot = rows[r][c]
-        for i in range(r + 1, nrows):
-            ric = rows[i][c]
-            for j in range(c, ncols):
-                rows[i][j] = (rows[i][j] * pivot - ric * rows[r][j]) // prev
+    for k, (row, pivot_col, pivot) in enumerate(steps):
+        column[k], column[row] = column[row], column[k]
+        top = column[k]
+        for i in range(k + 1, len(column)):
+            column[i] = (column[i] * pivot - pivot_col[i] * top) // prev
         prev = pivot
-        pivots.append((r, c))
-        r += 1
-    return sign, pivots
+    return column
+
+
+def _bareiss(columns, nrows):
+    """Fraction-free elimination of integer columns of length `nrows`, taken one at a time.
+
+    Returns (pivot positions, steps).  Each column replays the steps so far and is a pivot when
+    an entry at or below the next pivot row survives; its step is (the first such row, swapped
+    in; the column as it then stands; its pivot).  Entry i > k after step k is a minor divided
+    by the previous pivot, so every division is exact, and a pivot column's entries down to its
+    pivot are final.  No column is read once the pivots fill every row.
+    """
+    steps, pivots = [], []
+    for j, column in enumerate(columns if nrows else ()):
+        column = _replay(list(column), steps)
+        k = row = len(steps)
+        while row < nrows and not column[row]:
+            row += 1
+        if row < nrows:
+            column[k], column[row] = column[row], column[k]
+            steps.append((row, column, column[k]))
+            pivots.append(j)
+            if len(steps) == nrows:
+                break
+    return pivots, steps
 
 
 def det(m: RatMat) -> Fraction:
@@ -142,18 +147,19 @@ def det(m: RatMat) -> Fraction:
 
 
 def integer_det(rows) -> int:
-    """Determinant of n integer rows of length n, eliminated on a copy; 1 for no rows."""
-    rows = [list(r) for r in rows]
-    if not rows:
-        return 1
-    sign, pivots = _bareiss_forward(rows, len(rows))
-    return sign * rows[-1][-1] if len(pivots) == len(rows) else 0
+    """Determinant of n integer rows of length n, which are not changed; 1 for no rows."""
+    rows = list(rows)
+    _, steps = _bareiss(zip(*rows), len(rows))
+    if len(steps) < len(rows):
+        return 0
+    swaps = sum(row != k for k, (row, _, _) in enumerate(steps))
+    return (-1) ** swaps * (steps[-1][2] if steps else 1)
 
 
 def integer_rank(rows) -> int:
-    """Rank of equally long integer rows, eliminated on a copy without scaling; 0 for no rows."""
-    rows = [list(r) for r in rows]
-    return len(_bareiss_forward(rows, len(rows[0]))[1]) if rows else 0
+    """Rank of equally long integer rows, which are not changed and not scaled; 0 for no rows."""
+    rows = list(rows)
+    return len(_bareiss(zip(*rows), len(rows))[0])
 
 
 def eliminate(rows, rhs_list=()):
@@ -161,11 +167,11 @@ def eliminate(rows, rhs_list=()):
 
     `rows` are the rows of a matrix m, as ints or Fractions.  The pivot
     columns are exactly the columns of m independent of those before them;
-    the right-hand sides come last, so they do not change that choice.
-    Solution k holds, pivot column by pivot column, the solution of the minor
-    on the pivot columns for right-hand side k, found by back-substitution on
-    those columns only.  It solves the full system when the pivots fill every
-    row of m, which callers check.
+    each right-hand side only replays their steps, so it does not change that
+    choice.  Solution k holds, pivot column by pivot column, the solution of
+    the minor on the pivot columns for right-hand side k, back-substituted
+    from the stored pivot columns.  It solves the full system when the pivots
+    fill every row of m, which callers check.
 
     The last pivot is the determinant of that minor, so by Cramer's rule it
     times each unknown is an integer: back-substitution solves for those
@@ -175,16 +181,15 @@ def eliminate(rows, rhs_list=()):
     n = len(rows[0]) if rows else 0
     extra = list(zip(*rhs_list)) or [()] * len(rows)
     rows, _ = _integer_rows([*r, *e] for r, e in zip(rows, extra))
-    _, pivots = _bareiss_forward(rows, n + len(rhs_list))
-    cols = [c for _, c in pivots if c < n]
-    last = rows[len(cols) - 1][cols[-1]] if cols else 1
+    cols, steps = _bareiss(islice(zip(*rows), n), len(rows))
+    last = steps[-1][2] if steps else 1
     sols = []
     for b in range(n, n + len(rhs_list)):
-        x = [0] * len(cols)
-        for r in reversed(range(len(cols))):
-            row = rows[r]
-            later = sum(row[c] * x[s] for s, c in enumerate(cols[r + 1 :], r + 1))
-            x[r] = (last * row[b] - later) // row[cols[r]]
+        y = _replay([row[b] for row in rows], steps)
+        x = [0] * len(steps)
+        for r in reversed(range(len(steps))):
+            later = sum(steps[s][1][r] * x[s] for s in range(r + 1, len(steps)))
+            x[r] = (last * y[r] - later) // steps[r][2]
         sols.append([Fraction(v, last) for v in x])
     return cols, sols
 

@@ -10,7 +10,7 @@ except ImportError:  # the properties below are skipped without hypothesis
 
 from polymom import RatMat, det, mat_inverse, rat, rat_str, solve
 from polymom.errors import DimensionError, SingularMatrixError
-from polymom.linalg import eliminate, integer_det, integer_rank
+from polymom.linalg import _bareiss, eliminate, integer_det, integer_rank
 
 
 def rows_of(m):
@@ -148,6 +148,16 @@ class TestRankInverse:
     def test_inverse_of_singular(self):
         with pytest.raises(SingularMatrixError):
             mat_inverse(RatMat.from_rows([[1, 1], [1, 1]]))
+
+    def test_kernel_reads_no_column_after_the_pivots_fill_every_row(self):
+        columns = [[0, 0, 0], [1, 2, 3], [2, 4, 6], [0, 1, 0], [5, 5, 5]]
+
+        def feed(columns):
+            yield from columns
+            raise AssertionError("a column was read after the pivots filled every row")
+
+        assert _bareiss(feed(columns), 3)[0] == [1, 3, 4]
+        assert _bareiss(feed([]), 0) == ([], [])
 
     def test_rank_invariant_under_row_ops(self):
         rng = random.Random(13)
