@@ -671,7 +671,7 @@ def _rational_multiset(rng, n):
 
 class TestScaledColumnsProperties:
     def test_rational_multisets_across_blocks(self):
-        """Minor and planted weights on rational multisets, many admitting a column past the first C(N-1, d)."""
+        """Minor and planted weights on rational multisets, many with a pivot past the first C(N-1, d)."""
         rng = random.Random(909)
         checked = several = 0
         while checked < 24:
