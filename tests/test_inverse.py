@@ -4,6 +4,11 @@ from math import comb
 
 import pytest
 
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # the product walk property is skipped without hypothesis
+    given = None
+
 from polymom import (
     Degeneracy,
     FormBasis,
@@ -28,6 +33,7 @@ from polymom import (
     uniform_measure,
 )
 from polymom import inverse, linalg
+from polymom.genfunc import FormKernel, LinearForm
 from polymom.errors import (
     DimensionError,
     IncompleteMomentsError,
@@ -558,6 +564,47 @@ class TestProductColumnsProperties:
             checked += 1
             weak += kind is Degeneracy.WEAK
         assert weak >= 10
+
+
+def _formed_from_one(vs, column):
+    """The product of the column's forms, formed from the constant 1 by `FormKernel.times`."""
+    kernel = FormKernel(vs.dim, numerator_degree(vs))
+    pair = ([1] + [0] * (len(kernel.rows) - 1), 1)
+    for i in column:
+        pair = kernel.times(pair, LinearForm(vs.points[i]).coefficients())
+    return pair
+
+
+if given is not None:
+
+    class TestProductWalkProperties:
+        @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+        @given(
+            st.integers(0, 2**32 - 1),
+            st.sampled_from(("strong", "weak")),
+            st.sampled_from(("shuffled", "descending", "repeated-prefix")),
+        )
+        def test_each_walked_product_is_its_forms_from_one(self, seed, kind, order):
+            """Every column's pair, in any column order, equals its forms multiplied onto 1 one by one.
+
+            Shuffled orders also reverse some columns; repeated-prefix orders are sorted draws with
+            repeats, so consecutive columns share prefixes of every length, the whole column included.
+            """
+            rng = random.Random(seed)
+            dim = rng.randint(1, 3)
+            if kind == "strong":
+                vs = random_strong_set(rng, dim, rng.randint(dim + 2, dim + 5))
+            else:
+                vs = _random_multiset(rng, dim, rng.randint(dim + 2, dim + 5))
+            columns = list(extended_columns(vs))
+            if order == "shuffled":
+                rng.shuffle(columns)
+                columns = [tuple(reversed(c)) if rng.random() < 0.3 else c for c in columns]
+            elif order == "descending":
+                columns.reverse()
+            else:
+                columns = sorted(rng.choices(columns, k=rng.randint(1, 2 * len(columns))))
+            assert list(inverse._product_columns(vs, columns)) == [_formed_from_one(vs, c) for c in columns]
 
 
 class TestSolverProperties:
