@@ -10,7 +10,7 @@ simplices carry singular limit measures.  The integer kernel
 `genfunc.FormKernel` forms every product of forms, the numerator's included.
 A strong set is solved in closed form, one numerator evaluation per weight;
 forced columns and weak sets are eliminated once against the integer
-numerator, column by column, up to the column whose pivot fills every row.
+numerator, forming no product after the column whose pivot fills every row.
 """
 
 from __future__ import annotations
@@ -91,23 +91,22 @@ def extended_columns(vs: VertexSet):
 
 
 def _product_columns(vs: VertexSet, columns):
-    """`FormKernel` pairs of the form products, one per column, in the given order.
+    """Yield the `FormKernel` pair of each column's form product, in the given order.
 
-    The index subsets are walked depth-first in lexicographic order, so each
-    product is formed once, as its prefix's product times one form, and only
-    the products along the current path are held.
+    Each product is formed when read, from the longest prefix it shares with
+    the column before it, one form at a time; only the products along that
+    prefix are held.  The scale is the product of the column's forms' c0.
     """
     kernel = FormKernel(vs.dim, numerator_degree(vs))
     forms = [LinearForm(p).coefficients() for p in vs.points]
-    path, stack, vectors = (), [([1] + [0] * (len(kernel.rows) - 1), 1)], {}
-    for key in sorted({tuple(sorted(c)) for c in columns}):
-        shared = next((j for j, (a, b) in enumerate(zip(path, key)) if a != b), len(path))
+    path, stack = (), [([1] + [0] * (len(kernel.rows) - 1), 1)]
+    for column in columns:
+        shared = next((j for j, (a, b) in enumerate(zip(path, column)) if a != b), len(path))
         del stack[shared + 1 :]
-        for i in key[shared:]:
+        for i in column[shared:]:
             stack.append(kernel.times(stack[-1], forms[i]))
-        path = key
-        vectors[key] = stack[-1]
-    return [vectors[tuple(sorted(c))] for c in columns]
+        path = column
+        yield stack[-1]
 
 
 def product_matrix(basis: FormBasis) -> RatMat:
@@ -118,7 +117,7 @@ def product_matrix(basis: FormBasis) -> RatMat:
     used throughout the worked examples.
     """
     vs = basis.vertex_set
-    columns = _product_columns(vs, basis.columns)
+    columns = list(_product_columns(vs, basis.columns))
     rows = range(comb(len(vs) - 1, vs.dim))
     return RatMat.from_rows([[Fraction(v[r], scale) for v, scale in columns] for r in rows])
 
@@ -222,14 +221,14 @@ def _choose(vs: VertexSet, pivot, forced, table=None):
     the rest.
 
     One `eliminate` takes [candidates | numerator] on integer vectors: the
-    columns of `_product_columns` and the coefficients of `recover_numerator`
-    over one scale.  It takes the candidates one at a time, so a candidate is
+    products `_product_columns` yields and `recover_numerator`'s coefficients
+    over one scale.  It reads the candidates one at a time, so a candidate is
     a pivot exactly when it is independent of all candidates before it; the
-    right-hand side comes last, so it does not change that choice.  It stops
-    when the pivots fill the C(N-1, d) rows; pivot columns are independent,
-    so the pivot count, not a determinant, decides that the minor is square
-    and does not vanish.  Each weight is the back-substituted value times its
-    column's scale over the numerator's.
+    right-hand side comes last, so it does not change that choice.  No
+    product is formed once the pivots fill the C(N-1, d) rows; pivot columns
+    are independent, so the pivot count, not a determinant, decides that the
+    minor is square and does not vanish.  Each weight is the back-substituted
+    value times its column's scale over the numerator's.
 
     Returns the basis (forced order, else ascending), its weights (None
     without a table) and the degenerate simplices.
@@ -266,15 +265,14 @@ def _choose(vs: VertexSet, pivot, forced, table=None):
             s = simplex_for_column(c, n)
             return 0 if s in degenerate else 1 if pivot in s else 2
         candidates = sorted(extended_columns(vs), key=bucket)  # stable: ascending in each bucket
-    vectors = _product_columns(vs, candidates)
-    pivots, solutions = eliminate(zip(*(v for v, _ in vectors)), rhs)
+    pivots, solutions = eliminate((v for v, _ in _product_columns(vs, candidates)), size, rhs)
     if len(pivots) < size:
         raise NotWeaklyNonDegenerateError(not_a_minor)
-    order = range(size)
-    if forced is None:
-        order = sorted(order, key=lambda i: candidates[pivots[i]])
-    weights = [solutions[0][i] * vectors[pivots[i]][1] / rhs_scale for i in order] if rhs else None
-    return FormBasis(vs, pivot, tuple(candidates[pivots[i]] for i in order)), weights, degenerate
+    chosen = [candidates[j] for j in pivots]
+    order = range(size) if forced is not None else sorted(range(size), key=lambda i: chosen[i])
+    c0 = [LinearForm(p).coefficients()[0] for p in vs.points]
+    weights = [solutions[0][i] * prod(c0[j] for j in chosen[i]) / rhs_scale for i in order] if rhs else None
+    return FormBasis(vs, pivot, tuple(chosen[i] for i in order)), weights, degenerate
 
 
 def select_minor(vs: VertexSet, pivot=None, forced=None) -> FormBasis:
@@ -307,8 +305,8 @@ def dimension_and_basis(vs: VertexSet, pivot=None):
         raise NotWeaklyNonDegenerateError("dimension formula requires a weakly non-degenerate set")
     dim_space = comb(len(vs) - 1, vs.dim) - len(cls.degenerate)
     candidates = sorted((s, c) for s, c in zip(basis.simplices(), basis.columns) if s not in cls.degenerate)
-    columns = _product_columns(vs, [c for _, c in candidates])
-    chosen = [candidates[j][0] for j in eliminate(zip(*(v for v, _ in columns)))[0]]
+    columns = (v for v, _ in _product_columns(vs, [c for _, c in candidates]))
+    chosen = [candidates[j][0] for j in eliminate(columns, len(basis.columns))[0]]
     if len(chosen) != dim_space:
         raise NotWeaklyNonDegenerateError(
             f"pruned basis has size {len(chosen)}, expected {dim_space}"

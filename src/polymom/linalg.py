@@ -4,16 +4,15 @@ Values are `fractions.Fraction`, which already enforces the canonical reduced
 form (positive denominator, gcd 1) in its constructor.  Determinant, rank,
 solve and inverse all run on one fraction-free Bareiss kernel (Math. Comp.
 22, 1968) that takes integer columns one at a time and stops reading them
-once its pivots fill every row.  Rows are scaled to integers once up front;
-elimination and back-substitution, which solves for each unknown times the
-last pivot, stay in integers with exact divisions, and one `Fraction` per
-determinant or unknown undoes the scaling.  There is no floating point.
+once its pivots fill every row.  `det`, `solve` and `inverse` scale rows to
+integers once; elimination and back-substitution, which solves for each
+unknown times the last pivot, stay in integers with exact divisions, and one
+`Fraction` per determinant or unknown undoes the scaling.  No floating point.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import islice
 from math import lcm, prod
 
 from .errors import DimensionError, SingularMatrixError
@@ -162,36 +161,43 @@ def integer_rank(rows) -> int:
     return len(_bareiss(zip(*rows), len(rows))[0])
 
 
-def eliminate(rows, rhs_list=()):
-    """Eliminate [rows | rhs...] once; return (pivot columns, one solution per rhs).
+def eliminate(columns, nrows, rhs_list=()):
+    """Eliminate [columns | rhs...] once; return (pivot columns, one solution per rhs).
 
-    `rows` are the rows of a matrix m, as ints or Fractions.  The pivot
-    columns are exactly the columns of m independent of those before them;
-    each right-hand side only replays their steps, so it does not change that
-    choice.  Solution k holds, pivot column by pivot column, the solution of
-    the minor on the pivot columns for right-hand side k, back-substituted
-    from the stored pivot columns.  It solves the full system when the pivots
-    fill every row of m, which callers check.
+    `columns` are the integer columns of an `nrows`-row matrix m, read one
+    at a time and none after the pivots fill every row; each rhs is an
+    integer column.  The pivot columns are exactly the columns of m
+    independent of those before them; each rhs only replays their steps, so
+    it does not change that choice.  Solution k holds, pivot column by pivot
+    column, the solution of the minor on the pivot columns for rhs k; it
+    solves the full system when the pivots fill every row, which callers check.
 
     The last pivot is the determinant of that minor, so by Cramer's rule it
     times each unknown is an integer: back-substitution solves for those
     integers with exact divisions and forms one `Fraction` per unknown.
     """
-    rows = list(rows)
-    n = len(rows[0]) if rows else 0
-    extra = list(zip(*rhs_list)) or [()] * len(rows)
-    rows, _ = _integer_rows([*r, *e] for r, e in zip(rows, extra))
-    cols, steps = _bareiss(islice(zip(*rows), n), len(rows))
+    pivots, steps = _bareiss(columns, nrows)
     last = steps[-1][2] if steps else 1
     sols = []
-    for b in range(n, n + len(rhs_list)):
-        y = _replay([row[b] for row in rows], steps)
+    for rhs in rhs_list:
+        y = _replay(list(rhs), steps)
         x = [0] * len(steps)
         for r in reversed(range(len(steps))):
             later = sum(steps[s][1][r] * x[s] for s in range(r + 1, len(steps)))
             x[r] = (last * y[r] - later) // steps[r][2]
         sols.append([Fraction(v, last) for v in x])
-    return cols, sols
+    return pivots, sols
+
+
+def _solve_square(m: RatMat, rhs_list):
+    """One solution of square m x = b per b, from the rows of [m | b...] scaled to integers once."""
+    n = m.rows
+    rows, _ = _integer_rows([*m.row(i), *(b[i] for b in rhs_list)] for i in range(n))
+    columns = [[row[j] for row in rows] for j in range(n + len(rhs_list))]
+    pivots, sols = eliminate(columns[:n], n, columns[n:])
+    if len(pivots) < n:
+        raise SingularMatrixError("matrix is singular", len(pivots))
+    return sols
 
 
 def solve(m: RatMat, b) -> tuple:
@@ -201,10 +207,7 @@ def solve(m: RatMat, b) -> tuple:
     b = [rat(v) for v in b]
     if len(b) != m.rows:
         raise DimensionError(f"right-hand side of length {len(b)} against {m.rows}x{m.rows} matrix")
-    pivots, sols = eliminate(map(m.row, range(m.rows)), [b])
-    if len(pivots) < m.rows:
-        raise SingularMatrixError("matrix is singular", len(pivots))
-    return tuple(sols[0])
+    return tuple(_solve_square(m, [b])[0])
 
 
 def inverse(m: RatMat) -> RatMat:
@@ -212,7 +215,4 @@ def inverse(m: RatMat) -> RatMat:
     if m.rows != m.cols:
         raise DimensionError(f"inverse requires a square matrix, got {m.rows}x{m.cols}")
     n = m.rows
-    pivots, sols = eliminate(map(m.row, range(n)), [[int(i == j) for i in range(n)] for j in range(n)])
-    if len(pivots) < n:
-        raise SingularMatrixError("matrix is singular", len(pivots))
-    return RatMat.from_rows(zip(*sols))
+    return RatMat.from_rows(zip(*_solve_square(m, [[int(i == j) for i in range(n)] for j in range(n)])))

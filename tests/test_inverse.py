@@ -1,6 +1,8 @@
+import json
 import random
 from fractions import Fraction as F
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -42,6 +44,7 @@ from polymom.errors import (
     NotWeaklyNonDegenerateError,
 )
 from polymom.inverse import numerator_degree
+from polymom.jsonio import vertex_set_from_json
 from polymom.linalg import solve
 from polymom.poly import monomials_upto
 from polymom.verify import random_point, random_strong_set
@@ -281,7 +284,8 @@ class TestExtended:
 
     def test_extended_rank(self, square_with_center):
         m = build_extended(square_with_center)
-        assert len(linalg.eliminate(map(m.row, range(m.rows)))[0]) == 6
+        rows = [linalg.integer_vector(m.row(i))[0] for i in range(m.rows)]
+        assert len(linalg.eliminate(zip(*rows), m.rows)[0]) == 6
 
     def test_select_minor_center_pivot_reproduces_journal_columns(self, square_with_center):
         sel = select_minor(square_with_center, pivot=0)
@@ -796,6 +800,27 @@ class TestOneElimination:
             calls.clear()
             select_minor(vs, pivot, forced)
             assert len(calls) == eliminations
+
+    def test_the_minor_search_forms_no_product_after_its_last_pivot(self, monkeypatch):
+        """26 of 56 products on weak_n8 and 35 of 84 on weak_n9; forced columns form C(N-1, d)."""
+        formed = []
+        walk = inverse._product_columns
+
+        def counted(vs, columns):
+            for pair in walk(vs, columns):
+                formed.append(1)
+                yield pair
+
+        monkeypatch.setattr(inverse, "_product_columns", counted)
+        for case, expected in (("weak_n8", 26), ("weak_n9", 35)):
+            text = (Path(__file__).parent / "data" / case / "vertices.json").read_text(encoding="utf-8")
+            vs = vertex_set_from_json(json.loads(text))
+            formed.clear()
+            basis = select_minor(vs)
+            assert (len(formed), len(extended_columns(vs))) == (expected, comb(len(vs), len(vs) - 3))
+            formed.clear()
+            assert select_minor(vs, basis.pivot, basis.columns[::-1]).columns == basis.columns[::-1]
+            assert len(formed) == comb(len(vs) - 1, 2)
 
     def test_moment_errors_come_before_a_singular_forced_minor(self, square_with_center):
         """A square forced set is only found singular by the elimination, after the moments."""

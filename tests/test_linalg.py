@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 
@@ -17,9 +18,23 @@ def rows_of(m):
     return [list(m.row(i)) for i in range(m.rows)]
 
 
+def integer_system(rows, ncols, rhs_list=()):
+    """(columns, row count, rhs columns) of [rows | rhs...], each row times the lcm of its denominators.
+
+    A positive scale per row keeps the pivot columns and every solution.
+    """
+    scaled = []
+    for i, row in enumerate(rows):
+        row = [F(e) for e in (*row, *(b[i] for b in rhs_list))]
+        scale = lcm(*(e.denominator for e in row))
+        scaled.append([int(e * scale) for e in row])
+    columns = [[row[j] for row in scaled] for j in range(ncols + len(rhs_list))]
+    return columns[:ncols], len(scaled), columns[ncols:]
+
+
 def rank(m):
     """The number of pivot columns of the one elimination the package runs."""
-    return len(eliminate(rows_of(m))[0])
+    return len(eliminate(*integer_system(rows_of(m), m.cols))[0])
 
 
 def matvec(m, x):
@@ -286,7 +301,7 @@ if given is not None:
             for c, v in zip(pivots, planted):
                 x[c] = v
             b = [sum(a * v for a, v in zip(r, x)) for r in rows]
-            assert eliminate(rows, [b]) == (pivots, [planted])
+            assert eliminate(*integer_system(rows, ncols, [b])) == (pivots, [planted])
 
     class TestEliminationProperties:
         @properties
@@ -310,7 +325,8 @@ if given is not None:
                 x[c] = v
             b = matvec(m, x)
             doubled = [2 * v for v in b]
-            assert eliminate(rows_of(m), [b, doubled]) == (pivots, [planted, [2 * v for v in planted]])
+            system = integer_system(rows_of(m), m.cols, [b, doubled])
+            assert eliminate(*system) == (pivots, [planted, [2 * v for v in planted]])
 
         @properties
         @given(matrices(square=True, plant=False), st.data())
