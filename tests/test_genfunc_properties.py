@@ -9,6 +9,7 @@ to run.
 """
 
 from fractions import Fraction as F
+from math import factorial
 
 import pytest
 
@@ -17,7 +18,9 @@ sympy = pytest.importorskip("sympy")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from polymom import LinearForm, Poly, RatFun, taylor  # noqa: E402
-from polymom.genfunc import divide_linear  # noqa: E402
+from polymom.genfunc import FormKernel, _normalizer, divide_linear  # noqa: E402
+from polymom.linalg import integer_vector  # noqa: E402
+from polymom.poly import monomials_upto  # noqa: E402
 
 DIM = 3
 
@@ -99,3 +102,33 @@ def test_cancel_leaves_no_dividing_form_and_keeps_the_expansion(p, pool, on_top,
     for form in set(cancelled.denominator):
         assert sympy_quotient(cancelled.numerator, form.poly()) is None
     assert taylor(cancelled, 6) == taylor(f, 6)
+
+
+numerators = st.one_of(st.just(Poly.zero(DIM)), nonzero_constants.map(lambda c: Poly.constant(DIM, c)), polys)
+
+
+@properties
+@given(numerators, forms, st.booleans(), st.integers(0, 2))
+def test_series_quotient_divides_exactly_when_divide_linear_does(p, form, on_top, slack):
+    """`FormKernel.over` to degree D >= deg p leaves no term of degree D exactly when the vertex
+    form divides p, and its series is then the quotient."""
+    if on_top:
+        p = p * form.poly()
+    kernel = FormKernel(DIM, max(p.degree(), 0) + slack)
+    vector, scale = kernel.over(integer_vector(map(p.coefficient, kernel.rows)), form.coefficients())
+    top = [x for e, x in zip(kernel.rows, vector) if sum(e) == kernel.degree]
+    quotient = divide_linear(p, form.poly())
+    assert (not any(top)) == (quotient is not None)
+    if quotient is not None:
+        assert kernel.poly((vector, scale)) == quotient
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+@pytest.mark.parametrize("extra", [0, 1, 2, 3])
+def test_normalizer_is_the_integer_factorial_ratio(dim, extra):
+    for exps in monomials_upto(dim, 8):
+        expected = F(factorial(sum(exps) + dim + extra))
+        for k in exps:
+            expected /= factorial(k)
+        value = _normalizer(exps, dim, extra)
+        assert value == expected and value.denominator == 1
