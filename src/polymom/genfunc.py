@@ -7,15 +7,15 @@ The normalized generating function of a measure mu collects the moments as
 For the uniform measure on a simplex this is d!*Vol divided by the product
 of the vertex forms 1 - <v, u>, which makes every function here rational
 with denominator a sub-multiset of vertex forms.  Denominators are kept as
-form multisets and never expanded; cancellation is trial division by the
-candidate forms only.  `FormKernel` multiplies and divides by forms in integers.
+form multisets and never expanded.  `FormKernel` multiplies and divides by
+forms in integers; `taylor` expands and `RatFun.cancel` cancels with it.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from math import factorial, lcm
+from math import comb, factorial, lcm, perm, prod
 from operator import add
 
 from .errors import (
@@ -154,34 +154,39 @@ class RatFun(Value):
     def cancel(self) -> "RatFun":
         """Divide out every denominator form that exactly divides the numerator.
 
+        With p of degree D and G the series p/f to degree D by `FormKernel.over`
+        (a vertex form's c0 is never 0), f divides p exactly when G has no term
+        of degree D.  If p = q*f, then G = q, of degree D-1.  Conversely, G*f = p
+        up to degree D, and both have degree at most D, so G*f = p.  The
+        quotient stands on the rows below degree D, and D drops by one.
         Distinct vertex forms are coprime irreducibles, so dividing by one
         leaves the multiplicity of every other in the numerator unchanged,
         and one pass cancels each form as often as both sides hold it.
         """
-        num, remaining = self.numerator, []
+        kernel, remaining = FormKernel(self.dim, self.numerator.degree()), []
+        pair = integer_vector(map(self.numerator.coefficient, kernel.rows))
         for f in self.denominator:
-            q = divide_linear(num, f.poly())
-            if q is None:
+            vector, scale = kernel.over(pair, f.coefficients())
+            below = comb(kernel.degree - 1 + self.dim, self.dim)
+            if any(vector[below:]):
                 remaining.append(f)
             else:
-                num = q
-        return RatFun(num, remaining)
+                kernel, pair = FormKernel(self.dim, kernel.degree - 1), (vector[:below], scale)
+        return RatFun(kernel.poly(pair), remaining)
 
 
 def divide_linear(num: Poly, divisor: Poly):
-    """Exact quotient num / divisor for a divisor of degree <= 1, else None.
+    """Exact quotient num / divisor for a divisor of degree 1, else None.
 
+    Only `brion_genfunc`'s edge pairings <w, u> come here: their constant
+    term is 0, so `FormKernel.over`, which divides by it, cannot take them.
     Division term by term in a variable u_k of the divisor a*u_k + rest: from
     the top power of u_k down to 1, each term c*u_k^t*m left of num gives the
     quotient term (c/a)*u_k^(t-1)*m, and subtracting that multiple of rest
     lands at power t-1.  What is left at power 0 is the remainder.
     """
-    if divisor.is_zero():
-        raise ZeroDivisionError("division by zero polynomial")
-    if divisor.degree() > 1:
-        raise DimensionError("divisor must be linear or constant")
-    if divisor.degree() <= 0:
-        return num * (1 / divisor.constant_term())
+    if divisor.degree() != 1:
+        raise DimensionError("divisor must be linear")
     k, a = next((e.index(1), c) for e, c in divisor.terms.items() if sum(e) == 1)
     rest = [(e, c) for e, c in divisor.terms.items() if not e[k]]
     left, quotient = dict(num.terms), {}
@@ -247,29 +252,27 @@ def taylor(f: RatFun, order: int) -> Series:
 def series_to_moments(series: Series, dim: int) -> MomentTable:
     """Read a normalized generating series as a moment table.
 
-    The coefficient at u^I is (|I|+d)!/prod(i_j!) * m_I, so dividing by that
-    factor recovers the moment.  Mutually inverse with `moments_to_series`.
+    The coefficient at u^I is (|I|+d)!/prod(i_j!) * m_I, so the moment is the
+    coefficient times prod(i_j!)/(|I|+d)!, one `Fraction` each.  Mutually
+    inverse with `moments_to_series`.
     """
     if series.dim != dim:
         raise DimensionError(f"series has {series.dim} variables, expected {dim}")
     table = {}
-    for exps in monomials_upto(dim, series.order):
-        table[exps] = series.coefficient(exps) / _normalizer(exps, dim, 0)
+    for e in monomials_upto(dim, series.order):
+        c = series.coefficient(e)
+        table[e] = Fraction(c.numerator * prod(map(factorial, e)), c.denominator * factorial(sum(e) + dim))
     return MomentTable(dim, series.order, table)
 
 
 def moments_to_series(table: MomentTable) -> Series:
-    terms = {}
-    for exps, value in table.moments.items():
-        terms[exps] = _normalizer(exps, table.dim, 0) * value
+    terms = {e: _normalizer(e, table.dim, 0) * value for e, value in table.moments.items()}
     return Series(Poly(table.dim, terms), table.order)
 
 
-def _normalizer(exps, dim, extra) -> Fraction:
-    scale = Fraction(factorial(sum(exps) + dim + extra))
-    for k in exps:
-        scale /= factorial(k)
-    return scale
+def _normalizer(exps, dim, extra) -> int:
+    """(|I|+d+extra)!/prod(i_j!), an integer since prod(i_j!) divides |I|!."""
+    return factorial(sum(exps) + dim + extra) // prod(map(factorial, exps))
 
 
 class TangentCone(Value):
@@ -403,12 +406,7 @@ def euler_op(f_rho_mu: Series, dim: int, delta: int) -> Series:
     The printed range starting at l = d fails the 1-d uniform-measure check;
     the range used here is the one the identity actually satisfies.
     """
-    terms = {}
-    for exps, coef in f_rho_mu.poly.terms.items():
-        n = sum(exps)
-        for ell in range(dim + 1, dim + delta + 1):
-            coef = coef * (n + ell)
-        terms[exps] = coef
+    terms = {e: c * perm(sum(e) + dim + delta, delta) for e, c in f_rho_mu.poly.terms.items()}
     return Series(Poly(f_rho_mu.dim, terms), f_rho_mu.order)
 
 

@@ -155,13 +155,8 @@ def explicit_inverse(basis: FormBasis) -> RatMat:
     return RatMat.from_rows([[Fraction(x * s, p) for x in v] for v, p, s in _closed_form(basis)])
 
 
-def recover_numerator(table: MomentTable, vs: VertexSet) -> Poly:
-    """Numerator of the generating function from moments up to order N-d-1.
-
-    This is the truncation at degree N-d-1 of the normalized moment series
-    times the product of all N vertex forms, which `FormKernel.times` forms
-    in integers from the series scaled over one lcm.
-    """
+def _numerator_pair(table: MomentTable, vs: VertexSet):
+    """`recover_numerator`'s numerator as the `FormKernel` pair the solve reads."""
     if table.dim != vs.dim:
         raise DimensionError(f"moments in R^{table.dim} against vertices in R^{vs.dim}")
     kernel = FormKernel(vs.dim, numerator_degree(vs))
@@ -171,7 +166,17 @@ def recover_numerator(table: MomentTable, vs: VertexSet) -> Poly:
     series = integer_vector(_normalizer(e, vs.dim, 0) * table[e] for e in kernel.rows)
     for p in vs.points:
         series = kernel.times(series, LinearForm(p).coefficients())
-    return kernel.poly(series)
+    return series
+
+
+def recover_numerator(table: MomentTable, vs: VertexSet) -> Poly:
+    """Numerator of the generating function from moments up to order N-d-1.
+
+    This is the truncation at degree N-d-1 of the normalized moment series
+    times the product of all N vertex forms, which `FormKernel.times` forms
+    in integers from the series scaled over one lcm (`_numerator_pair`).
+    """
+    return FormKernel(vs.dim, numerator_degree(vs)).poly(_numerator_pair(table, vs))
 
 
 class Reconstruction(Value):
@@ -214,21 +219,22 @@ def _choose(vs: VertexSet, pivot, forced, table=None):
 
     A forced set, its size C(N-1, d) included, is checked before any moment
     is read.  A strong set without them takes its through-pivot basis, each
-    weight N^h(c_J) / P_J^h(c_J) by `_closed_form`.  Otherwise the candidates
-    are the forced columns, or else three buckets, each ascending: columns
+    weight N^h(c_J) / P_J^h(c_J) by `_closed_form`, with N the integer pair
+    `_numerator_pair` forms, read as is.  Otherwise the candidates are the
+    forced columns, or else three buckets, each ascending: columns
     complementary to degenerate simplices (their singular measures are
     independent of everything else), then to through-pivot simplices, then
     the rest.
 
-    One `eliminate` takes [candidates | numerator] on integer vectors: the
-    products `_product_columns` yields and `recover_numerator`'s coefficients
-    over one scale.  It reads the candidates one at a time, so a candidate is
-    a pivot exactly when it is independent of all candidates before it; the
-    right-hand side comes last, so it does not change that choice.  No
-    product is formed once the pivots fill the C(N-1, d) rows; pivot columns
-    are independent, so the pivot count, not a determinant, decides that the
-    minor is square and does not vanish.  Each weight is the back-substituted
-    value times its column's scale over the numerator's.
+    One `eliminate` takes [candidates | N] on integer vectors over the same
+    rows, the products as `_product_columns` yields them.  It reads the
+    candidates one at a time, so a candidate is a pivot exactly when it is
+    independent of all candidates before it; the right-hand side comes last,
+    so it does not change that choice.  No product is formed once the pivots
+    fill the C(N-1, d) rows; pivot columns are independent, so the pivot
+    count, not a determinant, decides that the minor is square and does not
+    vanish.  Each weight is the back-substituted value times its column's
+    scale over N's.
 
     Returns the basis (forced order, else ascending), its weights (None
     without a table) and the degenerate simplices.
@@ -251,8 +257,7 @@ def _choose(vs: VertexSet, pivot, forced, table=None):
             raise NotWeaklyNonDegenerateError(not_a_minor)
     rhs, rhs_scale = [], 1
     if table is not None:
-        numerator = recover_numerator(table, vs).coefficient
-        vector, rhs_scale = integer_vector(map(numerator, monomials_upto(vs.dim, numerator_degree(vs))))
+        vector, rhs_scale = _numerator_pair(table, vs)
         rhs.append(vector)
     if forced is None and cls.kind is Degeneracy.STRONG:
         basis = strong_basis(vs, pivot)

@@ -91,9 +91,6 @@ class Poly(Value):
     def coefficient(self, exponents) -> Fraction:
         return self.terms.get(tuple(exponents), Fraction(0))
 
-    def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * self.dim, Fraction(0))
-
     def sorted_terms(self):
         """Terms as (exponents, coefficient) pairs in canonical order."""
         return [(e, self.terms[e]) for e in sorted(self.terms, key=grlex_key)]

@@ -1,7 +1,9 @@
+import json
 import random
 from collections import Counter
 from fractions import Fraction as F
 from math import factorial
+from pathlib import Path
 
 import pytest
 
@@ -29,7 +31,9 @@ from polymom import (
     volume,
 )
 from polymom.errors import DegenerateDirectionError, DegenerateSimplexError, DimensionError
+from polymom import genfunc
 from polymom.genfunc import divide_linear
+from polymom.jsonio import measure_from_json, ratfun_to_json
 from polymom.geometry import is_degenerate
 from polymom.poly import monomials_upto
 from polymom.verify import (
@@ -64,6 +68,11 @@ class TestDivideLinear:
 
     def test_zero_numerator(self):
         assert divide_linear(Poly.zero(2), form(1, 1).poly()) == Poly.zero(2)
+
+    def test_only_linear_divisors(self):
+        for divisor in (Poly.zero(2), Poly.constant(2, 3), form(1, 1).poly() * form(2, 0).poly()):
+            with pytest.raises(DimensionError):
+                divide_linear(form(1, 1).poly(), divisor)
 
 
 class TestSimplexGenfunc:
@@ -117,6 +126,21 @@ class TestMeasureGenfunc:
         f = measure_genfunc(m)
         assert all(g.vertex != tuple(map(F, v)) for g in f.denominator)
         assert len(f.denominator) == 6
+
+    def test_interior_form_cancels_without_divide_linear(self, monkeypatch):
+        """Cancellation runs on the integer kernel alone: the golden dissection
+        comes out whole with `divide_linear` unavailable."""
+        case = Path(__file__).parent / "data" / "genfunc_dissection"
+        m = measure_from_json(json.loads((case / "measure.json").read_text(encoding="utf-8")))
+
+        def refuse(*args):
+            raise AssertionError("divide_linear called")
+
+        monkeypatch.setattr(genfunc, "divide_linear", refuse)
+        f = measure_genfunc(m)
+        assert f == RatFun(Poly.constant(2, 19), [form(1, 1), form(5, 2), form(2, 6)])
+        assert form(F(8, 3), 3) not in f.denominator
+        assert ratfun_to_json(f) == json.loads((case / "genfunc.json").read_text(encoding="utf-8"))
 
     def test_empty_measure(self, pentagon_set):
         m = uniform_measure(pentagon_set, [])
