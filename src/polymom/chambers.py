@@ -2,11 +2,13 @@
 
 The hull of the vertex set is split incrementally by every line through two
 distinct points; the resulting cells are the chambers.  A cell vertex is the
-gcd-reduced integer triple (X, Y, W), W > 0, of the exact point (X/W, Y/W),
-so the split, centroids, densities and SVG run in integers and a `Fraction`
-is formed only where a caller reads one.  A chamber lies wholly on one side
-of every line, and the split records that side as a bit of the chamber's
-sign vector (Edelsbrunner, *Algorithms in Combinatorial Geometry*, 1987).
+gcd-reduced integer row (W, X, Y), W > 0, of the exact point (X/W, Y/W), as
+`geometry.homogeneous` gives it for the input points, and a line (a, b, c)
+is a*X + b*Y + c*W = 0.  So the split, centroids, densities and SVG run in
+integers and a `Fraction` is formed only where a caller reads one.  A
+chamber lies wholly on one side of every line, and the split records that
+side as a bit of the chamber's sign vector (Edelsbrunner, *Algorithms in
+Combinatorial Geometry*, 1987).
 Every edge of a basis triangle is one of the lines, so a chamber lies in a
 triangle exactly when its sides of the three edge lines are those of the
 opposite vertices.  Each chamber gets the sum of the densities of the
@@ -19,14 +21,9 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import DimensionError
-from .geometry import VertexSet
+from .geometry import VertexSet, homogeneous
 from .linalg import integer_vector
 from .value import Value
-
-
-def _homogeneous(p) -> tuple:
-    """The point (x, y) as its gcd-reduced integer triple (X, Y, W), W > 0."""
-    return tuple(integer_vector((*p, 1))[0])
 
 
 def _canonical_line(p, q):
@@ -35,7 +32,7 @@ def _canonical_line(p, q):
     Scaled to coprime integers with the first nonzero coefficient positive,
     so the same geometric line always produces the same triple.
     """
-    (x1, y1, w1), (x2, y2, w2) = p, q
+    (w1, x1, y1), (w2, x2, y2) = p, q
     a, b, c = w1 * y2 - y1 * w2, x1 * w2 - w1 * x2, y1 * x2 - x1 * y2
     g = gcd(a, b, c)
     if (a if a != 0 else b) < 0:
@@ -71,7 +68,7 @@ def _split_polygon(polygon, line):
     it is returned as that part and the other part is None.
     """
     a, b, c = line
-    values = [a * x + b * y + c * w for x, y, w in polygon]
+    values = [a * x + b * y + c * w for w, x, y in polygon]
     if min(values) >= 0:
         return None, polygon
     if max(values) <= 0:
@@ -87,9 +84,9 @@ def _split_polygon(polygon, line):
             pos.append(p)
         if (vp < 0 < vq) or (vq < 0 < vp):
             s, t = abs(vq), abs(vp)  # the value s*vp + t*vq of the cut is 0
-            x, y, w = s * p[0] + t * q[0], s * p[1] + t * q[1], s * p[2] + t * q[2]
-            g = gcd(x, y, w)
-            cut = (x // g, y // g, w // g)
+            w, x, y = s * p[0] + t * q[0], s * p[1] + t * q[1], s * p[2] + t * q[2]
+            g = gcd(w, x, y)
+            cut = (w // g, x // g, y // g)
             neg.append(cut)
             pos.append(cut)
     return tuple(neg), tuple(pos)
@@ -97,9 +94,9 @@ def _split_polygon(polygon, line):
 
 def _centroid(vertices):
     """The vertex centroid of homogeneous vertices, over their one common denominator."""
-    w = lcm(*(v[2] for v in vertices))
+    w = lcm(*(v[0] for v in vertices))
     sx = sy = 0
-    for x, y, v in vertices:
+    for v, x, y in vertices:
         sx += x * (w // v)
         sy += y * (w // v)
     n = len(vertices) * w
@@ -109,7 +106,7 @@ def _centroid(vertices):
 class Chamber(Value):
     """One cell of the map.
 
-    `vertices` is its CCW cycle of homogeneous integer vertices (X, Y, W),
+    `vertices` is its CCW cycle of homogeneous integer vertices (W, X, Y),
     W > 0 and gcd 1, and the property `polygon` the same cycle as exact
     (X/W, Y/W) `Fraction` pairs, formed on each read.  `point` is a
     representative interior point (the vertex centroid).  Bit k of `sides`
@@ -124,7 +121,7 @@ class Chamber(Value):
 
     @property
     def polygon(self) -> tuple:
-        return tuple((Fraction(x, w), Fraction(y, w)) for x, y, w in self.vertices)
+        return tuple((Fraction(x, w), Fraction(y, w)) for w, x, y in self.vertices)
 
     def area(self) -> Fraction:
         p = self.polygon
@@ -150,7 +147,7 @@ def build_chambers(vs: VertexSet) -> ChamberMap:
     """Subdivide conv(S) by the deduplicated lines through all point pairs."""
     if vs.dim != 2:
         raise DimensionError("chamber decomposition is implemented for d = 2 only")
-    pts = [_homogeneous(p) for p in vs.points]
+    pts = [homogeneous(p) for p in vs.points]
     pairs = {
         (i, j): _canonical_line(pts[i], pts[j])
         for i in range(len(pts))
@@ -159,7 +156,7 @@ def build_chambers(vs: VertexSet) -> ChamberMap:
     }
     lines = sorted(set(pairs.values()))
     index = {line: k for k, line in enumerate(lines)}
-    cells = [(tuple(map(_homogeneous, convex_hull_2d(vs.points))), 0)]
+    cells = [(tuple(map(homogeneous, convex_hull_2d(vs.points))), 0)]
     for k, line in enumerate(lines):
         next_cells = []
         for cell, sides in cells:
@@ -185,7 +182,7 @@ def _triangle_sides(simplex, cm: ChamberMap, points):
     for k, opposite in enumerate(simplex):
         line = cm.edges[tuple(sorted(simplex[:k] + simplex[k + 1 :]))]
         a, b, c = cm.lines[line]
-        x, y, w = points[opposite]
+        w, x, y = points[opposite]
         mask |= 1 << line
         if a * x + b * y + c * w > 0:
             sides |= 1 << line
@@ -198,7 +195,7 @@ def chamber_densities(cm: ChamberMap, simplex_densities) -> ChamberMap:
     `simplex_densities` is a list of (simplex, density) pairs of non-degenerate
     triangles over the map's vertex set, as produced by geometry.density.
     """
-    points = [_homogeneous(p) for p in cm.vertex_set.points]
+    points = [homogeneous(p) for p in cm.vertex_set.points]
     tris = [(_triangle_sides(s, cm, points), d) for s, d in simplex_densities]
     numerators, scale = integer_vector(d for _, d in tris)
     tris = [(*t, n) for (t, _), n in zip(tris, numerators)]
@@ -269,9 +266,9 @@ def render_svg(cm: ChamberMap) -> str:
     offsets = (n - lo for n in numerators)
     coords = {}  # each distinct polygon vertex, formatted once
     for ch in cm.chambers:
-        for x, y, w in ch.vertices:
-            if (x, y, w) not in coords:
-                coords[x, y, w] = f"{sx(x, w)},{sy(y, w)}"
+        for w, x, y in ch.vertices:
+            if (w, x, y) not in coords:
+                coords[w, x, y] = f"{sx(x, w)},{sy(y, w)}"
         points = " ".join(coords[v] for v in ch.vertices)
         fill = "none" if ch.density is None else _color(next(offsets), span)
         out.append(
@@ -284,7 +281,7 @@ def render_svg(cm: ChamberMap) -> str:
                 f'  <text x="{sx(*x.as_integer_ratio())}" y="{sy(*y.as_integer_ratio())}" '
                 f'font-size="14" text-anchor="middle" fill="#000000">{ch.density}</text>'
             )
-    for i, (x, y, w) in enumerate(map(_homogeneous, pts)):
+    for i, (w, x, y) in enumerate(map(homogeneous, pts)):
         out.append(f'  <circle cx="{sx(x, w)}" cy="{sy(y, w)}" r="3" fill="#000000"/>')
         out.append(
             f'  <text x="{sx(x, w)}" y="{sy(y, w)}" dx="5" dy="-5" font-size="12" '

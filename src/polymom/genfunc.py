@@ -8,7 +8,8 @@ For the uniform measure on a simplex this is d!*Vol divided by the product
 of the vertex forms 1 - <v, u>, which makes every function here rational
 with denominator a sub-multiset of vertex forms.  Denominators are kept as
 form multisets and never expanded.  `FormKernel` multiplies and divides by
-forms in integers; `taylor` expands and `RatFun.cancel` cancels with it.
+forms in integers, each the vertex's `geometry.homogeneous` row; `taylor`
+expands and `RatFun.cancel` cancels with it.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .errors import (
     DimensionError,
     PolymomError,
 )
-from .geometry import VertexSet, WeightedMeasure, check_simplex, is_degenerate
+from .geometry import VertexSet, WeightedMeasure, check_simplex, homogeneous, is_degenerate
 from .linalg import RatMat, det, integer_vector, rat
 from .oracle import MomentTable
 from .poly import Poly, Series, monomials_upto
@@ -53,10 +54,6 @@ class LinearForm(Value):
     def poly(self) -> Poly:
         return 1 - self.pairing()
 
-    def coefficients(self) -> list:
-        """Integer coefficients (c0, c1, ..., cd) of the form times c0, its scale."""
-        return integer_vector([Fraction(1), *(-c for c in self.vertex)])[0]
-
     def pairing(self) -> Poly:
         """The homogeneous part <v, u>."""
         terms = {}
@@ -67,9 +64,6 @@ class LinearForm(Value):
                 terms[tuple(exps)] = c
         return Poly(self.dim, terms)
 
-    def __hash__(self):
-        return hash(self.vertex)
-
     def __lt__(self, other):
         return self.vertex < other.vertex
 
@@ -79,8 +73,9 @@ class LinearForm(Value):
 
 class FormKernel:
     """Integer products and series quotients by vertex forms below a degree:
-    a polynomial is an (integer vector, scale) pair over the `rows`, and a
-    form is its `LinearForm.coefficients`."""
+    a polynomial is an (integer vector, scale) pair over the `rows`, and the
+    form of a vertex v is its `homogeneous` row (W, W*v), read as W - <W*v, u>,
+    the form times W."""
 
     __slots__ = ("dim", "degree", "rows", "up")
 
@@ -97,27 +92,27 @@ class FormKernel:
         return Poly._of(self.dim, {e: Fraction(x, scale) for e, x in zip(self.rows, vector) if x})
 
     def times(self, pair, form):
-        """The product with the form; the scale gains c0."""
-        (vector, scale), (c0, *cv) = pair, form
-        out = [c0 * x for x in vector]
-        for up_v, c in zip(self.up, cv):
+        """The product with the form; the scale gains W."""
+        (vector, scale), (w, *wv) = pair, form
+        out = [w * x for x in vector]
+        for up_v, c in zip(self.up, wv):
             if c:
                 for q, x in zip(up_v, vector):
-                    out[q] += c * x
-        return out, scale * c0
+                    out[q] -= c * x
+        return out, scale * w
 
     def over(self, pair, form):
-        """The series quotient by the form; the scale gains c0^degree.  The
+        """The series quotient by the form; the scale gains W^degree.  The
         recurrence G_j = H_j + <v, u> G_(j-1) runs in place over ascending rows
-        of c0^degree * H: a row of degree j stays a multiple of c0^(degree-j),
+        of W^degree * H: a row of degree j stays a multiple of W^(degree-j),
         so its carry divides exactly."""
-        (vector, scale), (c0, *cv) = pair, form
-        top = c0**self.degree
+        (vector, scale), (w, *wv) = pair, form
+        top = w**self.degree
         out = [top * x for x in vector]
         for q, ups in enumerate(zip(*self.up)):
-            carry = out[q] // c0
-            for r, c in zip(ups, cv):
-                out[r] -= c * carry
+            carry = out[q] // w
+            for r, c in zip(ups, wv):
+                out[r] += c * carry
         return out, scale * top
 
 
@@ -155,7 +150,7 @@ class RatFun(Value):
         """Divide out every denominator form that exactly divides the numerator.
 
         With p of degree D and G the series p/f to degree D by `FormKernel.over`
-        (a vertex form's c0 is never 0), f divides p exactly when G has no term
+        (a vertex form's W is never 0), f divides p exactly when G has no term
         of degree D.  If p = q*f, then G = q, of degree D-1.  Conversely, G*f = p
         up to degree D, and both have degree at most D, so G*f = p.  The
         quotient stands on the rows below degree D, and D drops by one.
@@ -166,7 +161,7 @@ class RatFun(Value):
         kernel, remaining = FormKernel(self.dim, self.numerator.degree()), []
         pair = integer_vector(map(self.numerator.coefficient, kernel.rows))
         for f in self.denominator:
-            vector, scale = kernel.over(pair, f.coefficients())
+            vector, scale = kernel.over(pair, homogeneous(f.vertex))
             below = comb(kernel.degree - 1 + self.dim, self.dim)
             if any(vector[below:]):
                 remaining.append(f)
@@ -219,12 +214,12 @@ def measure_genfunc(m: WeightedMeasure) -> RatFun:
     """Sum of the per-atom transforms over a common denominator, cancelled.
 
     The resulting denominator is always a sub-multiset of the vertex forms of
-    the input; interior vertices introduced by a dissection cancel out.
+    the input; interior vertices introduced by a dissection cancel out.  The
+    form multisets count `homogeneous` rows, the zero vertex's dropped.
     """
     vs = m.vertex_set
-    denominators = [
-        Counter(f for f in (LinearForm(vs.points[i]) for i in s) if not f.is_trivial()) for s, _ in m.atoms
-    ]
+    rows = [homogeneous(p) for p in vs.points]
+    denominators = [Counter(rows[i] for i in s if any(vs.points[i])) for s, _ in m.atoms]
     common = Counter()
     for counts in denominators:
         common |= counts
@@ -232,12 +227,13 @@ def measure_genfunc(m: WeightedMeasure) -> RatFun:
     parts = []
     for (_, w), counts in zip(m.atoms, denominators):
         part = ([w.numerator] + [0] * (len(kernel.rows) - 1), w.denominator)
-        for f in (common - counts).elements():
-            part = kernel.times(part, f.coefficients())
+        for row in (common - counts).elements():
+            part = kernel.times(part, row)
         parts.append(part)
     scale = lcm(*(s for _, s in parts))
     numerator = [sum(v[r] * (scale // s) for v, s in parts) for r in range(len(kernel.rows))]
-    return RatFun(kernel.poly((numerator, scale)), common.elements()).cancel()
+    forms = {r: LinearForm(p) for r, p in zip(rows, vs.points)}
+    return RatFun(kernel.poly((numerator, scale)), map(forms.get, common.elements())).cancel()
 
 
 def taylor(f: RatFun, order: int) -> Series:
@@ -245,7 +241,7 @@ def taylor(f: RatFun, order: int) -> Series:
     kernel = FormKernel(f.dim, order)
     series = integer_vector(map(f.numerator.coefficient, kernel.rows))
     for form in f.denominator:
-        series = kernel.over(series, form.coefficients())
+        series = kernel.over(series, homogeneous(form.vertex))
     return Series(kernel.poly(series), order)
 
 

@@ -3,9 +3,11 @@
 Vertex sets are ordered and may contain repeated points (a multiset); any
 (d+1)-subset of indices whose points fail to span is degenerate, which covers
 duplicates automatically.  All predicates are exact sign-of-determinant
-tests, never epsilon comparisons: the homogenized rows (1, p) of a simplex,
-in the given order, have d! times its signed volume as determinant, taken by
-`linalg.integer_det` on the rows scaled to integers.
+tests, never epsilon comparisons.  Each point p is one primitive integer row
+`homogeneous(p)` = (W, W*p), W > 0 the lcm of its denominators; the
+`linalg.integer_det` of a simplex's rows, in the given order, over the
+product of their W is d! times its signed volume.  The chamber map and the
+vertex forms of `genfunc` and `inverse` read the same row.
 """
 
 from __future__ import annotations
@@ -13,11 +15,11 @@ from __future__ import annotations
 import enum
 from fractions import Fraction
 from itertools import combinations
-from math import factorial, prod
+from math import factorial, lcm, prod
 from operator import index
 
 from .errors import DegenerateSimplexError, DimensionError, NotSpanningError
-from .linalg import integer_det, integer_rank, integer_vector, rat
+from .linalg import integer_det, integer_rank, rat
 from .value import Value
 
 
@@ -38,22 +40,22 @@ class VertexSet(Value):
         if any(len(p) != dim for p in pts):
             raise DimensionError(f"every point must have {dim} coordinates")
         self._fill(dim, pts)
-        if integer_rank(r for r, _ in _homogenized(pts)) != dim + 1:
+        if integer_rank(map(homogeneous, pts)) != dim + 1:
             raise NotSpanningError(f"{len(pts)} points do not affinely span R^{dim}")
 
     def __len__(self):
         return len(self.points)
 
 
-def _homogenized(points):
-    """The row (1, p) of each point p scaled to integers, as an `integer_vector` (ints, scale) pair."""
-    return [integer_vector([1, *p]) for p in points]
+def homogeneous(point) -> tuple:
+    """The primitive integer row (W, W*p_1, ..., W*p_d) of a point p, W > 0 the lcm of its denominators."""
+    w = lcm(*(c.denominator for c in point))
+    return (w, *(c.numerator * (w // c.denominator) for c in point))
 
 
 def _det(rows) -> Fraction:
-    """Determinant of `_homogenized` rows taken in the given order."""
-    ints, scales = zip(*rows)
-    return Fraction(integer_det(ints), prod(scales))
+    """Determinant of the rows (1, p) of `homogeneous` rows in the given order: integer_det over the W."""
+    return Fraction(integer_det(rows), prod(r[0] for r in rows))
 
 
 def simplex(indices) -> tuple:
@@ -72,7 +74,7 @@ def check_simplex(s, vs: VertexSet):
 
 def edge_det(s, vs: VertexSet) -> Fraction:
     """Signed determinant of the edge vectors v_i - v_0 of the simplex, which is that of its rows (1, v_i)."""
-    return _det(_homogenized(vs.points[i] for i in check_simplex(s, vs)))
+    return _det([homogeneous(vs.points[i]) for i in check_simplex(s, vs)])
 
 
 def volume(s, vs: VertexSet) -> Fraction:
@@ -99,11 +101,11 @@ def classify(vs: VertexSet) -> Classification:
     Strong: every (d+1)-subset spans.  Weak: some (d+1)-subset is flat but
     every (d+2)-subset still spans.  The degenerate list is exhaustive either
     way, which is what the dimension formula of the inverse solver consumes.
-    A (d+1)-subset spans when the determinant of its `_homogenized` rows,
+    A (d+1)-subset spans when the determinant of its `homogeneous` rows,
     each formed once, does not vanish.
     """
     d = vs.dim
-    rows = [r for r, _ in _homogenized(vs.points)]
+    rows = [homogeneous(p) for p in vs.points]
     degenerate = tuple(
         s for s in combinations(range(len(vs)), d + 1) if integer_det(rows[i] for i in s) == 0
     )
@@ -147,19 +149,12 @@ class WeightedMeasure(Value):
 
 def uniform_measure(vs: VertexSet, simplices) -> WeightedMeasure:
     """Density-1 measure on the given simplices (weight d!*Vol each)."""
-    d = vs.dim
-    return WeightedMeasure(
-        vs, [(s, factorial(d) * volume(s, vs)) for s in simplices]
-    )
+    return WeightedMeasure(vs, [(s, abs(edge_det(s, vs))) for s in simplices])
 
 
 def density(m: WeightedMeasure):
     """Per-simplex density w / (d! Vol), in atom order."""
-    d = m.vertex_set.dim
-    out = []
-    for s, w in m.atoms:
-        out.append((s, w / (factorial(d) * volume(s, m.vertex_set))))
-    return out
+    return [(s, w / abs(edge_det(s, m.vertex_set))) for s, w in m.atoms]
 
 
 def rebase(m: WeightedMeasure, pivot: int) -> WeightedMeasure:
@@ -179,7 +174,7 @@ def rebase(m: WeightedMeasure, pivot: int) -> WeightedMeasure:
     vs = m.vertex_set
     if not 0 <= pivot < len(vs):
         raise DimensionError(f"pivot index {pivot} out of range")
-    rows = _homogenized(vs.points)
+    rows = [homogeneous(p) for p in vs.points]
     out = []
     for s, w in m.atoms:
         if pivot in s:

@@ -7,10 +7,11 @@ exact linear system whose columns are products of N-d-1 vertex forms, on a
 full-rank minor of the extended matrix (the through-pivot basis on a
 strongly non-degenerate set), where columns complementary to degenerate
 simplices carry singular limit measures.  The integer kernel
-`genfunc.FormKernel` forms every product of forms, the numerator's included.
-A strong set is solved in closed form, one numerator evaluation per weight;
-forced columns and weak sets are eliminated once against the integer
-numerator, forming no product after the column whose pivot fills every row.
+`genfunc.FormKernel` forms every product of forms, the numerator's included,
+each form read from its vertex's `geometry.homogeneous` row.  A strong set
+is solved in closed form, one numerator evaluation per weight; forced
+columns and weak sets are eliminated once against the integer numerator,
+forming no product after the column whose pivot fills every row.
 """
 
 from __future__ import annotations
@@ -26,11 +27,11 @@ from .errors import (
     NotStronglyNonDegenerateError,
     NotWeaklyNonDegenerateError,
 )
-from .geometry import Degeneracy, VertexSet, WeightedMeasure, classify, edge_det
+from .geometry import Degeneracy, VertexSet, WeightedMeasure, classify, edge_det, homogeneous
 from .linalg import RatMat, det, eliminate, integer_det, integer_vector
 from .oracle import MomentTable
 from .poly import Poly, monomials_upto
-from .genfunc import FormKernel, LinearForm, _normalizer
+from .genfunc import FormKernel, _normalizer
 from .value import Value
 
 
@@ -95,10 +96,10 @@ def _product_columns(vs: VertexSet, columns):
 
     Each product is formed when read, from the longest prefix it shares with
     the column before it, one form at a time; only the products along that
-    prefix are held.  The scale is the product of the column's forms' c0.
+    prefix are held.  The scale is the product of the column's rows' W.
     """
     kernel = FormKernel(vs.dim, numerator_degree(vs))
-    forms = [LinearForm(p).coefficients() for p in vs.points]
+    forms = [homogeneous(p) for p in vs.points]
     path, stack = (), [([1] + [0] * (len(kernel.rows) - 1), 1)]
     for column in columns:
         shared = next((j for j, (a, b) in enumerate(zip(path, column)) if a != b), len(path))
@@ -128,22 +129,23 @@ def build_extended(vs: VertexSet) -> RatMat:
 
 
 def _closed_form(basis: FormBasis):
-    """Per column J of a strong through-pivot basis: at c_J, the integer cofactors of the d non-pivot
-    forms outside J (with a row x on top, their determinant is x . c_J; entry i is (-1)^i times the
-    `integer_det` of the forms without coefficient i), the monomials over `FormKernel.rows`
-    homogenized to degree N-d-1, and the product P_J of J's forms as the integer pair
-    (P_J^h(c_J) * scale, scale), nonzero.  Every other column's product vanishes at c_J, so p has
-    weight p^h(c_J) / P_J^h(c_J) on J."""
+    """Per column J of a strong through-pivot basis: the monomials over `FormKernel.rows`
+    homogenized to degree N-d-1 at the point c_J where the d non-pivot forms outside J vanish, and
+    the product P_J of J's forms as the integer pair (P_J^h(c_J) * scale, scale), nonzero.  With
+    h the integer cofactors of those forms' `homogeneous` rows (with a row x on top, their
+    determinant is x . h; entry i is (-1)^i times the `integer_det` of the rows without entry i),
+    a row r reads its form at c_J = (h0, -h1, ..., -hd) as r . h.  Every other column's product
+    vanishes at c_J, so p has weight p^h(c_J) / P_J^h(c_J) on J."""
     vs = basis.vertex_set
     k = numerator_degree(vs)
     exponents = [(k - sum(e), *e) for e in monomials_upto(vs.dim, k)]
-    forms = [LinearForm(p).coefficients() for p in vs.points]
+    rows = [homogeneous(p) for p in vs.points]
     for column in basis.columns:
-        rows = [f for i, f in enumerate(forms) if i != basis.pivot and i not in column]
-        point = [(-1) ** i * integer_det(f[:i] + f[i + 1 :] for f in rows) for i in range(vs.dim + 1)]
-        powers = [[x**t for t in range(k + 1)] for x in point]
+        others = [r for i, r in enumerate(rows) if i != basis.pivot and i not in column]
+        h = [(-1) ** i * integer_det(r[:i] + r[i + 1 :] for r in others) for i in range(vs.dim + 1)]
+        powers = [[x**t for t in range(k + 1)] for x in (h[0], *(-x for x in h[1:]))]
         values = [prod(map(getitem, powers, e)) for e in exponents]
-        yield values, prod(sum(map(mul, forms[j], point)) for j in column), prod(forms[j][0] for j in column)
+        yield values, prod(sum(map(mul, rows[j], h)) for j in column), prod(rows[j][0] for j in column)
 
 
 def explicit_inverse(basis: FormBasis) -> RatMat:
@@ -165,7 +167,7 @@ def _numerator_pair(table: MomentTable, vs: VertexSet):
         raise IncompleteMomentsError(f"need all moments up to order {kernel.degree}", missing)
     series = integer_vector(_normalizer(e, vs.dim, 0) * table[e] for e in kernel.rows)
     for p in vs.points:
-        series = kernel.times(series, LinearForm(p).coefficients())
+        series = kernel.times(series, homogeneous(p))
     return series
 
 
@@ -275,8 +277,8 @@ def _choose(vs: VertexSet, pivot, forced, table=None):
         raise NotWeaklyNonDegenerateError(not_a_minor)
     chosen = [candidates[j] for j in pivots]
     order = range(size) if forced is not None else sorted(range(size), key=lambda i: chosen[i])
-    c0 = [LinearForm(p).coefficients()[0] for p in vs.points]
-    weights = [solutions[0][i] * prod(c0[j] for j in chosen[i]) / rhs_scale for i in order] if rhs else None
+    w = [homogeneous(p)[0] for p in vs.points]
+    weights = [solutions[0][i] * prod(w[j] for j in chosen[i]) / rhs_scale for i in order] if rhs else None
     return FormBasis(vs, pivot, tuple(chosen[i] for i in order)), weights, degenerate
 
 

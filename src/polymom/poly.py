@@ -108,8 +108,6 @@ class Poly(Value):
             out[e] = out.get(e, Fraction(0)) + c
         return Poly._of(self.dim, out)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return Poly._of(self.dim, {e: -c for e, c in self.terms.items()})
 
@@ -133,10 +131,7 @@ class Poly(Value):
                 out[e] = out.get(e, 0) + c1 * c2
         return Poly._of(self.dim, out)
 
-    __rmul__ = __mul__
-
-    def __hash__(self):
-        return hash((self.dim, frozenset(self.terms.items())))
+    __hash__ = None
 
     def partial(self, k) -> "Poly":
         """Exact partial derivative with respect to variable k."""

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction as F
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 
@@ -16,7 +16,7 @@ from polymom import (
     volume,
 )
 from polymom.errors import DegenerateSimplexError, NotSpanningError
-from polymom.geometry import edge_det
+from polymom.geometry import edge_det, homogeneous
 from polymom.linalg import eliminate
 
 
@@ -24,6 +24,34 @@ def point_rank(vs, subset):
     """Pivot count of one elimination of the rows (1, p), each scaled to integers by its lcm."""
     rows = [[lcm(*(c.denominator for c in vs.points[i])) * x for x in (1, *vs.points[i])] for i in subset]
     return len(eliminate([[int(r[j]) for r in rows] for j in range(vs.dim + 1)], len(rows))[0])
+
+
+class TestHomogeneous:
+    DENOMINATORS = (1, 2, 3, 4, 6, 9, 10, 10**9 + 7, 10**12 + 39)
+
+    @staticmethod
+    def check(point):
+        row = homogeneous(point)
+        assert len(row) == len(point) + 1
+        assert all(type(x) is int for x in row)
+        assert row[0] == lcm(*(c.denominator for c in point)) > 0
+        assert gcd(*row) == 1
+        assert [F(x, row[0]) for x in row[1:]] == list(point)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_contract(self, dim):
+        """(W, W*p) with W the lcm of the denominators, primitive, reading back p: random rational
+        points with negative coordinates and large denominators, the zero point and integer points."""
+        rng = random.Random(dim)
+        self.check((F(0),) * dim)
+        self.check(tuple(F(-k) for k in range(1, dim + 1)))
+        self.check((F(-1, 10**12 + 39),) + (F(0),) * (dim - 1))
+        for _ in range(60):
+            point = tuple(
+                F(rng.randint(-(10**13), 10**13) * rng.choice((0, 1, 1)), rng.choice(self.DENOMINATORS))
+                for _ in range(dim)
+            )
+            self.check(point)
 
 
 class TestVolume:

@@ -35,7 +35,8 @@ from polymom import (
     uniform_measure,
 )
 from polymom import inverse, linalg
-from polymom.genfunc import FormKernel, LinearForm
+from polymom.genfunc import FormKernel
+from polymom.geometry import homogeneous
 from polymom.errors import (
     DimensionError,
     IncompleteMomentsError,
@@ -575,7 +576,7 @@ def _formed_from_one(vs, column):
     kernel = FormKernel(vs.dim, numerator_degree(vs))
     pair = ([1] + [0] * (len(kernel.rows) - 1), 1)
     for i in column:
-        pair = kernel.times(pair, LinearForm(vs.points[i]).coefficients())
+        pair = kernel.times(pair, homogeneous(vs.points[i]))
     return pair
 
 
