@@ -269,6 +269,40 @@ def test_forward_series_sizes(dim, order, seed, dense):
 
 
 @pytest.mark.parametrize("dense", [False, True], ids=["plain", "density"])
+@pytest.mark.parametrize("dim, order, seed", [(1, 9, 3), (2, 8, 4), (3, 6, 5)])
+def test_rules_of_four_to_six_groups(dim, order, seed, dense):
+    """Orders whose rule has 4 to 6 groups (5 or 6 in 1-d and 2-d, 4 or 5 in 3-d, the
+    density adding one), so that groups of every size down to the single centroid node
+    meet in one table: three signed simplices on d+3 shared rational points."""
+    rng = random.Random(seed)
+    vs = VertexSet(dim, [random_point(rng, dim) for _ in range(dim + 3)])
+    simplices = [s for s in combinations(range(dim + 3), dim + 1) if not is_degenerate(s, vs)]
+    m = WeightedMeasure(vs, [(s, random_rational(rng) or 1) for s in rng.sample(simplices, 3)])
+    rho = _dense_rho(dim) if dense else None
+    assert measure_moments(m, order, rho) == _reference_measure_moments(m, order, rho)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_axial_moment_at_seven_is_the_power_expansion(dim):
+    """<x, z>^7 = sum over |I| = 7 of 7!/I! z^I x^I, against the table at order 7: the rule
+    exact to degree 7 has 4 groups."""
+    rng = random.Random(70 + dim)
+    vs = VertexSet(dim, [random_point(rng, dim) for _ in range(dim + 2)])
+    simplices = [s for s in combinations(range(dim + 2), dim + 1) if not is_degenerate(s, vs)]
+    m = WeightedMeasure(vs, [(s, random_rational(rng) or 1) for s in simplices[:2]])
+    z = tuple(random_rational(rng) or F(1, 2) for _ in range(dim))
+    table = measure_moments(m, 7)
+    expect = 0
+    for e in monomials_upto(dim, 7):
+        if sum(e) == 7:
+            coefficient = F(factorial(7))
+            for c, k in zip(z, e):
+                coefficient *= c**k / factorial(k)
+            expect += coefficient * table[e]
+    assert axial_moment(m, z, 7) == expect
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["plain", "density"])
 @pytest.mark.parametrize("empty", [False, True], ids=["atoms", "empty"])
 def test_negative_order_names_the_order(triangle_115232, empty, dense):
     m = WeightedMeasure(triangle_115232, [] if empty else [((0, 1, 2), F(7, 3))])
