@@ -9,13 +9,15 @@ of the vertex forms 1 - <v, u>, which makes every function here rational
 with denominator a sub-multiset of vertex forms.  Denominators are kept as
 form multisets and never expanded.  `FormKernel` multiplies and divides by
 forms in integers, each the vertex's `geometry.homogeneous` row; `taylor`
-expands and `RatFun.cancel` cancels with it.
+expands and `RatFun.cancel` cancels with it, and `form_kernel` builds one
+kernel per (dim, degree) for every caller.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial, lcm, perm, prod
 from operator import add
 
@@ -75,16 +77,17 @@ class FormKernel:
     """Integer products and series quotients by vertex forms below a degree:
     a polynomial is an (integer vector, scale) pair over the `rows`, and the
     form of a vertex v is its `homogeneous` row (W, W*v), read as W - <W*v, u>,
-    the form times W."""
+    the form times W.  Get one from `form_kernel`, which builds each (dim, degree)
+    once and shares it; `rows` and `up` are tuples, so no caller can alter them."""
 
     __slots__ = ("dim", "degree", "rows", "up")
 
     def __init__(self, dim, degree):
-        self.dim, self.degree, self.rows = dim, degree, monomials_upto(dim, degree)
+        self.dim, self.degree, self.rows = dim, degree, tuple(monomials_upto(dim, degree))
         at = {e: r for r, e in enumerate(self.rows)}
         # up[v][q] is the row of u_v times the monomial of row q, for the rows below the degree
         below = [e for e in self.rows if sum(e) < degree]
-        self.up = [[at[e[:v] + (e[v] + 1,) + e[v + 1 :]] for e in below] for v in range(dim)]
+        self.up = tuple(tuple(at[e[:v] + (e[v] + 1,) + e[v + 1 :]] for e in below) for v in range(dim))
 
     def poly(self, pair) -> Poly:
         """The polynomial a pair stands for."""
@@ -114,6 +117,14 @@ class FormKernel:
             for r, c in zip(ups, wv):
                 out[r] += c * carry
         return out, scale * top
+
+
+@lru_cache(maxsize=32, typed=True)
+def form_kernel(dim, degree) -> FormKernel:
+    """The `FormKernel` of (dim, degree), built on first use and shared after.  Typed, so a
+    degree of 6.0 or True still builds (and fails or not) as it would alone, never reading
+    the kernel of 6 or 1."""
+    return FormKernel(dim, degree)
 
 
 class RatFun(Value):
@@ -158,7 +169,7 @@ class RatFun(Value):
         leaves the multiplicity of every other in the numerator unchanged,
         and one pass cancels each form as often as both sides hold it.
         """
-        kernel, remaining = FormKernel(self.dim, self.numerator.degree()), []
+        kernel, remaining = form_kernel(self.dim, self.numerator.degree()), []
         pair = integer_vector(map(self.numerator.coefficient, kernel.rows))
         for f in self.denominator:
             vector, scale = kernel.over(pair, homogeneous(f.vertex))
@@ -166,7 +177,7 @@ class RatFun(Value):
             if any(vector[below:]):
                 remaining.append(f)
             else:
-                kernel, pair = FormKernel(self.dim, kernel.degree - 1), (vector[:below], scale)
+                kernel, pair = form_kernel(self.dim, kernel.degree - 1), (vector[:below], scale)
         return RatFun(kernel.poly(pair), remaining)
 
 
@@ -223,7 +234,7 @@ def measure_genfunc(m: WeightedMeasure) -> RatFun:
     common = Counter()
     for counts in denominators:
         common |= counts
-    kernel = FormKernel(vs.dim, max((sum((common - counts).values()) for counts in denominators), default=0))
+    kernel = form_kernel(vs.dim, max((sum((common - counts).values()) for counts in denominators), default=0))
     parts = []
     for (_, w), counts in zip(m.atoms, denominators):
         part = ([w.numerator] + [0] * (len(kernel.rows) - 1), w.denominator)
@@ -238,7 +249,7 @@ def measure_genfunc(m: WeightedMeasure) -> RatFun:
 
 def taylor(f: RatFun, order: int) -> Series:
     """Exact truncated expansion about the origin, one `FormKernel.over` per denominator form."""
-    kernel = FormKernel(f.dim, order)
+    kernel = form_kernel(f.dim, order)
     series = integer_vector(map(f.numerator.coefficient, kernel.rows))
     for form in f.denominator:
         series = kernel.over(series, homogeneous(form.vertex))

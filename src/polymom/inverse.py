@@ -31,7 +31,7 @@ from .geometry import Degeneracy, VertexSet, WeightedMeasure, classify, edge_det
 from .linalg import RatMat, det, eliminate, integer_det, integer_vector
 from .oracle import MomentTable
 from .poly import Poly, monomials_upto
-from .genfunc import FormKernel, _normalizer
+from .genfunc import _normalizer, form_kernel
 from .value import Value
 
 
@@ -98,7 +98,7 @@ def _product_columns(vs: VertexSet, columns):
     the column before it, one form at a time; only the products along that
     prefix are held.  The scale is the product of the column's rows' W.
     """
-    kernel = FormKernel(vs.dim, numerator_degree(vs))
+    kernel = form_kernel(vs.dim, numerator_degree(vs))
     forms = [homogeneous(p) for p in vs.points]
     path, stack = (), [([1] + [0] * (len(kernel.rows) - 1), 1)]
     for column in columns:
@@ -161,7 +161,7 @@ def _numerator_pair(table: MomentTable, vs: VertexSet):
     """`recover_numerator`'s numerator as the `FormKernel` pair the solve reads."""
     if table.dim != vs.dim:
         raise DimensionError(f"moments in R^{table.dim} against vertices in R^{vs.dim}")
-    kernel = FormKernel(vs.dim, numerator_degree(vs))
+    kernel = form_kernel(vs.dim, numerator_degree(vs))
     if table.order < kernel.degree:
         missing = [e for e in kernel.rows if sum(e) > table.order]
         raise IncompleteMomentsError(f"need all moments up to order {kernel.degree}", missing)
@@ -178,7 +178,7 @@ def recover_numerator(table: MomentTable, vs: VertexSet) -> Poly:
     times the product of all N vertex forms, which `FormKernel.times` forms
     in integers from the series scaled over one lcm (`_numerator_pair`).
     """
-    return FormKernel(vs.dim, numerator_degree(vs)).poly(_numerator_pair(table, vs))
+    return form_kernel(vs.dim, numerator_degree(vs)).poly(_numerator_pair(table, vs))
 
 
 class Reconstruction(Value):

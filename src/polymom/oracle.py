@@ -9,28 +9,34 @@ weight (-1)^i D_i^(2s+1) / (4^s i! (d+2s+1-i)!) on T_d.  All of these are
 rational, so the result is exact.  A table to order k with a density of
 degree r takes the smallest s with 2s+1 >= k + r.
 
-The arithmetic is in integers: the vertices of a simplex are scaled once by
-their common denominator L, so a node is X / (D_i L) with X an integer
-vector.  The monomials of the table form a tree, built once per call, in
-which each is its parent's times one coordinate; the values X^I follow it,
-summed per group.  An atom of weight a/b keeps its sums as integers over
-b L^(k+r) at degree k, the atoms meet over the lcm of those per degree, and
-each moment takes one `Fraction` at the end.  The oracle only evaluates
-monomials at points and shares no code with `genfunc` or `inverse`, so it
-can arbitrate their results.
+Everything that does not depend on the atoms is one plan per (d, rule
+degree, order), built once and kept (`_plan`): the rule's nodes as one flat
+list, each group a slice of it; the monomials of the table in degree blocks,
+each its parent's in the block below times one coordinate; and per degree
+one weight per group.  The arithmetic is in integers: the vertices of a
+simplex are scaled once by their common denominator L, so a node is
+X / (D_i L) with X an integer vector, and the nodes of all groups come as one
+integer column per coordinate.  The values X^I follow the tree over the whole
+column, one degree at a time, so only two degrees of rows are alive at once,
+and each row is summed per group slice and weighed.  An atom of weight a/b
+keeps its sums as integers over b L^(k+r) at degree k, the atoms meet over
+the lcm of those per degree, and each moment takes one `Fraction` at the
+end.  The oracle only evaluates monomials at points and shares no code with
+`genfunc` or `inverse`, so it can arbitrate their results.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations_with_replacement, islice
-from math import comb, factorial, lcm, prod
+from functools import lru_cache
+from itertools import combinations_with_replacement, islice, repeat
+from math import comb, factorial, lcm
 from operator import add, index, mul
 
 from .errors import DegenerateSimplexError, DimensionError
 from .geometry import VertexSet, WeightedMeasure, edge_det
 from .linalg import rat
-from .poly import Poly, grlex_key, monomials_of_degree, monomials_upto
+from .poly import Poly, grlex_key, monomials_of_degree
 from .value import Value
 
 
@@ -76,43 +82,77 @@ class MomentTable(Value):
         return [(e, self.moments[e]) for e in sorted(self.moments, key=grlex_key)]
 
 
-def _rule(d, degree):
-    """The Grundmann-Moller rule on T_d exact to a degree 2s+1 >= `degree`.
+def _check_order(order) -> int:
+    """A moment order as an int; a bool or a negative order is refused before any work."""
+    if isinstance(order, bool):
+        raise TypeError("moment table dim and order must be integers, not bool")
+    order = index(order)
+    if order < 0:
+        raise DimensionError(f"moment order must be non-negative, got {order}")
+    return order
 
-    Returns 2s+1, the common denominator (d+2s+1)! 4^s of the weights, and
-    the groups as (k_i, D_i, nodes): group i weighs k_i D_i^(2s+1) over that
-    denominator, with k_i = (-1)^i C(d+2s+1, i), and lists each node by its
-    barycentric numerators 2 beta + 1 over D_i.
+
+@lru_cache(maxsize=16)
+def _plan(d, degree, order):
+    """What a table to `order` with the rule exact to `degree` needs apart from its atoms,
+    built once per (d, degree, order); r = degree - order is the density's degree.
+
+    Returns (den, odd, groups, blocks, steps, weights), every sequence a tuple, for the
+    smallest s with 2s+1 >= degree:
+    - den = (d+2s+1)! 4^s;
+    - odd[j] holds the barycentric numerator 2 beta_j + 1 of vertex j at every node, the
+      nodes of group 0, then of group 1, and so on;
+    - groups[i] is (the slice of group i's nodes, k_i, D_i) with k_i = (-1)^i C(d+2s+1, i);
+      a node of group i is the barycentric point odd / D_i, and the group weighs
+      k_i D_i^(2s+1) over den;
+    - blocks[g] lists the monomials of degree g in canonical order;
+    - steps[g-1] gives, for each monomial of blocks[g], its parent's position in
+      blocks[g-1] and the variable x_j, its last one, that the parent is multiplied by;
+    - weights[g][i] = k_i D_i^(2s+1-r-g) weighs group i's sum at degree g.
     """
-    s = max(degree, 0) // 2
+    s = degree // 2
     n = d + 2 * s + 1
-    groups = []
+    odd, groups = [[] for _ in range(d + 1)], []
     for i in range(s + 1):
-        nodes = []
+        start = len(odd[0])
         for beta in combinations_with_replacement(range(d + 1), s - i):
-            odd = [1] * (d + 1)
-            for j in beta:
-                odd[j] += 2
-            nodes.append(odd)
-        groups.append(((-1) ** i * comb(n, i), n - 2 * i, nodes))
-    return 2 * s + 1, factorial(n) * 4**s, groups
+            for j, column in enumerate(odd):
+                column.append(2 * beta.count(j) + 1)
+        groups.append((slice(start, len(odd[0])), (-1) ** i * comb(n, i), n - 2 * i))
+    blocks = tuple(tuple(monomials_of_degree(d, g)) for g in range(order + 1))
+    steps = []
+    for below, block in zip(blocks, blocks[1:]):
+        where = {e: p for p, e in enumerate(below)}
+        step = []
+        for e in block:
+            j = max(v for v, k in enumerate(e) if k)
+            step.append((where[e[:j] + (e[j] - 1,) + e[j + 1 :]], j))
+        steps.append(tuple(step))
+    r = degree - order
+    weights = tuple(tuple(k * D ** (2 * s + 1 - r - g) for _, k, D in groups) for g in range(order + 1))
+    return factorial(n) * 4**s, tuple(map(tuple, odd)), tuple(groups), blocks, tuple(steps), weights
 
 
-def _atom_nodes(groups, simplex, vs: VertexSet):
-    """The common denominator L of the simplex's vertices, and the rule's nodes
-    on it as integer vectors X, one list per group: a node of group i is the
-    point X / (D_i L)."""
-    points = [vs.points[v] for v in simplex]
+def _nodes(odd, points):
+    """The common denominator L of the points, and every node of the rule on their simplex
+    as one integer column per coordinate: node X of group i is the point X / (D_i L)."""
     scale = lcm(*(c.denominator for p in points for c in p))
-    columns = [[c.numerator * (scale // c.denominator) for c in col] for col in zip(*points)]
-    return scale, [
-        [tuple(sum(map(mul, odd, col)) for col in columns) for odd in nodes] for _, _, nodes in groups
-    ]
+    columns = []
+    for coordinates in zip(*points):
+        column = [0] * len(odd[0])
+        for c, numerators in zip(coordinates, odd):
+            if c:
+                column = list(map(add, column, map((c.numerator * (scale // c.denominator)).__mul__, numerators)))
+        columns.append(column)
+    return scale, columns
 
 
 def simplex_monomial_moment(s, vs: VertexSet, index) -> Fraction:
     """Exact integral of x^I over the simplex, Lebesgue measure: the entry of
     the one-atom table whose weight is |det|."""
+    index = tuple(index)
+    if len(index) != vs.dim or min(index, default=0) < 0:
+        raise DimensionError(f"moment index {index} is not in R^{vs.dim}")
     dvol = edge_det(s, vs)
     if dvol == 0:
         raise DegenerateSimplexError(f"degenerate simplex {s}")
@@ -131,62 +171,63 @@ def measure_moments(m: WeightedMeasure, order: int, rho: Poly | None = None) -> 
         rho = Poly.constant(d, 1)
     elif rho.dim != d:
         raise DimensionError(f"density has {rho.dim} variables, measure lives in R^{d}")
+    order = _check_order(order)
     r = max(rho.degree(), 0)
     clear = lcm(*(c.denominator for c in rho.terms.values()))
     rho_ints = [(c.numerator * (clear // c.denominator), K, r - sum(K)) for K, c in rho.terms.items()]
-    exact, den, groups = _rule(d, order + r)
-    monos = monomials_upto(d, order)
-    degrees = list(map(sum, monos))
-    # the tree: each monomial past 1 is its parent's times x_j, j its last variable
-    where = {e: i for i, e in enumerate(monos)}
-    tree = []
-    for e in monos[1:]:
-        j = max(i for i, k in enumerate(e) if k)
-        tree.append((where[e[:j] + (e[j] - 1,) + e[j + 1 :]], j))
-    # group i weighs the sum of its node values at degree g by k_i D_i^(exact - r - g)
-    weights = [[k * D ** (exact - r - g) for g in degrees] for k, D, _ in groups]
+    den, odd, groups, blocks, steps, weights = _plan(d, order + r, order)
+    slices = [part for part, _, _ in groups]
     atoms = []
     for simplex, w in m.atoms:
-        scale, nodes = _atom_nodes(groups, simplex, vs)
-        sums = [0] * len(monos)
-        for (_, D, _), xs, weight in zip(groups, nodes, weights):
-            # clear * (D L)^r * rho(X / (D L)) is an integer form of degree r in X
-            rows = [[
-                sum(c * (D * scale) ** gap * prod(map(pow, X, K)) for c, K, gap in rho_ints) for X in xs
-            ]]
-            columns = list(zip(*xs))
-            for parent, j in tree:
-                rows.append(list(map(mul, rows[parent], columns[j])))
-            sums = list(map(add, sums, map(mul, weight, map(sum, rows))))
+        scale, columns = _nodes(odd, [vs.points[v] for v in simplex])
+        # clear * (D L)^r * rho(X / (D L)) at each node X: an integer form of degree r in X
+        root = [0] * len(odd[0])
+        for c, K, gap in rho_ints:
+            term = []
+            for part, _, D in groups:
+                term += [c * (D * scale) ** gap] * (part.stop - part.start)
+            for column, k in zip(columns, K):
+                if k:
+                    term = map(mul, term, map(pow, column, repeat(k)))
+            root = list(map(add, root, term))
+        # the monomials of one degree from those of the degree below, two degrees held at once
+        rows, sums = [root], []
+        for g, weight in enumerate(weights):
+            if g:
+                rows = [list(map(mul, rows[parent], columns[j])) for parent, j in steps[g - 1]]
+            sums.append([sum(map(mul, weight, map(sum, map(row.__getitem__, slices)))) for row in rows])
         # w times the sums, which stand over b L^(g+r) at degree g, b the weight's denominator
         atoms.append((sums, w, scale))
-    lcms = [lcm(*(w.denominator * L ** (g + r) for _, w, L in atoms)) for g in range(order + 1)]
-    total = [0] * len(monos)
-    for sums, w, L in atoms:
-        lift = [w.numerator * (q // (w.denominator * L ** (g + r))) for g, q in enumerate(lcms)]
-        total = [t + s * lift[g] for t, s, g in zip(total, sums, degrees)]
-    return MomentTable(d, order, {
-        e: Fraction(t, den * clear * lcms[g]) for e, t, g in zip(monos, total, degrees)
-    })
+    moments = {}
+    for g, block in enumerate(blocks):
+        common = lcm(*(w.denominator * L ** (g + r) for _, w, L in atoms))
+        total = [0] * len(block)
+        for sums, w, L in atoms:
+            lift = w.numerator * (common // (w.denominator * L ** (g + r)))
+            total = list(map(add, total, map(lift.__mul__, sums[g])))
+        moments.update(zip(block, (Fraction(t, den * clear * common) for t in total)))
+    return MomentTable(d, order, moments)
 
 
 def axial_moment(m: WeightedMeasure, z, j: int) -> Fraction:
-    """Exact integral of <x, z>^j against the measure, by the rule exact to degree j."""
+    """Exact integral of <x, z>^j against the measure, by the rule exact to degree j: the
+    order-0 table of the density <x, z>^j, read off the same plan."""
     z = [rat(c) for c in z]
     vs = m.vertex_set
     if len(z) != vs.dim:
         raise DimensionError(f"direction of length {len(z)} in R^{vs.dim}")
-    if j < 0:
-        raise DimensionError(f"moment order must be non-negative, got {j}")
+    j = _check_order(j)
     clear = lcm(*(c.denominator for c in z))
     z_ints = [c.numerator * (clear // c.denominator) for c in z]
-    exact, den, groups = _rule(vs.dim, j)
+    den, odd, groups, _, _, (weight,) = _plan(vs.dim, j, 0)
+    slices = [part for part, _, _ in groups]
     total = Fraction(0)
     for simplex, w in m.atoms:
-        scale, nodes = _atom_nodes(groups, simplex, vs)
-        num = sum(
-            k * D ** (exact - j) * sum(sum(map(mul, X, z_ints)) ** j for X in xs)
-            for (k, D, _), xs in zip(groups, nodes)
-        )
+        scale, columns = _nodes(odd, [vs.points[v] for v in simplex])
+        values = [0] * len(odd[0])
+        for c, column in zip(z_ints, columns):
+            values = list(map(add, values, map(c.__mul__, column)))
+        powers = list(map(pow, values, repeat(j)))
+        num = sum(map(mul, weight, map(sum, map(powers.__getitem__, slices))))
         total += w * Fraction(num, den * (clear * scale) ** j)
     return total

@@ -372,6 +372,29 @@ def test_taylor_matches_geometric_series_reference():
         assert taylor(f, order) == _reference_taylor(f, order)
 
 
+def test_shared_kernels_leave_no_trace_between_calls():
+    """Two functions that share (dim, order) expand the same in either order, and again after
+    the kernel memo is emptied; the shared kernel's tables are tuples."""
+    rng = random.Random(29)
+    fs = [
+        RatFun(
+            Poly(2, {(i, j): random_rational(rng) or 1 for i, j in [(0, 0), (1, 0), (1, 2)]}),
+            [LinearForm(random_point(rng, 2)) for _ in range(3)],
+        )
+        for _ in range(2)
+    ]
+    first = [taylor(f, 6) for f in fs]
+    second = [taylor(f, 6) for f in reversed(fs)][::-1]
+    genfunc.form_kernel.cache_clear()
+    assert first == second == [taylor(f, 6) for f in fs]
+    kernel = genfunc.form_kernel(2, 6)
+    assert kernel is genfunc.form_kernel(2, 6)
+    assert isinstance(kernel.rows, tuple) and isinstance(kernel.up, tuple)
+    assert all(isinstance(up_v, tuple) for up_v in kernel.up)
+    with pytest.raises(TypeError):  # a float order does not read the shared kernel of 6
+        taylor(fs[0], 6.0)
+
+
 def _reference_measure_genfunc(m):
     """Common-denominator numerator as a chain of `Poly` products, then `cancel`."""
     vs = m.vertex_set

@@ -18,7 +18,7 @@ sympy = pytest.importorskip("sympy")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from polymom import LinearForm, Poly, RatFun, taylor  # noqa: E402
-from polymom.genfunc import FormKernel, _normalizer, divide_linear  # noqa: E402
+from polymom.genfunc import _normalizer, divide_linear, form_kernel  # noqa: E402
 from polymom.geometry import homogeneous  # noqa: E402
 from polymom.linalg import integer_vector  # noqa: E402
 from polymom.poly import monomials_upto  # noqa: E402
@@ -115,7 +115,7 @@ def test_series_quotient_divides_exactly_when_divide_linear_does(p, form, on_top
     form divides p, and its series is then the quotient."""
     if on_top:
         p = p * form.poly()
-    kernel = FormKernel(DIM, max(p.degree(), 0) + slack)
+    kernel = form_kernel(DIM, max(p.degree(), 0) + slack)
     vector, scale = kernel.over(integer_vector(map(p.coefficient, kernel.rows)), homogeneous(form.vertex))
     top = [x for e, x in zip(kernel.rows, vector) if sum(e) == kernel.degree]
     quotient = divide_linear(p, form.poly())

@@ -70,6 +70,28 @@ def test_oracle_reaches_neither_genfunc_nor_inverse():
     assert not shared, f"polymom.oracle reaches {shared}"
 
 
+def _calls(tree, name):
+    """The top-level functions and classes of the tree that call `name` by its bare name, and
+    "<module>" for a call outside them."""
+    return {
+        getattr(node, "name", "<module>")
+        for node in tree.body
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call) and isinstance(call.func, ast.Name) and call.func.id == name
+    }
+
+
+def test_every_form_kernel_comes_from_the_one_memo():
+    callers = {path.stem: _calls(ast.parse(path.read_text(encoding="utf-8")), "FormKernel") for path in MODULES}
+    assert {stem: names for stem, names in callers.items() if names} == {"genfunc": {"form_kernel"}}
+
+
+def test_oracle_scales_its_own_points():
+    """The oracle reads no `homogeneous` row: its per-simplex scale keeps it apart from the kernels it checks."""
+    tree = ast.parse((Path(polymom.__file__).parent / "oracle.py").read_text(encoding="utf-8"))
+    assert "homogeneous" not in _used(tree) | {name for name, _ in _imported(tree)}
+
+
 # A child that imports the CLI, then runs one invert, and prints the modules each step added.
 BUDGET_CHILD = """
 import json, sys

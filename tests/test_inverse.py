@@ -35,7 +35,7 @@ from polymom import (
     uniform_measure,
 )
 from polymom import inverse, linalg
-from polymom.genfunc import FormKernel
+from polymom.genfunc import form_kernel
 from polymom.geometry import homogeneous
 from polymom.errors import (
     DimensionError,
@@ -573,7 +573,7 @@ class TestProductColumnsProperties:
 
 def _formed_from_one(vs, column):
     """The product of the column's forms, formed from the constant 1 by `FormKernel.times`."""
-    kernel = FormKernel(vs.dim, numerator_degree(vs))
+    kernel = form_kernel(vs.dim, numerator_degree(vs))
     pair = ([1] + [0] * (len(kernel.rows) - 1), 1)
     for i in column:
         pair = kernel.times(pair, homogeneous(vs.points[i]))

@@ -21,6 +21,7 @@ from polymom import (
     simplex_monomial_moment,
     uniform_measure,
 )
+from polymom import oracle
 from polymom.cli import main
 from polymom.errors import DegenerateSimplexError, DimensionError, NotSpanningError
 from polymom.geometry import edge_det, is_degenerate
@@ -311,6 +312,69 @@ def test_negative_order_names_the_order(triangle_115232, empty, dense):
         measure_moments(m, -1, rho)
     assert str(exc.value) == "moment order must be non-negative, got -1"
 
+
+def _tuples_all_the_way(value):
+    return not isinstance(value, (list, dict, set)) and (
+        not isinstance(value, tuple) or all(map(_tuples_all_the_way, value))
+    )
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["plain", "density"])
+def test_shared_plans_leave_no_trace_between_calls(dense):
+    """Two measures that share (d, order) give the same tables in either order, and again
+    after the plan memo is emptied; every field of a plan is a tuple."""
+    rng = random.Random(43)
+    measures = []
+    for _ in range(2):
+        vs = VertexSet(2, [random_point(rng, 2) for _ in range(5)])
+        simplices = [s for s in combinations(range(5), 3) if not is_degenerate(s, vs)]
+        measures.append(WeightedMeasure(vs, [(s, random_rational(rng) or 1) for s in simplices[:3]]))
+    rho = _dense_rho(2) if dense else None
+    first = [measure_moments(m, 6, rho) for m in measures]
+    second = [measure_moments(m, 6, rho) for m in reversed(measures)][::-1]
+    oracle._plan.cache_clear()
+    assert first == second == [measure_moments(m, 6, rho) for m in measures]
+    plan = oracle._plan(2, 6 + 2 * dense, 6)
+    assert plan is oracle._plan(2, 6 + 2 * dense, 6)
+    assert isinstance(plan, tuple) and _tuples_all_the_way(plan)
+
+
+def _refuse_work(monkeypatch):
+    def work(*args):
+        raise AssertionError("reached work")
+
+    for name in ("_plan", "edge_det", "measure_moments"):
+        monkeypatch.setattr(oracle, name, work)
+
+
+@pytest.mark.parametrize("order", [True, False])
+def test_bool_order_is_refused(triangle_115232, order):
+    m = uniform_measure(triangle_115232, [(0, 1, 2)])
+    for call in (lambda: measure_moments(m, order), lambda: axial_moment(m, (1, 0), order)):
+        with pytest.raises(TypeError, match="^moment table dim and order must be integers, not bool$"):
+            call()
+
+
+def test_orders_are_checked_before_any_work(triangle_115232, monkeypatch):
+    m = uniform_measure(triangle_115232, [(0, 1, 2)])
+    measure = oracle.measure_moments
+    _refuse_work(monkeypatch)
+    with pytest.raises(TypeError):
+        measure(m, True)
+    with pytest.raises(DimensionError, match="^moment order must be non-negative, got -2$"):
+        measure(m, -2)
+    with pytest.raises(TypeError):
+        axial_moment(m, (1, 0), True)
+    with pytest.raises(DimensionError, match="^moment order must be non-negative, got -1$"):
+        axial_moment(m, (1, 0), -1)
+
+
+@pytest.mark.parametrize("index", [(-1, 2), (1,), (0, 0, 1), [2, -1]])
+def test_monomial_index_outside_the_plane_is_named_before_any_work(triangle_115232, monkeypatch, index):
+    _refuse_work(monkeypatch)
+    with pytest.raises(DimensionError) as exc:
+        simplex_monomial_moment((0, 1, 2), triangle_115232, index)
+    assert str(exc.value) == f"moment index {tuple(index)} is not in R^2"
 
 if given is not None:
     rationals = st.builds(F, st.integers(-12, 12), st.integers(1, 4))
