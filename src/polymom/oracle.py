@@ -97,14 +97,14 @@ def _plan(d, degree, order):
     """What a table to `order` with the rule exact to `degree` needs apart from its atoms,
     built once per (d, degree, order); r = degree - order is the density's degree.
 
-    Returns (den, odd, groups, blocks, steps, weights), every sequence a tuple, for the
-    smallest s with 2s+1 >= degree:
+    Returns (den, odd, slices, denominators, blocks, steps, weights), every sequence a
+    tuple, for the smallest s with 2s+1 >= degree:
     - den = (d+2s+1)! 4^s;
     - odd[j] holds the barycentric numerator 2 beta_j + 1 of vertex j at every node, the
       nodes of group 0, then of group 1, and so on;
-    - groups[i] is (the slice of group i's nodes, k_i, D_i) with k_i = (-1)^i C(d+2s+1, i);
-      a node of group i is the barycentric point odd / D_i, and the group weighs
-      k_i D_i^(2s+1) over den;
+    - slices[i] picks group i's nodes out of that list, and denominators[i] = D_i: a node of
+      group i is the barycentric point odd / D_i, and the group weighs k_i D_i^(2s+1) over
+      den, k_i = (-1)^i C(d+2s+1, i);
     - blocks[g] lists the monomials of degree g in canonical order;
     - steps[g-1] gives, for each monomial of blocks[g], its parent's position in
       blocks[g-1] and the variable x_j, its last one, that the parent is multiplied by;
@@ -112,13 +112,14 @@ def _plan(d, degree, order):
     """
     s = degree // 2
     n = d + 2 * s + 1
-    odd, groups = [[] for _ in range(d + 1)], []
+    odd, slices = [[] for _ in range(d + 1)], []
     for i in range(s + 1):
         start = len(odd[0])
         for beta in combinations_with_replacement(range(d + 1), s - i):
             for j, column in enumerate(odd):
                 column.append(2 * beta.count(j) + 1)
-        groups.append((slice(start, len(odd[0])), (-1) ** i * comb(n, i), n - 2 * i))
+        slices.append(slice(start, len(odd[0])))
+    denominators = tuple(n - 2 * i for i in range(s + 1))
     blocks = tuple(tuple(monomials_of_degree(d, g)) for g in range(order + 1))
     steps = []
     for below, block in zip(blocks, blocks[1:]):
@@ -128,9 +129,13 @@ def _plan(d, degree, order):
             j = max(v for v, k in enumerate(e) if k)
             step.append((where[e[:j] + (e[j] - 1,) + e[j + 1 :]], j))
         steps.append(tuple(step))
-    r = degree - order
-    weights = tuple(tuple(k * D ** (2 * s + 1 - r - g) for _, k, D in groups) for g in range(order + 1))
-    return factorial(n) * 4**s, tuple(map(tuple, odd)), tuple(groups), blocks, tuple(steps), weights
+    top = 2 * s + 1 - (degree - order)
+    weights = tuple(
+        tuple((-1) ** i * comb(n, i) * D ** (top - g) for i, D in enumerate(denominators))
+        for g in range(order + 1)
+    )
+    odd = tuple(map(tuple, odd))
+    return factorial(n) * 4**s, odd, tuple(slices), denominators, blocks, tuple(steps), weights
 
 
 def _nodes(odd, points):
@@ -142,7 +147,8 @@ def _nodes(odd, points):
         column = [0] * len(odd[0])
         for c, numerators in zip(coordinates, odd):
             if c:
-                column = list(map(add, column, map((c.numerator * (scale // c.denominator)).__mul__, numerators)))
+                x = c.numerator * (scale // c.denominator)
+                column = list(map(add, column, map(x.__mul__, numerators)))
         columns.append(column)
     return scale, columns
 
@@ -175,8 +181,7 @@ def measure_moments(m: WeightedMeasure, order: int, rho: Poly | None = None) -> 
     r = max(rho.degree(), 0)
     clear = lcm(*(c.denominator for c in rho.terms.values()))
     rho_ints = [(c.numerator * (clear // c.denominator), K, r - sum(K)) for K, c in rho.terms.items()]
-    den, odd, groups, blocks, steps, weights = _plan(d, order + r, order)
-    slices = [part for part, _, _ in groups]
+    den, odd, slices, denominators, blocks, steps, weights = _plan(d, order + r, order)
     atoms = []
     for simplex, w in m.atoms:
         scale, columns = _nodes(odd, [vs.points[v] for v in simplex])
@@ -184,7 +189,7 @@ def measure_moments(m: WeightedMeasure, order: int, rho: Poly | None = None) -> 
         root = [0] * len(odd[0])
         for c, K, gap in rho_ints:
             term = []
-            for part, _, D in groups:
+            for part, D in zip(slices, denominators):
                 term += [c * (D * scale) ** gap] * (part.stop - part.start)
             for column, k in zip(columns, K):
                 if k:
@@ -219,8 +224,7 @@ def axial_moment(m: WeightedMeasure, z, j: int) -> Fraction:
     j = _check_order(j)
     clear = lcm(*(c.denominator for c in z))
     z_ints = [c.numerator * (clear // c.denominator) for c in z]
-    den, odd, groups, _, _, (weight,) = _plan(vs.dim, j, 0)
-    slices = [part for part, _, _ in groups]
+    den, odd, slices, _, _, _, (weight,) = _plan(vs.dim, j, 0)
     total = Fraction(0)
     for simplex, w in m.atoms:
         scale, columns = _nodes(odd, [vs.points[v] for v in simplex])
