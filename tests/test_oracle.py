@@ -283,6 +283,28 @@ def test_rules_of_four_to_six_groups(dim, order, seed, dense):
     assert measure_moments(m, order, rho) == _reference_measure_moments(m, order, rho)
 
 
+def _odd_rho(dim, r):
+    """A non-homogeneous density of odd degree r with pairwise different denominators: with
+    it, the degree g + r that a block needs is odd at even g and even at odd g."""
+    terms = {(0,) * dim: F(1, 3), (1,) + (0,) * (dim - 1): F(-2, 5), (0,) * (dim - 1) + (r,): F(7, 11)}
+    if dim > 1 and r > 1:
+        terms[(1, r - 1) + (0,) * (dim - 2)] = F(5, 4)
+    return Poly(dim, terms)
+
+
+@pytest.mark.parametrize("r", [1, 3])
+@pytest.mark.parametrize("dim, order, seed", [(1, 9, 6), (2, 8, 7), (3, 5, 8)])
+def test_densities_of_odd_degree(dim, order, seed, r):
+    """Three signed simplices on d+3 shared rational points, weighed by a density of degree
+    1 or 3, against the reference at every degree of the table."""
+    rng = random.Random(seed)
+    vs = VertexSet(dim, [random_point(rng, dim) for _ in range(dim + 3)])
+    simplices = [s for s in combinations(range(dim + 3), dim + 1) if not is_degenerate(s, vs)]
+    m = WeightedMeasure(vs, [(s, random_rational(rng) or 1) for s in rng.sample(simplices, 3)])
+    rho = _odd_rho(dim, r)
+    assert measure_moments(m, order, rho) == _reference_measure_moments(m, order, rho)
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_axial_moment_at_seven_is_the_power_expansion(dim):
     """<x, z>^7 = sum over |I| = 7 of 7!/I! z^I x^I, against the table at order 7: the rule
@@ -467,6 +489,19 @@ class TestSympyCrossCheck:
         for e, value in expect.items():
             assert simplex_monomial_moment(s, vs, e) == value
             assert table[e] == value
+
+    @pytest.mark.parametrize("points, order", [
+        ([(F(-5, 2), 3), (4, F(1, 3)), (F(2, 3), F(-7, 2))], 10),
+        ([(0, 0, 0), (F(3, 2), 0, F(1, 2)), (F(1, 2), 2, 0), (0, F(1, 2), 1)], 6),
+    ], ids=["2d-order10", "3d-order6"])
+    def test_top_orders_of_the_forward_series_benchmark(self, points, order):
+        """A simplex at the largest order the forward-series benchmark asks in its dimension,
+        so that every group of the largest rule is weighed.  Small coordinates keep sympy's
+        3-d integrator to seconds."""
+        vs = VertexSet(len(points[0]), points)
+        expect = self._integrals(vs, order)
+        table = measure_moments(uniform_measure(vs, [tuple(range(len(points)))]), order)
+        assert table.moments == expect
 
     def test_unit_simplices(self):
         tri = VertexSet(2, [(0, 0), (1, 0), (0, 1)])
