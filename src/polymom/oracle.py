@@ -2,23 +2,29 @@
 
 An atom (s, w) contributes w times the integral over the standard simplex
 T_d of the pulled-back integrand x(t)^I rho(x(t)), computed with the
-Grundmann-Moller rule (SIAM J. Numer. Anal. 15, 1978).  With index s the rule
-is exact to degree 2s+1.  Its group i = 0..s has the nodes with barycentric
-coordinates (2 beta_j + 1) / D_i, D_i = d+2s+1-2i and |beta| = s-i, and the
-weight (-1)^i D_i^(2s+1) / (4^s i! (d+2s+1-i)!) on T_d.  All of these are
-rational, so the result is exact.  A table to order k with a density of
-degree r takes the smallest s with 2s+1 >= k + r.
+Grundmann-Moller rule (SIAM J. Numer. Anal. 15, 1978).  With index t the rule
+is exact to degree 2t+1.  Its group i = 0..t has the nodes with barycentric
+coordinates (2 beta_j + 1) / D, D = d+2t+1-2i and |beta| = t-i, and the weight
+(-1)^i D^(2t+1) / (4^t i! (d+2t+1-i)!) on T_d.  All of these are rational, so
+the result is exact.  The nodes of a group depend on D alone, so the rule of
+index t uses exactly the node groups D = d+1, d+3, ..., d+2t+1: the rules are
+nested.  A moment of degree g under a density of degree r needs the rule
+exact to degree g+r, index t_g = (g+r)//2.  A table to order k computes the
+nodes of the rule for k+r and sums each degree over those of its own rule.
 
 Everything that does not depend on the atoms is one plan per (d, rule
-degree, order), built once and kept (`_plan`): the rule's nodes as one flat
-list, each group a slice of it; the monomials of the table in degree blocks,
-each its parent's in the block below times one coordinate; and per degree
-one weight per group.  The arithmetic is in integers: the vertices of a
-simplex are scaled once by their common denominator L, so a node is
-X / (D_i L) with X an integer vector, and the nodes of all groups come as one
-integer column per coordinate.  The values X^I follow the tree over the whole
-column, one degree at a time, so only two degrees of rows are alive at once,
-and each row is summed per group slice and weighed.  An atom of weight a/b
+degree, order), built once and kept (`_plan`): the nodes as one flat list
+by ascending D, so that the nodes of every smaller rule are a prefix of it;
+the monomials of the table in degree blocks, each its parent's in the block
+below times one coordinate; and per degree a denominator and one integer
+weight per node of its rule.  The arithmetic is in integers: the vertices of
+a simplex are scaled once by their common denominator L, so a node is
+X / (D L) with X an integer vector, and the nodes come as one integer column
+per coordinate.  The values X^I follow the tree over the whole column, one
+degree at a time, so only two degrees of rows are alive at once.  Each row
+is dotted with its degree's weights, which stop at its rule's prefix; the top
+block, the largest, is summed straight from its parents against the columns
+times the top weights, so its rows are never built.  An atom of weight a/b
 keeps its sums as integers over b L^(k+r) at degree k, the atoms meet over
 the lcm of those per degree, and each moment takes one `Fraction` at the
 end.  The oracle only evaluates monomials at points and shares no code with
@@ -97,29 +103,30 @@ def _plan(d, degree, order):
     """What a table to `order` with the rule exact to `degree` needs apart from its atoms,
     built once per (d, degree, order); r = degree - order is the density's degree.
 
-    Returns (den, odd, slices, denominators, blocks, steps, weights), every sequence a
-    tuple, for the smallest s with 2s+1 >= degree:
-    - den = (d+2s+1)! 4^s;
+    Group i of the rule of index t has the nodes (2 beta + 1) / D, D = d+2t+1-2i and
+    |beta| = t-i: they depend on D alone.  So the rule of index t uses exactly the node
+    groups D = d+1, d+3, ..., d+2t+1, and listing the groups of the largest rule, index
+    s = degree // 2, by ascending D makes the nodes of every rule t <= s a prefix of that
+    list.  Degree g of the table takes the smallest exact rule, t_g = (g+r) // 2.
+
+    Returns (dens, odd, depth, blocks, steps, weights), every sequence a tuple:
     - odd[j] holds the barycentric numerator 2 beta_j + 1 of vertex j at every node, the
-      nodes of group 0, then of group 1, and so on;
-    - slices[i] picks group i's nodes out of that list, and denominators[i] = D_i: a node of
-      group i is the barycentric point odd / D_i, and the group weighs k_i D_i^(2s+1) over
-      den, k_i = (-1)^i C(d+2s+1, i);
+      centroid first and then each group by ascending D;
+    - depth holds each node's D, so a node is the barycentric point odd / D;
     - blocks[g] lists the monomials of degree g in canonical order;
     - steps[g-1] gives, for each monomial of blocks[g], its parent's position in
       blocks[g-1] and the variable x_j, its last one, that the parent is multiplied by;
-    - weights[g][i] = k_i D_i^(2s+1-r-g) weighs group i's sum at degree g.
+    - dens[g] = (d+2t+1)! 4^t and weights[g] holds one integer per node of rule t = t_g,
+      k_i D^(2t+1-r-g), k_i = (-1)^i C(d+2t+1, i): the rule weighs a node of group i
+      by k_i D^(2t+1) over dens[g].
     """
-    s = degree // 2
-    n = d + 2 * s + 1
-    odd, slices = [[] for _ in range(d + 1)], []
-    for i in range(s + 1):
-        start = len(odd[0])
-        for beta in combinations_with_replacement(range(d + 1), s - i):
+    r = degree - order
+    odd, depth = [[] for _ in range(d + 1)], []
+    for h in range(degree // 2 + 1):
+        for beta in combinations_with_replacement(range(d + 1), h):
             for j, column in enumerate(odd):
                 column.append(2 * beta.count(j) + 1)
-        slices.append(slice(start, len(odd[0])))
-    denominators = tuple(n - 2 * i for i in range(s + 1))
+            depth.append(d + 1 + 2 * h)
     blocks = tuple(tuple(monomials_of_degree(d, g)) for g in range(order + 1))
     steps = []
     for below, block in zip(blocks, blocks[1:]):
@@ -129,18 +136,21 @@ def _plan(d, degree, order):
             j = max(v for v, k in enumerate(e) if k)
             step.append((where[e[:j] + (e[j] - 1,) + e[j + 1 :]], j))
         steps.append(tuple(step))
-    top = 2 * s + 1 - (degree - order)
-    weights = tuple(
-        tuple((-1) ** i * comb(n, i) * D ** (top - g) for i, D in enumerate(denominators))
-        for g in range(order + 1)
-    )
+    dens, weights = [], []
+    for g in range(order + 1):
+        t = (g + r) // 2
+        n = d + 2 * t + 1
+        dens.append(factorial(n) * 4**t)
+        # group i = (n - D) / 2 of rule t holds the nodes of depth D <= n, a prefix of depth
+        weights.append(tuple((-1) ** ((n - D) // 2) * comb(n, (n - D) // 2) * D ** (2 * t + 1 - r - g)
+                             for D in depth if D <= n))
     odd = tuple(map(tuple, odd))
-    return factorial(n) * 4**s, odd, tuple(slices), denominators, blocks, tuple(steps), weights
+    return tuple(dens), odd, tuple(depth), blocks, tuple(steps), tuple(weights)
 
 
 def _nodes(odd, points):
     """The common denominator L of the points, and every node of the rule on their simplex
-    as one integer column per coordinate: node X of group i is the point X / (D_i L)."""
+    as one integer column per coordinate: node X of depth D is the point X / (D L)."""
     scale = lcm(*(c.denominator for p in points for c in p))
     columns = []
     for coordinates in zip(*points):
@@ -181,26 +191,31 @@ def measure_moments(m: WeightedMeasure, order: int, rho: Poly | None = None) -> 
     r = max(rho.degree(), 0)
     clear = lcm(*(c.denominator for c in rho.terms.values()))
     rho_ints = [(c.numerator * (clear // c.denominator), K, r - sum(K)) for K, c in rho.terms.items()]
-    den, odd, slices, denominators, blocks, steps, weights = _plan(d, order + r, order)
+    dens, odd, depth, blocks, steps, weights = _plan(d, order + r, order)
     atoms = []
     for simplex, w in m.atoms:
         scale, columns = _nodes(odd, [vs.points[v] for v in simplex])
         # clear * (D L)^r * rho(X / (D L)) at each node X: an integer form of degree r in X
-        root = [0] * len(odd[0])
+        root = [0] * len(depth)
         for c, K, gap in rho_ints:
-            term = []
-            for part, D in zip(slices, denominators):
-                term += [c * (D * scale) ** gap] * (part.stop - part.start)
+            term = map(mul, repeat(c), map(pow, map(scale.__mul__, depth), repeat(gap)))
             for column, k in zip(columns, K):
                 if k:
                     term = map(mul, term, map(pow, column, repeat(k)))
             root = list(map(add, root, term))
-        # the monomials of one degree from those of the degree below, two degrees held at once
+        # the monomials of one degree from those of the degree below, two degrees held at
+        # once; each row dotted with its degree's weights, which stop at the rule's prefix
         rows, sums = [root], []
-        for g, weight in enumerate(weights):
+        for g in range(order):
             if g:
                 rows = [list(map(mul, rows[parent], columns[j])) for parent, j in steps[g - 1]]
-            sums.append([sum(map(mul, weight, map(sum, map(row.__getitem__, slices)))) for row in rows])
+            sums.append([sum(map(mul, weights[g], row)) for row in rows])
+        # the top block, the largest, from its parents against the columns times its weights
+        if order:
+            top = [list(map(mul, weights[order], column)) for column in columns]
+            sums.append([sum(map(mul, rows[parent], top[j])) for parent, j in steps[-1]])
+        else:
+            sums.append([sum(map(mul, weights[0], root))])
         # w times the sums, which stand over b L^(g+r) at degree g, b the weight's denominator
         atoms.append((sums, w, scale))
     moments = {}
@@ -210,7 +225,7 @@ def measure_moments(m: WeightedMeasure, order: int, rho: Poly | None = None) -> 
         for sums, w, L in atoms:
             lift = w.numerator * (common // (w.denominator * L ** (g + r)))
             total = list(map(add, total, map(lift.__mul__, sums[g])))
-        moments.update(zip(block, (Fraction(t, den * clear * common) for t in total)))
+        moments.update(zip(block, (Fraction(t, dens[g] * clear * common) for t in total)))
     return MomentTable(d, order, moments)
 
 
@@ -224,14 +239,13 @@ def axial_moment(m: WeightedMeasure, z, j: int) -> Fraction:
     j = _check_order(j)
     clear = lcm(*(c.denominator for c in z))
     z_ints = [c.numerator * (clear // c.denominator) for c in z]
-    den, odd, slices, _, _, _, (weight,) = _plan(vs.dim, j, 0)
+    (den,), odd, depth, _, _, (weight,) = _plan(vs.dim, j, 0)
     total = Fraction(0)
     for simplex, w in m.atoms:
         scale, columns = _nodes(odd, [vs.points[v] for v in simplex])
-        values = [0] * len(odd[0])
+        values = [0] * len(depth)
         for c, column in zip(z_ints, columns):
             values = list(map(add, values, map(c.__mul__, column)))
-        powers = list(map(pow, values, repeat(j)))
-        num = sum(map(mul, weight, map(sum, map(powers.__getitem__, slices))))
+        num = sum(map(mul, weight, map(pow, values, repeat(j))))
         total += w * Fraction(num, den * (clear * scale) ** j)
     return total
