@@ -30,7 +30,7 @@ from .errors import (
 from .geometry import VertexSet, WeightedMeasure, check_simplex, homogeneous, is_degenerate
 from .linalg import RatMat, det, integer_vector, rat
 from .oracle import MomentTable
-from .poly import Poly, Series, monomials_upto
+from .poly import ZERO, Poly, Series, monomials_upto
 from .value import Value
 
 
@@ -160,25 +160,34 @@ class RatFun(Value):
     def cancel(self) -> "RatFun":
         """Divide out every denominator form that exactly divides the numerator.
 
-        With p of degree D and G the series p/f to degree D by `FormKernel.over`
-        (a vertex form's W is never 0), f divides p exactly when G has no term
-        of degree D.  If p = q*f, then G = q, of degree D-1.  Conversely, G*f = p
-        up to degree D, and both have degree at most D, so G*f = p.  The
-        quotient stands on the rows below degree D, and D drops by one.
+        With p of degree at most D and G the series p/f to degree D by
+        `FormKernel.over` (a vertex form's W is never 0), f divides p exactly
+        when G has no term of degree D.  If p = q*f, then G = q, of degree below
+        D.  Conversely, G*f = p up to degree D, and both have degree at most D,
+        so G*f = p.  The quotient stands on the rows below degree D, and D drops
+        by one.
         Distinct vertex forms are coprime irreducibles, so dividing by one
         leaves the multiplicity of every other in the numerator unchanged,
         and one pass cancels each form as often as both sides hold it.
         """
-        kernel, remaining = form_kernel(self.dim, self.numerator.degree()), []
+        kernel = form_kernel(self.dim, self.numerator.degree())
         pair = integer_vector(map(self.numerator.coefficient, kernel.rows))
-        for f in self.denominator:
-            vector, scale = kernel.over(pair, homogeneous(f.vertex))
-            below = comb(kernel.degree - 1 + self.dim, self.dim)
-            if any(vector[below:]):
-                remaining.append(f)
-            else:
-                kernel, pair = form_kernel(self.dim, kernel.degree - 1), (vector[:below], scale)
-        return RatFun(kernel.poly(pair), remaining)
+        return _divided(kernel, pair, ((homogeneous(f.vertex), f) for f in self.denominator))
+
+
+def _divided(kernel, pair, forms) -> RatFun:
+    """The pair over the forms, given as (`homogeneous` row, form) pairs, with every form
+    that exactly divides it divided out as in `RatFun.cancel`: the kernel's degree need
+    only bound the numerator's.  A zero numerator keeps no form."""
+    remaining = []
+    for row, f in forms if any(pair[0]) else ():
+        vector, scale = kernel.over(pair, row)
+        below = comb(kernel.degree - 1 + kernel.dim, kernel.dim)
+        if any(vector[below:]):
+            remaining.append(f)
+        else:
+            kernel, pair = form_kernel(kernel.dim, kernel.degree - 1), (vector[:below], scale)
+    return RatFun(kernel.poly(pair), remaining)
 
 
 def divide_linear(num: Poly, divisor: Poly):
@@ -244,7 +253,7 @@ def measure_genfunc(m: WeightedMeasure) -> RatFun:
     scale = lcm(*(s for _, s in parts))
     numerator = [sum(v[r] * (scale // s) for v, s in parts) for r in range(len(kernel.rows))]
     forms = {r: LinearForm(p) for r, p in zip(rows, vs.points)}
-    return RatFun(kernel.poly((numerator, scale)), map(forms.get, common.elements())).cancel()
+    return _divided(kernel, (numerator, scale), ((r, forms[r]) for r in common.elements()))
 
 
 def taylor(f: RatFun, order: int) -> Series:
@@ -260,15 +269,16 @@ def series_to_moments(series: Series, dim: int) -> MomentTable:
     """Read a normalized generating series as a moment table.
 
     The coefficient at u^I is (|I|+d)!/prod(i_j!) * m_I, so the moment is the
-    coefficient times prod(i_j!)/(|I|+d)!, one `Fraction` each.  Mutually
+    coefficient over that normalizer: one `Fraction` per term present, and one
+    shared zero for every absent one.  Mutually
     inverse with `moments_to_series`.
     """
     if series.dim != dim:
         raise DimensionError(f"series has {series.dim} variables, expected {dim}")
-    table = {}
+    terms, table = series.poly.terms, {}
     for e in monomials_upto(dim, series.order):
-        c = series.coefficient(e)
-        table[e] = Fraction(c.numerator * prod(map(factorial, e)), c.denominator * factorial(sum(e) + dim))
+        c = terms.get(e)
+        table[e] = Fraction(c.numerator, c.denominator * _normalizer(e, dim, 0)) if c else ZERO
     return MomentTable(dim, series.order, table)
 
 

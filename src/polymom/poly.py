@@ -21,6 +21,9 @@ from .errors import DimensionError
 from .linalg import rat
 from .value import Value
 
+# The coefficient of an absent term, shared rather than built on every read.
+ZERO = Fraction(0)
+
 
 def grlex_key(exponents):
     """Sort key realizing the canonical graded-lex order."""
@@ -55,7 +58,7 @@ class Poly(Value):
                 raise DimensionError(f"bad exponent tuple {exps} for dim {dim}")
             coef = rat(coef)
             if coef != 0:
-                clean[exps] = clean.get(exps, Fraction(0)) + coef
+                clean[exps] = clean.get(exps, ZERO) + coef
                 if clean[exps] == 0:
                     del clean[exps]
         self._fill(dim, clean)
@@ -89,7 +92,7 @@ class Poly(Value):
         return max((sum(e) for e in self.terms), default=-1)
 
     def coefficient(self, exponents) -> Fraction:
-        return self.terms.get(tuple(exponents), Fraction(0))
+        return self.terms.get(tuple(exponents), ZERO)
 
     def sorted_terms(self):
         """Terms as (exponents, coefficient) pairs in canonical order."""
@@ -105,7 +108,7 @@ class Poly(Value):
         self._check_dim(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) + c
+            out[e] = out.get(e, ZERO) + c
         return Poly._of(self.dim, out)
 
     def __neg__(self):
@@ -183,6 +186,9 @@ class Series(Value):
     __slots__ = ("poly", "order")
 
     def __init__(self, poly: Poly, order: int):
+        if isinstance(order, bool):
+            raise TypeError("series order must be an integer, not bool")
+        order = index(order)
         if order < 0:
             raise DimensionError("series order must be non-negative")
         self._fill(poly.drop_above(order), order)

@@ -395,6 +395,14 @@ def test_shared_kernels_leave_no_trace_between_calls():
         taylor(fs[0], 6.0)
 
 
+@pytest.mark.parametrize("order", [True, 2.5])
+def test_taylor_refuses_a_bool_or_fractional_order(order):
+    """1 / ((1 - u1)(1 - u2)) to order True once read 1 + u1 + u2 with order True."""
+    f = RatFun(Poly.constant(2, 1), [LinearForm((1, 0)), LinearForm((0, 1))])
+    with pytest.raises(TypeError):
+        taylor(f, order)
+
+
 def _reference_measure_genfunc(m):
     """Common-denominator numerator as a chain of `Poly` products, then `cancel`."""
     vs = m.vertex_set

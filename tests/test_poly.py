@@ -134,6 +134,27 @@ def test_no_stored_zeros():
     assert p.terms == {} and p.is_zero()
 
 
+@pytest.mark.parametrize("order", [True, False])
+def test_series_refuses_a_bool_order(order):
+    with pytest.raises(TypeError, match="^series order must be an integer, not bool$"):
+        Series(Poly(1, {(0,): 1, (1,): 2}), order)
+
+
+@pytest.mark.parametrize("order", [2.5, 2.0, F(2), "2"])
+def test_series_refuses_a_non_integral_order(order):
+    with pytest.raises(TypeError):
+        Series(Poly(1, {(0,): 1, (1,): 2}), order)
+
+
+def test_series_order_is_read_as_an_int():
+    class Two:
+        def __index__(self):
+            return 2
+
+    s = Series(Poly(1, {(0,): 1, (3,): 2}), Two())
+    assert type(s.order) is int and s.order == 2 and s.poly == Poly(1, {(0,): 1})
+
+
 def test_series_order_tracking():
     s = Series(Poly(1, {(0,): 1, (1,): 2, (2,): 3}), 2)
     assert s.truncate(1).order == 1
