@@ -270,8 +270,7 @@ def series_to_moments(series: Series, dim: int) -> MomentTable:
 
     The coefficient at u^I is (|I|+d)!/prod(i_j!) * m_I, so the moment is the
     coefficient over that normalizer: one `Fraction` per term present, and one
-    shared zero for every absent one.  Mutually
-    inverse with `moments_to_series`.
+    shared zero for every absent one.  Mutually inverse with `moments_to_series`.
     """
     if series.dim != dim:
         raise DimensionError(f"series has {series.dim} variables, expected {dim}")
