@@ -1,11 +1,12 @@
 """Command-line interface.
 
-Exit codes: 0 success, 2 unreadable or malformed input (a non-integer
-dimension or simplex index included) or an output path that cannot be
-written, 3 violated precondition, i.e. any `PreconditionError` (not
-spanning, incomplete moments, a negative order, degenerate input, not weakly
-non-degenerate), 4 singular reconstruction (output is still written),
-5 internal error, any other exception included, reported in one line.
+Exit codes follow from what a command raises or returns: 0 success; 2 an
+`InputError` (unreadable or malformed input, a non-integer dimension or
+simplex index included) or an `OSError` (an output path that cannot be
+written); 3 any `PreconditionError` (not spanning, incomplete moments, a
+negative order, degenerate input, not weakly non-degenerate); 4 returned by
+`invert` on a singular reconstruction (output is still written); 5 anything
+else, an internal error, reported in one line.
 """
 
 from __future__ import annotations
@@ -25,12 +26,8 @@ EXIT_SINGULAR = 4
 EXIT_INTERNAL = 5
 
 
-class CliError(Exception):
-    """Malformed input (exit 2) or a singular reconstruction given --svg (exit 4)."""
-
-    def __init__(self, code, message):
-        super().__init__(message)
-        self.code = code
+class InputError(Exception):
+    """Unreadable or malformed input: exit 2."""
 
 
 def _load_json(path):
@@ -38,9 +35,9 @@ def _load_json(path):
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
-        raise CliError(EXIT_PARSE, f"cannot read {path}: {exc}")
+        raise InputError(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
-        raise CliError(EXIT_PARSE, f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}")
+        raise InputError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}")
 
 
 def _decode(convert, path):
@@ -49,9 +46,9 @@ def _decode(convert, path):
     try:
         return convert(_load_json(path))
     except KeyError as exc:
-        raise CliError(EXIT_PARSE, f"{path}: missing key {exc}")
+        raise InputError(f"{path}: missing key {exc}")
     except (TypeError, ValueError, ArithmeticError) as exc:
-        raise CliError(EXIT_PARSE, f"{path}: {exc}")
+        raise InputError(f"{path}: {exc}")
 
 
 def _write_json(path, data):
@@ -84,7 +81,7 @@ def _parse_columns(text, vs):
     try:
         numbers = [int(x) for x in text.split(",") if x.strip()]
     except ValueError:
-        raise CliError(EXIT_PARSE, f"--columns takes comma-separated integers, got {text!r}")
+        raise InputError(f"--columns takes comma-separated integers, got {text!r}")
     all_columns = inverse.extended_columns(vs)
     for number in numbers:
         if not 1 <= number <= len(all_columns):
@@ -100,22 +97,20 @@ def cmd_invert(args):
         raise DimensionError("--svg requires a 2-d vertex set")
     rec = inverse.reconstruct(table, vs, args.pivot, columns)
     _write_json(args.out, jsonio.reconstruction_to_json(rec))
+    if rec.is_singular:
+        simplices = rec.singular_simplices
+        print(
+            f"error: singular reconstruction (degenerate weight on {simplices}); no SVG"
+            if args.svg
+            else f"singular: nonzero weight on degenerate simplices {simplices}",
+            file=sys.stderr,
+        )
+        return EXIT_SINGULAR
     if args.svg:
-        if rec.is_singular:
-            raise CliError(
-                EXIT_SINGULAR,
-                f"singular reconstruction (degenerate weight on {rec.singular_simplices}); no SVG",
-            )
         from . import chambers  # on demand: an invert without --svg never draws
 
         cm = chambers.chamber_densities(chambers.build_chambers(vs), density(rec.to_measure()))
         chambers.write_svg(cm, args.svg)
-    if rec.is_singular:
-        print(
-            f"singular: nonzero weight on degenerate simplices {rec.singular_simplices}",
-            file=sys.stderr,
-        )
-        return EXIT_SINGULAR
     return EXIT_OK
 
 
@@ -190,10 +185,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except OSError as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except PreconditionError as exc:

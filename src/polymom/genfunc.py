@@ -275,7 +275,7 @@ def series_to_moments(series: Series, dim: int) -> MomentTable:
     if series.dim != dim:
         raise DimensionError(f"series has {series.dim} variables, expected {dim}")
     terms, table = series.poly.terms, {}
-    for e in monomials_upto(dim, series.order):
+    for e in form_kernel(dim, series.order).rows:
         c = terms.get(e)
         table[e] = Fraction(c.numerator, c.denominator * _normalizer(e, dim, 0)) if c else ZERO
     return MomentTable(dim, series.order, table)

@@ -30,7 +30,7 @@ from .errors import (
 from .geometry import Degeneracy, VertexSet, WeightedMeasure, classify, edge_det, homogeneous
 from .linalg import RatMat, det, eliminate, integer_det, integer_vector
 from .oracle import MomentTable
-from .poly import Poly, monomials_upto
+from .poly import Poly
 from .genfunc import _normalizer, form_kernel
 from .value import Value
 
@@ -138,7 +138,7 @@ def _closed_form(basis: FormBasis):
     vanishes at c_J, so p has weight p^h(c_J) / P_J^h(c_J) on J."""
     vs = basis.vertex_set
     k = numerator_degree(vs)
-    exponents = [(k - sum(e), *e) for e in monomials_upto(vs.dim, k)]
+    exponents = [(k - sum(e), *e) for e in form_kernel(vs.dim, k).rows]
     rows = [homogeneous(p) for p in vs.points]
     for column in basis.columns:
         others = [r for i, r in enumerate(rows) if i != basis.pivot and i not in column]

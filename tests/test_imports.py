@@ -1,7 +1,7 @@
-"""Every module of the package uses each name it imports, every name it
-defines has a reader in src or a reason to stay, the oracle shares no code
-with the generating-function and inverse modules, and an invert child loads
-no module it does not run."""
+"""Every module of the package uses each name it imports and imports only
+from the standard library, every name it defines has a reader in src or a
+reason to stay, the oracle shares no code with the generating-function and
+inverse modules, and an invert child loads no module it does not run."""
 
 import ast
 import json
@@ -40,6 +40,30 @@ def test_no_unused_import(path):
     used = _used(tree)
     unused = [f"{name} (line {line})" for name, line in _imported(tree) if name not in used]
     assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
+
+
+def _absolute_imports(tree):
+    """(top-level module, line) of each absolute import in the tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        for name in names:
+            yield name.split(".")[0], node.lineno
+
+
+def test_runtime_needs_only_the_standard_library():
+    """Every absolute import of the package, `__init__` included, names a standard-library module."""
+    outside = [
+        f"{path.name}: {name} (line {line})"
+        for path in sorted(Path(polymom.__file__).parent.glob("*.py"))
+        for name, line in _absolute_imports(ast.parse(path.read_text(encoding="utf-8")))
+        if name not in sys.stdlib_module_names
+    ]
+    assert not outside, f"imports from outside the standard library: {', '.join(outside)}"
 
 
 def _package_imports(path):

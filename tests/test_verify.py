@@ -1,6 +1,6 @@
 import pytest
 
-from polymom import SUITE_NAMES, verify
+from polymom import SUITE_NAMES, genfunc, verify
 from polymom.verify import SUITES, run_suite, suite_roundtrip
 
 
@@ -40,3 +40,25 @@ def test_reports_are_reproducible():
     a = run_suite("detfactor", 3)
     b = run_suite("detfactor", 3)
     assert a.summary() == b.summary()
+
+
+def test_direction_retry_lets_an_unexpected_error_through(monkeypatch):
+    """A random direction is drawn again only on `DegenerateDirectionError`: any other error of
+    the residuals ends the suite at once.  The `BaseException` after three calls stops a retry
+    loop that swallows the `TypeError`, so that fault fails this test instead of hanging it."""
+
+    class Stop(BaseException):
+        pass
+
+    calls = []
+
+    def broken(p, z):
+        calls.append(z)
+        if len(calls) > 3:
+            raise Stop
+        raise TypeError("residuals are broken")
+
+    monkeypatch.setattr(genfunc, "brion_identity_residuals", broken)
+    with pytest.raises(TypeError, match="residuals are broken"):
+        verify.suite_brion(0)
+    assert len(calls) == 1
