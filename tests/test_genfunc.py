@@ -35,7 +35,7 @@ from polymom import genfunc
 from polymom.genfunc import divide_linear
 from polymom.jsonio import measure_from_json, ratfun_to_json
 from polymom.geometry import is_degenerate
-from polymom.poly import monomials_upto
+from polymom.poly import monomials_of_degree, monomials_upto
 from polymom.verify import (
     box_polytope,
     random_point,
@@ -463,3 +463,54 @@ def test_measure_genfunc_matches_poly_product_reference():
         seen["repeated"] += len({points[i] for i in used}) < len(used)
         seen["cancelled"] += len(f.denominator) < len({points[i] for i in used if any(points[i])})
     assert min(seen[k] for k in ("empty", "origin", "repeated", "cancelled")) >= 3, seen
+
+
+def _reference_density_op(f, rho):
+    """rho(d/du) term by term: one whole-polynomial partial derivative per unit of each exponent."""
+
+    def partial(p, k):
+        return Poly(p.dim, {e[:k] + (e[k] - 1,) + e[k + 1:]: c * e[k] for e, c in p.terms.items() if e[k]})
+
+    out = Poly.zero(f.dim)
+    for exps, coef in rho.terms.items():
+        part = f.poly
+        for k, n in enumerate(exps):
+            for _ in range(n):
+                part = partial(part, k)
+        out = out + part * coef
+    return Series(out, f.order - sum(next(iter(rho.terms))))
+
+
+def _random_series(rng, dim, order):
+    monos = monomials_upto(dim, order)
+    terms = {e: random_rational(rng) for e in rng.sample(monos, rng.randint(1, min(len(monos), 12)))}
+    return Series(Poly(dim, terms), order)
+
+
+def _random_density(rng, dim, degree):
+    """A homogeneous density of the given degree with one to four terms, none zero."""
+    monos = list(monomials_of_degree(dim, degree))
+    return Poly(dim, {e: random_rational(rng) or 1 for e in rng.sample(monos, rng.randint(1, min(len(monos), 4)))})
+
+
+def test_density_op_matches_term_by_term_reference():
+    rng = random.Random(37)
+    mixed = 0
+    for case in range(72):
+        dim, degree = 1 + case % 3, case % 4
+        f = _random_series(rng, dim, degree + rng.randint(0, 4))
+        rho = _random_density(rng, dim, degree)
+        mixed += len(rho.terms) > 1 and any(sum(map(bool, e)) > 1 for e in rho.terms)
+        assert density_op(f, rho) == _reference_density_op(f, rho)
+    assert mixed >= 5, mixed
+
+
+def test_density_op_composes():
+    """(rho1 rho2)(d/du) is rho2(d/du) after rho1(d/du), for random homogeneous densities."""
+    rng = random.Random(41)
+    for case in range(45):
+        dim = 1 + case % 3
+        d1, d2 = rng.randint(0, 3), rng.randint(0, 3)
+        rho1, rho2 = _random_density(rng, dim, d1), _random_density(rng, dim, d2)
+        f = _random_series(rng, dim, d1 + d2 + rng.randint(0, 3))
+        assert density_op(f, rho1 * rho2) == density_op(density_op(f, rho1), rho2)
