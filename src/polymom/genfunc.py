@@ -19,7 +19,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm, perm, prod
-from operator import add
+from operator import add, ge, sub
 
 from .errors import (
     DegenerateDirectionError,
@@ -397,21 +397,22 @@ def density_op(f: Series, rho: Poly) -> Series:
     """Apply rho(d/du) to the series of F_mu, yielding the series of F^rho_mu.
 
     The coefficients of the result are (|I|+d+deg rho)!/prod(i_j!) times the
-    moments of the measure rho*mu.
+    moments of the measure rho*mu.  By the power rule d^K u^E = E!/(E-K)! u^(E-K),
+    a series term c u^E and a density term r u^K with E >= K add
+    r c prod_j E_j!/(E_j-K_j)! at u^(E-K), in one pass over the pairs of terms.
     """
     delta = _homogeneous_degree(rho)
     if f.dim != rho.dim:
         raise DimensionError("density and series dimension mismatch")
     if f.order < delta:
         raise DimensionError(f"series order {f.order} too small for degree {delta} density")
-    out = Poly.zero(f.dim)
-    for exps, coef in rho.terms.items():
-        part = f.poly
-        for k, n in enumerate(exps):
-            for _ in range(n):
-                part = part.partial(k)
-        out = out + part * coef
-    return Series(out, f.order - delta)
+    out = {}
+    for k, r in rho.terms.items():
+        for e, c in f.poly.terms.items():
+            if all(map(ge, e, k)):
+                at = tuple(map(sub, e, k))
+                out[at] = out.get(at, 0) + r * c * prod(map(perm, e, k))
+    return Series(Poly(f.dim, out), f.order - delta)
 
 
 def euler_op(f_rho_mu: Series, dim: int, delta: int) -> Series:
@@ -422,6 +423,8 @@ def euler_op(f_rho_mu: Series, dim: int, delta: int) -> Series:
     The printed range starting at l = d fails the 1-d uniform-measure check;
     the range used here is the one the identity actually satisfies.
     """
+    if dim != f_rho_mu.dim:
+        raise DimensionError(f"series has {f_rho_mu.dim} variables, expected {dim}")
     terms = {e: c * perm(sum(e) + dim + delta, delta) for e, c in f_rho_mu.poly.terms.items()}
     return Series(Poly(f_rho_mu.dim, terms), f_rho_mu.order)
 

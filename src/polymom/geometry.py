@@ -157,6 +157,16 @@ def density(m: WeightedMeasure):
     return [(s, w / abs(edge_det(s, m.vertex_set))) for s, w in m.atoms]
 
 
+def check_pivot(pivot, n) -> int:
+    """The pivot vertex index as an int in range(n); a bool or a non-integer is a TypeError."""
+    if isinstance(pivot, bool):
+        raise TypeError("pivot must be an integer, not bool")
+    pivot = index(pivot)
+    if not 0 <= pivot < n:
+        raise DimensionError(f"pivot index {pivot} out of range for {n} vertices")
+    return pivot
+
+
 def rebase(m: WeightedMeasure, pivot: int) -> WeightedMeasure:
     """Rewrite the measure on simplices through the pivot vertex.
 
@@ -172,8 +182,7 @@ def rebase(m: WeightedMeasure, pivot: int) -> WeightedMeasure:
     and 2-d witnesses that fix it.
     """
     vs = m.vertex_set
-    if not 0 <= pivot < len(vs):
-        raise DimensionError(f"pivot index {pivot} out of range")
+    pivot = check_pivot(pivot, len(vs))
     rows = [homogeneous(p) for p in vs.points]
     out = []
     for s, w in m.atoms:

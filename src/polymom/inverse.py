@@ -27,7 +27,7 @@ from .errors import (
     NotStronglyNonDegenerateError,
     NotWeaklyNonDegenerateError,
 )
-from .geometry import Degeneracy, VertexSet, WeightedMeasure, classify, edge_det, homogeneous
+from .geometry import Degeneracy, VertexSet, WeightedMeasure, check_pivot, classify, edge_det, homogeneous
 from .linalg import RatMat, det, eliminate, integer_det, integer_vector
 from .oracle import MomentTable
 from .poly import Poly
@@ -70,11 +70,7 @@ class FormBasis(Value):
 
 
 def _check_pivot(pivot, n):
-    if pivot is None:
-        return n - 1
-    if not 0 <= pivot < n:
-        raise DimensionError(f"pivot index {pivot} out of range for {n} vertices")
-    return pivot
+    return n - 1 if pivot is None else check_pivot(pivot, n)
 
 
 def strong_basis(vs: VertexSet, pivot=None) -> FormBasis:

@@ -136,19 +136,6 @@ class Poly(Value):
 
     __hash__ = None
 
-    def partial(self, k) -> "Poly":
-        """Exact partial derivative with respect to variable k."""
-        if not 0 <= k < self.dim:
-            raise DimensionError(f"variable index {k} out of range for dim {self.dim}")
-        out = {}
-        for e, c in self.terms.items():
-            if e[k] == 0:
-                continue
-            ne = list(e)
-            ne[k] -= 1
-            out[tuple(ne)] = c * e[k]
-        return Poly._of(self.dim, out)
-
     def drop_above(self, degree) -> "Poly":
         """Discard all terms of total degree > degree."""
         return Poly._of(self.dim, {e: c for e, c in self.terms.items() if sum(e) <= degree})

@@ -104,13 +104,13 @@ def box_polytope(dim) -> SimplePolytope:
 
 
 def _nonzero_direction(rng, p: SimplePolytope):
+    """A random direction no edge of p is orthogonal to, with its Brion residuals."""
     while True:
         z = random_point(rng, p.dim, span=5, max_den=3)
         try:
-            genfunc.brion_identity_residuals(p, z)
+            return z, genfunc.brion_identity_residuals(p, z)
         except DegenerateDirectionError:
             continue
-        return z
 
 
 def suite_brion(seed: int) -> SuiteReport:
@@ -124,8 +124,7 @@ def suite_brion(seed: int) -> SuiteReport:
     polytopes.append(box_polytope(3))
     for p in polytopes:
         for _ in range(5):
-            z = _nonzero_direction(rng, p)
-            residuals = genfunc.brion_identity_residuals(p, z)
+            z, residuals = _nonzero_direction(rng, p)
             report.cases += 1
             if any(r != 0 for r in residuals):
                 report.failures.append(f"residuals {residuals} at z={z}")

@@ -2,6 +2,7 @@ import json
 import random
 from collections import Counter
 from fractions import Fraction as F
+from itertools import permutations
 from math import factorial
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from polymom import (
     TangentCone,
     VertexSet,
     WeightedMeasure,
+    axial_moment,
     brion_axial_moment,
     brion_genfunc,
     brion_identity_residuals,
@@ -37,6 +39,7 @@ from polymom.jsonio import measure_from_json, ratfun_to_json
 from polymom.geometry import is_degenerate
 from polymom.poly import monomials_of_degree, monomials_upto
 from polymom.verify import (
+    _nonzero_direction,
     box_polytope,
     random_point,
     random_rational,
@@ -514,3 +517,40 @@ def test_density_op_composes():
         rho1, rho2 = _random_density(rng, dim, d1), _random_density(rng, dim, d2)
         f = _random_series(rng, dim, d1 + d2 + rng.randint(0, 3))
         assert density_op(f, rho1 * rho2) == density_op(density_op(f, rho1), rho2)
+
+
+def test_second_derivative_of_geometric_series():
+    # d^2/du^2 of 1/(1-u) expanded to order 5 matches 2/(1-u)^3 to degree 3
+    geo = Series(Poly(1, {(k,): 1 for k in range(6)}), 5)
+    expect = Poly(1, {(k,): (k + 1) * (k + 2) for k in range(4)})
+    assert density_op(geo, Poly.monomial(1, (2,))) == Series(expect, 3)
+
+
+def test_euler_op_refuses_a_dimension_other_than_the_series():
+    """On 1 + 2*u1 in two variables, a dimension of 3 once gave 4 + 10*u1 for 3 + 8*u1."""
+    s = Series(Poly(2, {(0, 0): 1, (1, 0): 2}), 1)
+    assert euler_op(s, 2, 1) == Series(Poly(2, {(0, 0): 3, (1, 0): 8}), 1)
+    with pytest.raises(DimensionError, match="series has 2 variables, expected 3"):
+        euler_op(s, 3, 1)
+
+
+def _kuhn_measure(dim):
+    """The uniform measure on the unit box's d! Kuhn simplices, one per order of the axes."""
+    vs = VertexSet(dim, [tuple((i >> k) & 1 for k in range(dim)) for i in range(2**dim)])
+    simplices = [tuple(sum(1 << a for a in axes[:m]) for m in range(dim + 1)) for axes in permutations(range(dim))]
+    return uniform_measure(vs, [tuple(sorted(s)) for s in simplices])
+
+
+def test_brion_axial_moment_matches_the_oracle():
+    """Brion's vertex sum against the oracle's cubature, on 20 random triangles and on the unit
+    square and cube against their Kuhn triangulations, at j = 0..6 along random directions."""
+    rng = random.Random(0)
+    cases = []
+    for _ in range(20):
+        vs = random_simplex_vertices(rng, 2)
+        cases.append((triangle_polytope(vs), uniform_measure(vs, [(0, 1, 2)])))
+    cases += [(box_polytope(dim), _kuhn_measure(dim)) for dim in (2, 3)]
+    for p, m in cases:
+        z, _ = _nonzero_direction(rng, p)
+        for j in range(7):
+            assert brion_axial_moment(p, z, j) == axial_moment(m, z, j), (p, z, j)

@@ -190,6 +190,12 @@ class TestRebase:
         m = WeightedMeasure(pentagon_set, [((0, 1, 4), F(3, 2))])
         assert rebase(m, 4) == m
 
+    @pytest.mark.parametrize("pivot", [1.5, 4.0, True])
+    def test_pivot_must_be_an_integer(self, pentagon_set, pivot):
+        m = WeightedMeasure(pentagon_set, [((0, 1, 4), F(3, 2))])
+        with pytest.raises(TypeError):
+            rebase(m, pivot)
+
     def test_interval_oracle(self):
         vs = VertexSet(1, [(0,), (1,), (2,)])
         m = WeightedMeasure(vs, [((1, 2), 1)])

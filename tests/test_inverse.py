@@ -834,3 +834,42 @@ class TestOneElimination:
             reconstruct(wrong_dim, square_with_center, columns=singular)
         with pytest.raises(NotWeaklyNonDegenerateError):  # a wrong size is found first
             reconstruct(incomplete, square_with_center, columns=singular[:2])
+
+
+class _Index:
+    """An integer type other than int, read through `__index__`."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+PIVOT_CALLS = {
+    "strong_basis": lambda vs, table, pivot: strong_basis(vs, pivot),
+    "select_minor": lambda vs, table, pivot: select_minor(vs, pivot),
+    "dimension_and_basis": lambda vs, table, pivot: dimension_and_basis(vs, pivot),
+    "reconstruct": lambda vs, table, pivot: reconstruct(table, vs, pivot),
+}
+
+
+@pytest.mark.parametrize("pivot", [1.5, 4.0, F(4), True], ids=["half", "float", "fraction", "bool"])
+@pytest.mark.parametrize("call", PIVOT_CALLS)
+def test_a_pivot_that_is_not_an_integer_is_refused(call, pivot, pentagon_set, pentagon_moments):
+    """On this strong 5-point set `reconstruct` once raised ZeroDivisionError at pivot 1.5, and
+    kept 4.0 and True as the pivot, which the JSON writer would print as 4.0 and true."""
+    with pytest.raises(TypeError):
+        PIVOT_CALLS[call](pentagon_set, pentagon_moments, pivot)
+
+
+def test_a_fractional_pivot_is_refused_on_a_weak_set(square_with_center, pentagon_moments):
+    """Pivot 1.5 once 'succeeded' here, with no column through the pivot."""
+    with pytest.raises(TypeError):
+        reconstruct(pentagon_moments, square_with_center, 1.5)
+
+
+def test_a_pivot_is_stored_as_an_int(pentagon_set, pentagon_moments):
+    rec = reconstruct(pentagon_moments, pentagon_set, _Index(4))
+    assert type(rec.pivot) is int
+    assert rec == reconstruct(pentagon_moments, pentagon_set, 4)

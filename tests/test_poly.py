@@ -58,27 +58,6 @@ def test_truncate_binomial():
     assert Series(p, 1).poly == Poly(1, {(0,): 1, (1,): 3})
 
 
-def test_partial_simple():
-    p = Poly(2, {(2, 1): 1})
-    assert p.partial(0) == Poly(2, {(1, 1): 2})
-    assert Poly.constant(2, 5).partial(1).is_zero()
-
-
-def test_second_derivative_of_geometric_series():
-    # d^2/du^2 of 1/(1-u) expanded to order 5 matches 2/(1-u)^3 to degree 3
-    geo = Series(Poly(1, {(k,): 1 for k in range(6)}), 5)
-    twice = geo.poly.partial(0).partial(0)
-    expect = Poly(1, {(k,): (k + 1) * (k + 2) for k in range(4)})
-    assert twice == expect
-
-
-def test_partials_commute():
-    rng = random.Random(17)
-    for _ in range(10):
-        p = random_poly(rng, 3, 4)
-        assert p.partial(0).partial(1) == p.partial(1).partial(0)
-
-
 def test_ring_axioms():
     rng = random.Random(29)
     for _ in range(8):

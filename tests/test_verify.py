@@ -1,6 +1,7 @@
 import pytest
 
 from polymom import SUITE_NAMES, genfunc, verify
+from polymom.errors import DegenerateDirectionError
 from polymom.verify import SUITES, run_suite, suite_roundtrip
 
 
@@ -62,3 +63,22 @@ def test_direction_retry_lets_an_unexpected_error_through(monkeypatch):
     with pytest.raises(TypeError, match="residuals are broken"):
         verify.suite_brion(0)
     assert len(calls) == 1
+
+
+def test_suite_brion_computes_each_residual_once(monkeypatch):
+    """One residual call per case, plus one per direction drawn again; at seed 0 the residuals of
+    every one of the 265 cases were once computed twice, 541 calls in all."""
+    real, calls, rejected = genfunc.brion_identity_residuals, [], []
+
+    def counting(p, z):
+        calls.append(z)
+        try:
+            return real(p, z)
+        except DegenerateDirectionError:
+            rejected.append(z)
+            raise
+
+    monkeypatch.setattr(genfunc, "brion_identity_residuals", counting)
+    report = verify.suite_brion(0)
+    assert report.passed and report.cases == 265
+    assert len(calls) == report.cases + len(rejected)
