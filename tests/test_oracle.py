@@ -335,6 +335,59 @@ def test_negative_order_names_the_order(triangle_115232, empty, dense):
     assert str(exc.value) == "moment order must be non-negative, got -1"
 
 
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _distinct_denominators(dim, atoms, seed):
+    """A signed sum of `atoms` simplices on d+4 rational points: point k has every
+    coordinate over the k-th prime, and atom a weighs over the (a+1)-th, so that no
+    two points and no two weights share a denominator."""
+    rng = random.Random(seed)
+    while True:
+        points = [tuple(F(rng.choice([-1, 1]) * (rng.randrange(1, 4 * p) * p + rng.randrange(1, p)), p)
+                        for _ in range(dim)) for p in PRIMES[: dim + 4]]
+        try:
+            vs = VertexSet(dim, points)
+        except NotSpanningError:
+            continue
+        simplices = [s for s in combinations(range(dim + 4), dim + 1) if not is_degenerate(s, vs)]
+        if len(simplices) >= atoms:
+            break
+    chosen = rng.sample(simplices, atoms)
+    weights = [F(rng.choice([-1, 1]) * rng.randrange(1, 5 * q), q) for q in PRIMES[1 : atoms + 1]]
+    return WeightedMeasure(vs, list(zip(chosen, weights)))
+
+
+@pytest.mark.parametrize("r", [None, 1, 2, 3], ids=["plain", "r1", "r2", "r3"])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_every_order_in_one_to_four_dimensions(dim, r):
+    """Orders 0 to 7 (0 to 4 in 4-d), so both parities of every degree and the degrees 0
+    and 1 are met, on 1 to 8 atoms over pairwise different denominators (fewer as the
+    order grows), without a density and under densities of degree 1 to 3."""
+    rho = None if r is None else _dense_rho(dim) if r == 2 else _odd_rho(dim, r)
+    for order in range(8 if dim < 4 else 5):
+        atoms = max(1, 8 - order * (dim // 2 + 1))
+        m = _distinct_denominators(dim, atoms, 1000 * dim + 10 * order + (r or 0))
+        assert len(m.atoms) == atoms
+        assert measure_moments(m, order, rho) == _reference_measure_moments(m, order, rho)
+
+
+def test_axial_moment_in_four_dimensions():
+    """<x, z>^j for j = 0..4 in 4-d, against the power expansion of the reference table."""
+    m = _distinct_denominators(4, 3, 4004)
+    z = (F(1, 2), F(-2, 3), F(3, 5), F(-5, 7))
+    table = _reference_measure_moments(m, 4)
+    for j in range(5):
+        expect = 0
+        for e in monomials_upto(4, j):
+            if sum(e) == j:
+                coefficient = F(factorial(j))
+                for c, k in zip(z, e):
+                    coefficient *= c**k / factorial(k)
+                expect += coefficient * table[e]
+        assert axial_moment(m, z, j) == expect
+
+
 def _tuples_all_the_way(value):
     return not isinstance(value, (list, dict, set)) and (
         not isinstance(value, tuple) or all(map(_tuples_all_the_way, value))
