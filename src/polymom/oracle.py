@@ -15,34 +15,34 @@ nodes of the rule for k+r and sums each degree over those of its own rule.
 Everything that does not depend on the atoms is one plan per (d, rule
 degree, order), built once and kept (`_plan`): the nodes as one flat list
 by ascending D, so that the nodes of every smaller rule are a prefix of it;
-the monomials of the table in degree blocks, each its parent's in the block
-below times one coordinate; and per degree a denominator and one integer
-weight per node of its rule.  The arithmetic is in integers: the vertices of
-a simplex are scaled once by their common denominator L, so a node is
-X / (D L) with X an integer vector, and the nodes come as one integer column
-per coordinate.  The values X^I follow the tree over the whole column, one
-degree at a time, so only two degrees of rows are alive at once.  Each row
-is dotted with its degree's weights, which stop at its rule's prefix; the top
-block, the largest, is summed straight from its parents against the columns
-times the top weights, so its rows are never built.  An atom of weight a/b
-keeps its sums as integers over b L^(k+r) at degree k, the atoms meet over
-the lcm of those per degree, and each moment takes one `Fraction` at the
-end.  The oracle only evaluates monomials at points and shares no code with
-`genfunc` or `inverse`, so it can arbitrate their results.
+the monomial rows to half the order, each its parent's times one coordinate;
+and per degree a denominator, one integer weight per node of its rule and
+the pair of rows each moment is read from.  The arithmetic is in integers
+and in one pass over all atoms: the vertices are scaled by one common
+denominator L, so a node is X / (D L) with X an integer vector, and the
+nodes of every atom come as one integer column per coordinate, node-major
+and atom-minor, so that each rule's nodes stay a prefix.  The atoms' weights,
+over their common denominator, and the density at each node are folded into
+each degree's weights.  A moment of degree g splits as X^I = X^A X^B with
+|A| = g//2, so it is one dot of the weighted row of X^A with the row of X^B:
+the rows are built only to degree ceil(k/2), and every sum is cut to its
+rule's prefix.  Each moment takes one `Fraction` at the end.  The oracle
+only evaluates monomials at points and shares no code with `genfunc` or
+`inverse`, so it can arbitrate their results.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement, islice, repeat
+from itertools import combinations_with_replacement, cycle, islice, repeat
 from math import comb, factorial, lcm
-from operator import add, index, mul
+from operator import add, index, mul, sub
 
 from .errors import DegenerateSimplexError, DimensionError
 from .geometry import VertexSet, WeightedMeasure, edge_det
 from .linalg import rat
-from .poly import Poly, grlex_key, monomials_of_degree
+from .poly import Poly, grlex_key, monomials_of_degree, monomials_upto
 from .value import Value
 
 
@@ -65,6 +65,9 @@ class MomentTable(Value):
             expected = expected * (n - m + i) // i
             if expected > cap:
                 break
+        if len(self.moments) == expected and self.moments.keys() == _indices(self.dim, self.order):
+            return
+        # the table is not the canonical one: name the first fault
         for e in self.moments:
             if len(e) != self.dim or min(e, default=0) < 0 or sum(e) > self.order:
                 raise DimensionError(f"moment index {e} is not in R^{self.dim} up to order {self.order}")
@@ -88,6 +91,12 @@ class MomentTable(Value):
         return [(e, self.moments[e]) for e in sorted(self.moments, key=grlex_key)]
 
 
+@lru_cache(maxsize=16)
+def _indices(dim, order):
+    """The indices of a complete table, |I| <= order in R^dim."""
+    return frozenset(monomials_upto(dim, order))
+
+
 def _check_order(order) -> int:
     """A moment order as an int; a bool or a negative order is refused before any work."""
     if isinstance(order, bool):
@@ -109,16 +118,19 @@ def _plan(d, degree, order):
     s = degree // 2, by ascending D makes the nodes of every rule t <= s a prefix of that
     list.  Degree g of the table takes the smallest exact rule, t_g = (g+r) // 2.
 
-    Returns (dens, odd, depth, blocks, steps, weights), every sequence a tuple:
+    Returns (odd, depth, steps, degrees), every sequence a tuple:
     - odd[j] holds the barycentric numerator 2 beta_j + 1 of vertex j at every node, the
       centroid first and then each group by ascending D;
     - depth holds each node's D, so a node is the barycentric point odd / D;
-    - blocks[g] lists the monomials of degree g in canonical order;
-    - steps[g-1] gives, for each monomial of blocks[g], its parent's position in
-      blocks[g-1] and the variable x_j, its last one, that the parent is multiplied by;
-    - dens[g] = (d+2t+1)! 4^t and weights[g] holds one integer per node of rule t = t_g,
-      k_i D^(2t+1-r-g), k_i = (-1)^i C(d+2t+1, i): the rule weighs a node of group i
-      by k_i D^(2t+1) over dens[g].
+    - the rows are the monomials of degree <= ceil(order/2) in canonical order, row 0 the
+      constant and rows 1..d the coordinates; steps gives, for each row after those, its
+      parent's row and the variable x_j, its last one, that the parent is multiplied by;
+    - degrees[g] = (block, den, weights, half, pairs): block lists the monomials of degree
+      g in canonical order; den = (d+2t+1)! 4^t and weights holds one integer per node of
+      rule t = t_g, k_i D^(2t+1-r-g), k_i = (-1)^i C(d+2t+1, i), so the rule weighs a node
+      of group i by k_i D^(2t+1) over den, and len(weights) is the rule's prefix; half
+      lists the rows of degree g//2, and pairs holds, per monomial I of block, the place
+      in half of A, the first g//2 units of I, and the row of B = I - A.
     """
     r = degree - order
     odd, depth = [[] for _ in range(d + 1)], []
@@ -127,40 +139,62 @@ def _plan(d, degree, order):
             for j, column in enumerate(odd):
                 column.append(2 * beta.count(j) + 1)
             depth.append(d + 1 + 2 * h)
-    blocks = tuple(tuple(monomials_of_degree(d, g)) for g in range(order + 1))
+    rows = monomials_upto(d, (order + 1) // 2)
+    where = {e: p for p, e in enumerate(rows)}
     steps = []
-    for below, block in zip(blocks, blocks[1:]):
-        where = {e: p for p, e in enumerate(below)}
-        step = []
-        for e in block:
-            j = max(v for v, k in enumerate(e) if k)
-            step.append((where[e[:j] + (e[j] - 1,) + e[j + 1 :]], j))
-        steps.append(tuple(step))
-    dens, weights = [], []
+    for e in rows[d + 1 :]:
+        j = max(v for v, k in enumerate(e) if k)
+        steps.append((where[e[:j] + (e[j] - 1,) + e[j + 1 :]], j))
+    degrees = []
     for g in range(order + 1):
         t = (g + r) // 2
         n = d + 2 * t + 1
-        dens.append(factorial(n) * 4**t)
         # group i = (n - D) / 2 of rule t holds the nodes of depth D <= n, a prefix of depth
-        weights.append(tuple((-1) ** ((n - D) // 2) * comb(n, (n - D) // 2) * D ** (2 * t + 1 - r - g)
-                             for D in depth if D <= n))
+        weights = tuple((-1) ** ((n - D) // 2) * comb(n, (n - D) // 2) * D ** (2 * t + 1 - r - g)
+                        for D in depth if D <= n)
+        block = tuple(monomials_of_degree(d, g))
+        half = tuple(map(where.get, monomials_of_degree(d, g // 2)))
+        pairs = []
+        for e in block:
+            a, rest = [], g // 2
+            for k in e:
+                a.append(min(k, rest))
+                rest -= a[-1]
+            pairs.append((half.index(where[tuple(a)]), where[tuple(map(sub, e, a))]))
+        degrees.append((block, factorial(n) * 4**t, weights, half, tuple(pairs)))
     odd = tuple(map(tuple, odd))
-    return tuple(dens), odd, tuple(depth), blocks, tuple(steps), tuple(weights)
+    return odd, tuple(depth), tuple(steps), tuple(degrees)
 
 
-def _nodes(odd, points):
-    """The common denominator L of the points, and every node of the rule on their simplex
-    as one integer column per coordinate: node X of depth D is the point X / (D L)."""
-    scale = lcm(*(c.denominator for p in points for c in p))
+def _spread(values, times):
+    """Each value repeated `times` times in a row: a per-node list laid over the atoms."""
+    spread = [0] * (len(values) * times)
+    for a in range(times):
+        spread[a::times] = values
+    return spread
+
+
+def _nodes(odd, m: WeightedMeasure):
+    """Every node of the rule on every atom, stacked: the common denominator L of the atoms'
+    vertices, the common denominator q of their weights, each weight times q, and one
+    integer column per coordinate in which node n of atom a, the point X / (D L), sits
+    at n * len(atoms) + a, so that the nodes of every rule stay a prefix."""
+    vs, simplices = m.vertex_set, [s for s, _ in m.atoms]
+    scale = lcm(*(c.denominator for s in simplices for v in s for c in vs.points[v]))
+    q = lcm(*(w.denominator for _, w in m.atoms))
+    lifts = [w.numerator * (q // w.denominator) for _, w in m.atoms]
+    spread = [_spread(numerators, len(simplices)) for numerators in odd]
     columns = []
-    for coordinates in zip(*points):
-        column = [0] * len(odd[0])
-        for c, numerators in zip(coordinates, odd):
-            if c:
-                x = c.numerator * (scale // c.denominator)
-                column = list(map(add, column, map(x.__mul__, numerators)))
+    for j in range(vs.dim):
+        column = [0] * len(spread[0])
+        # vertex k of every atom, times its barycentric numerator at every node
+        for numerators, vertices in zip(spread, zip(*simplices)):
+            xs = [vs.points[v][j] for v in vertices]
+            xs = [c.numerator * (scale // c.denominator) for c in xs]
+            if any(xs):
+                column = list(map(add, column, map(mul, numerators, cycle(xs))))
         columns.append(column)
-    return scale, columns
+    return scale, q, lifts, columns
 
 
 def simplex_monomial_moment(s, vs: VertexSet, index) -> Fraction:
@@ -191,41 +225,31 @@ def measure_moments(m: WeightedMeasure, order: int, rho: Poly | None = None) -> 
     r = max(rho.degree(), 0)
     clear = lcm(*(c.denominator for c in rho.terms.values()))
     rho_ints = [(c.numerator * (clear // c.denominator), K, r - sum(K)) for K, c in rho.terms.items()]
-    dens, odd, depth, blocks, steps, weights = _plan(d, order + r, order)
-    atoms = []
-    for simplex, w in m.atoms:
-        scale, columns = _nodes(odd, [vs.points[v] for v in simplex])
-        # clear * (D L)^r * rho(X / (D L)) at each node X: an integer form of degree r in X
-        root = [0] * len(depth)
-        for c, K, gap in rho_ints:
-            term = map(mul, repeat(c), map(pow, map(scale.__mul__, depth), repeat(gap)))
-            for column, k in zip(columns, K):
-                if k:
-                    term = map(mul, term, map(pow, column, repeat(k)))
-            root = list(map(add, root, term))
-        # the monomials of one degree from those of the degree below, two degrees held at
-        # once; each row dotted with its degree's weights, which stop at the rule's prefix
-        rows, sums = [root], []
-        for g in range(order):
-            if g:
-                rows = [list(map(mul, rows[parent], columns[j])) for parent, j in steps[g - 1]]
-            sums.append([sum(map(mul, weights[g], row)) for row in rows])
-        # the top block, the largest, from its parents against the columns times its weights
-        if order:
-            top = [list(map(mul, weights[order], column)) for column in columns]
-            sums.append([sum(map(mul, rows[parent], top[j])) for parent, j in steps[-1]])
-        else:
-            sums.append([sum(map(mul, weights[0], root))])
-        # w times the sums, which stand over b L^(g+r) at degree g, b the weight's denominator
-        atoms.append((sums, w, scale))
+    odd, depth, steps, degrees = _plan(d, order + r, order)
+    scale, q, lifts, columns = _nodes(odd, m)
+    atoms = len(lifts)
+    # clear * (D L)^r * rho(X / (D L)) at each node X, an integer form of degree r in X,
+    # times the atom's lifted weight
+    root = [0] * len(depth) * atoms
+    for c, K, gap in rho_ints:
+        term = _spread([c * (scale * D) ** gap for D in depth], atoms)
+        for column, k in zip(columns, K):
+            if k:
+                term = map(mul, term, map(pow, column, repeat(k)))
+        root = list(map(add, root, term))
+    root = list(map(mul, root, cycle(lifts)))
+    # the monomials to half the order, each its parent's row times one coordinate
+    rows = [[1] * len(root), *columns]
+    for parent, j in steps:
+        rows.append(list(map(mul, rows[parent], columns[j])))
+    # m_I for |I| = g is the dot of the weighted row of X^A with the row of X^B, all cut
+    # to the prefix of rule t_g; the sums stand over den q L^(g+r) clear
     moments = {}
-    for g, block in enumerate(blocks):
-        common = lcm(*(w.denominator * L ** (g + r) for _, w, L in atoms))
-        total = [0] * len(block)
-        for sums, w, L in atoms:
-            lift = w.numerator * (common // (w.denominator * L ** (g + r)))
-            total = list(map(add, total, map(lift.__mul__, sums[g])))
-        moments.update(zip(block, (Fraction(t, dens[g] * clear * common) for t in total)))
+    for g, (block, den, weights, half, pairs) in enumerate(degrees):
+        folded = list(map(mul, _spread(weights, atoms), root))
+        weighted = [list(map(mul, folded, rows[a])) for a in half]
+        den *= q * scale ** (g + r) * clear
+        moments.update(zip(block, (Fraction(sum(map(mul, weighted[a], rows[b])), den) for a, b in pairs)))
     return MomentTable(d, order, moments)
 
 
@@ -239,13 +263,10 @@ def axial_moment(m: WeightedMeasure, z, j: int) -> Fraction:
     j = _check_order(j)
     clear = lcm(*(c.denominator for c in z))
     z_ints = [c.numerator * (clear // c.denominator) for c in z]
-    (den,), odd, depth, _, _, (weight,) = _plan(vs.dim, j, 0)
-    total = Fraction(0)
-    for simplex, w in m.atoms:
-        scale, columns = _nodes(odd, [vs.points[v] for v in simplex])
-        values = [0] * len(depth)
-        for c, column in zip(z_ints, columns):
-            values = list(map(add, values, map(c.__mul__, column)))
-        num = sum(map(mul, weight, map(pow, values, repeat(j))))
-        total += w * Fraction(num, den * (clear * scale) ** j)
-    return total
+    odd, _, _, ((_, den, weights, _, _),) = _plan(vs.dim, j, 0)
+    scale, q, lifts, columns = _nodes(odd, m)
+    values = [0] * len(odd[0]) * len(lifts)
+    for c, column in zip(z_ints, columns):
+        values = list(map(add, values, map(c.__mul__, column)))
+    folded = map(mul, _spread(weights, len(lifts)), cycle(lifts))
+    return Fraction(sum(map(mul, folded, map(pow, values, repeat(j)))), den * q * (clear * scale) ** j)
