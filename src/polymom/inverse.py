@@ -53,7 +53,7 @@ class FormBasis(Value):
     __slots__ = ("vertex_set", "pivot", "columns")
 
     def __init__(self, vertex_set: VertexSet, pivot: int, columns: tuple):
-        self._fill(vertex_set, pivot, columns)
+        self._fill(vertex_set, check_pivot(pivot, len(vertex_set)), columns)
         n = len(self.vertex_set)
         k = numerator_degree(self.vertex_set)
         for c in self.columns:

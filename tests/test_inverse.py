@@ -873,3 +873,27 @@ def test_a_pivot_is_stored_as_an_int(pentagon_set, pentagon_moments):
     rec = reconstruct(pentagon_moments, pentagon_set, _Index(4))
     assert type(rec.pivot) is int
     assert rec == reconstruct(pentagon_moments, pentagon_set, 4)
+
+
+@pytest.mark.parametrize(
+    "pivot, error, message",
+    [
+        (9, DimensionError, "^pivot index 9 out of range for 5 vertices$"),
+        (-1, DimensionError, "^pivot index -1 out of range for 5 vertices$"),
+        (1.5, TypeError, None),
+        (True, TypeError, "^pivot must be an integer, not bool$"),
+    ],
+    ids=["past-the-end", "negative", "half", "bool"],
+)
+def test_a_form_basis_checks_its_pivot(pentagon_set, pivot, error, message):
+    """On this strong 5-point set `explicit_inverse` of a basis with pivot 9, -1 or 1.5 once
+    raised ZeroDivisionError, and pivot True passed as vertex 1."""
+    columns = strong_basis(pentagon_set).columns
+    with pytest.raises(error, match=message):
+        explicit_inverse(FormBasis(pentagon_set, pivot, columns))
+
+
+def test_a_form_basis_stores_its_pivot_as_an_int(pentagon_set):
+    basis = FormBasis(pentagon_set, _Index(4), strong_basis(pentagon_set).columns)
+    assert type(basis.pivot) is int
+    assert basis == strong_basis(pentagon_set)
