@@ -37,7 +37,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, cycle, islice, repeat
 from math import comb, factorial, lcm
-from operator import add, index, mul, sub
+from operator import add, index, length_hint, mul, sub
 
 from .errors import DegenerateSimplexError, DimensionError
 from .geometry import VertexSet, WeightedMeasure, edge_det
@@ -65,9 +65,12 @@ class MomentTable(Value):
             expected = expected * (n - m + i) // i
             if expected > cap:
                 break
-        if len(self.moments) == expected and self.moments.keys() == _indices(self.dim, self.order):
-            return
-        # the table is not the canonical one: name the first fault
+        # a table of the expected size is complete exactly when its indices are the canonical
+        # ones; their lengths first, so that the canonical set is no larger than the indices
+        if len(self.moments) == expected and set(map(length_hint, self.moments)) == {self.dim}:
+            if self.moments.keys() == _indices(self.dim, self.order):
+                return
+        # name the first fault
         for e in self.moments:
             if len(e) != self.dim or min(e, default=0) < 0 or sum(e) > self.order:
                 raise DimensionError(f"moment index {e} is not in R^{self.dim} up to order {self.order}")
@@ -183,14 +186,14 @@ def _nodes(odd, m: WeightedMeasure):
     scale = lcm(*(c.denominator for s in simplices for v in s for c in vs.points[v]))
     q = lcm(*(w.denominator for _, w in m.atoms))
     lifts = [w.numerator * (q // w.denominator) for _, w in m.atoms]
+    points = {v: [c.numerator * (scale // c.denominator) for c in vs.points[v]] for s in simplices for v in s}
     spread = [_spread(numerators, len(simplices)) for numerators in odd]
     columns = []
     for j in range(vs.dim):
         column = [0] * len(spread[0])
         # vertex k of every atom, times its barycentric numerator at every node
         for numerators, vertices in zip(spread, zip(*simplices)):
-            xs = [vs.points[v][j] for v in vertices]
-            xs = [c.numerator * (scale // c.denominator) for c in xs]
+            xs = [points[v][j] for v in vertices]
             if any(xs):
                 column = list(map(add, column, map(mul, numerators, cycle(xs))))
         columns.append(column)

@@ -629,6 +629,17 @@ class TestTableChecks:
         missing = [rows[i] for i in holes][:5]
         assert str(exc.value).endswith(f": {len(rows) - len(holes)} of {len(rows)} moments, first missing {missing}")
 
+    @pytest.mark.parametrize("index", [(), (0,), 5, "ab"])
+    def test_a_table_of_the_expected_size_in_a_huge_dimension_is_refused_at_once(self, index):
+        """One moment is the size of a table to order 0 in R^(10^9): its index is checked
+        before any index of that length is formed."""
+        start = time.perf_counter()
+        with pytest.raises((DimensionError, TypeError)) as exc:
+            MomentTable(10**9, 0, {index: F(1)})
+        assert time.perf_counter() - start < 1
+        if isinstance(index, tuple):
+            assert str(exc.value) == f"moment index {index} is not in R^1000000000 up to order 0"
+
     @pytest.mark.parametrize("index", [(3, 0), (0, 0, 0), (-1, 1)])
     def test_index_outside_the_table_is_named(self, index):
         moments = {e: F(0) for e in monomials_upto(2, 2)}
