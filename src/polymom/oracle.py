@@ -132,8 +132,8 @@ def _plan(d, degree, order):
       g in canonical order; den = (d+2t+1)! 4^t and weights holds one integer per node of
       rule t = t_g, k_i D^(2t+1-r-g), k_i = (-1)^i C(d+2t+1, i), so the rule weighs a node
       of group i by k_i D^(2t+1) over den, and len(weights) is the rule's prefix; half
-      lists the rows of degree g//2, and pairs holds, per monomial I of block, the place
-      in half of A, the first g//2 units of I, and the row of B = I - A.
+      lists the rows of degree g//2, and pairs holds, per monomial I of block, the row of
+      A, the first g//2 units of I, and the row of B = I - A.
     """
     r = degree - order
     odd, depth = [[] for _ in range(d + 1)], []
@@ -163,7 +163,7 @@ def _plan(d, degree, order):
             for k in e:
                 a.append(min(k, rest))
                 rest -= a[-1]
-            pairs.append((half.index(where[tuple(a)]), where[tuple(map(sub, e, a))]))
+            pairs.append((where[tuple(a)], where[tuple(map(sub, e, a))]))
         degrees.append((block, factorial(n) * 4**t, weights, half, tuple(pairs)))
     odd = tuple(map(tuple, odd))
     return odd, tuple(depth), tuple(steps), tuple(degrees)
@@ -250,7 +250,7 @@ def measure_moments(m: WeightedMeasure, order: int, rho: Poly | None = None) -> 
     moments = {}
     for g, (block, den, weights, half, pairs) in enumerate(degrees):
         folded = list(map(mul, _spread(weights, atoms), root))
-        weighted = [list(map(mul, folded, rows[a])) for a in half]
+        weighted = {a: list(map(mul, folded, rows[a])) for a in half}
         den *= q * scale ** (g + r) * clear
         moments.update(zip(block, (Fraction(sum(map(mul, weighted[a], rows[b])), den) for a, b in pairs)))
     return MomentTable(d, order, moments)
