@@ -177,27 +177,38 @@ def _spread(values, times):
     return spread
 
 
+# atoms stacked in one pass: the rows grow with the stack, so a measure of many atoms,
+# such as a basis of C(N-1, d) simplices, goes through in stacks of at most this many
+STACK = 8
+
+
 def _nodes(odd, m: WeightedMeasure):
-    """Every node of the rule on every atom, stacked: the common denominator L of the atoms'
-    vertices, the common denominator q of their weights, each weight times q, and one
-    integer column per coordinate in which node n of atom a, the point X / (D L), sits
-    at n * len(atoms) + a, so that the nodes of every rule stay a prefix."""
-    vs, simplices = m.vertex_set, [s for s, _ in m.atoms]
-    scale = lcm(*(c.denominator for s in simplices for v in s for c in vs.points[v]))
+    """The common denominator L of the atoms' vertices, the common denominator q of their
+    weights, and the atoms in stacks of at most STACK, each built when it is reached."""
+    vs = m.vertex_set
+    scale = lcm(*(c.denominator for s, _ in m.atoms for v in s for c in vs.points[v]))
     q = lcm(*(w.denominator for _, w in m.atoms))
-    lifts = [w.numerator * (q // w.denominator) for _, w in m.atoms]
-    points = {v: [c.numerator * (scale // c.denominator) for c in vs.points[v]] for s in simplices for v in s}
-    spread = [_spread(numerators, len(simplices)) for numerators in odd]
+    points = {v: [c.numerator * (scale // c.denominator) for c in vs.points[v]] for s, _ in m.atoms for v in s}
+    stacks = (_stack(odd, points, q, vs.dim, m.atoms[i : i + STACK]) for i in range(0, len(m.atoms), STACK))
+    return scale, q, stacks
+
+
+def _stack(odd, points, q, dim, atoms):
+    """Each atom's weight times q, and every node of the rule on every atom as one integer
+    column per coordinate, in which node n of atom a, the point X / (D L), sits at
+    n * len(atoms) + a, so that the nodes of every rule stay a prefix."""
+    lifts = [w.numerator * (q // w.denominator) for _, w in atoms]
+    spread = [_spread(numerators, len(atoms)) for numerators in odd]
     columns = []
-    for j in range(vs.dim):
+    for j in range(dim):
         column = [0] * len(spread[0])
         # vertex k of every atom, times its barycentric numerator at every node
-        for numerators, vertices in zip(spread, zip(*simplices)):
+        for numerators, vertices in zip(spread, zip(*(s for s, _ in atoms))):
             xs = [points[v][j] for v in vertices]
             if any(xs):
                 column = list(map(add, column, map(mul, numerators, cycle(xs))))
         columns.append(column)
-    return scale, q, lifts, columns
+    return lifts, columns
 
 
 def simplex_monomial_moment(s, vs: VertexSet, index) -> Fraction:
@@ -229,30 +240,34 @@ def measure_moments(m: WeightedMeasure, order: int, rho: Poly | None = None) -> 
     clear = lcm(*(c.denominator for c in rho.terms.values()))
     rho_ints = [(c.numerator * (clear // c.denominator), K, r - sum(K)) for K, c in rho.terms.items()]
     odd, depth, steps, degrees = _plan(d, order + r, order)
-    scale, q, lifts, columns = _nodes(odd, m)
-    atoms = len(lifts)
-    # clear * (D L)^r * rho(X / (D L)) at each node X, an integer form of degree r in X,
-    # times the atom's lifted weight
-    root = [0] * len(depth) * atoms
-    for c, K, gap in rho_ints:
-        term = _spread([c * (scale * D) ** gap for D in depth], atoms)
-        for column, k in zip(columns, K):
-            if k:
-                term = map(mul, term, map(pow, column, repeat(k)))
-        root = list(map(add, root, term))
-    root = list(map(mul, root, cycle(lifts)))
-    # the monomials to half the order, each its parent's row times one coordinate
-    rows = [[1] * len(root), *columns]
-    for parent, j in steps:
-        rows.append(list(map(mul, rows[parent], columns[j])))
-    # m_I for |I| = g is the dot of the weighted row of X^A with the row of X^B, all cut
-    # to the prefix of rule t_g; the sums stand over den q L^(g+r) clear
+    scale, q, stacks = _nodes(odd, m)
+    totals = [[0] * len(block) for block, *_ in degrees]
+    for lifts, columns in stacks:
+        # clear * (D L)^r * rho(X / (D L)) at each node X, an integer form of degree r in X,
+        # times the atom's lifted weight
+        root = [0] * len(depth) * len(lifts)
+        for c, K, gap in rho_ints:
+            term = _spread([c * (scale * D) ** gap for D in depth], len(lifts))
+            for column, k in zip(columns, K):
+                if k:
+                    term = map(mul, term, map(pow, column, repeat(k)))
+            root = list(map(add, root, term))
+        root = list(map(mul, root, cycle(lifts)))
+        # the monomials to half the order, each its parent's row times one coordinate
+        rows = [[1] * len(root), *columns]
+        for parent, j in steps:
+            rows.append(list(map(mul, rows[parent], columns[j])))
+        # m_I for |I| = g is the dot of the weighted row of X^A with the row of X^B, all
+        # cut to the prefix of rule t_g
+        for sums, (_, _, weights, half, pairs) in zip(totals, degrees):
+            folded = list(map(mul, _spread(weights, len(lifts)), root))
+            weighted = {a: list(map(mul, folded, rows[a])) for a in half}
+            sums[:] = map(add, sums, [sum(map(mul, weighted[a], rows[b])) for a, b in pairs])
+    # the sums stand over den q L^(g+r) clear at degree g
     moments = {}
-    for g, (block, den, weights, half, pairs) in enumerate(degrees):
-        folded = list(map(mul, _spread(weights, atoms), root))
-        weighted = {a: list(map(mul, folded, rows[a])) for a in half}
+    for g, (sums, (block, den, *_)) in enumerate(zip(totals, degrees)):
         den *= q * scale ** (g + r) * clear
-        moments.update(zip(block, (Fraction(sum(map(mul, weighted[a], rows[b])), den) for a, b in pairs)))
+        moments.update(zip(block, (Fraction(t, den) for t in sums)))
     return MomentTable(d, order, moments)
 
 
@@ -267,9 +282,12 @@ def axial_moment(m: WeightedMeasure, z, j: int) -> Fraction:
     clear = lcm(*(c.denominator for c in z))
     z_ints = [c.numerator * (clear // c.denominator) for c in z]
     odd, _, _, ((_, den, weights, _, _),) = _plan(vs.dim, j, 0)
-    scale, q, lifts, columns = _nodes(odd, m)
-    values = [0] * len(odd[0]) * len(lifts)
-    for c, column in zip(z_ints, columns):
-        values = list(map(add, values, map(c.__mul__, column)))
-    folded = map(mul, _spread(weights, len(lifts)), cycle(lifts))
-    return Fraction(sum(map(mul, folded, map(pow, values, repeat(j)))), den * q * (clear * scale) ** j)
+    scale, q, stacks = _nodes(odd, m)
+    total = 0
+    for lifts, columns in stacks:
+        values = [0] * len(odd[0]) * len(lifts)
+        for c, column in zip(z_ints, columns):
+            values = list(map(add, values, map(c.__mul__, column)))
+        folded = map(mul, _spread(weights, len(lifts)), cycle(lifts))
+        total += sum(map(mul, folded, map(pow, values, repeat(j))))
+    return Fraction(total, den * q * (clear * scale) ** j)

@@ -372,20 +372,39 @@ def test_every_order_in_one_to_four_dimensions(dim, r):
         assert measure_moments(m, order, rho) == _reference_measure_moments(m, order, rho)
 
 
+def _power_expansion(table, z, j):
+    """The sum over |I| = j of j!/I! z^I m_I: the integral of <x, z>^j."""
+    total = 0
+    for e in monomials_upto(len(z), j):
+        if sum(e) == j:
+            coefficient = F(factorial(j))
+            for c, k in zip(z, e):
+                coefficient *= c**k / factorial(k)
+            total += coefficient * table[e]
+    return total
+
+
+@pytest.mark.parametrize("atoms", [oracle.STACK + 1, 2 * oracle.STACK + 1])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_more_atoms_than_one_stack(dim, atoms):
+    """A measure of more atoms than one stack holds goes through in several: the table to
+    order 4, plain and under a density, and the axial moments, against the reference."""
+    m = _distinct_denominators(dim, atoms, 500 * dim + atoms)
+    plain = _reference_measure_moments(m, 4)
+    assert measure_moments(m, 4) == plain
+    assert measure_moments(m, 4, _dense_rho(dim)) == _reference_measure_moments(m, 4, _dense_rho(dim))
+    z = (F(2, 3), F(-1, 4), F(5, 7))[:dim]
+    for j in range(5):
+        assert axial_moment(m, z, j) == _power_expansion(plain, z, j)
+
+
 def test_axial_moment_in_four_dimensions():
     """<x, z>^j for j = 0..4 in 4-d, against the power expansion of the reference table."""
     m = _distinct_denominators(4, 3, 4004)
     z = (F(1, 2), F(-2, 3), F(3, 5), F(-5, 7))
     table = _reference_measure_moments(m, 4)
     for j in range(5):
-        expect = 0
-        for e in monomials_upto(4, j):
-            if sum(e) == j:
-                coefficient = F(factorial(j))
-                for c, k in zip(z, e):
-                    coefficient *= c**k / factorial(k)
-                expect += coefficient * table[e]
-        assert axial_moment(m, z, j) == expect
+        assert axial_moment(m, z, j) == _power_expansion(table, z, j)
 
 
 def _tuples_all_the_way(value):
