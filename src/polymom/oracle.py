@@ -13,22 +13,24 @@ exact to degree g+r, index t_g = (g+r)//2.  A table to order k computes the
 nodes of the rule for k+r and sums each degree over those of its own rule.
 
 Everything that does not depend on the atoms is one plan per (d, rule
-degree, order), built once and kept (`_plan`): the nodes as one flat list
-by ascending D, so that the nodes of every smaller rule are a prefix of it;
-the monomial rows to half the order, each its parent's times one coordinate;
-and per degree a denominator, one integer weight per node of its rule and
-the pair of rows each moment is read from.  The arithmetic is in integers
-and in one pass over all atoms: the vertices are scaled by one common
-denominator L, so a node is X / (D L) with X an integer vector, and the
-nodes of every atom come as one integer column per coordinate, node-major
-and atom-minor, so that each rule's nodes stay a prefix.  The atoms' weights,
-over their common denominator, and the density at each node are folded into
-each degree's weights.  A moment of degree g splits as X^I = X^A X^B with
-|A| = g//2, so it is one dot of the weighted row of X^A with the row of X^B:
-the rows are built only to degree ceil(k/2), and every sum is cut to its
-rule's prefix.  Each moment takes one `Fraction` at the end.  The oracle
-only evaluates monomials at points and shares no code with `genfunc` or
-`inverse`, so it can arbitrate their results.
+degree, order), built once and kept (`_plan`): the nodes as one flat list by
+ascending D, so that the nodes of every smaller rule are a prefix of it; the
+monomial rows to half the order, each its parent's times one coordinate; and
+per degree a denominator, one integer weight per node of its rule and the
+pair of rows each moment is read from.  The arithmetic is in integers and in
+one pass over all atoms: the vertices are scaled by one common denominator
+L, so a node is X / (D L) with X an integer vector, and the nodes of every
+atom come as one integer column per coordinate, node-major and atom-minor,
+so that each rule's nodes stay a prefix.  The atoms' weights, over their
+common denominator, and the density at each node are folded into each
+degree's weights.  A measure of many atoms goes through in stacks of at most
+`STACK` atoms, which share the denominators, so their sums add.  A moment of
+degree g splits as X^I = X^A X^B with |A| = g//2, so it is one dot of the
+weighted row of X^A with the row of X^B: the rows are built only to degree
+ceil(k/2), and every sum is cut to its rule's prefix.  Each moment takes one
+`Fraction` at the end.  The oracle only evaluates monomials at points and
+shares no code with `genfunc` or `inverse`, so it can arbitrate their
+results.
 """
 
 from __future__ import annotations
