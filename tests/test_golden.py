@@ -22,12 +22,20 @@ The chambers case holds `vertices.json` and `measure.json` and the expected
 non-integer coordinates and one of them is repeated.  Two signed triangles
 give chamber densities -3, 0, 2 and 5, so the uncovered chambers sit at 3/8
 of the density span, where the fill's red and green channels fall on a tie.
+
+Every run is replayed twice: through `main` in this process, which has
+loaded every module, and as a fresh `python -m polymom.cli` child, which
+loads only what its command imports.
 """
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import polymom
 from polymom.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -103,5 +111,54 @@ def test_chambers_bytes(tmp_path, capsys):
     assert main(argv + ["--svg", str(svg_path), "--out", str(out)]) == 0
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", "")
+    assert svg_path.read_bytes() == (inputs / "chambers.svg").read_bytes()
+    assert out.read_bytes() == (inputs / "chambers.json").read_bytes()
+
+
+def _child(*argv):
+    """(exit code, stdout, stderr) of `python -m polymom.cli` with the argv, in a fresh interpreter."""
+    path = [str(Path(polymom.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    argv = [sys.executable, "-m", "polymom.cli", *map(str, argv)]
+    proc = subprocess.run(argv, env=env, capture_output=True, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.mark.parametrize("case, run, svg, options, code", RUNS, ids=[f"{c}-{r}" for c, r, _, _, _ in RUNS])
+def test_invert_bytes_in_a_child(case, run, svg, options, code, tmp_path):
+    inputs = DATA / case
+    out, svg_path = tmp_path / "rec.json", tmp_path / "map.svg"
+    argv = ["invert", inputs / "vertices.json", inputs / "table.json", "--out", out, *options]
+    if svg:
+        argv += ["--svg", svg_path]
+    assert _child(*argv) == (code, b"", (inputs / f"{run}.stderr").read_bytes())
+    assert out.read_bytes() == (inputs / f"{run}.json").read_bytes()
+    expected_svg = inputs / f"{run}.svg"
+    assert (svg_path.read_bytes() if svg_path.exists() else None) == (
+        expected_svg.read_bytes() if expected_svg.exists() else None
+    )
+
+
+@pytest.mark.parametrize("case", GENFUNC_CASES)
+def test_genfunc_bytes_in_a_child(case, tmp_path):
+    inputs = DATA / case
+    out = tmp_path / "f.json"
+    assert _child("genfunc", inputs / "measure.json", "--out", out) == (
+        0, (inputs / "genfunc.stdout").read_bytes(), b""
+    )
+    assert out.read_bytes() == (inputs / "genfunc.json").read_bytes()
+
+
+@pytest.mark.parametrize("case, order", MOMENTS_RUNS, ids=[f"{c}-{k}" for c, k in MOMENTS_RUNS])
+def test_moments_bytes_in_a_child(case, order):
+    expected = (DATA / case / f"moments-{order}.json").read_bytes()
+    assert _child("moments", DATA / case / "measure.json", "--order", order) == (0, expected, b"")
+
+
+def test_chambers_bytes_in_a_child(tmp_path):
+    inputs = DATA / "chambers_rational"
+    out, svg_path = tmp_path / "chambers.json", tmp_path / "map.svg"
+    argv = ["chambers", inputs / "vertices.json", inputs / "measure.json", "--svg", svg_path, "--out", out]
+    assert _child(*argv) == (0, b"", b"")
     assert svg_path.read_bytes() == (inputs / "chambers.svg").read_bytes()
     assert out.read_bytes() == (inputs / "chambers.json").read_bytes()

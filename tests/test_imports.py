@@ -157,6 +157,68 @@ def test_invert_svg_loads_chambers_and_still_not_dataclasses(tmp_path):
     assert not after & NOT_AT_START - {"polymom.chambers"}
 
 
+# Every name `from polymom import *` binds: the exports, SUITE_NAMES and the submodules they come from.
+SUBMODULES = {"errors", "genfunc", "geometry", "inverse", "linalg", "oracle", "poly", "value"}
+PUBLIC = SUBMODULES | {
+    "Classification", "Degeneracy", "DegenerateDirectionError", "DegenerateSimplexError", "DimensionError",
+    "FormBasis", "IncompleteMomentsError", "LinearForm", "MomentTable", "NotSpanningError",
+    "NotStronglyNonDegenerateError", "NotWeaklyNonDegenerateError", "Poly", "PolymomError", "PreconditionError",
+    "RatFun", "RatMat", "Reconstruction", "SUITE_NAMES", "Series", "SimplePolytope", "SingularMatrixError",
+    "TangentCone", "VertexSet", "WeightedMeasure", "axial_moment", "brion_axial_moment", "brion_genfunc",
+    "brion_identity_residuals", "build_extended", "classify", "density", "density_op", "det",
+    "det_factor_report", "dimension_and_basis", "euler_op", "explicit_inverse", "extended_columns",
+    "mat_inverse", "measure_genfunc", "measure_moments", "moments_to_series", "monomials_of_degree",
+    "monomials_upto", "product_matrix", "rat", "rat_str", "rebase", "reconstruct", "recover_numerator",
+    "select_minor", "series_to_moments", "simplex", "simplex_genfunc", "simplex_monomial_moment", "solve",
+    "strong_basis", "taylor", "uniform_measure", "volume",
+}
+
+# A child that reads each public name from a freshly imported package, and prints, per name, the
+# module and name of the object it got: (None, None) for a submodule, and "x" for anything else.
+SURFACE_CHILD = """
+import json, sys
+import polymom
+def where(name):
+    value = getattr(polymom, name)
+    if value is sys.modules.get("polymom." + name):
+        return None, None
+    if getattr(sys.modules.get(getattr(value, "__module__", None)), getattr(value, "__name__", ""), None) is value:
+        return value.__module__, value.__name__
+    return "x", repr(value)
+try:
+    polymom.no_such_name
+    unknown = "no error"
+except AttributeError as exc:
+    unknown = str(exc)
+print(json.dumps([{name: where(name) for name in sys.argv[1:]}, unknown, sorted(set(sys.argv[1:]) - set(dir(polymom)))]))
+"""
+
+
+def _child(code, *argv):
+    """The last line of a fresh interpreter's stdout running the code, read as JSON."""
+    path = [str(Path(polymom.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_star_import_binds_exactly_the_public_names():
+    code = "import json; names = {}; exec('from polymom import *', names); print(json.dumps(sorted(names)))"
+    assert set(_child(code)) - {"__builtins__"} == PUBLIC
+
+
+def test_each_public_name_is_the_object_its_module_defines():
+    found, unknown, undir = _child(SURFACE_CHILD, *sorted(PUBLIC))
+    assert {name for name, (module, _) in found.items() if module is None} == SUBMODULES
+    assert found.pop("SUITE_NAMES") == ["x", repr(polymom.SUITE_NAMES)]
+    assert found.pop("mat_inverse") == ["polymom.linalg", "inverse"]
+    named = {name: where for name, where in found.items() if name not in SUBMODULES}
+    assert all(module.startswith("polymom.") and attr == name for name, (module, attr) in named.items()), named
+    assert unknown == "module 'polymom' has no attribute 'no_such_name'"
+    assert undir == []
+
+
 
 ACCEPTANCE = Path(__file__).parent / "test_acceptance.py"
 
