@@ -15,7 +15,7 @@ import argparse
 import json
 import sys
 
-from . import SUITE_NAMES, genfunc, inverse, jsonio, oracle
+from . import SUITE_NAMES, inverse, jsonio
 from .errors import DimensionError, PolymomError, PreconditionError
 from .geometry import density
 
@@ -61,6 +61,8 @@ def _write_json(path, data):
 
 
 def cmd_moments(args):
+    from . import oracle
+
     measure = _decode(jsonio.measure_from_json, args.measure)
     table = oracle.measure_moments(measure, args.order)
     _write_json(args.out, jsonio.moment_table_to_json(table))
@@ -68,6 +70,8 @@ def cmd_moments(args):
 
 
 def cmd_genfunc(args):
+    from . import genfunc
+
     measure = _decode(jsonio.measure_from_json, args.measure)
     f = genfunc.measure_genfunc(measure)
     _write_json(args.out, jsonio.ratfun_to_json(f))

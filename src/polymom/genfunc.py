@@ -7,19 +7,17 @@ The normalized generating function of a measure mu collects the moments as
 For the uniform measure on a simplex this is d!*Vol divided by the product
 of the vertex forms 1 - <v, u>, which makes every function here rational
 with denominator a sub-multiset of vertex forms.  Denominators are kept as
-form multisets and never expanded.  `FormKernel` multiplies and divides by
-forms in integers, each the vertex's `geometry.homogeneous` row; `taylor`
-expands and `RatFun.cancel` cancels with it, and `form_kernel` builds one
-kernel per (dim, degree) for every caller.
+form multisets and never expanded.  `poly.FormKernel` multiplies and divides
+by forms in integers, each the vertex's `geometry.homogeneous` row; `taylor`
+expands and `RatFun.cancel` cancels with the kernel of `poly.form_kernel`.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, factorial, lcm, perm, prod
-from operator import add, ge, sub
+from operator import add, ge, index, sub
 
 from .errors import (
     DegenerateDirectionError,
@@ -29,8 +27,7 @@ from .errors import (
 )
 from .geometry import VertexSet, WeightedMeasure, check_simplex, homogeneous, is_degenerate
 from .linalg import RatMat, det, integer_vector, rat
-from .oracle import MomentTable
-from .poly import ZERO, Poly, Series, monomials_upto
+from .poly import ZERO, MomentTable, Poly, Series, _normalizer, form_kernel
 from .value import Value
 
 
@@ -71,60 +68,6 @@ class LinearForm(Value):
 
     def __repr__(self):
         return f"LinearForm({self.vertex})"
-
-
-class FormKernel:
-    """Integer products and series quotients by vertex forms below a degree:
-    a polynomial is an (integer vector, scale) pair over the `rows`, and the
-    form of a vertex v is its `homogeneous` row (W, W*v), read as W - <W*v, u>,
-    the form times W.  Get one from `form_kernel`, which builds each (dim, degree)
-    once and shares it; `rows` and `up` are tuples, so no caller can alter them."""
-
-    __slots__ = ("dim", "degree", "rows", "up")
-
-    def __init__(self, dim, degree):
-        self.dim, self.degree, self.rows = dim, degree, tuple(monomials_upto(dim, degree))
-        at = {e: r for r, e in enumerate(self.rows)}
-        # up[v][q] is the row of u_v times the monomial of row q, for the rows below the degree
-        below = [e for e in self.rows if sum(e) < degree]
-        self.up = tuple(tuple(at[e[:v] + (e[v] + 1,) + e[v + 1 :]] for e in below) for v in range(dim))
-
-    def poly(self, pair) -> Poly:
-        """The polynomial a pair stands for."""
-        vector, scale = pair
-        return Poly._of(self.dim, {e: Fraction(x, scale) for e, x in zip(self.rows, vector) if x})
-
-    def times(self, pair, form):
-        """The product with the form; the scale gains W."""
-        (vector, scale), (w, *wv) = pair, form
-        out = [w * x for x in vector]
-        for up_v, c in zip(self.up, wv):
-            if c:
-                for q, x in zip(up_v, vector):
-                    out[q] -= c * x
-        return out, scale * w
-
-    def over(self, pair, form):
-        """The series quotient by the form; the scale gains W^degree.  The
-        recurrence G_j = H_j + <v, u> G_(j-1) runs in place over ascending rows
-        of W^degree * H: a row of degree j stays a multiple of W^(degree-j),
-        so its carry divides exactly."""
-        (vector, scale), (w, *wv) = pair, form
-        top = w**self.degree
-        out = [top * x for x in vector]
-        for q, ups in enumerate(zip(*self.up)):
-            carry = out[q] // w
-            for r, c in zip(ups, wv):
-                out[r] += c * carry
-        return out, scale * top
-
-
-@lru_cache(maxsize=32, typed=True)
-def form_kernel(dim, degree) -> FormKernel:
-    """The `FormKernel` of (dim, degree), built on first use and shared after.  Typed, so a
-    degree of 6.0 or True still builds (and fails or not) as it would alone, never reading
-    the kernel of 6 or 1."""
-    return FormKernel(dim, degree)
 
 
 class RatFun(Value):
@@ -286,11 +229,6 @@ def moments_to_series(table: MomentTable) -> Series:
     return Series(Poly(table.dim, terms), table.order)
 
 
-def _normalizer(exps, dim, extra) -> int:
-    """(|I|+d+extra)!/prod(i_j!), an integer since prod(i_j!) divides |I|!."""
-    return factorial(sum(exps) + dim + extra) // prod(map(factorial, exps))
-
-
 class TangentCone(Value):
     """A vertex of a simple polytope with its d outgoing edge directions."""
 
@@ -421,8 +359,15 @@ def euler_op(f_rho_mu: Series, dim: int, delta: int) -> Series:
     Applies the product over l = d+1 .. d+delta of (sum_k u_k d/du_k + l),
     which multiplies the coefficient at u^I by (|I|+d+1) ... (|I|+d+delta).
     The printed range starting at l = d fails the 1-d uniform-measure check;
-    the range used here is the one the identity actually satisfies.
+    the range used here is the one the identity actually satisfies.  A bool
+    dim or delta is a TypeError, and a negative delta is refused before any
+    term is read.
     """
+    if isinstance(dim, bool) or isinstance(delta, bool):
+        raise TypeError("euler_op dim and delta must be integers, not bool")
+    dim, delta = index(dim), index(delta)
+    if delta < 0:
+        raise DimensionError(f"euler_op delta must be non-negative, got {delta}")
     if dim != f_rho_mu.dim:
         raise DimensionError(f"series has {f_rho_mu.dim} variables, expected {dim}")
     terms = {e: c * perm(sum(e) + dim + delta, delta) for e, c in f_rho_mu.poly.terms.items()}

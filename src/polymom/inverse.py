@@ -7,7 +7,7 @@ exact linear system whose columns are products of N-d-1 vertex forms, on a
 full-rank minor of the extended matrix (the through-pivot basis on a
 strongly non-degenerate set), where columns complementary to degenerate
 simplices carry singular limit measures.  The integer kernel
-`genfunc.FormKernel` forms every product of forms, the numerator's included,
+`poly.FormKernel` forms every product of forms, the numerator's included,
 each form read from its vertex's `geometry.homogeneous` row.  A strong set
 is solved in closed form, one numerator evaluation per weight; forced
 columns and weak sets are eliminated once against the integer numerator,
@@ -29,9 +29,7 @@ from .errors import (
 )
 from .geometry import Degeneracy, VertexSet, WeightedMeasure, check_pivot, classify, edge_det, homogeneous
 from .linalg import RatMat, det, eliminate, integer_det, integer_vector
-from .oracle import MomentTable
-from .poly import Poly
-from .genfunc import _normalizer, form_kernel
+from .poly import MomentTable, Poly, _normalizer, form_kernel
 from .value import Value
 
 

@@ -12,12 +12,10 @@ reproduction.
 
 from __future__ import annotations
 
-from .genfunc import RatFun
 from .geometry import VertexSet, WeightedMeasure
 from .inverse import Reconstruction
 from .linalg import rat, rat_str
-from .oracle import MomentTable
-from .poly import Poly
+from .poly import MomentTable, Poly
 
 
 def _int(value) -> int:
@@ -77,7 +75,7 @@ def poly_to_json(p: Poly) -> dict:
     }
 
 
-def ratfun_to_json(f: RatFun) -> dict:
+def ratfun_to_json(f) -> dict:
     counts = {}
     for form in f.denominator:
         counts[form.vertex] = counts.get(form.vertex, 0) + 1

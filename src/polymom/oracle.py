@@ -30,76 +30,21 @@ weighted row of X^A with the row of X^B: the rows are built only to degree
 ceil(k/2), and every sum is cut to its rule's prefix.  Each moment takes one
 `Fraction` at the end.  The oracle only evaluates monomials at points and
 shares no code with `genfunc` or `inverse`, so it can arbitrate their
-results.
+results; it writes its tables as `poly.MomentTable`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement, cycle, islice, repeat
+from itertools import combinations_with_replacement, cycle, repeat
 from math import comb, factorial, lcm
-from operator import add, index, length_hint, mul, sub
+from operator import add, index, mul, sub
 
 from .errors import DegenerateSimplexError, DimensionError
 from .geometry import VertexSet, WeightedMeasure, edge_det
 from .linalg import rat
-from .poly import Poly, grlex_key, monomials_of_degree, monomials_upto
-from .value import Value
-
-
-class MomentTable(Value):
-    """All moments m_I with |I| <= order, zeros stored explicitly."""
-
-    __slots__ = ("dim", "order", "moments")
-
-    def __init__(self, dim: int, order: int, moments: dict):
-        if isinstance(dim, bool) or isinstance(order, bool):
-            raise TypeError("moment table dim and order must be integers, not bool")
-        self._fill(index(dim), index(order), moments)
-        if self.order < 0:
-            raise DimensionError(f"moment order must be non-negative, got {self.order}")
-        if self.dim < 0:
-            raise DimensionError(f"moment table dimension must be non-negative, got {self.dim}")
-        # comb(order + dim, dim) in partial products, which at least double: stop past 10^100 > len(moments)
-        n, m, expected, cap = self.order + self.dim, min(self.order, self.dim), 1, 10**100
-        for i in range(1, m + 1):
-            expected = expected * (n - m + i) // i
-            if expected > cap:
-                break
-        # a table of the expected size is complete exactly when its indices are the canonical
-        # ones; their lengths first, so that the canonical set is no larger than the indices
-        if len(self.moments) == expected and set(map(length_hint, self.moments)) == {self.dim}:
-            if self.moments.keys() == _indices(self.dim, self.order):
-                return
-        # name the first fault
-        for e in self.moments:
-            if len(e) != self.dim or min(e, default=0) < 0 or sum(e) > self.order:
-                raise DimensionError(f"moment index {e} is not in R^{self.dim} up to order {self.order}")
-        if len(self.moments) != expected:
-            message = f"moment table must be complete to order {self.order}: "
-            message += f"{len(self.moments)} of {expected if expected <= cap else 'more than 10^100'} moments"
-            # every index is in range, so exactly expected - len(moments) are absent: stop at the last
-            shown = min(5, expected - len(self.moments))
-            # an index in R^dim prints in at least 3*dim characters: list the first absent
-            # ones, after ", first missing ", only if the line can stay under 300
-            if len(message) + 16 + shown * (3 * self.dim + 2) < 300:
-                indices = (e for j in range(self.order + 1) for e in monomials_of_degree(self.dim, j))
-                absent = (e for e in indices if e not in self.moments)
-                message += f", first missing {list(islice(absent, shown))}"
-            raise DimensionError(message)
-
-    def __getitem__(self, index):
-        return self.moments[tuple(index)]
-
-    def sorted_items(self):
-        return [(e, self.moments[e]) for e in sorted(self.moments, key=grlex_key)]
-
-
-@lru_cache(maxsize=16)
-def _indices(dim, order):
-    """The indices of a complete table, |I| <= order in R^dim."""
-    return frozenset(monomials_upto(dim, order))
+from .poly import MomentTable, Poly, monomials_of_degree, monomials_upto
 
 
 def _check_order(order) -> int:

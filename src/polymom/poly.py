@@ -1,4 +1,4 @@
-"""Sparse multivariate polynomials and truncated power series over Fractions.
+"""Sparse multivariate polynomials, truncated power series and moment tables over Fractions.
 
 Terms are stored as a dict mapping exponent tuples to nonzero Fraction
 coefficients.  The canonical term order used for iteration, serialization and
@@ -8,14 +8,20 @@ order reads 1, u1, u2, u1^2, u1*u2, u2^2.
 
 `Poly(dim, terms)` checks and coerces what it is given; the results of
 arithmetic go through the unchecked `Poly._of`.  `Poly.__mul__` is the full
-product; truncated products by vertex forms belong to `genfunc.FormKernel`.
+product; `FormKernel` multiplies and divides by vertex forms below a degree,
+in integers, and `form_kernel` builds one kernel per (dim, degree) for every
+caller.  `MomentTable` holds the moments m_I to an order, and `_normalizer`
+is the factor (|I|+d)!/prod(i_j!) between a moment and its coefficient in
+the normalized generating series.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations_with_replacement
-from operator import add, index
+from functools import lru_cache
+from itertools import combinations_with_replacement, islice
+from math import factorial, prod
+from operator import add, index, length_hint
 
 from .errors import DimensionError
 from .linalg import rat
@@ -196,3 +202,116 @@ class Series(Value):
 
     def __repr__(self):
         return f"Series({self.poly}, order={self.order})"
+
+
+class FormKernel:
+    """Integer products and series quotients by vertex forms below a degree:
+    a polynomial is an (integer vector, scale) pair over the `rows`, and the
+    form of a vertex v is its `geometry.homogeneous` row (W, W*v), read as W - <W*v, u>,
+    the form times W.  Get one from `form_kernel`, which builds each (dim, degree)
+    once and shares it; `rows` and `up` are tuples, so no caller can alter them."""
+
+    __slots__ = ("dim", "degree", "rows", "up")
+
+    def __init__(self, dim, degree):
+        self.dim, self.degree, self.rows = dim, degree, tuple(monomials_upto(dim, degree))
+        at = {e: r for r, e in enumerate(self.rows)}
+        # up[v][q] is the row of u_v times the monomial of row q, for the rows below the degree
+        below = [e for e in self.rows if sum(e) < degree]
+        self.up = tuple(tuple(at[e[:v] + (e[v] + 1,) + e[v + 1 :]] for e in below) for v in range(dim))
+
+    def poly(self, pair) -> Poly:
+        """The polynomial a pair stands for."""
+        vector, scale = pair
+        return Poly._of(self.dim, {e: Fraction(x, scale) for e, x in zip(self.rows, vector) if x})
+
+    def times(self, pair, form):
+        """The product with the form; the scale gains W."""
+        (vector, scale), (w, *wv) = pair, form
+        out = [w * x for x in vector]
+        for up_v, c in zip(self.up, wv):
+            if c:
+                for q, x in zip(up_v, vector):
+                    out[q] -= c * x
+        return out, scale * w
+
+    def over(self, pair, form):
+        """The series quotient by the form; the scale gains W^degree.  The
+        recurrence G_j = H_j + <v, u> G_(j-1) runs in place over ascending rows
+        of W^degree * H: a row of degree j stays a multiple of W^(degree-j),
+        so its carry divides exactly."""
+        (vector, scale), (w, *wv) = pair, form
+        top = w**self.degree
+        out = [top * x for x in vector]
+        for q, ups in enumerate(zip(*self.up)):
+            carry = out[q] // w
+            for r, c in zip(ups, wv):
+                out[r] += c * carry
+        return out, scale * top
+
+
+@lru_cache(maxsize=32, typed=True)
+def form_kernel(dim, degree) -> FormKernel:
+    """The `FormKernel` of (dim, degree), built on first use and shared after.  Typed, so a
+    degree of 6.0 or True still builds (and fails or not) as it would alone, never reading
+    the kernel of 6 or 1."""
+    return FormKernel(dim, degree)
+
+
+class MomentTable(Value):
+    """All moments m_I with |I| <= order, zeros stored explicitly."""
+
+    __slots__ = ("dim", "order", "moments")
+
+    def __init__(self, dim: int, order: int, moments: dict):
+        if isinstance(dim, bool) or isinstance(order, bool):
+            raise TypeError("moment table dim and order must be integers, not bool")
+        self._fill(index(dim), index(order), moments)
+        if self.order < 0:
+            raise DimensionError(f"moment order must be non-negative, got {self.order}")
+        if self.dim < 0:
+            raise DimensionError(f"moment table dimension must be non-negative, got {self.dim}")
+        # comb(order + dim, dim) in partial products, which at least double: stop past 10^100 > len(moments)
+        n, m, expected, cap = self.order + self.dim, min(self.order, self.dim), 1, 10**100
+        for i in range(1, m + 1):
+            expected = expected * (n - m + i) // i
+            if expected > cap:
+                break
+        # a table of the expected size is complete exactly when its indices are the canonical
+        # ones; their lengths first, so that the canonical set is no larger than the indices
+        if len(self.moments) == expected and set(map(length_hint, self.moments)) == {self.dim}:
+            if self.moments.keys() == _indices(self.dim, self.order):
+                return
+        # name the first fault
+        for e in self.moments:
+            if len(e) != self.dim or min(e, default=0) < 0 or sum(e) > self.order:
+                raise DimensionError(f"moment index {e} is not in R^{self.dim} up to order {self.order}")
+        if len(self.moments) != expected:
+            message = f"moment table must be complete to order {self.order}: "
+            message += f"{len(self.moments)} of {expected if expected <= cap else 'more than 10^100'} moments"
+            # every index is in range, so exactly expected - len(moments) are absent: stop at the last
+            shown = min(5, expected - len(self.moments))
+            # an index in R^dim prints in at least 3*dim characters: list the first absent
+            # ones, after ", first missing ", only if the line can stay under 300
+            if len(message) + 16 + shown * (3 * self.dim + 2) < 300:
+                indices = (e for j in range(self.order + 1) for e in monomials_of_degree(self.dim, j))
+                absent = (e for e in indices if e not in self.moments)
+                message += f", first missing {list(islice(absent, shown))}"
+            raise DimensionError(message)
+
+    def __getitem__(self, index):
+        return self.moments[tuple(index)]
+
+    def sorted_items(self):
+        return [(e, self.moments[e]) for e in sorted(self.moments, key=grlex_key)]
+
+
+@lru_cache(maxsize=16)
+def _indices(dim, order):
+    """The indices of a complete table, |I| <= order in R^dim."""
+    return frozenset(monomials_upto(dim, order))
+
+
+def _normalizer(exps, dim, extra) -> int:
+    """(|I|+d+extra)!/prod(i_j!), an integer since prod(i_j!) divides |I|!."""
+    return factorial(sum(exps) + dim + extra) // prod(map(factorial, exps))

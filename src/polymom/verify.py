@@ -24,7 +24,7 @@ from .geometry import (
     volume,
 )
 from .genfunc import SimplePolytope, TangentCone
-from .poly import Poly
+from .poly import Poly, _normalizer
 from .value import Value
 
 
@@ -238,7 +238,7 @@ def suite_density_op(seed: int) -> SuiteReport:
             report.cases += 1
             ok = True
             for exps, value in rho_mu_moments.moments.items():
-                expected = genfunc._normalizer(exps, 2, delta) * value
+                expected = _normalizer(exps, 2, delta) * value
                 if via_diff.coefficient(exps) != expected or via_euler.coefficient(exps) != expected:
                     ok = False
             if via_diff != via_euler.truncate(via_diff.order):

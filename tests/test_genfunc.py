@@ -534,6 +534,40 @@ def test_euler_op_refuses_a_dimension_other_than_the_series():
         euler_op(s, 3, 1)
 
 
+# (series dimension, dim, delta, error, message)
+EULER_OP_REFUSALS = [
+    (2, 2, -1, DimensionError, "delta must be non-negative, got -1"),
+    (2, 2, True, TypeError, "not bool"),
+    (1, True, 1, TypeError, "not bool"),
+    (2, 2, 1.5, TypeError, "'float' object cannot be interpreted as an integer"),
+    (2, 2.0, 1, TypeError, "'float' object cannot be interpreted as an integer"),
+]
+
+
+@pytest.mark.parametrize(
+    "series_dim, dim, delta, error, message",
+    EULER_OP_REFUSALS,
+    ids=["negative-delta", "bool-delta", "bool-dim", "float-delta", "float-dim"],
+)
+def test_euler_op_checks_dim_and_delta_before_reading_a_term(series_dim, dim, delta, error, message):
+    """Once a negative delta raised a bare ValueError from `math.perm`, True was read as 1, and on
+    the zero series no check ran at all."""
+    one = (0,) * series_dim
+    for poly in (Poly(series_dim, {one: 1}), Poly.zero(series_dim)):
+        with pytest.raises(error, match=message):
+            euler_op(Series(poly, 1), dim, delta)
+
+
+def test_euler_op_reads_dim_and_delta_through_index():
+    class Two:
+        def __index__(self):
+            return 2
+
+    s = Series(Poly(2, {(0, 0): 1, (1, 0): 2}), 1)
+    assert euler_op(s, Two(), Two()) == euler_op(s, 2, 2)
+    assert euler_op(s, 2, 0) == s
+
+
 def _kuhn_measure(dim):
     """The uniform measure on the unit box's d! Kuhn simplices, one per order of the axes."""
     vs = VertexSet(dim, [tuple((i >> k) & 1 for k in range(dim)) for i in range(2**dim)])

@@ -1,7 +1,8 @@
 """Every module of the package uses each name it imports and imports only
 from the standard library, every name it defines has a reader in src or a
 reason to stay, the oracle shares no code with the generating-function and
-inverse modules, and an invert child loads no module it does not run."""
+inverse modules, the package binds its public names on first use, and a CLI
+child loads no module its command does not run."""
 
 import ast
 import json
@@ -107,7 +108,7 @@ def _calls(tree, name):
 
 def test_every_form_kernel_comes_from_the_one_memo():
     callers = {path.stem: _calls(ast.parse(path.read_text(encoding="utf-8")), "FormKernel") for path in MODULES}
-    assert {stem: names for stem, names in callers.items() if names} == {"genfunc": {"form_kernel"}}
+    assert {stem: names for stem, names in callers.items() if names} == {"poly": {"form_kernel"}}
 
 
 def test_oracle_scales_its_own_points():
@@ -116,7 +117,7 @@ def test_oracle_scales_its_own_points():
     assert "homogeneous" not in _used(tree) | {name for name, _ in _imported(tree)}
 
 
-# A child that imports the CLI, then runs one invert, and prints the modules each step added.
+# A child that imports the CLI, then runs one command, and prints the modules each step added.
 BUDGET_CHILD = """
 import json, sys
 before = set(sys.modules)
@@ -134,13 +135,7 @@ def _budget(tmp_path, case, *extra):
     """(exit code, modules `import polymom.cli` added, modules added after the run)."""
     data = Path(__file__).parent / "data" / case
     argv = ["invert", str(data / "vertices.json"), str(data / "table.json"), "--out", str(tmp_path / "rec.json")]
-    path = [str(Path(polymom.__file__).parents[1]), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    proc = subprocess.run(
-        [sys.executable, "-c", BUDGET_CHILD, *argv, *extra], env=env, capture_output=True, text=True, timeout=60
-    )
-    assert proc.returncode == 0, proc.stderr
-    code, imported, after = json.loads(proc.stdout.splitlines()[-1])
+    code, imported, after = _child(BUDGET_CHILD, *argv, *extra)
     return code, set(imported), set(after)
 
 
@@ -155,6 +150,32 @@ def test_invert_svg_loads_chambers_and_still_not_dataclasses(tmp_path):
     assert code == 0 and (tmp_path / "map.svg").exists()
     assert "polymom.chambers" in after and "polymom.chambers" not in imported
     assert not after & NOT_AT_START - {"polymom.chambers"}
+
+
+# (case, draw the chamber map, exit code): a strong set, a weak one with its map, and a singular one
+INVERT_BUDGET_RUNS = [("strong_d2n12", False, 0), ("weak_n9", True, 0), ("singular_n7", False, 4)]
+
+
+@pytest.mark.parametrize("case, svg, expected", INVERT_BUDGET_RUNS, ids=[case for case, _, _ in INVERT_BUDGET_RUNS])
+def test_invert_loads_neither_the_oracle_nor_genfunc(tmp_path, case, svg, expected):
+    code, _, after = _budget(tmp_path, case, *(["--svg", str(tmp_path / "map.svg")] if svg else []))
+    assert code == expected
+    assert not after & {"polymom.oracle", "polymom.genfunc"}
+
+
+@pytest.mark.parametrize(
+    "command, loaded, absent",
+    [
+        (["genfunc"], "polymom.genfunc", "polymom.oracle"),
+        (["moments", "--order", "3"], "polymom.oracle", "polymom.genfunc"),
+    ],
+    ids=["genfunc", "moments"],
+)
+def test_genfunc_and_moments_load_only_the_module_they_run(tmp_path, command, loaded, absent):
+    measure = Path(__file__).parent / "data" / "genfunc_dissection" / "measure.json"
+    code, _, after = _child(BUDGET_CHILD, *command, str(measure), "--out", str(tmp_path / "out.json"))
+    assert code == 0 and loaded in after
+    assert absent not in after
 
 
 # Every name `from polymom import *` binds: the exports, SUITE_NAMES and the submodules they come from.
@@ -217,7 +238,6 @@ def test_each_public_name_is_the_object_its_module_defines():
     assert all(module.startswith("polymom.") and attr == name for name, (module, attr) in named.items()), named
     assert unknown == "module 'polymom' has no attribute 'no_such_name'"
     assert undir == []
-
 
 
 ACCEPTANCE = Path(__file__).parent / "test_acceptance.py"
