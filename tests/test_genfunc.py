@@ -2,7 +2,7 @@ import json
 import random
 from collections import Counter
 from fractions import Fraction as F
-from itertools import permutations
+from itertools import permutations, product
 from math import factorial
 from pathlib import Path
 
@@ -50,6 +50,52 @@ from polymom.verify import (
 
 def form(*coords):
     return LinearForm([F(c) for c in coords])
+
+
+# Products of simplices, each factor its vertex list: simple polytopes with known triangulations.
+TRIANGLE = [(1, 1), (2, 5), (3, 2)]
+STAIRCASE_FACTORS = {
+    "tetrahedron": [[(1, 0, 0), (0, 2, 1), (1, 1, 3), (2, 1, F(1, 2))]],
+    "triangle-x-segment": [TRIANGLE, [(F(1, 2),), (2,)]],
+    "triangle-x-triangle": [TRIANGLE, [(0, 1), (2, 0), (F(1, 3), 2)]],
+    "triangle-x-segment-x-segment": [TRIANGLE, [(F(1, 2),), (2,)], [(-1,), (F(1, 3),)]],
+}
+
+
+def _simplex_product(factors) -> SimplePolytope:
+    """The product of the simplices: at a vertex, each factor's edges to its other vertices,
+    padded with zeros in the other factors' coordinates."""
+    dims = [len(points[0]) for points in factors]
+    cones = []
+    for corner in product(*(range(len(points)) for points in factors)):
+        vertex, edges = [], []
+        for k, (points, i) in enumerate(zip(factors, corner)):
+            vertex += points[i]
+            before, after = sum(dims[:k]), sum(dims[k + 1 :])
+            for j in range(len(points)):
+                if j != i:
+                    edge = [F(b) - F(a) for a, b in zip(points[i], points[j])]
+                    edges.append((0,) * before + tuple(edge) + (0,) * after)
+        cones.append(TangentCone(vertex, edges))
+    return SimplePolytope(sum(dims), cones)
+
+
+def _staircase_measure(factors) -> WeightedMeasure:
+    """The uniform measure on the staircase triangulation of the product of the simplices: one
+    simplex per monotone lattice path through the factors' vertex indices, a step raising one."""
+    corners = list(product(*(range(len(points)) for points in factors)))
+    points = [sum((tuple(points[i]) for points, i in zip(factors, c)), ()) for c in corners]
+    vs = VertexSet(len(points[0]), points)
+    steps = [k for k, points in enumerate(factors) for _ in points[1:]]
+    simplices = []
+    for path in sorted(set(permutations(steps))):
+        at = [0] * len(factors)
+        chain = [corners.index(tuple(at))]
+        for k in path:
+            at[k] += 1
+            chain.append(corners.index(tuple(at)))
+        simplices.append(tuple(sorted(chain)))
+    return uniform_measure(vs, simplices)
 
 
 class TestDivideLinear:
@@ -256,6 +302,14 @@ class TestBrion:
         ]
         with pytest.raises(PolymomError):
             brion_genfunc(SimplePolytope(2, cones))
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_box_equals_kuhn_triangulation(self, dim):
+        assert brion_genfunc(box_polytope(dim)) == measure_genfunc(_kuhn_measure(dim))
+
+    @pytest.mark.parametrize("factors", list(STAIRCASE_FACTORS.values()), ids=list(STAIRCASE_FACTORS))
+    def test_product_of_simplices_equals_staircase_triangulation(self, factors):
+        assert brion_genfunc(_simplex_product(factors)) == measure_genfunc(_staircase_measure(factors))
 
 
 class TestDensityOperators:
