@@ -10,14 +10,16 @@ with denominator a sub-multiset of vertex forms.  Denominators are kept as
 form multisets and never expanded.  `poly.FormKernel` multiplies and divides
 by forms in integers, each the vertex's `geometry.homogeneous` row; `taylor`
 expands and `RatFun.cancel` cancels with the kernel of `poly.form_kernel`.
+`brion_genfunc` sums its vertex cones in the same kernel, and divides out
+their edge directions with `FormKernel.divide`.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from math import comb, factorial, lcm, perm, prod
-from operator import add, ge, index, sub
+from math import comb, factorial, gcd, lcm, perm, prod
+from operator import ge, sub
 
 from .errors import (
     DegenerateDirectionError,
@@ -28,7 +30,7 @@ from .errors import (
 from .geometry import VertexSet, WeightedMeasure, check_simplex, homogeneous, is_degenerate
 from .linalg import RatMat, det, integer_vector, rat
 from .poly import ZERO, MomentTable, Poly, Series, _normalizer, form_kernel
-from .value import Value
+from .value import Value, integer
 
 
 class LinearForm(Value):
@@ -49,19 +51,6 @@ class LinearForm(Value):
 
     def is_trivial(self) -> bool:
         return all(c == 0 for c in self.vertex)
-
-    def poly(self) -> Poly:
-        return 1 - self.pairing()
-
-    def pairing(self) -> Poly:
-        """The homogeneous part <v, u>."""
-        terms = {}
-        for k, c in enumerate(self.vertex):
-            if c != 0:
-                exps = [0] * self.dim
-                exps[k] = 1
-                terms[tuple(exps)] = c
-        return Poly(self.dim, terms)
 
     def __lt__(self, other):
         return self.vertex < other.vertex
@@ -97,7 +86,10 @@ class RatFun(Value):
         num = str(self.numerator)
         if not self.denominator:
             return num
-        factors = "".join(f"({f.poly()})" for f in self.denominator)
+        one = (0,) * self.dim
+        units = [one[:k] + (1,) + one[k + 1 :] for k in range(self.dim)]
+        forms = (Poly._of(self.dim, {one: 1, **{e: -c for e, c in zip(units, f.vertex)}}) for f in self.denominator)
+        factors = "".join(f"({form})" for form in forms)
         return f"({num}) / {factors}" if " " in num else f"{num} / {factors}"
 
     def cancel(self) -> "RatFun":
@@ -131,32 +123,6 @@ def _divided(kernel, pair, forms) -> RatFun:
         else:
             kernel, pair = form_kernel(kernel.dim, kernel.degree - 1), (vector[:below], scale)
     return RatFun(kernel.poly(pair), remaining)
-
-
-def divide_linear(num: Poly, divisor: Poly):
-    """Exact quotient num / divisor for a divisor of degree 1, else None.
-
-    Only `brion_genfunc`'s edge pairings <w, u> come here: their constant
-    term is 0, so `FormKernel.over`, which divides by it, cannot take them.
-    Division term by term in a variable u_k of the divisor a*u_k + rest: from
-    the top power of u_k down to 1, each term c*u_k^t*m left of num gives the
-    quotient term (c/a)*u_k^(t-1)*m, and subtracting that multiple of rest
-    lands at power t-1.  What is left at power 0 is the remainder.
-    """
-    if divisor.degree() != 1:
-        raise DimensionError("divisor must be linear")
-    k, a = next((e.index(1), c) for e, c in divisor.terms.items() if sum(e) == 1)
-    rest = [(e, c) for e, c in divisor.terms.items() if not e[k]]
-    left, quotient = dict(num.terms), {}
-    for t in range(max((e[k] for e in left), default=0), 0, -1):
-        for e in [e for e in left if e[k] == t]:
-            q = left.pop(e) / a
-            below = e[:k] + (t - 1,) + e[k + 1 :]
-            quotient[below] = q
-            for f, c in rest:
-                g = tuple(map(add, below, f))
-                left[g] = left.get(g, 0) - q * c
-    return None if any(left.values()) else Poly._of(num.dim, quotient)
 
 
 def simplex_genfunc(s, vs: VertexSet, weight, allow_degenerate=False) -> RatFun:
@@ -215,7 +181,7 @@ def series_to_moments(series: Series, dim: int) -> MomentTable:
     coefficient over that normalizer: one `Fraction` per term present, and one
     shared zero for every absent one.  Mutually inverse with `moments_to_series`.
     """
-    if series.dim != dim:
+    if series.dim != integer(dim, "dimension"):
         raise DimensionError(f"series has {series.dim} variables, expected {dim}")
     terms, table = series.poly.terms, {}
     for e in form_kernel(dim, series.order).rows:
@@ -266,36 +232,52 @@ class SimplePolytope(Value):
 
 
 def brion_genfunc(p: SimplePolytope) -> RatFun:
-    """Vertex-sum generating function, combined symbolically and cancelled.
+    """Vertex-sum generating function, combined in the integer kernel and cancelled.
 
-    Summing (-1)^d |det K_v| / (prod_j <w_j(v), u> * (1 - <v, u>)) over the
-    vertices puts everything over the product of all edge pairings and all
-    vertex forms.  The edge pairings must cancel from the numerator exactly;
-    failing that is a hard error since it falsifies the input polytope data.
+    The term of a vertex v with edges w_j is (-1)^d |det K_v| / (prod_j <w_j, u> * (1 - <v, u>)).
+    Each edge is c_j * g_j, g_j its primitive integer direction with its first nonzero entry
+    positive, and the d edges of a simple vertex have d distinct directions.  With -<g, u> the
+    form that `FormKernel.times` multiplies by for the row (0, g), the term is |det K_v| /
+    prod_j c_j over those d forms and v's vertex form.  So the sum stands over the m distinct
+    directions and all N vertex forms.  Its numerator is, over the vertices, that weight times
+    the other vertices' forms and the directions not at v: degree N-1+m-d.  The other forms are
+    `FormKernel.over` of all N by v's, exact even where the kernel drops the product's top
+    degree N, since the quotient stops at N-1.  Each direction must divide it exactly (`FormKernel.divide`); failing that
+    is a hard error since it falsifies the input polytope data.  `_divided` cancels the vertex
+    forms.
     """
     d = p.dim
-    sign = (-1) ** d
-    vertex_forms = [LinearForm(c.vertex) for c in p.cones]
-    edge_polys = [[LinearForm(e).pairing() for e in c.edges] for c in p.cones]
-    numerator = Poly.zero(d)
-    for i, cone in enumerate(p.cones):
-        part = Poly.constant(d, sign * cone.det_abs)
-        for j, other in enumerate(p.cones):
-            if j == i:
-                continue
-            for ep in edge_polys[j]:
-                part = part * ep
-            part = part * vertex_forms[j].poly()
-        numerator = numerator + part
-    for eps in edge_polys:
-        for ep in eps:
-            q = divide_linear(numerator, ep)
-            if q is None:
-                raise PolymomError(
-                    "edge pairing failed to cancel; cone data does not describe a simple polytope"
-                )
-            numerator = q
-    return RatFun(numerator, vertex_forms).cancel()
+    rows = [homogeneous(c.vertex) for c in p.cones]
+    at, weights = [], []
+    for cone in p.cones:
+        here, weight = set(), cone.det_abs
+        for edge in cone.edges:
+            ints, scale = integer_vector(edge)
+            c = gcd(*ints) if next(filter(None, ints)) > 0 else -gcd(*ints)
+            here.add((0, *(x // c for x in ints)))
+            weight /= Fraction(c, scale)
+        at.append(here)
+        weights.append(weight)
+    directions = sorted(set().union(*at))
+    kernel = form_kernel(d, len(rows) - 1 + len(directions) - d)
+    full = ([1] + [0] * (len(kernel.rows) - 1), 1)
+    for row in rows:
+        full = kernel.times(full, row)
+    parts = []
+    for row, here, weight in zip(rows, at, weights):
+        vector, scale = kernel.over(full, row)
+        for direction in directions:
+            if direction not in here:
+                vector, _ = kernel.times((vector, scale), direction)
+        parts.append(([weight.numerator * x for x in vector], scale * weight.denominator))
+    scale = lcm(*(s for _, s in parts))
+    pair = [sum(v[r] * (scale // s) for v, s in parts) for r in range(len(kernel.rows))], scale
+    for direction in directions:
+        pair = kernel.divide(pair, direction)
+        if pair is None:
+            raise PolymomError("edge pairing failed to cancel; cone data does not describe a simple polytope")
+        kernel = form_kernel(d, kernel.degree - 1)
+    return _divided(kernel, pair, [(row, LinearForm(c.vertex)) for row, c in zip(rows, p.cones) if any(c.vertex)])
 
 
 def _vertex_pairings(p: SimplePolytope, z):
@@ -317,7 +299,7 @@ def _vertex_pairings(p: SimplePolytope, z):
 
 def brion_axial_moment(p: SimplePolytope, z, j: int) -> Fraction:
     """Axial moment of <x,z>^j over the polytope via the vertex sum."""
-    d = p.dim
+    d, j = p.dim, integer(j, "moment order")
     data = _vertex_pairings(p, z)
     total = sum(vz ** (j + d) * dv for vz, dv in data)
     return (-1) ** d * Fraction(factorial(j), factorial(j + d)) * total
@@ -359,15 +341,10 @@ def euler_op(f_rho_mu: Series, dim: int, delta: int) -> Series:
     Applies the product over l = d+1 .. d+delta of (sum_k u_k d/du_k + l),
     which multiplies the coefficient at u^I by (|I|+d+1) ... (|I|+d+delta).
     The printed range starting at l = d fails the 1-d uniform-measure check;
-    the range used here is the one the identity actually satisfies.  A bool
-    dim or delta is a TypeError, and a negative delta is refused before any
-    term is read.
+    the range used here is the one the identity actually satisfies.  dim and
+    delta are read by `value.integer` before any term is.
     """
-    if isinstance(dim, bool) or isinstance(delta, bool):
-        raise TypeError("euler_op dim and delta must be integers, not bool")
-    dim, delta = index(dim), index(delta)
-    if delta < 0:
-        raise DimensionError(f"euler_op delta must be non-negative, got {delta}")
+    dim, delta = integer(dim, "euler_op dim"), integer(delta, "euler_op delta")
     if dim != f_rho_mu.dim:
         raise DimensionError(f"series has {f_rho_mu.dim} variables, expected {dim}")
     terms = {e: c * perm(sum(e) + dim + delta, delta) for e, c in f_rho_mu.poly.terms.items()}

@@ -16,11 +16,10 @@ import enum
 from fractions import Fraction
 from itertools import combinations
 from math import factorial, lcm, prod
-from operator import index
 
 from .errors import DegenerateSimplexError, DimensionError, NotSpanningError
 from .linalg import integer_det, integer_rank, rat
-from .value import Value
+from .value import Value, integer
 
 
 class Degeneracy(enum.Enum):
@@ -35,7 +34,7 @@ class VertexSet(Value):
     __slots__ = ("dim", "points")
 
     def __init__(self, dim, points):
-        dim = index(dim)
+        dim = integer(dim, "vertex set dimension")
         pts = tuple(tuple(rat(c) for c in p) for p in points)
         if any(len(p) != dim for p in pts):
             raise DimensionError(f"every point must have {dim} coordinates")
@@ -60,7 +59,7 @@ def _det(rows) -> Fraction:
 
 def simplex(indices) -> tuple:
     """Canonical simplex: a sorted tuple of vertex indices."""
-    return tuple(sorted(map(index, indices)))
+    return tuple(sorted(integer(i, "vertex index", signed=True) for i in indices))
 
 
 def check_simplex(s, vs: VertexSet):
@@ -159,9 +158,7 @@ def density(m: WeightedMeasure):
 
 def check_pivot(pivot, n) -> int:
     """The pivot vertex index as an int in range(n); a bool or a non-integer is a TypeError."""
-    if isinstance(pivot, bool):
-        raise TypeError("pivot must be an integer, not bool")
-    pivot = index(pivot)
+    pivot = integer(pivot, "pivot", signed=True)
     if not 0 <= pivot < n:
         raise DimensionError(f"pivot index {pivot} out of range for {n} vertices")
     return pivot

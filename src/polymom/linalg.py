@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import lcm, prod
 
 from .errors import DimensionError, SingularMatrixError
-from .value import Value
+from .value import Value, integer
 
 
 def rat(value) -> Fraction:
@@ -39,7 +39,7 @@ class RatMat(Value):
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, rows, cols, entries):
-        entries = tuple(rat(e) for e in entries)
+        rows, cols, entries = integer(rows, "row count"), integer(cols, "column count"), tuple(map(rat, entries))
         if len(entries) != rows * cols:
             raise DimensionError(
                 f"expected {rows * cols} entries for a {rows}x{cols} matrix, got {len(entries)}"

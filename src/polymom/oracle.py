@@ -39,22 +39,13 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, cycle, repeat
 from math import comb, factorial, lcm
-from operator import add, index, mul, sub
+from operator import add, mul, sub
 
 from .errors import DegenerateSimplexError, DimensionError
 from .geometry import VertexSet, WeightedMeasure, edge_det
 from .linalg import rat
 from .poly import MomentTable, Poly, monomials_of_degree, monomials_upto
-
-
-def _check_order(order) -> int:
-    """A moment order as an int; a bool or a negative order is refused before any work."""
-    if isinstance(order, bool):
-        raise TypeError("moment table dim and order must be integers, not bool")
-    order = index(order)
-    if order < 0:
-        raise DimensionError(f"moment order must be non-negative, got {order}")
-    return order
+from .value import integer
 
 
 @lru_cache(maxsize=16)
@@ -161,7 +152,7 @@ def _stack(odd, points, q, dim, atoms):
 def simplex_monomial_moment(s, vs: VertexSet, index) -> Fraction:
     """Exact integral of x^I over the simplex, Lebesgue measure: the entry of
     the one-atom table whose weight is |det|."""
-    index = tuple(index)
+    index = tuple(integer(i, "moment index entry", signed=True) for i in index)
     if len(index) != vs.dim or min(index, default=0) < 0:
         raise DimensionError(f"moment index {index} is not in R^{vs.dim}")
     dvol = edge_det(s, vs)
@@ -182,7 +173,7 @@ def measure_moments(m: WeightedMeasure, order: int, rho: Poly | None = None) -> 
         rho = Poly.constant(d, 1)
     elif rho.dim != d:
         raise DimensionError(f"density has {rho.dim} variables, measure lives in R^{d}")
-    order = _check_order(order)
+    order = integer(order, "moment order")
     r = max(rho.degree(), 0)
     clear = lcm(*(c.denominator for c in rho.terms.values()))
     rho_ints = [(c.numerator * (clear // c.denominator), K, r - sum(K)) for K, c in rho.terms.items()]
@@ -225,7 +216,7 @@ def axial_moment(m: WeightedMeasure, z, j: int) -> Fraction:
     vs = m.vertex_set
     if len(z) != vs.dim:
         raise DimensionError(f"direction of length {len(z)} in R^{vs.dim}")
-    j = _check_order(j)
+    j = integer(j, "moment order")
     clear = lcm(*(c.denominator for c in z))
     z_ints = [c.numerator * (clear // c.denominator) for c in z]
     odd, _, _, ((_, den, weights, _, _),) = _plan(vs.dim, j, 0)

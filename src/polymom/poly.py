@@ -6,11 +6,11 @@ matrix building is graded lexicographic: ascending total degree, and within a
 degree descending lexicographic exponents, so that for two variables the
 order reads 1, u1, u2, u1^2, u1*u2, u2^2.
 
-`Poly(dim, terms)` checks and coerces what it is given; the results of
-arithmetic go through the unchecked `Poly._of`.  `Poly.__mul__` is the full
-product; `FormKernel` multiplies and divides by vertex forms below a degree,
-in integers, and `form_kernel` builds one kernel per (dim, degree) for every
-caller.  `MomentTable` holds the moments m_I to an order, and `_normalizer`
+`Poly(dim, terms)` checks and coerces what it is given, and results built
+here go through the unchecked `Poly._of`.  `Poly` has no arithmetic:
+`FormKernel` multiplies and divides by vertex forms below a degree, and
+divides exactly by direction forms, in integers, and `form_kernel` builds one
+kernel per (dim, degree) for every caller.  `MomentTable` holds the moments m_I to an order, and `_normalizer`
 is the factor (|I|+d)!/prod(i_j!) between a moment and its coefficient in
 the normalized generating series.
 """
@@ -21,11 +21,11 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, islice
 from math import factorial, prod
-from operator import add, index, length_hint
+from operator import length_hint
 
 from .errors import DimensionError
 from .linalg import rat
-from .value import Value
+from .value import Value, integer
 
 # The coefficient of an absent term, shared rather than built on every read.
 ZERO = Fraction(0)
@@ -39,13 +39,13 @@ def grlex_key(exponents):
 def monomials_of_degree(dim, degree):
     """All exponent tuples of the given total degree, one at a time, in canonical
     order: variable multisets in lexicographic order count out to exactly that."""
-    for combo in combinations_with_replacement(range(dim), degree):
-        yield tuple(map(combo.count, range(dim)))
+    dim, degree = integer(dim, "dimension"), integer(degree, "degree")
+    return (tuple(map(combo.count, range(dim))) for combo in combinations_with_replacement(range(dim), degree))
 
 
 def monomials_upto(dim, degree):
     """All exponent tuples of total degree <= degree, in canonical order."""
-    return [e for k in range(degree + 1) for e in monomials_of_degree(dim, k)]
+    return [e for k in range(integer(degree, "degree") + 1) for e in monomials_of_degree(dim, k)]
 
 
 class Poly(Value):
@@ -54,10 +54,10 @@ class Poly(Value):
     __slots__ = ("dim", "terms")
 
     def __init__(self, dim, terms=None):
-        clean = {}
+        dim, clean = integer(dim, "polynomial dimension"), {}
         for exps, coef in (terms or {}).items():
             try:
-                exps = tuple(map(index, exps))
+                exps = tuple(integer(e, "exponent", signed=True) for e in exps)
             except TypeError:
                 raise DimensionError(f"non-integer exponent in {exps}") from None
             if len(exps) != dim or any(e < 0 for e in exps):
@@ -77,10 +77,6 @@ class Poly(Value):
         object.__setattr__(p, "dim", dim)
         object.__setattr__(p, "terms", {e: c for e, c in terms.items() if c})
         return p
-
-    @classmethod
-    def zero(cls, dim) -> "Poly":
-        return cls(dim, {})
 
     @classmethod
     def constant(cls, dim, value) -> "Poly":
@@ -103,42 +99,6 @@ class Poly(Value):
     def sorted_terms(self):
         """Terms as (exponents, coefficient) pairs in canonical order."""
         return [(e, self.terms[e]) for e in sorted(self.terms, key=grlex_key)]
-
-    def _check_dim(self, other):
-        if self.dim != other.dim:
-            raise DimensionError(f"mixed dimensions {self.dim} and {other.dim}")
-
-    def __add__(self, other):
-        if not isinstance(other, Poly):
-            other = Poly.constant(self.dim, other)
-        self._check_dim(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, ZERO) + c
-        return Poly._of(self.dim, out)
-
-    def __neg__(self):
-        return Poly._of(self.dim, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, Poly):
-            other = Poly.constant(self.dim, other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        """Product with a Poly or a scalar."""
-        if not isinstance(other, Poly):
-            other = Poly.constant(self.dim, other)
-        self._check_dim(other)
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(map(add, e1, e2))
-                out[e] = out.get(e, 0) + c1 * c2
-        return Poly._of(self.dim, out)
 
     __hash__ = None
 
@@ -179,11 +139,7 @@ class Series(Value):
     __slots__ = ("poly", "order")
 
     def __init__(self, poly: Poly, order: int):
-        if isinstance(order, bool):
-            raise TypeError("series order must be an integer, not bool")
-        order = index(order)
-        if order < 0:
-            raise DimensionError("series order must be non-negative")
+        order = integer(order, "series order")
         self._fill(poly.drop_above(order), order)
 
     __hash__ = None
@@ -249,6 +205,27 @@ class FormKernel:
                 out[r] += c * carry
         return out, scale * top
 
+    def divide(self, pair, form):
+        """The exact quotient by a form with W = 0, the -<g, u> that `times` multiplies by, as a
+        pair on the rows below the degree; None when a remainder is left.  From the top power
+        of u_k down, g_k = a the entry of least nonzero size: the row of u_k times the monomial
+        of row q gives the quotient's row q, and takes that multiple of the form away: the row
+        itself to zero, the rest one power of u_k lower.  The scale gains a^degree, so a row at
+        power t of u_k stays a multiple of a^t and divides exactly.  What is left is the
+        remainder, at power 0."""
+        (vector, scale), (_, *g) = pair, form
+        k = min((v for v in range(self.dim) if g[v]), key=lambda v: abs(g[v]))
+        top = g[k] ** self.degree
+        left = [top * x for x in vector]
+        quotient = [0] * len(self.up[k])
+        for q in sorted(range(len(quotient)), key=lambda q: -self.rows[q][k]):
+            carry = left[self.up[k][q]] // g[k]
+            quotient[q] = -carry
+            for up_v, c in zip(self.up, g):
+                if c:
+                    left[up_v[q]] -= c * carry
+        return None if any(left) else (quotient, scale * top)
+
 
 @lru_cache(maxsize=32, typed=True)
 def form_kernel(dim, degree) -> FormKernel:
@@ -264,13 +241,8 @@ class MomentTable(Value):
     __slots__ = ("dim", "order", "moments")
 
     def __init__(self, dim: int, order: int, moments: dict):
-        if isinstance(dim, bool) or isinstance(order, bool):
-            raise TypeError("moment table dim and order must be integers, not bool")
-        self._fill(index(dim), index(order), moments)
-        if self.order < 0:
-            raise DimensionError(f"moment order must be non-negative, got {self.order}")
-        if self.dim < 0:
-            raise DimensionError(f"moment table dimension must be non-negative, got {self.dim}")
+        order = integer(order, "moment order")
+        self._fill(integer(dim, "moment table dimension"), order, moments)
         # comb(order + dim, dim) in partial products, which at least double: stop past 10^100 > len(moments)
         n, m, expected, cap = self.order + self.dim, min(self.order, self.dim), 1, 10**100
         for i in range(1, m + 1):

@@ -7,7 +7,25 @@ fields, hash as their field tuple, print as `Name(field=value, ...)` and
 refuse assignment and deletion.  A class with fields that change after
 construction sets `__setattr__` and `__delattr__` back to `object`'s; it,
 and any class that is not to be hashed, sets `__hash__` to None.
+
+`integer` is the one rule for an integer argument.
 """
+
+from operator import index
+
+from .errors import DimensionError
+
+
+def integer(x, what, signed=False) -> int:
+    """`x` read through `operator.index`, which refuses a float or a string with a TypeError.  A
+    bool, which `index` reads as 0 or 1, is a TypeError too, and unless `signed`, so is no
+    negative value: that is a DimensionError.  `what` names the argument in the message."""
+    if isinstance(x, bool):
+        raise TypeError(f"{what} must be an integer, not bool")
+    x = index(x)
+    if x < 0 and not signed:
+        raise DimensionError(f"{what} must be non-negative, got {x}")
+    return x
 
 
 class Value:

@@ -12,7 +12,7 @@ from itertools import combinations
 from math import factorial
 
 from . import SUITE_NAMES, chambers, genfunc, inverse, oracle
-from .errors import DegenerateDirectionError, NotSpanningError
+from .errors import DegenerateDirectionError, DimensionError, NotSpanningError
 from .geometry import (
     Degeneracy,
     VertexSet,
@@ -25,7 +25,7 @@ from .geometry import (
 )
 from .genfunc import SimplePolytope, TangentCone
 from .poly import Poly, _normalizer
-from .value import Value
+from .value import Value, integer
 
 
 class SuiteReport(Value):
@@ -63,6 +63,9 @@ def random_simplex_vertices(rng, dim):
 
 
 def random_strong_set(rng, dim, n):
+    dim, n = integer(dim, "dimension"), integer(n, "point count")
+    if n < dim + 1:
+        raise DimensionError(f"{n} points cannot span R^{dim}")
     while True:
         pts = [random_point(rng, dim) for _ in range(n)]
         try:

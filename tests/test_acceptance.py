@@ -275,7 +275,8 @@ def test_criterion_05_multiset_extended():
         )
         ext = build_extended(MULTISET)
         assert ext == printed_corrected
-        l2 = LinearForm(MULTISET.points[1]).poly()
+        x, y = MULTISET.points[1]
+        l2 = Poly(2, {(0, 0): 1, (1, 0): -x, (0, 1): -y})
         col7 = tuple(l2.coefficient(e) for e in monomials_upto(2, 2))
         assert ext.column(6) == col7 == (1, -2, 0, 0, 0, 0)
         cols = extended_columns(MULTISET)

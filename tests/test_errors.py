@@ -1,5 +1,7 @@
-"""Each documented refusal, by its error type: one table for the library and one for the CLI."""
+"""Each documented refusal, by its error type: one table for the library, one for its integer
+arguments and one for the CLI."""
 
+import random
 import re
 from pathlib import Path
 
@@ -9,6 +11,8 @@ from polymom import (
     FormBasis,
     MomentTable,
     Poly,
+    RatFun,
+    RatMat,
     Series,
     SimplePolytope,
     TangentCone,
@@ -18,14 +22,23 @@ from polymom import (
     brion_axial_moment,
     density_op,
     det_factor_report,
+    euler_op,
     explicit_inverse,
     measure_moments,
+    monomials_of_degree,
+    monomials_upto,
     rebase,
     series_to_moments,
+    simplex_genfunc,
+    simplex_monomial_moment,
+    strong_basis,
+    taylor,
+    uniform_measure,
 )
 from polymom.cli import main
 from polymom.errors import DegenerateSimplexError, DimensionError
-from polymom.verify import box_polytope
+from polymom.genfunc import LinearForm
+from polymom.verify import box_polytope, random_strong_set
 
 DATA = Path(__file__).parent / "data"
 PENTAGON = VertexSet(2, [(1, 0), (2, 1), (1, 2), (0, 1), (0, 0)])
@@ -60,6 +73,56 @@ LIBRARY = [
 def test_library_refusal(call, error, match):
     with pytest.raises(error, match=match):
         call()
+
+
+RATFUN = RatFun(Poly.constant(2, 1), [LinearForm((1, 0)), LinearForm((0, 1))])
+
+# Each public integer argument, as a call that passes it on
+INTEGER_ARGUMENTS = [
+    ("series-order", lambda x: Series(Poly.constant(1, 1), x)),
+    ("moment-table-dim", lambda x: MomentTable(x, 0, {})),
+    ("moment-table-order", lambda x: MomentTable(1, x, {})),
+    ("measure-moments-order", lambda x: measure_moments(TRIANGLE, x)),
+    ("axial-moment-order", lambda x: axial_moment(TRIANGLE, (1, 2), x)),
+    ("brion-axial-order", lambda x: brion_axial_moment(box_polytope(2), (1, 2), x)),
+    ("taylor-order", lambda x: taylor(RATFUN, x)),
+    ("series-to-moments-dim", lambda x: series_to_moments(SERIES, x)),
+    ("euler-op-dim", lambda x: euler_op(SERIES, x, 1)),
+    ("euler-op-delta", lambda x: euler_op(SERIES, 2, x)),
+    ("monomials-of-degree-dim", lambda x: monomials_of_degree(x, 2)),
+    ("monomials-of-degree-degree", lambda x: monomials_of_degree(2, x)),
+    ("monomials-upto-degree", lambda x: monomials_upto(2, x)),
+    ("vertex-set-dim", lambda x: VertexSet(x, [(0, 0), (1, 0), (0, 1)])),
+    ("poly-dim", lambda x: Poly(x, {})),
+    ("uniform-measure-index", lambda x: uniform_measure(PENTAGON, [(x, 2, 3)])),
+    ("weighted-measure-index", lambda x: WeightedMeasure(PENTAGON, [((x, 2, 3), 1)])),
+    ("simplex-genfunc-index", lambda x: simplex_genfunc((x, 2, 3), PENTAGON, 1)),
+    ("monomial-moment-index", lambda x: simplex_monomial_moment((0, 1, 2), PENTAGON, (x, 1))),
+    ("rebase-pivot", lambda x: rebase(TRIANGLE, x)),
+    ("form-basis-pivot", lambda x: FormBasis(PENTAGON, x, ())),
+    ("strong-basis-pivot", lambda x: strong_basis(PENTAGON, x)),
+    ("random-strong-set-dim", lambda x: random_strong_set(random.Random(0), x, 3)),
+    ("random-strong-set-count", lambda x: random_strong_set(random.Random(0), 2, x)),
+    ("rat-mat-rows", lambda x: RatMat(x, 1, [1])),
+    ("rat-mat-cols", lambda x: RatMat(1, x, [1])),
+]
+
+# (value, error): a bool is not read as 0 or 1, and where a negative value means nothing it is refused
+INTEGER_VALUES = [(True, TypeError), (1.5, TypeError), ("1", TypeError), (-1, DimensionError)]
+
+
+@pytest.mark.parametrize("value, error", INTEGER_VALUES, ids=[repr(v) for v, _ in INTEGER_VALUES])
+@pytest.mark.parametrize("call", [row[1] for row in INTEGER_ARGUMENTS], ids=[row[0] for row in INTEGER_ARGUMENTS])
+def test_integer_argument_refusal(call, value, error):
+    with pytest.raises(error, match="must be an integer, not bool" if value is True else None):
+        call(value)
+
+
+@pytest.mark.parametrize("value", [value for value, _ in INTEGER_VALUES], ids=[repr(v) for v, _ in INTEGER_VALUES])
+def test_polynomial_exponent_refusal(value):
+    """An exponent that is no non-negative integer is a malformed term, a DimensionError."""
+    with pytest.raises(DimensionError):
+        Poly(2, {(value, 0): 1})
 
 
 CLI = [

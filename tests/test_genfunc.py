@@ -1,9 +1,11 @@
 import json
 import random
+import time
 from collections import Counter
 from fractions import Fraction as F
 from itertools import permutations, product
 from math import factorial
+from operator import add
 from pathlib import Path
 
 import pytest
@@ -34,10 +36,10 @@ from polymom import (
 )
 from polymom.errors import DegenerateDirectionError, DegenerateSimplexError, DimensionError
 from polymom import genfunc
-from polymom.genfunc import divide_linear
 from polymom.jsonio import measure_from_json, ratfun_to_json
+from polymom.linalg import integer_vector
 from polymom.geometry import is_degenerate
-from polymom.poly import monomials_of_degree, monomials_upto
+from polymom.poly import FormKernel, monomials_of_degree, monomials_upto
 from polymom.verify import (
     _nonzero_direction,
     box_polytope,
@@ -98,30 +100,63 @@ def _staircase_measure(factors) -> WeightedMeasure:
     return uniform_measure(vs, simplices)
 
 
+def _times(p, q):
+    """The product of two polynomials, term by term."""
+    out = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            e = tuple(map(add, e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return Poly(p.dim, out)
+
+
+def _plus(p, q):
+    out = dict(p.terms)
+    for e, c in q.terms.items():
+        out[e] = out.get(e, 0) + c
+    return Poly(p.dim, out)
+
+
+def _pairing(f):
+    """<v, u> for the form's vertex v."""
+    return Poly(f.dim, {tuple(int(j == k) for j in range(f.dim)): c for k, c in enumerate(f.vertex)})
+
+
+def _poly(f):
+    """The form 1 - <v, u> as a polynomial."""
+    return _plus(Poly.constant(f.dim, 1), Poly(f.dim, {e: -c for e, c in _pairing(f).terms.items()}))
+
+
+def _divided(p, g, degree=None):
+    """p over -<g, u>, the form of the direction row (0, g), by `FormKernel.divide` in the kernel
+    of p's degree unless one is given; None when a remainder is left."""
+    kernel = genfunc.form_kernel(p.dim, p.degree() if degree is None else degree)
+    out = kernel.divide(integer_vector(map(p.coefficient, kernel.rows)), (0, *g))
+    return None if out is None else Poly(p.dim, {e: F(x, out[1]) for e, x in zip(kernel.rows, out[0])})
+
+
 class TestDivideLinear:
+    """`FormKernel.divide`: the exact quotient by the linear form -<g, u> of a direction."""
+
     def test_exact_quotient(self):
-        l1 = form(1, 0).poly()
-        l2 = form(2, 1).poly()
-        assert divide_linear(l1 * l2, l1) == l2
-        assert divide_linear(l1 * l2, l2) == l1
+        l1, l2 = _pairing(form(-1, 0)), _pairing(form(-2, -1))  # -u1, the form of (1, 0); -2u1 - u2
+        assert _divided(_times(l1, l2), (1, 0)) == l2
+        assert _divided(_times(l1, l2), (2, 1)) == l1
 
     def test_not_divisible(self):
-        l1 = form(1, 0).poly()
-        l2 = form(2, 1).poly()
-        assert divide_linear(l1 * l2 + 1, l1) is None
+        l1, l2 = _pairing(form(-1, 0)), _pairing(form(-2, -1))
+        assert _divided(_plus(_times(l1, l2), Poly.constant(2, 1)), (1, 0)) is None
+        assert _divided(_plus(_times(l1, l2), Poly.monomial(2, (0, 1))), (1, 0)) is None
 
     def test_homogeneous_divisor(self):
-        u1 = Poly.monomial(2, (1, 0))
-        p = u1 * form(3, 7).poly()
-        assert divide_linear(p, u1) == form(3, 7).poly()
+        """Only the divisor is homogeneous.  Its least entry, 2, is not 1, so the scale grows by 2^degree,
+        and a kernel above the dividend's degree gives the same quotient."""
+        p = _times(_pairing(form(-3, -2)), _poly(form(3, 7)))
+        for degree in (2, 4):
+            assert _divided(p, (3, 2), degree) == _poly(form(3, 7))
 
     def test_zero_numerator(self):
-        assert divide_linear(Poly.zero(2), form(1, 1).poly()) == Poly.zero(2)
-
-    def test_only_linear_divisors(self):
-        for divisor in (Poly.zero(2), Poly.constant(2, 3), form(1, 1).poly() * form(2, 0).poly()):
-            with pytest.raises(DimensionError):
-                divide_linear(form(1, 1).poly(), divisor)
+        assert _divided(Poly(2), (1, 1), 2) == Poly(2)
 
 
 class TestSimplexGenfunc:
@@ -176,16 +211,16 @@ class TestMeasureGenfunc:
         assert all(g.vertex != tuple(map(F, v)) for g in f.denominator)
         assert len(f.denominator) == 6
 
-    def test_interior_form_cancels_without_divide_linear(self, monkeypatch):
-        """Cancellation runs on the integer kernel alone: the golden dissection
-        comes out whole with `divide_linear` unavailable."""
+    def test_interior_form_cancels_without_dividing_by_a_direction(self, monkeypatch):
+        """Cancellation divides by vertex forms alone: the golden dissection comes out whole with
+        `FormKernel.divide`, Brion's division by edge directions, unavailable."""
         case = Path(__file__).parent / "data" / "genfunc_dissection"
         m = measure_from_json(json.loads((case / "measure.json").read_text(encoding="utf-8")))
 
         def refuse(*args):
-            raise AssertionError("divide_linear called")
+            raise AssertionError("FormKernel.divide called")
 
-        monkeypatch.setattr(genfunc, "divide_linear", refuse)
+        monkeypatch.setattr(FormKernel, "divide", refuse)
         f = measure_genfunc(m)
         assert f == RatFun(Poly.constant(2, 19), [form(1, 1), form(5, 2), form(2, 6)])
         assert form(F(8, 3), 3) not in f.denominator
@@ -222,7 +257,7 @@ class TestSeriesMoments:
         assert t[(0, 0)] == F(7, 2)
 
     def test_zero(self):
-        t = series_to_moments(taylor(RatFun(Poly.zero(2)), 2), 2)
+        t = series_to_moments(taylor(RatFun(Poly(2)), 2), 2)
         assert all(v == 0 for v in t.moments.values())
 
     def test_pentagon_series(self, pentagon_moments):
@@ -310,6 +345,13 @@ class TestBrion:
     @pytest.mark.parametrize("factors", list(STAIRCASE_FACTORS.values()), ids=list(STAIRCASE_FACTORS))
     def test_product_of_simplices_equals_staircase_triangulation(self, factors):
         assert brion_genfunc(_simplex_product(factors)) == measure_genfunc(_staircase_measure(factors))
+
+    def test_four_cube_within_budget(self):
+        """The sum stands over the 4 edge directions, not over all 64 edge pairings."""
+        p = box_polytope(4)
+        start = time.perf_counter()
+        brion_genfunc(p)
+        assert time.perf_counter() - start < 2.0
 
 
 class TestDensityOperators:
@@ -402,15 +444,15 @@ def _reference_taylor(f, order):
     """Expansion by truncated geometric-series powers, one product per form."""
     result = f.numerator.drop_above(order)
     for form in f.denominator:
-        g = form.pairing()
+        g = _pairing(form)
         geo = Poly.constant(f.dim, 1)
         power = Poly.constant(f.dim, 1)
         for _ in range(order):
-            power = (power * g).drop_above(order)
+            power = _times(power, g).drop_above(order)
             if power.is_zero():
                 break
-            geo = geo + power
-        result = (result * geo).drop_above(order)
+            geo = _plus(geo, power)
+        result = _times(result, geo).drop_above(order)
     return Series(result, order)
 
 
@@ -464,19 +506,19 @@ def _reference_measure_genfunc(m):
     """Common-denominator numerator as a chain of `Poly` products, then `cancel`."""
     vs = m.vertex_set
     if not m.atoms:
-        return RatFun(Poly.zero(vs.dim))
+        return RatFun(Poly(vs.dim))
     denominators = [
         Counter(f for f in (LinearForm(vs.points[i]) for i in s) if not f.is_trivial()) for s, _ in m.atoms
     ]
     common = Counter()
     for counts in denominators:
         common |= counts
-    numerator = Poly.zero(vs.dim)
+    numerator = Poly(vs.dim)
     for (_, w), counts in zip(m.atoms, denominators):
         part = Poly.constant(vs.dim, w)
         for f in (common - counts).elements():
-            part = part * f.poly()
-        numerator = numerator + part
+            part = _times(part, _poly(f))
+        numerator = _plus(numerator, part)
     return RatFun(numerator, common.elements()).cancel()
 
 
@@ -528,13 +570,13 @@ def _reference_density_op(f, rho):
     def partial(p, k):
         return Poly(p.dim, {e[:k] + (e[k] - 1,) + e[k + 1:]: c * e[k] for e, c in p.terms.items() if e[k]})
 
-    out = Poly.zero(f.dim)
+    out = Poly(f.dim)
     for exps, coef in rho.terms.items():
         part = f.poly
         for k, n in enumerate(exps):
             for _ in range(n):
                 part = partial(part, k)
-        out = out + part * coef
+        out = _plus(out, _times(part, Poly.constant(f.dim, coef)))
     return Series(out, f.order - sum(next(iter(rho.terms))))
 
 
@@ -570,7 +612,7 @@ def test_density_op_composes():
         d1, d2 = rng.randint(0, 3), rng.randint(0, 3)
         rho1, rho2 = _random_density(rng, dim, d1), _random_density(rng, dim, d2)
         f = _random_series(rng, dim, d1 + d2 + rng.randint(0, 3))
-        assert density_op(f, rho1 * rho2) == density_op(density_op(f, rho1), rho2)
+        assert density_op(f, _times(rho1, rho2)) == density_op(density_op(f, rho1), rho2)
 
 
 def test_second_derivative_of_geometric_series():
@@ -607,7 +649,7 @@ def test_euler_op_checks_dim_and_delta_before_reading_a_term(series_dim, dim, de
     """Once a negative delta raised a bare ValueError from `math.perm`, True was read as 1, and on
     the zero series no check ran at all."""
     one = (0,) * series_dim
-    for poly in (Poly(series_dim, {one: 1}), Poly.zero(series_dim)):
+    for poly in (Poly(series_dim, {one: 1}), Poly(series_dim)):
         with pytest.raises(error, match=message):
             euler_op(Series(poly, 1), dim, delta)
 

@@ -2,14 +2,16 @@
 hypothesis properties.
 
 The divisors are the two kinds `genfunc` divides by: vertex forms
-1 - <v,u> (`RatFun.cancel`) and homogeneous edge pairings <w,u>
-(`brion_genfunc`).  sympy's division is the independent reference for the
-quotient and for exactness.  Runs derandomized, so a failure repeats from run
-to run.
+1 - <v,u>, by `FormKernel.over` in `RatFun.cancel`, and homogeneous
+direction forms -<g,u>, by `FormKernel.divide` in `brion_genfunc`.  sympy's
+division is the independent reference for the quotient and for exactness.
+`Poly` has no arithmetic, so the tests multiply and add term by term.  Runs
+derandomized, so a failure repeats from run to run.
 """
 
 from fractions import Fraction as F
 from math import factorial
+from operator import add
 
 import pytest
 
@@ -18,7 +20,7 @@ sympy = pytest.importorskip("sympy")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from polymom import LinearForm, Poly, RatFun, taylor  # noqa: E402
-from polymom.genfunc import _normalizer, divide_linear, form_kernel  # noqa: E402
+from polymom.genfunc import _normalizer, form_kernel  # noqa: E402
 from polymom.geometry import homogeneous  # noqa: E402
 from polymom.linalg import integer_vector  # noqa: E402
 from polymom.poly import monomials_upto  # noqa: E402
@@ -36,31 +38,83 @@ nonzero_constants = st.builds(F, st.integers(-6, 6).filter(bool), st.integers(1,
 properties = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
 
+def _times(p, q):
+    """The product of two polynomials, term by term."""
+    out = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            e = tuple(map(add, e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return Poly(p.dim, out)
+
+
+def _plus(p, q):
+    out = dict(p.terms)
+    for e, c in q.terms.items():
+        out[e] = out.get(e, 0) + c
+    return Poly(p.dim, out)
+
+
+def _units(dim):
+    return [tuple(int(j == k) for j in range(dim)) for k in range(dim)]
+
+
+def _vertex_form(form):
+    """The vertex form 1 - <v, u> as a polynomial."""
+    return Poly(form.dim, {(0,) * form.dim: 1, **{e: -c for e, c in zip(_units(form.dim), form.vertex)}})
+
+
+def _direction(form):
+    """The direction row (0, W*v) of the form's vertex, and the form -<W*v, u> it stands for."""
+    row = (0, *homogeneous(form.vertex)[1:])
+    return row, Poly(form.dim, {e: -c for e, c in zip(_units(form.dim), row[1:])})
+
+
+def over_exactly(p, form):
+    """p / (1 - <v, u>) as the series of `FormKernel.over` to degree D = deg p, or None when that
+    series has a term of degree D: then the form does not divide p (see `RatFun.cancel`)."""
+    kernel = form_kernel(p.dim, max(p.degree(), 0))
+    vector, scale = kernel.over(integer_vector(map(p.coefficient, kernel.rows)), homogeneous(form.vertex))
+    below = len(kernel.up[0])
+    return None if any(vector[below:]) else Poly(p.dim, {e: F(x, scale) for e, x in zip(kernel.rows, vector[:below])})
+
+
+def divided(p, row, degree=None):
+    """p over the form of the direction row by `FormKernel.divide`, in the kernel of p's degree
+    unless one is given, or None when a remainder is left."""
+    kernel = form_kernel(p.dim, max(p.degree(), 0) if degree is None else degree)
+    out = kernel.divide(integer_vector(map(p.coefficient, kernel.rows)), row)
+    return None if out is None else Poly(p.dim, {e: F(x, out[1]) for e, x in zip(kernel.rows, out[0])})
+
+
 @properties
 @given(polys, forms)
 def test_divide_vertex_form_recovers_quotient(p, form):
-    g = form.poly()
-    assert divide_linear(p * g, g) == p
+    assert over_exactly(_times(p, _vertex_form(form)), form) == p
 
 
 @properties
 @given(polys, forms)
 def test_divide_edge_pairing_recovers_quotient(p, form):
-    g = form.pairing()
-    assert divide_linear(p * g, g) == p
+    row, g = _direction(form)
+    assert divided(_times(p, g), row) == p
 
 
 @properties
 @given(polys, forms, nonzero_constants, st.booleans())
 def test_constant_remainder_is_not_divisible(p, form, c, homogeneous):
-    g = form.pairing() if homogeneous else form.poly()
-    assert divide_linear(p * g + c, g) is None
+    constant = Poly.constant(DIM, c)
+    if homogeneous:
+        row, g = _direction(form)
+        assert divided(_plus(_times(p, g), constant), row) is None
+    else:
+        assert over_exactly(_plus(_times(p, _vertex_form(form)), constant), form) is None
 
 
 @properties
 @given(nonzero_polys, st.lists(forms, max_size=3), forms)
 def test_cancel_removes_a_dividing_form_and_keeps_the_expansion(p, denominator, f):
-    cancelled = RatFun(p * f.poly(), denominator + [f]).cancel()
+    cancelled = RatFun(_times(p, _vertex_form(f)), denominator + [f]).cancel()
     assert len(cancelled.denominator) <= len(denominator)
     assert taylor(cancelled, 6) == taylor(RatFun(p, denominator), 6)
 
@@ -81,11 +135,13 @@ def sympy_quotient(num, divisor):
 
 
 @properties
-@given(polys, forms, st.booleans(), polys)
-def test_divide_linear_agrees_with_sympy(p, form, homogeneous, noise):
-    g = form.pairing() if homogeneous else form.poly()
-    num = p * g + noise
-    assert divide_linear(num, g) == sympy_quotient(num, g)
+@given(polys, forms, polys, st.integers(0, 2))
+def test_kernel_division_agrees_with_sympy(p, form, noise, slack):
+    """`FormKernel.divide` by a direction form, in a kernel of the numerator's degree or above,
+    divides exactly when sympy's division leaves no remainder, and then to sympy's quotient."""
+    row, g = _direction(form)
+    num = _plus(_times(p, g), noise)
+    assert divided(num, row, max(num.degree(), 0) + slack) == sympy_quotient(num, g)
 
 
 form_pools = st.lists(forms, min_size=1, max_size=3)
@@ -97,31 +153,39 @@ picks = st.lists(st.integers(0, 2), min_size=1, max_size=4)
 def test_cancel_leaves_no_dividing_form_and_keeps_the_expansion(p, pool, on_top, below):
     num = p
     for i in on_top:
-        num = num * pool[i % len(pool)].poly()
+        num = _times(num, _vertex_form(pool[i % len(pool)]))
     f = RatFun(num, [pool[i % len(pool)] for i in below])
     cancelled = f.cancel()
     for form in set(cancelled.denominator):
-        assert sympy_quotient(cancelled.numerator, form.poly()) is None
+        assert sympy_quotient(cancelled.numerator, _vertex_form(form)) is None
     assert taylor(cancelled, 6) == taylor(f, 6)
 
 
-numerators = st.one_of(st.just(Poly.zero(DIM)), nonzero_constants.map(lambda c: Poly.constant(DIM, c)), polys)
+numerators = st.one_of(st.just(Poly(DIM)), nonzero_constants.map(lambda c: Poly.constant(DIM, c)), polys)
 
 
 @properties
 @given(numerators, forms, st.booleans(), st.integers(0, 2))
-def test_series_quotient_divides_exactly_when_divide_linear_does(p, form, on_top, slack):
+def test_series_quotient_divides_exactly_when_the_kernel_division_does(p, form, on_top, slack):
     """`FormKernel.over` to degree D >= deg p leaves no term of degree D exactly when the vertex
-    form divides p, and its series is then the quotient."""
+    form divides p, and its series is then the quotient.  The reference homogenizes: with a
+    variable x0 in front, P = x0^D p(u/x0), and 1 - <v, u> divides p exactly when
+    W*x0 - <W*v, u>, the form of the direction row (0, -W, W*v), divides P by `FormKernel.divide`;
+    W times that quotient at x0 = 1 is p's."""
     if on_top:
-        p = p * form.poly()
+        p = _times(p, _vertex_form(form))
     kernel = form_kernel(DIM, max(p.degree(), 0) + slack)
     vector, scale = kernel.over(integer_vector(map(p.coefficient, kernel.rows)), homogeneous(form.vertex))
     top = [x for e, x in zip(kernel.rows, vector) if sum(e) == kernel.degree]
-    quotient = divide_linear(p, form.poly())
+    w, *wv = homogeneous(form.vertex)
+    padded = Poly(DIM + 1, {(kernel.degree - sum(e), *e): c for e, c in p.terms.items()})
+    quotient = divided(padded, (0, -w, *wv), kernel.degree)
     assert (not any(top)) == (quotient is not None)
     if quotient is not None:
-        assert kernel.poly((vector, scale)) == quotient
+        at_one = {}
+        for e, c in quotient.terms.items():
+            at_one[e[1:]] = at_one.get(e[1:], 0) + w * c
+        assert kernel.poly((vector, scale)) == Poly(DIM, at_one)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])

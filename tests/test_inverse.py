@@ -2,6 +2,7 @@ import json
 import random
 from fractions import Fraction as F
 from math import comb
+from operator import add
 from pathlib import Path
 
 import pytest
@@ -137,15 +138,31 @@ class TestRecoverNumerator:
         assert recover_numerator(table, pentagon_set) == f.numerator
 
 
+def _form(p):
+    """The vertex form 1 - <p, u> as a polynomial."""
+    one = (0,) * len(p)
+    return Poly(len(p), {one: 1, **{one[:k] + (1,) + one[k + 1 :]: -c for k, c in enumerate(p)}})
+
+
+def _times(p, q):
+    """The product of two polynomials, term by term."""
+    out = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            e = tuple(map(add, e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return Poly(p.dim, out)
+
+
 def _reference_numerator(table, vs):
     """The numerator as N truncated `Poly` products over the forms, then one with the series."""
-    from polymom.genfunc import LinearForm, moments_to_series
+    from polymom.genfunc import moments_to_series
 
     k = numerator_degree(vs)
     phi = Poly.constant(vs.dim, 1)
     for p in vs.points:
-        phi = (phi * LinearForm(p).poly()).drop_above(k)
-    return (moments_to_series(table).poly * phi).drop_above(k)
+        phi = _times(phi, _form(p)).drop_above(k)
+    return _times(moments_to_series(table).poly, phi).drop_above(k)
 
 
 def _rational_multiset_any_dim(rng, dim, n):
@@ -214,15 +231,13 @@ class TestProductMatrix:
         assert m == RatMat.from_rows([[1, 1], [0, -1]])
 
     def test_column_matches_homogenized_product(self, pentagon_set):
-        from polymom.genfunc import LinearForm
-
         basis = strong_basis(pentagon_set)
         m = product_matrix(basis)
         k = numerator_degree(pentagon_set)
         for c, column in enumerate(basis.columns):
             prod = Poly.constant(2, 1)
             for i in column:
-                prod = prod * LinearForm(pentagon_set.points[i]).poly()
+                prod = _times(prod, _form(pentagon_set.points[i]))
             # homogenized to degree k, x0^(k-|e|) x^e carries the coefficient of x^e
             assert prod.degree() <= k
             for r, exps in enumerate(monomials_upto(2, k)):
@@ -503,11 +518,9 @@ def _random_multiset(rng, dim, n, span=3):
 
 
 def _naive_column(column, vs):
-    from polymom.genfunc import LinearForm
-
     prod = Poly.constant(vs.dim, 1)
     for i in column:
-        prod = prod * LinearForm(vs.points[i]).poly()
+        prod = _times(prod, _form(vs.points[i]))
     return [prod.coefficient(e) for e in monomials_upto(vs.dim, numerator_degree(vs))]
 
 

@@ -1,21 +1,15 @@
 import random
 from fractions import Fraction as F
 from math import comb
+from operator import add
 
 import pytest
 
 from polymom import Poly, Series, monomials_of_degree, monomials_upto
 from polymom.errors import DimensionError
-from polymom.poly import grlex_key
-
-
-def linear(dim, const, coeffs):
-    terms = {(0,) * dim: F(const)}
-    for k, c in enumerate(coeffs):
-        exps = [0] * dim
-        exps[k] = 1
-        terms[tuple(exps)] = F(c)
-    return Poly(dim, terms)
+from polymom.geometry import homogeneous
+from polymom.linalg import integer_vector
+from polymom.poly import form_kernel, grlex_key
 
 
 def random_poly(rng, dim, degree, nterms=4):
@@ -38,44 +32,65 @@ def test_monomials_of_degree_come_sorted_by_grlex_key(dim):
         assert len(monos) == comb(degree + dim - 1, degree) and all(sum(e) == degree for e in monos)
 
 
+# (1 - u1)(1 - 2u1 - u2)
+PRODUCT = Poly(2, {(0, 0): 1, (1, 0): -3, (0, 1): -1, (2, 0): 2, (1, 1): 1})
+
+
+def pair(kernel, p):
+    """The kernel's (integer vector, scale) pair of a polynomial of degree at most its degree."""
+    return integer_vector(map(p.coefficient, kernel.rows))
+
+
 def test_product_of_two_forms():
-    l1 = linear(2, 1, [-1, 0])
-    l2 = linear(2, 1, [-2, -1])
-    expect = Poly(2, {(0, 0): 1, (1, 0): -3, (0, 1): -1, (2, 0): 2, (1, 1): 1})
-    assert l1 * l2 == expect
+    kernel = form_kernel(2, 2)
+    product = pair(kernel, Poly.constant(2, 1))
+    for vertex in [(1, 0), (2, 1)]:
+        product = kernel.times(product, homogeneous(vertex))
+    assert kernel.poly(product) == PRODUCT
 
 
 def test_multiplicative_identity():
+    """The zero vertex's form is the constant 1."""
     rng = random.Random(3)
     p = random_poly(rng, 3, 3)
-    assert p * Poly.constant(3, 1) == p
+    kernel = form_kernel(3, p.degree())
+    assert kernel.poly(kernel.times(pair(kernel, p), homogeneous((0, 0, 0)))) == p
 
 
 def test_truncate_binomial():
-    p = Poly.constant(1, 1)
+    """(1 + u1)^3 to degree 1, truncated as it is multiplied."""
+    kernel = form_kernel(1, 1)
+    p = pair(kernel, Poly.constant(1, 1))
     for _ in range(3):
-        p = p * (Poly.constant(1, 1) + Poly.monomial(1, (1,)))
-    assert Series(p, 1).poly == Poly(1, {(0,): 1, (1,): 3})
+        p = kernel.times(p, homogeneous((-1,)))
+    assert Series(kernel.poly(p), 1).poly == Poly(1, {(0,): 1, (1,): 3})
 
 
 def test_ring_axioms():
+    """The kernel's products by forms commute, and distribute over a sum of vectors on one scale."""
     rng = random.Random(29)
+    kernel = form_kernel(2, 9)
     for _ in range(8):
-        a, b, c = (random_poly(rng, 2, 3) for _ in range(3))
-        assert (a * b) * c == a * (b * c)
-        assert a * (b + c) == a * b + a * c
-        assert a + b == b + a
+        a, b = (pair(kernel, random_poly(rng, 2, 3)) for _ in range(2))
+        f, g = (homogeneous([F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(2)]) for _ in range(2))
+        assert kernel.poly(kernel.times(kernel.times(a, f), g)) == kernel.poly(kernel.times(kernel.times(a, g), f))
+        (x, s), (y, t) = a, b
+        x, y = [c * t for c in x], [c * s for c in y]
+        (fx, _), (fy, _), (fxy, _) = (kernel.times((v, s * t), f) for v in (x, y, list(map(add, x, y))))
+        assert fxy == list(map(add, fx, fy))
 
 
 def test_truncated_product_law():
+    """A product in the kernel of degree k is the full product truncated at k."""
     rng = random.Random(31)
+    full = form_kernel(2, 9)
     for _ in range(8):
         a = random_poly(rng, 2, 4)
-        b = random_poly(rng, 2, 4)
+        f = homogeneous([F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(2)])
         k = rng.randint(0, 5)
-        lhs = Series(a * b, k)
-        rhs = Series(Series(a, k).poly * Series(b, k).poly, k)
-        assert lhs == rhs
+        kernel = form_kernel(2, k)
+        lhs = kernel.poly(kernel.times(pair(kernel, Series(a, k).poly), f))
+        assert Series(lhs, k) == Series(full.poly(full.times(pair(full, a), f)), k)
 
 
 def homogenize(p, total):
@@ -85,21 +100,21 @@ def homogenize(p, total):
 
 
 def test_homogenize_simple():
-    p = linear(1, 1, [-1])  # 1 - u1
+    p = Poly(1, {(0,): 1, (1,): -1})  # 1 - u1
     assert homogenize(p, 2) == Poly(2, {(2, 0): 1, (1, 1): -1})
 
 
 def test_homogenize_pentagon_product_column():
-    l1l2 = linear(2, 1, [-1, 0]) * linear(2, 1, [-2, -1])
     expect = Poly(
         3, {(2, 0, 0): 1, (1, 1, 0): -3, (1, 0, 1): -1, (0, 2, 0): 2, (0, 1, 1): 1}
     )
-    assert homogenize(l1l2, 2) == expect
+    assert homogenize(PRODUCT, 2) == expect
 
 
 def test_dimension_mismatch():
-    with pytest.raises(DimensionError):
-        Poly.monomial(2, (1, 0)) * Poly.monomial(3, (1, 0, 0))
+    for dim, exponents in [(2, (1, 0, 0)), (3, (1, 0))]:
+        with pytest.raises(DimensionError, match="bad exponent tuple"):
+            Poly(dim, {exponents: 1})
 
 
 @pytest.mark.parametrize("exponent", [1.5, F(1, 2)])
@@ -109,8 +124,9 @@ def test_non_integer_exponent_rejected(exponent):
 
 
 def test_no_stored_zeros():
-    p = Poly(2, {(1, 0): F(1)}) - Poly(2, {(1, 0): F(1)})
+    p = Poly(2, {(1, 0): F(1) - F(1), (0, 1): F(0)})
     assert p.terms == {} and p.is_zero()
+    assert form_kernel(2, 1).poly(([0, 2, 0], 3)).terms == {(1, 0): F(2, 3)}
 
 
 @pytest.mark.parametrize("order", [True, False])
