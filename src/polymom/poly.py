@@ -10,9 +10,9 @@ order reads 1, u1, u2, u1^2, u1*u2, u2^2.
 here go through the unchecked `Poly._of`.  `Poly` has no arithmetic:
 `FormKernel` multiplies and divides by vertex forms below a degree, and
 divides exactly by direction forms, in integers, and `form_kernel` builds one
-kernel per (dim, degree) for every caller.  `MomentTable` holds the moments m_I to an order, and `_normalizer`
-is the factor (|I|+d)!/prod(i_j!) between a moment and its coefficient in
-the normalized generating series.
+kernel per (dim, degree) for every caller.  `MomentTable` holds the moments
+m_I to an order, and `_normalizer` is the factor (|I|+d)!/prod(i_j!) between a
+moment and its coefficient in the normalized generating series.
 """
 
 from __future__ import annotations
@@ -161,10 +161,10 @@ class Series(Value):
 
 
 class FormKernel:
-    """Integer products and series quotients by vertex forms below a degree:
-    a polynomial is an (integer vector, scale) pair over the `rows`, and the
-    form of a vertex v is its `geometry.homogeneous` row (W, W*v), read as W - <W*v, u>,
-    the form times W.  Get one from `form_kernel`, which builds each (dim, degree)
+    """Integer products and series quotients by vertex forms below a degree, and exact
+    quotients by direction forms: a polynomial is an (integer vector, scale) pair over the
+    `rows`, and the form of a vertex v is its `geometry.homogeneous` row (W, W*v), read as
+    W - <W*v, u>, the form times W; a direction g is the row (0, g).  Get one from `form_kernel`, which builds each (dim, degree)
     once and shares it; `rows` and `up` are tuples, so no caller can alter them."""
 
     __slots__ = ("dim", "degree", "rows", "up")

@@ -17,9 +17,9 @@ from .errors import DimensionError
 
 
 def integer(x, what, signed=False) -> int:
-    """`x` read through `operator.index`, which refuses a float or a string with a TypeError.  A
-    bool, which `index` reads as 0 or 1, is a TypeError too, and unless `signed`, so is no
-    negative value: that is a DimensionError.  `what` names the argument in the message."""
+    """`x` as an int, read through `operator.index`, so a float or a string is a TypeError.  A
+    bool, which `index` would read as 0 or 1, is a TypeError too, and a negative value is a
+    DimensionError unless `signed`.  `what` names the argument in the messages."""
     if isinstance(x, bool):
         raise TypeError(f"{what} must be an integer, not bool")
     x = index(x)

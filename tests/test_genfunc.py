@@ -127,7 +127,7 @@ def _poly(f):
     return _plus(Poly.constant(f.dim, 1), Poly(f.dim, {e: -c for e, c in _pairing(f).terms.items()}))
 
 
-def _divided(p, g, degree=None):
+def _quotient(p, g, degree=None):
     """p over -<g, u>, the form of the direction row (0, g), by `FormKernel.divide` in the kernel
     of p's degree unless one is given; None when a remainder is left."""
     kernel = genfunc.form_kernel(p.dim, p.degree() if degree is None else degree)
@@ -140,23 +140,23 @@ class TestDivideLinear:
 
     def test_exact_quotient(self):
         l1, l2 = _pairing(form(-1, 0)), _pairing(form(-2, -1))  # -u1, the form of (1, 0); -2u1 - u2
-        assert _divided(_times(l1, l2), (1, 0)) == l2
-        assert _divided(_times(l1, l2), (2, 1)) == l1
+        assert _quotient(_times(l1, l2), (1, 0)) == l2
+        assert _quotient(_times(l1, l2), (2, 1)) == l1
 
     def test_not_divisible(self):
         l1, l2 = _pairing(form(-1, 0)), _pairing(form(-2, -1))
-        assert _divided(_plus(_times(l1, l2), Poly.constant(2, 1)), (1, 0)) is None
-        assert _divided(_plus(_times(l1, l2), Poly.monomial(2, (0, 1))), (1, 0)) is None
+        assert _quotient(_plus(_times(l1, l2), Poly.constant(2, 1)), (1, 0)) is None
+        assert _quotient(_plus(_times(l1, l2), Poly.monomial(2, (0, 1))), (1, 0)) is None
 
     def test_homogeneous_divisor(self):
         """Only the divisor is homogeneous.  Its least entry, 2, is not 1, so the scale grows by 2^degree,
         and a kernel above the dividend's degree gives the same quotient."""
         p = _times(_pairing(form(-3, -2)), _poly(form(3, 7)))
         for degree in (2, 4):
-            assert _divided(p, (3, 2), degree) == _poly(form(3, 7))
+            assert _quotient(p, (3, 2), degree) == _poly(form(3, 7))
 
     def test_zero_numerator(self):
-        assert _divided(Poly(2), (1, 1), 2) == Poly(2)
+        assert _quotient(Poly(2), (1, 1), 2) == Poly(2)
 
 
 class TestSimplexGenfunc:
