@@ -243,8 +243,8 @@ def brion_genfunc(p: SimplePolytope) -> RatFun:
     the other vertices' forms and the directions not at v: degree N-1+m-d.  The other forms are
     `FormKernel.over` of all N by v's, exact even where the kernel drops the product's top
     degree N, since the quotient stops at N-1.  Each direction must divide it exactly (`FormKernel.divide`); failing that
-    is a hard error since it falsifies the input polytope data.  `_divided` cancels the vertex
-    forms.
+    is a hard error since it falsifies the input polytope data.  `RatFun.cancel` cancels the
+    vertex forms.
     """
     d = p.dim
     rows = [homogeneous(c.vertex) for c in p.cones]
@@ -277,7 +277,7 @@ def brion_genfunc(p: SimplePolytope) -> RatFun:
         if pair is None:
             raise PolymomError("edge pairing failed to cancel; cone data does not describe a simple polytope")
         kernel = form_kernel(d, kernel.degree - 1)
-    return _divided(kernel, pair, [(row, LinearForm(c.vertex)) for row, c in zip(rows, p.cones) if any(c.vertex)])
+    return RatFun(kernel.poly(pair), [LinearForm(c.vertex) for c in p.cones]).cancel()
 
 
 def _vertex_pairings(p: SimplePolytope, z):

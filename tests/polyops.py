@@ -1,0 +1,38 @@
+"""Polynomial arithmetic for the tests' reference computations.
+
+`polymom.Poly` has no ring operators: the library multiplies and divides by
+forms in `poly.FormKernel`.  The references multiply and add term by term, by
+the plain definitions, so that they check the kernel rather than share it.
+"""
+
+from operator import add
+
+from polymom import Poly
+
+
+def times(p, q):
+    """The product of two polynomials, term by term."""
+    out = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            e = tuple(map(add, e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return Poly(p.dim, out)
+
+
+def plus(p, q):
+    out = dict(p.terms)
+    for e, c in q.terms.items():
+        out[e] = out.get(e, 0) + c
+    return Poly(p.dim, out)
+
+
+def pairing(vertex):
+    """<v, u> as a polynomial."""
+    d = len(vertex)
+    return Poly(d, {tuple(int(j == k) for j in range(d)): c for k, c in enumerate(vertex)})
+
+
+def vertex_form(vertex):
+    """The vertex form 1 - <v, u> as a polynomial."""
+    return plus(Poly.constant(len(vertex), 1), pairing([-c for c in vertex]))

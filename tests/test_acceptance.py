@@ -57,6 +57,7 @@ from polymom.verify import (
     suite_brion,
     suite_detfactor,
 )
+from polyops import vertex_form
 
 TRIANGLE = VertexSet(2, [(1, 1), (2, 5), (3, 2)])
 PENTAGON = VertexSet(2, [(1, 0), (2, 1), (1, 2), (0, 1), (0, 0)])
@@ -275,8 +276,7 @@ def test_criterion_05_multiset_extended():
         )
         ext = build_extended(MULTISET)
         assert ext == printed_corrected
-        x, y = MULTISET.points[1]
-        l2 = Poly(2, {(0, 0): 1, (1, 0): -x, (0, 1): -y})
+        l2 = vertex_form(MULTISET.points[1])
         col7 = tuple(l2.coefficient(e) for e in monomials_upto(2, 2))
         assert ext.column(6) == col7 == (1, -2, 0, 0, 0, 0)
         cols = extended_columns(MULTISET)

@@ -5,7 +5,6 @@ from collections import Counter
 from fractions import Fraction as F
 from itertools import permutations, product
 from math import factorial
-from operator import add
 from pathlib import Path
 
 import pytest
@@ -48,6 +47,7 @@ from polymom.verify import (
     random_simplex_vertices,
     triangle_polytope,
 )
+from polyops import pairing, plus, times, vertex_form
 
 
 def form(*coords):
@@ -100,33 +100,6 @@ def _staircase_measure(factors) -> WeightedMeasure:
     return uniform_measure(vs, simplices)
 
 
-def _times(p, q):
-    """The product of two polynomials, term by term."""
-    out = {}
-    for e1, c1 in p.terms.items():
-        for e2, c2 in q.terms.items():
-            e = tuple(map(add, e1, e2))
-            out[e] = out.get(e, 0) + c1 * c2
-    return Poly(p.dim, out)
-
-
-def _plus(p, q):
-    out = dict(p.terms)
-    for e, c in q.terms.items():
-        out[e] = out.get(e, 0) + c
-    return Poly(p.dim, out)
-
-
-def _pairing(f):
-    """<v, u> for the form's vertex v."""
-    return Poly(f.dim, {tuple(int(j == k) for j in range(f.dim)): c for k, c in enumerate(f.vertex)})
-
-
-def _poly(f):
-    """The form 1 - <v, u> as a polynomial."""
-    return _plus(Poly.constant(f.dim, 1), Poly(f.dim, {e: -c for e, c in _pairing(f).terms.items()}))
-
-
 def _quotient(p, g, degree=None):
     """p over -<g, u>, the form of the direction row (0, g), by `FormKernel.divide` in the kernel
     of p's degree unless one is given; None when a remainder is left."""
@@ -139,21 +112,21 @@ class TestDivideLinear:
     """`FormKernel.divide`: the exact quotient by the linear form -<g, u> of a direction."""
 
     def test_exact_quotient(self):
-        l1, l2 = _pairing(form(-1, 0)), _pairing(form(-2, -1))  # -u1, the form of (1, 0); -2u1 - u2
-        assert _quotient(_times(l1, l2), (1, 0)) == l2
-        assert _quotient(_times(l1, l2), (2, 1)) == l1
+        l1, l2 = pairing((-1, 0)), pairing((-2, -1))  # -u1, the form of (1, 0); -2u1 - u2
+        assert _quotient(times(l1, l2), (1, 0)) == l2
+        assert _quotient(times(l1, l2), (2, 1)) == l1
 
     def test_not_divisible(self):
-        l1, l2 = _pairing(form(-1, 0)), _pairing(form(-2, -1))
-        assert _quotient(_plus(_times(l1, l2), Poly.constant(2, 1)), (1, 0)) is None
-        assert _quotient(_plus(_times(l1, l2), Poly.monomial(2, (0, 1))), (1, 0)) is None
+        l1, l2 = pairing((-1, 0)), pairing((-2, -1))
+        assert _quotient(plus(times(l1, l2), Poly.constant(2, 1)), (1, 0)) is None
+        assert _quotient(plus(times(l1, l2), Poly.monomial(2, (0, 1))), (1, 0)) is None
 
     def test_homogeneous_divisor(self):
         """Only the divisor is homogeneous.  Its least entry, 2, is not 1, so the scale grows by 2^degree,
         and a kernel above the dividend's degree gives the same quotient."""
-        p = _times(_pairing(form(-3, -2)), _poly(form(3, 7)))
+        p = times(pairing((-3, -2)), vertex_form((3, 7)))
         for degree in (2, 4):
-            assert _quotient(p, (3, 2), degree) == _poly(form(3, 7))
+            assert _quotient(p, (3, 2), degree) == vertex_form((3, 7))
 
     def test_zero_numerator(self):
         assert _quotient(Poly(2), (1, 1), 2) == Poly(2)
@@ -444,15 +417,15 @@ def _reference_taylor(f, order):
     """Expansion by truncated geometric-series powers, one product per form."""
     result = f.numerator.drop_above(order)
     for form in f.denominator:
-        g = _pairing(form)
+        g = pairing(form.vertex)
         geo = Poly.constant(f.dim, 1)
         power = Poly.constant(f.dim, 1)
         for _ in range(order):
-            power = _times(power, g).drop_above(order)
+            power = times(power, g).drop_above(order)
             if power.is_zero():
                 break
-            geo = _plus(geo, power)
-        result = _times(result, geo).drop_above(order)
+            geo = plus(geo, power)
+        result = times(result, geo).drop_above(order)
     return Series(result, order)
 
 
@@ -517,8 +490,8 @@ def _reference_measure_genfunc(m):
     for (_, w), counts in zip(m.atoms, denominators):
         part = Poly.constant(vs.dim, w)
         for f in (common - counts).elements():
-            part = _times(part, _poly(f))
-        numerator = _plus(numerator, part)
+            part = times(part, vertex_form(f.vertex))
+        numerator = plus(numerator, part)
     return RatFun(numerator, common.elements()).cancel()
 
 
@@ -576,7 +549,7 @@ def _reference_density_op(f, rho):
         for k, n in enumerate(exps):
             for _ in range(n):
                 part = partial(part, k)
-        out = _plus(out, _times(part, Poly.constant(f.dim, coef)))
+        out = plus(out, times(part, Poly.constant(f.dim, coef)))
     return Series(out, f.order - sum(next(iter(rho.terms))))
 
 
@@ -612,7 +585,7 @@ def test_density_op_composes():
         d1, d2 = rng.randint(0, 3), rng.randint(0, 3)
         rho1, rho2 = _random_density(rng, dim, d1), _random_density(rng, dim, d2)
         f = _random_series(rng, dim, d1 + d2 + rng.randint(0, 3))
-        assert density_op(f, _times(rho1, rho2)) == density_op(density_op(f, rho1), rho2)
+        assert density_op(f, times(rho1, rho2)) == density_op(density_op(f, rho1), rho2)
 
 
 def test_second_derivative_of_geometric_series():

@@ -5,13 +5,13 @@ The divisors are the two kinds `genfunc` divides by: vertex forms
 1 - <v,u>, by `FormKernel.over` in `RatFun.cancel`, and homogeneous
 direction forms -<g,u>, by `FormKernel.divide` in `brion_genfunc`.  sympy's
 division is the independent reference for the quotient and for exactness.
-`Poly` has no arithmetic, so the tests multiply and add term by term.  Runs
+`Poly` has no arithmetic, so the tests multiply and add term by term with
+`polyops`.  Runs
 derandomized, so a failure repeats from run to run.
 """
 
 from fractions import Fraction as F
 from math import factorial
-from operator import add
 
 import pytest
 
@@ -24,6 +24,7 @@ from polymom.genfunc import _normalizer, form_kernel  # noqa: E402
 from polymom.geometry import homogeneous  # noqa: E402
 from polymom.linalg import integer_vector  # noqa: E402
 from polymom.poly import monomials_upto  # noqa: E402
+from polyops import pairing, plus, times, vertex_form  # noqa: E402
 
 DIM = 3
 
@@ -38,36 +39,10 @@ nonzero_constants = st.builds(F, st.integers(-6, 6).filter(bool), st.integers(1,
 properties = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
 
-def _times(p, q):
-    """The product of two polynomials, term by term."""
-    out = {}
-    for e1, c1 in p.terms.items():
-        for e2, c2 in q.terms.items():
-            e = tuple(map(add, e1, e2))
-            out[e] = out.get(e, 0) + c1 * c2
-    return Poly(p.dim, out)
-
-
-def _plus(p, q):
-    out = dict(p.terms)
-    for e, c in q.terms.items():
-        out[e] = out.get(e, 0) + c
-    return Poly(p.dim, out)
-
-
-def _units(dim):
-    return [tuple(int(j == k) for j in range(dim)) for k in range(dim)]
-
-
-def _vertex_form(form):
-    """The vertex form 1 - <v, u> as a polynomial."""
-    return Poly(form.dim, {(0,) * form.dim: 1, **{e: -c for e, c in zip(_units(form.dim), form.vertex)}})
-
-
 def _direction(form):
     """The direction row (0, W*v) of the form's vertex, and the form -<W*v, u> it stands for."""
     row = (0, *homogeneous(form.vertex)[1:])
-    return row, Poly(form.dim, {e: -c for e, c in zip(_units(form.dim), row[1:])})
+    return row, pairing([-c for c in row[1:]])
 
 
 def over_exactly(p, form):
@@ -90,14 +65,14 @@ def divided(p, row, degree=None):
 @properties
 @given(polys, forms)
 def test_divide_vertex_form_recovers_quotient(p, form):
-    assert over_exactly(_times(p, _vertex_form(form)), form) == p
+    assert over_exactly(times(p, vertex_form(form.vertex)), form) == p
 
 
 @properties
 @given(polys, forms)
 def test_divide_edge_pairing_recovers_quotient(p, form):
     row, g = _direction(form)
-    assert divided(_times(p, g), row) == p
+    assert divided(times(p, g), row) == p
 
 
 @properties
@@ -106,15 +81,15 @@ def test_constant_remainder_is_not_divisible(p, form, c, homogeneous):
     constant = Poly.constant(DIM, c)
     if homogeneous:
         row, g = _direction(form)
-        assert divided(_plus(_times(p, g), constant), row) is None
+        assert divided(plus(times(p, g), constant), row) is None
     else:
-        assert over_exactly(_plus(_times(p, _vertex_form(form)), constant), form) is None
+        assert over_exactly(plus(times(p, vertex_form(form.vertex)), constant), form) is None
 
 
 @properties
 @given(nonzero_polys, st.lists(forms, max_size=3), forms)
 def test_cancel_removes_a_dividing_form_and_keeps_the_expansion(p, denominator, f):
-    cancelled = RatFun(_times(p, _vertex_form(f)), denominator + [f]).cancel()
+    cancelled = RatFun(times(p, vertex_form(f.vertex)), denominator + [f]).cancel()
     assert len(cancelled.denominator) <= len(denominator)
     assert taylor(cancelled, 6) == taylor(RatFun(p, denominator), 6)
 
@@ -140,7 +115,7 @@ def test_kernel_division_agrees_with_sympy(p, form, noise, slack):
     """`FormKernel.divide` by a direction form, in a kernel of the numerator's degree or above,
     divides exactly when sympy's division leaves no remainder, and then to sympy's quotient."""
     row, g = _direction(form)
-    num = _plus(_times(p, g), noise)
+    num = plus(times(p, g), noise)
     assert divided(num, row, max(num.degree(), 0) + slack) == sympy_quotient(num, g)
 
 
@@ -153,11 +128,11 @@ picks = st.lists(st.integers(0, 2), min_size=1, max_size=4)
 def test_cancel_leaves_no_dividing_form_and_keeps_the_expansion(p, pool, on_top, below):
     num = p
     for i in on_top:
-        num = _times(num, _vertex_form(pool[i % len(pool)]))
+        num = times(num, vertex_form(pool[i % len(pool)].vertex))
     f = RatFun(num, [pool[i % len(pool)] for i in below])
     cancelled = f.cancel()
     for form in set(cancelled.denominator):
-        assert sympy_quotient(cancelled.numerator, _vertex_form(form)) is None
+        assert sympy_quotient(cancelled.numerator, vertex_form(form.vertex)) is None
     assert taylor(cancelled, 6) == taylor(f, 6)
 
 
@@ -173,7 +148,7 @@ def test_series_quotient_divides_exactly_when_the_kernel_division_does(p, form, 
     W*x0 - <W*v, u>, the form of the direction row (0, -W, W*v), divides P by `FormKernel.divide`;
     W times that quotient at x0 = 1 is p's."""
     if on_top:
-        p = _times(p, _vertex_form(form))
+        p = times(p, vertex_form(form.vertex))
     kernel = form_kernel(DIM, max(p.degree(), 0) + slack)
     vector, scale = kernel.over(integer_vector(map(p.coefficient, kernel.rows)), homogeneous(form.vertex))
     top = [x for e, x in zip(kernel.rows, vector) if sum(e) == kernel.degree]

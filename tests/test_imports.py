@@ -248,7 +248,6 @@ CALLED_ONLY_BY_TESTS = {
     "measure_to_json": "writes the documented measure file format; the CLI tests build inputs with it",
     "axial_moment": "the oracle's axial moment, which the tests compare with `brion_axial_moment`",
     "brion_axial_moment": "Brion's axial moment, which the tests compare with the oracle's",
-    "cancel": "cancels a `RatFun` a caller builds; `measure_genfunc` and `brion_genfunc` call `_divided`, its body",
 }
 
 

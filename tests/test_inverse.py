@@ -2,7 +2,6 @@ import json
 import random
 from fractions import Fraction as F
 from math import comb
-from operator import add
 from pathlib import Path
 
 import pytest
@@ -46,6 +45,7 @@ from polymom.errors import (
     NotWeaklyNonDegenerateError,
 )
 from polymom.inverse import numerator_degree
+from polyops import times, vertex_form
 from polymom.jsonio import vertex_set_from_json
 from polymom.linalg import solve
 from polymom.poly import monomials_upto
@@ -138,22 +138,6 @@ class TestRecoverNumerator:
         assert recover_numerator(table, pentagon_set) == f.numerator
 
 
-def _form(p):
-    """The vertex form 1 - <p, u> as a polynomial."""
-    one = (0,) * len(p)
-    return Poly(len(p), {one: 1, **{one[:k] + (1,) + one[k + 1 :]: -c for k, c in enumerate(p)}})
-
-
-def _times(p, q):
-    """The product of two polynomials, term by term."""
-    out = {}
-    for e1, c1 in p.terms.items():
-        for e2, c2 in q.terms.items():
-            e = tuple(map(add, e1, e2))
-            out[e] = out.get(e, 0) + c1 * c2
-    return Poly(p.dim, out)
-
-
 def _reference_numerator(table, vs):
     """The numerator as N truncated `Poly` products over the forms, then one with the series."""
     from polymom.genfunc import moments_to_series
@@ -161,8 +145,8 @@ def _reference_numerator(table, vs):
     k = numerator_degree(vs)
     phi = Poly.constant(vs.dim, 1)
     for p in vs.points:
-        phi = _times(phi, _form(p)).drop_above(k)
-    return _times(moments_to_series(table).poly, phi).drop_above(k)
+        phi = times(phi, vertex_form(p)).drop_above(k)
+    return times(moments_to_series(table).poly, phi).drop_above(k)
 
 
 def _rational_multiset_any_dim(rng, dim, n):
@@ -237,7 +221,7 @@ class TestProductMatrix:
         for c, column in enumerate(basis.columns):
             prod = Poly.constant(2, 1)
             for i in column:
-                prod = _times(prod, _form(pentagon_set.points[i]))
+                prod = times(prod, vertex_form(pentagon_set.points[i]))
             # homogenized to degree k, x0^(k-|e|) x^e carries the coefficient of x^e
             assert prod.degree() <= k
             for r, exps in enumerate(monomials_upto(2, k)):
@@ -520,7 +504,7 @@ def _random_multiset(rng, dim, n, span=3):
 def _naive_column(column, vs):
     prod = Poly.constant(vs.dim, 1)
     for i in column:
-        prod = _times(prod, _form(vs.points[i]))
+        prod = times(prod, vertex_form(vs.points[i]))
     return [prod.coefficient(e) for e in monomials_upto(vs.dim, numerator_degree(vs))]
 
 

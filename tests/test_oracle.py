@@ -3,7 +3,6 @@ import time
 from fractions import Fraction as F
 from itertools import combinations
 from math import factorial
-from operator import add
 
 import pytest
 
@@ -28,6 +27,7 @@ from polymom.errors import DegenerateSimplexError, DimensionError, NotSpanningEr
 from polymom.geometry import edge_det, is_degenerate
 from polymom.poly import monomials_upto
 from polymom.verify import random_point, random_rational, random_simplex_vertices
+from polyops import plus, times
 
 
 def test_standard_simplex_closed_form():
@@ -156,23 +156,6 @@ class TestAxialMoments:
         assert axial_moment(m, z, 3) == expect
 
 
-def _times(p, q):
-    """The product of two polynomials, term by term."""
-    out = {}
-    for e1, c1 in p.terms.items():
-        for e2, c2 in q.terms.items():
-            e = tuple(map(add, e1, e2))
-            out[e] = out.get(e, 0) + c1 * c2
-    return Poly(p.dim, out)
-
-
-def _plus(p, q):
-    out = dict(p.terms)
-    for e, c in q.terms.items():
-        out[e] = out.get(e, 0) + c
-    return Poly(p.dim, out)
-
-
 def _reference_measure_moments(m, order, rho=None):
     """The pullback oracle: every integrand a product of full coordinate powers,
     integrated over the standard simplex term by term with the Dirichlet formula."""
@@ -194,17 +177,17 @@ def _reference_measure_moments(m, order, rho=None):
                 term = Poly.constant(d, coef)
                 for j, k in enumerate(exps):
                     for _ in range(k):
-                        term = _times(term, coords[j])
-                rho_t = _plus(rho_t, term)
+                        term = times(term, coords[j])
+                rho_t = plus(rho_t, term)
         powers = [[Poly.constant(d, 1)] for _ in range(d)]
         for j in range(d):
             for _ in range(order):
-                powers[j].append(_times(powers[j][-1], coords[j]))
+                powers[j].append(times(powers[j][-1], coords[j]))
         for exps in table:
             integrand = rho_t
             for j, k in enumerate(exps):
                 if k:
-                    integrand = _times(integrand, powers[j][k])
+                    integrand = times(integrand, powers[j][k])
             integral = F(0)
             for t, c in integrand.terms.items():
                 num = 1
