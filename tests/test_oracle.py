@@ -408,6 +408,20 @@ def test_axial_moment_in_four_dimensions():
         assert axial_moment(m, z, j) == _power_expansion(table, z, j)
 
 
+@pytest.mark.parametrize("j", [0, 1, 3])
+@pytest.mark.parametrize(
+    "z", [(F(0), F(0), F(0)), (F(0), F(2, 3), F(0)), (F(-1, 4), F(0), F(5, 7))], ids=["zero", "one-axis", "two-axes"]
+)
+def test_axial_moment_at_directions_with_zero_entries(z, j):
+    """A direction with zero entries, z = 0 included, where <x, z>^0 is still 1."""
+    m = _distinct_denominators(3, 3, 3003)
+    table = _reference_measure_moments(m, 3)
+    expect = _power_expansion(table, z, j)
+    assert axial_moment(m, z, j) == expect
+    if not any(z):
+        assert expect == (table[(0, 0, 0)] if j == 0 else 0)
+
+
 def _tuples_all_the_way(value):
     return not isinstance(value, (list, dict, set)) and (
         not isinstance(value, tuple) or all(map(_tuples_all_the_way, value))
