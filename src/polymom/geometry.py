@@ -15,10 +15,10 @@ from __future__ import annotations
 import enum
 from fractions import Fraction
 from itertools import combinations
-from math import factorial, lcm, prod
+from math import factorial, prod
 
 from .errors import DegenerateSimplexError, DimensionError, NotSpanningError
-from .linalg import integer_det, integer_rank, rat
+from .linalg import integer_det, integer_rank, integer_vector, rat
 from .value import Value, integer
 
 
@@ -48,13 +48,8 @@ class VertexSet(Value):
 
 def homogeneous(point) -> tuple:
     """The primitive integer row (W, W*p_1, ..., W*p_d) of a point p, W > 0 the lcm of its denominators."""
-    w = lcm(*(c.denominator for c in point))
-    return (w, *(c.numerator * (w // c.denominator) for c in point))
-
-
-def _det(rows) -> Fraction:
-    """Determinant of the rows (1, p) of `homogeneous` rows in the given order: integer_det over the W."""
-    return Fraction(integer_det(rows), prod(r[0] for r in rows))
+    ints, w = integer_vector(point)
+    return (w, *ints)
 
 
 def simplex(indices) -> tuple:
@@ -73,7 +68,8 @@ def check_simplex(s, vs: VertexSet):
 
 def edge_det(s, vs: VertexSet) -> Fraction:
     """Signed determinant of the edge vectors v_i - v_0 of the simplex, which is that of its rows (1, v_i)."""
-    return _det([homogeneous(vs.points[i]) for i in check_simplex(s, vs)])
+    rows = [homogeneous(vs.points[i]) for i in check_simplex(s, vs)]
+    return Fraction(integer_det(rows), prod(r[0] for r in rows))
 
 
 def volume(s, vs: VertexSet) -> Fraction:
@@ -173,10 +169,10 @@ def rebase(m: WeightedMeasure, pivot: int) -> WeightedMeasure:
     others with a plus sign, and facets whose hyperplane passes through the
     pivot are skipped.  Densities transfer, so the moment table is preserved
     to every order.  With the facet's rows first, the cone's weight is
-    w * det(facet, pivot) / det(facet, omitted vertex): the sign of the ratio
-    tells the sides apart and its size is the ratio of volumes.  The sign
-    convention is the oracle-validated one; see the test suite for the 1-d
-    and 2-d witnesses that fix it.
+    w * det(facet, pivot) / det(facet, omitted vertex), in which the facet's
+    W cancel: the sign of the ratio tells the sides apart and its size is the
+    ratio of volumes.  The sign convention is the oracle-validated one; see
+    the test suite for the 1-d and 2-d witnesses that fix it.
     """
     vs = m.vertex_set
     pivot = check_pivot(pivot, len(vs))
@@ -188,7 +184,8 @@ def rebase(m: WeightedMeasure, pivot: int) -> WeightedMeasure:
             continue
         for omit in s:
             facet = [i for i in s if i != omit]
-            cone = _det([rows[i] for i in facet] + [rows[pivot]])
+            cone = integer_det(rows[i] for i in facet + [pivot])
             if cone != 0:
-                out.append((simplex(facet + [pivot]), w * cone / _det([rows[i] for i in facet + [omit]])))
+                opposite = integer_det(rows[i] for i in facet + [omit])
+                out.append((simplex(facet + [pivot]), w * Fraction(cone * rows[omit][0], opposite * rows[pivot][0])))
     return WeightedMeasure(vs, out)

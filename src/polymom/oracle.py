@@ -38,7 +38,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, cycle, repeat
-from math import comb, factorial, lcm
+from math import comb, factorial, lcm, prod
 from operator import add, mul, sub
 
 from .errors import DegenerateSimplexError, DimensionError
@@ -210,22 +210,12 @@ def measure_moments(m: WeightedMeasure, order: int, rho: Poly | None = None) -> 
 
 
 def axial_moment(m: WeightedMeasure, z, j: int) -> Fraction:
-    """Exact integral of <x, z>^j against the measure, by the rule exact to degree j: the
-    order-0 table of the density <x, z>^j, read off the same plan."""
+    """Exact integral of <x, z>^j against the measure: the order-0 table of the density
+    <x, z>^j, whose coefficient at x^e, |e| = j, is j!/e! z^e."""
     z = [rat(c) for c in z]
     vs = m.vertex_set
     if len(z) != vs.dim:
         raise DimensionError(f"direction of length {len(z)} in R^{vs.dim}")
     j = integer(j, "moment order")
-    clear = lcm(*(c.denominator for c in z))
-    z_ints = [c.numerator * (clear // c.denominator) for c in z]
-    odd, _, _, ((_, den, weights, _, _),) = _plan(vs.dim, j, 0)
-    scale, q, stacks = _nodes(odd, m)
-    total = 0
-    for lifts, columns in stacks:
-        values = [0] * len(odd[0]) * len(lifts)
-        for c, column in zip(z_ints, columns):
-            values = list(map(add, values, map(c.__mul__, column)))
-        folded = map(mul, _spread(weights, len(lifts)), cycle(lifts))
-        total += sum(map(mul, folded, map(pow, values, repeat(j))))
-    return Fraction(total, den * q * (clear * scale) ** j)
+    powers = {e: factorial(j) // prod(map(factorial, e)) * prod(map(pow, z, e)) for e in monomials_of_degree(vs.dim, j)}
+    return measure_moments(m, 0, Poly(vs.dim, powers))[(0,) * vs.dim]
