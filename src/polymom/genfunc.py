@@ -88,7 +88,7 @@ class RatFun(Value):
             return num
         one = (0,) * self.dim
         units = [one[:k] + (1,) + one[k + 1 :] for k in range(self.dim)]
-        forms = (Poly._of(self.dim, {one: 1, **{e: -c for e, c in zip(units, f.vertex)}}) for f in self.denominator)
+        forms = (Poly._of(self.dim, {one: 1, **{e: -c for e, c in zip(units, f.vertex) if c}}) for f in self.denominator)
         factors = "".join(f"({form})" for form in forms)
         return f"({num}) / {factors}" if " " in num else f"{num} / {factors}"
 
@@ -128,9 +128,9 @@ def _divided(kernel, pair, forms) -> RatFun:
 def simplex_genfunc(s, vs: VertexSet, weight, allow_degenerate=False) -> RatFun:
     """Generating function  w / prod of the d+1 vertex forms of the simplex.
 
-    With w = d!*Vol this is the transform of the uniform measure; degenerate
-    simplices are only allowed for the singular limit terms of the weak
-    solver, where the same formula is taken as the definition.
+    With w = d!*Vol this is the transform of the uniform measure; with
+    `allow_degenerate` the same formula defines a degenerate simplex's
+    singular limit measure (a point mass when its vertices coincide).
     """
     s = check_simplex(s, vs)
     if not allow_degenerate and is_degenerate(s, vs):

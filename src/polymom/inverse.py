@@ -30,7 +30,7 @@ from .errors import (
 from .geometry import Degeneracy, VertexSet, WeightedMeasure, check_pivot, classify, edge_det, homogeneous
 from .linalg import RatMat, det, eliminate, integer_det, integer_vector
 from .poly import MomentTable, Poly, _normalizer, form_kernel
-from .value import Value
+from .value import Value, integer
 
 
 def numerator_degree(vs: VertexSet) -> int:
@@ -42,6 +42,11 @@ def simplex_for_column(column, n) -> tuple:
     return tuple(sorted(set(range(n)) - set(column)))
 
 
+def _column(c) -> tuple:
+    """A product column as a tuple of form indices, each read as an int."""
+    return tuple(integer(i, "column entry", signed=True) for i in c)
+
+
 class FormBasis(Value):
     """A choice of product columns indexing a (candidate) basis of measures.
 
@@ -51,7 +56,7 @@ class FormBasis(Value):
     __slots__ = ("vertex_set", "pivot", "columns")
 
     def __init__(self, vertex_set: VertexSet, pivot: int, columns: tuple):
-        self._fill(vertex_set, check_pivot(pivot, len(vertex_set)), columns)
+        self._fill(vertex_set, check_pivot(pivot, len(vertex_set)), tuple(map(_column, columns)))
         n = len(self.vertex_set)
         k = numerator_degree(self.vertex_set)
         for c in self.columns:
@@ -246,7 +251,7 @@ def _choose(vs: VertexSet, pivot, forced, table=None):
     not_a_minor = "selected columns do not form a non-vanishing minor"
     size = comb(n - 1, vs.dim)
     if forced is not None:
-        candidates = [tuple(c) for c in forced]
+        candidates = list(map(_column, forced))
         if len(set(candidates)) != len(candidates) or not set(candidates) <= set(extended_columns(vs)):
             raise DimensionError("forced column set is not a set of valid columns")
         if len(candidates) != size:

@@ -71,11 +71,11 @@ class Poly(Value):
 
     @classmethod
     def _of(cls, dim, terms) -> "Poly":
-        """Unchecked constructor for results built here: integer exponent
-        tuples of length `dim` mapped to Fractions, zero coefficients dropped."""
+        """Unchecked constructor for results built here: a dict of integer exponent
+        tuples of length `dim` to nonzero Fractions, kept as it is given."""
         p = object.__new__(cls)
         object.__setattr__(p, "dim", dim)
-        object.__setattr__(p, "terms", {e: c for e, c in terms.items() if c})
+        object.__setattr__(p, "terms", terms)
         return p
 
     @classmethod
@@ -103,7 +103,9 @@ class Poly(Value):
     __hash__ = None
 
     def drop_above(self, degree) -> "Poly":
-        """Discard all terms of total degree > degree."""
+        """Discard all terms of total degree > degree; the polynomial itself when it has none."""
+        if self.degree() <= degree:
+            return self
         return Poly._of(self.dim, {e: c for e, c in self.terms.items() if sum(e) <= degree})
 
     def __repr__(self):
@@ -256,7 +258,8 @@ class MomentTable(Value):
                 return
         # name the first fault
         for e in self.moments:
-            if len(e) != self.dim or min(e, default=0) < 0 or sum(e) > self.order:
+            entries = [integer(x, "moment index entry", signed=True) for x in e]
+            if len(entries) != self.dim or min(entries, default=0) < 0 or sum(entries) > self.order:
                 raise DimensionError(f"moment index {e} is not in R^{self.dim} up to order {self.order}")
         if len(self.moments) != expected:
             message = f"moment table must be complete to order {self.order}: "

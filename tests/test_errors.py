@@ -28,6 +28,7 @@ from polymom import (
     monomials_of_degree,
     monomials_upto,
     rebase,
+    select_minor,
     series_to_moments,
     simplex_genfunc,
     simplex_monomial_moment,
@@ -100,6 +101,8 @@ INTEGER_ARGUMENTS = [
     ("monomial-moment-index", lambda x: simplex_monomial_moment((0, 1, 2), PENTAGON, (x, 1))),
     ("rebase-pivot", lambda x: rebase(TRIANGLE, x)),
     ("form-basis-pivot", lambda x: FormBasis(PENTAGON, x, ())),
+    ("form-basis-column-entry", lambda x: FormBasis(PENTAGON, 4, ((0, x),))),
+    ("select-minor-column-entry", lambda x: select_minor(PENTAGON, 4, [(0, x), *strong_basis(PENTAGON).columns[1:]])),
     ("strong-basis-pivot", lambda x: strong_basis(PENTAGON, x)),
     ("random-strong-set-dim", lambda x: random_strong_set(random.Random(0), x, 3)),
     ("random-strong-set-count", lambda x: random_strong_set(random.Random(0), 2, x)),

@@ -674,6 +674,15 @@ class TestTableChecks:
         if isinstance(index, tuple):
             assert str(exc.value) == f"moment index {index} is not in R^1000000000 up to order 0"
 
+    @pytest.mark.parametrize("half", [F(1, 2), 0.5], ids=["fraction", "float"])
+    def test_a_non_integral_index_is_refused(self, half):
+        """(1/2, 3/2) in place of (1, 1) keeps the count and the degree of a complete table;
+        it once passed as complete, and `reconstruct` met a bare KeyError on it."""
+        moments = {e: F(0) for e in monomials_upto(2, 2) if e != (1, 1)}
+        moments[(half, 3 * half)] = F(0)
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            MomentTable(2, 2, moments)
+
     @pytest.mark.parametrize("index", [(3, 0), (0, 0, 0), (-1, 1)])
     def test_index_outside_the_table_is_named(self, index):
         moments = {e: F(0) for e in monomials_upto(2, 2)}
