@@ -1,6 +1,7 @@
 import json
 import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -105,6 +106,19 @@ class TestMoments:
         assert code == 5 and captured.out == ""
         assert captured.err == "internal error: RuntimeError: oracle failed\n"
         assert "Traceback" not in captured.err
+
+    def test_a_polymom_error_that_is_no_precondition_exits_5(self, pentagon_files, capsys, monkeypatch):
+        """A `PolymomError` outside `PreconditionError` is a bug: exit 5 and its message alone."""
+        from polymom import oracle
+
+        def fail(*args, **kwargs):
+            raise errors.SingularMatrixError("oracle failed", 5)
+
+        monkeypatch.setattr(oracle, "measure_moments", fail)
+        code = main(["moments", pentagon_files["measure"], "--order", "2"])
+        captured = capsys.readouterr()
+        assert code == 5 and captured.out == ""
+        assert captured.err == "internal error: oracle failed (rank 5)\n"
 
 
 class TestGenfunc:
@@ -397,7 +411,7 @@ def test_moments_then_invert_round_trip(pentagon_files, tmp_path):
     assert main(["moments", pentagon_files["measure"], "--order", "2", "--out", str(table)]) == 0
     assert main(["invert", pentagon_files["vertices"], str(table), "--out", str(rec)]) == 0
     weights = {tuple(w["simplex"]): w["weight"] for w in json.loads(rec.read_text())["weights"]}
-    original = json.loads(open(pentagon_files["measure"]).read())["atoms"]
+    original = json.loads(Path(pentagon_files["measure"]).read_text())["atoms"]
     for atom in original:
         assert weights[tuple(atom["simplex"])] == atom["weight"]
 
