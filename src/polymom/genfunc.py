@@ -268,7 +268,7 @@ def brion_genfunc(p: SimplePolytope) -> RatFun:
         vector, scale = kernel.over(full, row)
         for direction in directions:
             if direction not in here:
-                vector, _ = kernel.times((vector, scale), direction)
+                vector, scale = kernel.times((vector, scale), direction)
         parts.append(([weight.numerator * x for x in vector], scale * weight.denominator))
     scale = lcm(*(s for _, s in parts))
     pair = [sum(v[r] * (scale // s) for v, s in parts) for r in range(len(kernel.rows))], scale

@@ -1,8 +1,10 @@
 """The CLI's file formats: what each command reads and writes.
 
 Rationals travel as strings "p/q" (just "p" for integers), sign on the
-numerator.  A dimension, an order, a moment index entry and a simplex's
-vertex index must each be a JSON integer; a bool, float or string there is
+numerator.  A reader checks only the file's shape: its keys, and that no
+moment index comes twice.  Each value goes as it is to the constructor it
+reaches, which reads it by the package's one rule for its kind (`linalg.rat`
+or `value.integer`), so a bool, float or string where an integer is due is
 malformed input.  Vertex and simplex indices are 0-based on the wire; the
 paper's worked examples number from 1, so the CLI accepts 1-based column
 overrides but files are uniformly 0-based.  Polynomial terms and moment
@@ -14,15 +16,8 @@ from __future__ import annotations
 
 from .geometry import VertexSet, WeightedMeasure
 from .inverse import Reconstruction
-from .linalg import rat, rat_str
+from .linalg import rat_str
 from .poly import MomentTable, Poly
-
-
-def _int(value) -> int:
-    """A JSON integer, which excludes bool; anything else is malformed input."""
-    if type(value) is not int:
-        raise TypeError(f"expected an integer, got {type(value).__name__}")
-    return value
 
 
 def vertex_set_to_json(vs: VertexSet) -> dict:
@@ -30,7 +25,7 @@ def vertex_set_to_json(vs: VertexSet) -> dict:
 
 
 def vertex_set_from_json(data) -> VertexSet:
-    return VertexSet(_int(data["dim"]), [[rat(c) for c in p] for p in data["points"]])
+    return VertexSet(data["dim"], data["points"])
 
 
 def measure_to_json(m: WeightedMeasure) -> dict:
@@ -42,8 +37,7 @@ def measure_to_json(m: WeightedMeasure) -> dict:
 
 def measure_from_json(data) -> WeightedMeasure:
     vs = vertex_set_from_json(data["vertices"])
-    atoms = [(tuple(map(_int, a["simplex"])), rat(a["weight"])) for a in data["atoms"]]
-    return WeightedMeasure(vs, atoms)
+    return WeightedMeasure(vs, [(a["simplex"], a["weight"]) for a in data["atoms"]])
 
 
 def moment_table_to_json(t: MomentTable) -> dict:
@@ -59,11 +53,11 @@ def moment_table_to_json(t: MomentTable) -> dict:
 def moment_table_from_json(data) -> MomentTable:
     moments = {}
     for m in data["moments"]:
-        exps = tuple(map(_int, m["index"]))
+        exps = tuple(m["index"])
         if exps in moments:
             raise ValueError(f"duplicate moment index {exps}")
-        moments[exps] = rat(m["value"])
-    return MomentTable(_int(data["dim"]), _int(data["order"]), moments)
+        moments[exps] = m["value"]
+    return MomentTable(data["dim"], data["order"], moments)
 
 
 def poly_to_json(p: Poly) -> dict:

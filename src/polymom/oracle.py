@@ -43,7 +43,7 @@ from operator import add, mul, sub
 
 from .errors import DegenerateSimplexError, DimensionError
 from .geometry import VertexSet, WeightedMeasure, edge_det
-from .linalg import rat
+from .linalg import integer_vector, rat
 from .poly import MomentTable, Poly, monomials_of_degree, monomials_upto
 from .value import integer
 
@@ -211,11 +211,13 @@ def measure_moments(m: WeightedMeasure, order: int, rho: Poly | None = None) -> 
 
 def axial_moment(m: WeightedMeasure, z, j: int) -> Fraction:
     """Exact integral of <x, z>^j against the measure: the order-0 table of the density
-    <x, z>^j, whose coefficient at x^e, |e| = j, is j!/e! z^e."""
+    <x, z>^j, whose coefficient at x^e, |e| = j, is j!/e! Z^e / L^j for z = Z / L, Z integer."""
     z = [rat(c) for c in z]
     vs = m.vertex_set
     if len(z) != vs.dim:
         raise DimensionError(f"direction of length {len(z)} in R^{vs.dim}")
     j = integer(j, "moment order")
-    powers = {e: factorial(j) // prod(map(factorial, e)) * prod(map(pow, z, e)) for e in monomials_of_degree(vs.dim, j)}
-    return measure_moments(m, 0, Poly(vs.dim, powers))[(0,) * vs.dim]
+    ints, scale = integer_vector(z)
+    powers = {e: factorial(j) // prod(map(factorial, e)) * prod(map(pow, ints, e)) for e in monomials_of_degree(vs.dim, j)}
+    rho = Poly(vs.dim, {e: Fraction(c, scale**j) for e, c in powers.items() if c})
+    return measure_moments(m, 0, rho)[(0,) * vs.dim]

@@ -184,14 +184,14 @@ class FormKernel:
         return Poly._of(self.dim, {e: Fraction(x, scale) for e, x in zip(self.rows, vector) if x})
 
     def times(self, pair, form):
-        """The product with the form; the scale gains W."""
+        """The product with the form; the scale gains W, and nothing for a direction row (0, g)."""
         (vector, scale), (w, *wv) = pair, form
         out = [w * x for x in vector]
         for up_v, c in zip(self.up, wv):
             if c:
                 for q, x in zip(up_v, vector):
                     out[q] -= c * x
-        return out, scale * w
+        return out, scale * (w or 1)
 
     def over(self, pair, form):
         """The series quotient by the form; the scale gains W^degree.  The
@@ -238,13 +238,13 @@ def form_kernel(dim, degree) -> FormKernel:
 
 
 class MomentTable(Value):
-    """All moments m_I with |I| <= order, zeros stored explicitly."""
+    """All moments m_I with |I| <= order, zeros stored explicitly, each value read by `rat`."""
 
     __slots__ = ("dim", "order", "moments")
 
     def __init__(self, dim: int, order: int, moments: dict):
         order = integer(order, "moment order")
-        self._fill(integer(dim, "moment table dimension"), order, moments)
+        self._fill(integer(dim, "moment table dimension"), order, {e: rat(v) for e, v in moments.items()})
         # comb(order + dim, dim) in partial products, which at least double: stop past 10^100 > len(moments)
         n, m, expected, cap = self.order + self.dim, min(self.order, self.dim), 1, 10**100
         for i in range(1, m + 1):
@@ -252,10 +252,12 @@ class MomentTable(Value):
             if expected > cap:
                 break
         # a table of the expected size is complete exactly when its indices are the canonical
-        # ones; their lengths first, so that the canonical set is no larger than the indices
+        # ones, all of ints: lengths first, so that the canonical set is no larger than the
+        # indices, and types last, since (True, 1) and (1.0, 1) equal (1, 1)
         if len(self.moments) == expected and set(map(length_hint, self.moments)) == {self.dim}:
             if self.moments.keys() == _indices(self.dim, self.order):
-                return
+                if all(type(x) is int for e in self.moments for x in e):
+                    return
         # name the first fault
         for e in self.moments:
             entries = [integer(x, "moment index entry", signed=True) for x in e]

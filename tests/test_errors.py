@@ -22,8 +22,10 @@ from polymom import (
     brion_axial_moment,
     density_op,
     det_factor_report,
+    dimension_and_basis,
     euler_op,
     explicit_inverse,
+    mat_inverse,
     measure_moments,
     monomials_of_degree,
     monomials_upto,
@@ -32,12 +34,13 @@ from polymom import (
     series_to_moments,
     simplex_genfunc,
     simplex_monomial_moment,
+    solve,
     strong_basis,
     taylor,
     uniform_measure,
 )
 from polymom.cli import main
-from polymom.errors import DegenerateSimplexError, DimensionError
+from polymom.errors import DegenerateSimplexError, DimensionError, NotWeaklyNonDegenerateError
 from polymom.genfunc import LinearForm
 from polymom.verify import box_polytope, random_strong_set
 
@@ -67,6 +70,27 @@ LIBRARY = [
     ("brion-axial-direction", lambda: brion_axial_moment(box_polytope(2), (1,), 2), DimensionError, "R\\^2"),
     ("form-basis-column", lambda: FormBasis(PENTAGON, 4, ((0, 5),)), DimensionError, "out of range"),
     ("det-factor-non-square", lambda: det_factor_report(PENTAGON, [(0, 1)]), DimensionError, "square minor"),
+    ("ratfun-form-dim", lambda: RatFun(Poly.constant(2, 1), [LinearForm((1, 0, 0))]), DimensionError, "form dimension"),
+    (
+        "polytope-cone-dim",
+        lambda: SimplePolytope(2, [*box_polytope(2).cones[:3], box_polytope(3).cones[0]]),
+        DimensionError,
+        "cone dimension",
+    ),
+    ("form-basis-column-size", lambda: FormBasis(PENTAGON, 4, ((0,),)), DimensionError, "not a 2-subset"),
+    (
+        "dimension-and-basis-flat",
+        lambda: dimension_and_basis(VertexSet(2, [(0, 0), (1, 0), (2, 0), (3, 0), (0, 1)])),
+        NotWeaklyNonDegenerateError,
+        "weakly non-degenerate",
+    ),
+    ("random-strong-set-count", lambda: random_strong_set(random.Random(0), 2, 2), DimensionError, "cannot span"),
+    ("rat-mat-entries", lambda: RatMat(2, 2, [1, 2, 3]), DimensionError, "expected 4 entries"),
+    ("rat-mat-ragged", lambda: RatMat.from_rows([[1, 2], [3]]), DimensionError, "ragged rows"),
+    ("rat-mat-product", lambda: RatMat.identity(2).matmul(RatMat(1, 2, [1, 2])), DimensionError, "cannot multiply"),
+    ("solve-non-square", lambda: solve(RatMat(1, 2, [1, 2]), [1]), DimensionError, "square matrix"),
+    ("solve-rhs-length", lambda: solve(RatMat.identity(2), [1]), DimensionError, "right-hand side of length 1"),
+    ("inverse-non-square", lambda: mat_inverse(RatMat(1, 2, [1, 2])), DimensionError, "square matrix"),
 ]
 
 

@@ -24,8 +24,8 @@ give chamber densities -3, 0, 2 and 5, so the uncovered chambers sit at 3/8
 of the density span, where the fill's red and green channels fall on a tie.
 
 Every run is replayed twice: through `main` in this process, which has
-loaded every module, and as a fresh `python -m polymom.cli` child, which
-loads only what its command imports.
+loaded every module, and as a fresh `python -S -m polymom.cli` child, which
+loads only what its command imports and sees no site-packages.
 """
 
 import os
@@ -116,10 +116,11 @@ def test_chambers_bytes(tmp_path, capsys):
 
 
 def _child(*argv):
-    """(exit code, stdout, stderr) of `python -m polymom.cli` with the argv, in a fresh interpreter."""
+    """(exit code, stdout, stderr) of `python -S -m polymom.cli` with the argv, in a fresh
+    interpreter without site-packages: the runtime needs only the standard library."""
     path = [str(Path(polymom.__file__).parents[1]), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    argv = [sys.executable, "-m", "polymom.cli", *map(str, argv)]
+    argv = [sys.executable, "-S", "-m", "polymom.cli", *map(str, argv)]
     proc = subprocess.run(argv, env=env, capture_output=True, timeout=120)
     return proc.returncode, proc.stdout, proc.stderr
 

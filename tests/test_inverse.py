@@ -257,6 +257,14 @@ class TestSolveStrong:
         got = dict((s, w) for s, w, _ in rec.weights)
         assert got[(2, 3, 4)] == 1 and got[(0, 1, 4)] == -2
 
+    def test_moments_given_as_strings(self, pentagon_set, pentagon_moments):
+        """The table reads each value by `rat`, so "1/2" is 1/2; it once stored the string, and
+        `reconstruct` met a bare AttributeError on it."""
+        half = MomentTable(2, 2, {**pentagon_moments.moments, (1, 1): F(1, 2)})
+        strings = MomentTable(2, 2, {**{e: str(v) for e, v in pentagon_moments.moments.items()}, (1, 1): "1/2"})
+        assert strings == half
+        assert reconstruct(strings, pentagon_set) == reconstruct(half, pentagon_set)
+
     def test_single_simplex_round_trip(self, pentagon_set):
         basis = strong_basis(pentagon_set)
         target = basis.simplices()[2]

@@ -689,3 +689,22 @@ class TestTableChecks:
         moments[index] = F(1)
         with pytest.raises(DimensionError, match=r"moment index \(.*\) is not in R\^2 up to order 2"):
             MomentTable(2, 2, moments)
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [(True, "moment index entry must be an integer, not bool"), (1.0, "'float' object cannot be interpreted as an integer")],
+        ids=["bool", "float"],
+    )
+    def test_an_index_entry_equal_to_an_int_is_refused(self, entry, message):
+        """(True, 1) and (1.0, 1) equal (1, 1), so a complete table once passed as one with them."""
+        moments = {e: F(0) for e in monomials_upto(2, 2) if e != (1, 1)}
+        moments[(entry, 1)] = F(0)
+        with pytest.raises(TypeError, match=message):
+            MomentTable(2, 2, moments)
+
+    @pytest.mark.parametrize("value", [0.5, True], ids=["float", "bool"])
+    def test_a_float_or_bool_value_is_refused(self, value):
+        moments = {e: F(0) for e in monomials_upto(2, 2)}
+        moments[(1, 1)] = value
+        with pytest.raises(TypeError, match=f"refusing {type(value).__name__} input"):
+            MomentTable(2, 2, moments)

@@ -10,6 +10,7 @@ from polymom.errors import DimensionError
 from polymom.geometry import homogeneous
 from polymom.linalg import integer_vector
 from polymom.poly import form_kernel, grlex_key
+from polyops import pairing, times
 
 
 def random_poly(rng, dim, degree, nterms=4):
@@ -47,6 +48,14 @@ def test_product_of_two_forms():
     for vertex in [(1, 0), (2, 1)]:
         product = kernel.times(product, homogeneous(vertex))
     assert kernel.poly(product) == PRODUCT
+
+
+def test_product_by_a_direction():
+    """The row (0, g) multiplies by -<g, u> and leaves the scale as it is; the scale was once W = 0."""
+    kernel = form_kernel(2, 2)
+    for pair in [([1, 0, 0, 0, 0, 0], 1), ([2, 1, 0, 0, 0, 0], 3)]:
+        product = kernel.times(pair, (0, 1, 2))
+        assert kernel.poly(product) == times(kernel.poly(pair), pairing((-1, -2)))
 
 
 def test_multiplicative_identity():

@@ -32,6 +32,14 @@ def test_roundtrip_small():
     assert report.passed, report.summary()
 
 
+def test_roundtrip_in_a_child_without_site_packages():
+    """`polymom verify roundtrip` as a fresh `python -S` child prints what the suite reports here."""
+    from test_golden import _child
+
+    summary = run_suite("roundtrip", 0).summary()
+    assert _child("verify", "roundtrip", "--seed", 0) == (0, f"{summary}\n".encode(), b"")
+
+
 def test_unknown_suite():
     with pytest.raises(KeyError):
         run_suite("nope", 0)
