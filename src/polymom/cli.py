@@ -42,13 +42,18 @@ def _load_json(path):
 
 def _decode(convert, path):
     """Convert a JSON input file; a wrong shape or value type is malformed input, and so is a file
-    `json.load` rejects with a plain ValueError (not UTF-8, or an integer past the digit limit)."""
+    `json.load` rejects with a plain ValueError (not UTF-8, or an integer past the digit limit).
+    Either way the message names the file, and so does a failed precondition's, which keeps its
+    type and with it exit 3."""
     try:
         return convert(_load_json(path))
     except KeyError as exc:
         raise InputError(f"{path}: missing key {exc}")
     except (TypeError, ValueError, ArithmeticError) as exc:
         raise InputError(f"{path}: {exc}")
+    except PreconditionError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
 
 
 def _write_json(path, data):

@@ -29,7 +29,7 @@ from .errors import (
 )
 from .geometry import VertexSet, WeightedMeasure, check_simplex, homogeneous, is_degenerate
 from .linalg import RatMat, det, integer_vector, rat
-from .poly import ZERO, MomentTable, Poly, Series, _normalizer, form_kernel
+from .poly import ZERO, MomentTable, Poly, Series, _normalizer, form_kernel, normalizers
 from .value import Value, integer
 
 
@@ -152,11 +152,12 @@ def measure_genfunc(m: WeightedMeasure) -> RatFun:
     common = Counter()
     for counts in denominators:
         common |= counts
-    kernel = form_kernel(vs.dim, max((sum((common - counts).values()) for counts in denominators), default=0))
+    missing = [common - counts for counts in denominators]
+    kernel = form_kernel(vs.dim, max((sum(counts.values()) for counts in missing), default=0))
     parts = []
-    for (_, w), counts in zip(m.atoms, denominators):
+    for (_, w), counts in zip(m.atoms, missing):
         part = ([w.numerator] + [0] * (len(kernel.rows) - 1), w.denominator)
-        for row in (common - counts).elements():
+        for row in counts.elements():
             part = kernel.times(part, row)
         parts.append(part)
     scale = lcm(*(s for _, s in parts))
@@ -166,9 +167,15 @@ def measure_genfunc(m: WeightedMeasure) -> RatFun:
 
 
 def taylor(f: RatFun, order: int) -> Series:
-    """Exact truncated expansion about the origin, one `FormKernel.over` per denominator form."""
+    """Exact truncated expansion about the origin, one `FormKernel.over` per denominator form
+    from the numerator's terms of degree <= order, each scaled to an integer in its row."""
     kernel = form_kernel(f.dim, order)
-    series = integer_vector(map(f.numerator.coefficient, kernel.rows))
+    terms = [(e, c) for e, c in f.numerator.terms.items() if sum(e) <= order]
+    scale = lcm(*(c.denominator for _, c in terms))
+    vector = [0] * len(kernel.rows)
+    for e, c in terms:
+        vector[kernel.at[e]] = c.numerator * (scale // c.denominator)
+    series = vector, scale
     for form in f.denominator:
         series = kernel.over(series, homogeneous(form.vertex))
     return Series(kernel.poly(series), order)
@@ -181,13 +188,14 @@ def series_to_moments(series: Series, dim: int) -> MomentTable:
     coefficient over that normalizer: one `Fraction` per term present, and one
     shared zero for every absent one.  Mutually inverse with `moments_to_series`.
     """
-    if series.dim != integer(dim, "dimension"):
+    dim = integer(dim, "dimension")
+    if series.dim != dim:
         raise DimensionError(f"series has {series.dim} variables, expected {dim}")
     terms, table = series.poly.terms, {}
-    for e in form_kernel(dim, series.order).rows:
+    for e, n in zip(form_kernel(dim, series.order).rows, normalizers(dim, series.order)):
         c = terms.get(e)
-        table[e] = Fraction(c.numerator, c.denominator * _normalizer(e, dim, 0)) if c else ZERO
-    return MomentTable(dim, series.order, table)
+        table[e] = Fraction(c.numerator, c.denominator * n) if c else ZERO
+    return MomentTable._of(dim, series.order, table)
 
 
 def moments_to_series(table: MomentTable) -> Series:

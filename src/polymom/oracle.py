@@ -169,14 +169,13 @@ def measure_moments(m: WeightedMeasure, order: int, rho: Poly | None = None) -> 
     """
     vs = m.vertex_set
     d = vs.dim
-    if rho is None:
-        rho = Poly.constant(d, 1)
-    elif rho.dim != d:
+    if rho is not None and rho.dim != d:
         raise DimensionError(f"density has {rho.dim} variables, measure lives in R^{d}")
     order = integer(order, "moment order")
-    r = max(rho.degree(), 0)
-    clear = lcm(*(c.denominator for c in rho.terms.values()))
-    rho_ints = [(c.numerator * (clear // c.denominator), K, r - sum(K)) for K, c in rho.terms.items()]
+    terms = {(0,) * d: 1} if rho is None else rho.terms
+    r = max(map(sum, terms), default=0)
+    clear = lcm(*(c.denominator for c in terms.values()))
+    rho_ints = [(c.numerator * (clear // c.denominator), K, r - sum(K)) for K, c in terms.items()]
     odd, depth, steps, degrees = _plan(d, order + r, order)
     scale, q, stacks = _nodes(odd, m)
     totals = [[0] * len(block) for block, *_ in degrees]
@@ -206,7 +205,7 @@ def measure_moments(m: WeightedMeasure, order: int, rho: Poly | None = None) -> 
     for g, (sums, (block, den, *_)) in enumerate(zip(totals, degrees)):
         den *= q * scale ** (g + r) * clear
         moments.update(zip(block, (Fraction(t, den) for t in sums)))
-    return MomentTable(d, order, moments)
+    return MomentTable._of(d, order, moments)
 
 
 def axial_moment(m: WeightedMeasure, z, j: int) -> Fraction:

@@ -6,13 +6,15 @@ matrix building is graded lexicographic: ascending total degree, and within a
 degree descending lexicographic exponents, so that for two variables the
 order reads 1, u1, u2, u1^2, u1*u2, u2^2.
 
-`Poly(dim, terms)` checks and coerces what it is given, and results built
-here go through the unchecked `Poly._of`.  `Poly` has no arithmetic:
+`Poly(dim, terms)` and `MomentTable(dim, order, moments)` check and coerce
+what they are given, for input; results built in the package go through the
+unchecked `Poly._of` and `MomentTable._of`.  `Poly` has no arithmetic:
 `FormKernel` multiplies and divides by vertex forms below a degree, and
 divides exactly by direction forms, in integers, and `form_kernel` builds one
 kernel per (dim, degree) for every caller.  `MomentTable` holds the moments
 m_I to an order, and `_normalizer` is the factor (|I|+d)!/prod(i_j!) between a
-moment and its coefficient in the normalized generating series.
+moment and its coefficient in the normalized generating series; `normalizers`
+holds one row of them per (dim, order), beside the kernel's rows.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from functools import lru_cache
 from itertools import combinations_with_replacement, islice
 from math import factorial, prod
 from operator import length_hint
+from types import MappingProxyType
 
 from .errors import DimensionError
 from .linalg import rat
@@ -166,14 +169,17 @@ class FormKernel:
     """Integer products and series quotients by vertex forms below a degree, and exact
     quotients by direction forms: a polynomial is an (integer vector, scale) pair over the
     `rows`, and the form of a vertex v is its `geometry.homogeneous` row (W, W*v), read as
-    W - <W*v, u>, the form times W; a direction g is the row (0, g).  Get one from `form_kernel`, which builds each (dim, degree)
-    once and shares it; `rows` and `up` are tuples, so no caller can alter them."""
+    W - <W*v, u>, the form times W; a direction g is the row (0, g).  `at` maps each row's
+    exponents to its position.  Get one from `form_kernel`, which builds each (dim, degree)
+    once and shares it; `rows` and `up` are tuples and `at` a read-only view, so no caller can
+    alter them."""
 
-    __slots__ = ("dim", "degree", "rows", "up")
+    __slots__ = ("dim", "degree", "rows", "at", "up")
 
     def __init__(self, dim, degree):
         self.dim, self.degree, self.rows = dim, degree, tuple(monomials_upto(dim, degree))
         at = {e: r for r, e in enumerate(self.rows)}
+        self.at = MappingProxyType(at)
         # up[v][q] is the row of u_v times the monomial of row q, for the rows below the degree
         below = [e for e in self.rows if sum(e) < degree]
         self.up = tuple(tuple(at[e[:v] + (e[v] + 1,) + e[v + 1 :]] for e in below) for v in range(dim))
@@ -237,8 +243,18 @@ def form_kernel(dim, degree) -> FormKernel:
     return FormKernel(dim, degree)
 
 
+@lru_cache(maxsize=32)
+def normalizers(dim, order) -> tuple:
+    """The `_normalizer` of each row of `form_kernel(dim, order)`, in its order, built on
+    first use and shared after."""
+    return tuple(_normalizer(e, dim, 0) for e in form_kernel(dim, order).rows)
+
+
 class MomentTable(Value):
-    """All moments m_I with |I| <= order, zeros stored explicitly, each value read by `rat`."""
+    """All moments m_I with |I| <= order, zeros stored explicitly.  `MomentTable(dim, order,
+    moments)` is for input: it reads each value by `rat` and checks that the indices are
+    exactly the complete table's, each a tuple of ints.  Tables built here, whose indices and
+    values are canonical by construction, go through the unchecked `MomentTable._of`."""
 
     __slots__ = ("dim", "order", "moments")
 
@@ -275,6 +291,14 @@ class MomentTable(Value):
                 absent = (e for e in indices if e not in self.moments)
                 message += f", first missing {list(islice(absent, shown))}"
             raise DimensionError(message)
+
+    @classmethod
+    def _of(cls, dim, order, moments) -> "MomentTable":
+        """Unchecked constructor for tables built here: a dict of every index of the complete
+        table, each a tuple of ints, in canonical order, to Fractions, kept as it is given."""
+        t = object.__new__(cls)
+        t._fill(dim, order, moments)
+        return t
 
     def __getitem__(self, index):
         return self.moments[tuple(index)]

@@ -227,7 +227,7 @@ class TestInvert:
         moments = write(tmp_path / "m.json", jsonio.moment_table_to_json(pentagon_moments))
         assert main(["invert", vertices, moments]) == 3
         out, err = capsys.readouterr()
-        assert out == "" and err == "error: 0 points do not affinely span R^2\n"
+        assert out == "" and err == f"error: {vertices}: 0 points do not affinely span R^2\n"
 
     def test_svg_of_3d_set_writes_nothing(self, tmp_path, capsys):
         vs = VertexSet(3, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)])
@@ -331,6 +331,33 @@ class TestInvertMalformedInput:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {vertices}: ") and reason in err
         assert err.count("\n") == 1 and len(err) <= 300
+
+    @pytest.mark.parametrize(
+        "file, key, message",
+        [
+            ("m.json", "order", "moment order must be non-negative, got -1"),
+            ("v.json", "dim", "vertex set dimension must be non-negative, got -1"),
+        ],
+    )
+    def test_failed_precondition_in_a_file_names_the_file(
+        self, tmp_path, capsys, pentagon_set, pentagon_moments, file, key, message
+    ):
+        """Exit 3, like exit 2, names the input file it refuses."""
+        files = {"v.json": jsonio.vertex_set_to_json(pentagon_set), "m.json": jsonio.moment_table_to_json(pentagon_moments)}
+        files[file][key] = -1
+        code, err = self._invert(tmp_path, capsys, files["v.json"], files["m.json"])
+        assert code == 3
+        assert err == f"error: {tmp_path / file}: {message}\n"
+
+    def test_failed_precondition_keeps_its_type(self, tmp_path, pentagon_moments):
+        from polymom.cli import _decode
+
+        moments = jsonio.moment_table_to_json(pentagon_moments)
+        del moments["moments"][-1]
+        path = write(tmp_path / "m.json", moments)
+        with pytest.raises(errors.DimensionError) as caught:
+            _decode(jsonio.moment_table_from_json, path)
+        assert str(caught.value).startswith(f"{path}: moment table must be complete to order 2: 5 of 6 moments")
 
     def test_non_integer_column_number(self, tmp_path, capsys, square_with_center, pentagon_moments):
         vertices = write(tmp_path / "v.json", jsonio.vertex_set_to_json(square_with_center))

@@ -96,19 +96,31 @@ def test_oracle_reaches_neither_genfunc_nor_inverse():
 
 
 def _calls(tree, name):
-    """The top-level functions and classes of the tree that call `name` by its bare name, and
-    "<module>" for a call outside them."""
+    """The top-level functions and classes of the tree that call `name` as written, a bare or a
+    dotted name, and "<module>" for a call outside them.  Blind spot: a call through an alias."""
     return {
         getattr(node, "name", "<module>")
         for node in tree.body
         for call in ast.walk(node)
-        if isinstance(call, ast.Call) and isinstance(call.func, ast.Name) and call.func.id == name
+        if isinstance(call, ast.Call) and ast.unparse(call.func) == name
     }
 
 
+def _callers(name):
+    """{module: the top-level names in it that call `name`} over the modules that call it."""
+    callers = {path.stem: _calls(ast.parse(path.read_text(encoding="utf-8")), name) for path in MODULES}
+    return {stem: names for stem, names in callers.items() if names}
+
+
 def test_every_form_kernel_comes_from_the_one_memo():
-    callers = {path.stem: _calls(ast.parse(path.read_text(encoding="utf-8")), "FormKernel") for path in MODULES}
-    assert {stem: names for stem, names in callers.items() if names} == {"poly": {"form_kernel"}}
+    assert _callers("FormKernel") == {"poly": {"form_kernel"}}
+
+
+def test_only_the_package_built_tables_skip_the_checks():
+    """The unchecked `MomentTable._of` takes only the tables the oracle and the series build, whose
+    indices and values are canonical by construction; no reader of user input (`jsonio`, `cli`)
+    reaches it, so every file goes through the checked constructor."""
+    assert _callers("MomentTable._of") == {"oracle": {"measure_moments"}, "genfunc": {"series_to_moments"}}
 
 
 def test_oracle_scales_its_own_points():

@@ -650,7 +650,7 @@ class TestTableChecks:
         assert time.perf_counter() - start < 1
         out, err = capsys.readouterr()
         assert out == "" and len(err) <= 300
-        assert err == f"error: moment table must be complete to order {10**30}: 0 of more than 10^100 moments\n"
+        assert err == f"error: {moments}: moment table must be complete to order {10**30}: 0 of more than 10^100 moments\n"
 
     @pytest.mark.parametrize(
         "dim, order, holes",
