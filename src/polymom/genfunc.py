@@ -106,7 +106,7 @@ class RatFun(Value):
         and one pass cancels each form as often as both sides hold it.
         """
         kernel = form_kernel(self.dim, self.numerator.degree())
-        pair = integer_vector(map(self.numerator.coefficient, kernel.rows))
+        pair = kernel.pair(self.numerator)
         return _divided(kernel, pair, ((homogeneous(f.vertex), f) for f in self.denominator))
 
 
@@ -167,15 +167,10 @@ def measure_genfunc(m: WeightedMeasure) -> RatFun:
 
 
 def taylor(f: RatFun, order: int) -> Series:
-    """Exact truncated expansion about the origin, one `FormKernel.over` per denominator form
-    from the numerator's terms of degree <= order, each scaled to an integer in its row."""
+    """Exact truncated expansion about the origin: the `FormKernel.pair` of the numerator's
+    terms of degree <= order, then one `FormKernel.over` per denominator form."""
     kernel = form_kernel(f.dim, order)
-    terms = [(e, c) for e, c in f.numerator.terms.items() if sum(e) <= order]
-    scale = lcm(*(c.denominator for _, c in terms))
-    vector = [0] * len(kernel.rows)
-    for e, c in terms:
-        vector[kernel.at[e]] = c.numerator * (scale // c.denominator)
-    series = vector, scale
+    series = kernel.pair(f.numerator)
     for form in f.denominator:
         series = kernel.over(series, homogeneous(form.vertex))
     return Series(kernel.poly(series), order)

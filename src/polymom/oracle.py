@@ -30,7 +30,8 @@ weighted row of X^A with the row of X^B: the rows are built only to degree
 ceil(k/2), and every sum is cut to its rule's prefix.  Each moment takes one
 `Fraction` at the end.  The oracle only evaluates monomials at points and
 shares no code with `genfunc` or `inverse`, so it can arbitrate their
-results; it writes its tables as `poly.MomentTable`.
+results; it writes its tables as `poly.MomentTable` through the unchecked
+`MomentTable._of`, since their indices and values are canonical by construction.
 """
 
 from __future__ import annotations

@@ -22,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, islice
-from math import factorial, prod
+from math import factorial, lcm, prod
 from operator import length_hint
 from types import MappingProxyType
 
@@ -169,10 +169,10 @@ class FormKernel:
     """Integer products and series quotients by vertex forms below a degree, and exact
     quotients by direction forms: a polynomial is an (integer vector, scale) pair over the
     `rows`, and the form of a vertex v is its `geometry.homogeneous` row (W, W*v), read as
-    W - <W*v, u>, the form times W; a direction g is the row (0, g).  `at` maps each row's
-    exponents to its position.  Get one from `form_kernel`, which builds each (dim, degree)
-    once and shares it; `rows` and `up` are tuples and `at` a read-only view, so no caller can
-    alter them."""
+    W - <W*v, u>, the form times W; a direction g is the row (0, g).  `pair` and `poly` turn a
+    polynomial into a pair and back, and `at` maps each row's exponents to its position.  Get
+    one from `form_kernel`, which builds each (dim, degree) once and shares it; `rows` and `up`
+    are tuples and `at` a read-only view, so no caller can alter them."""
 
     __slots__ = ("dim", "degree", "rows", "at", "up")
 
@@ -183,6 +183,16 @@ class FormKernel:
         # up[v][q] is the row of u_v times the monomial of row q, for the rows below the degree
         below = [e for e in self.rows if sum(e) < degree]
         self.up = tuple(tuple(at[e[:v] + (e[v] + 1,) + e[v + 1 :]] for e in below) for v in range(dim))
+
+    def pair(self, p: Poly):
+        """The pair of the polynomial's terms of degree <= the kernel's, over the lcm of their
+        denominators; each term goes to its row by `at`, and `poly` reads the pair back."""
+        terms = [(e, c) for e, c in p.terms.items() if sum(e) <= self.degree]
+        scale = lcm(*(c.denominator for _, c in terms))
+        vector = [0] * len(self.rows)
+        for e, c in terms:
+            vector[self.at[e]] = c.numerator * (scale // c.denominator)
+        return vector, scale
 
     def poly(self, pair) -> Poly:
         """The polynomial a pair stands for."""

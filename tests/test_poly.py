@@ -42,6 +42,19 @@ def pair(kernel, p):
     return integer_vector(map(p.coefficient, kernel.rows))
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_kernel_pair_is_the_coefficients_on_its_rows(dim):
+    """`FormKernel.pair` equals the pair of the coefficients read row by row, terms above the
+    kernel's degree dropped, and `poly` reads back the polynomial truncated at that degree."""
+    rng = random.Random(dim)
+    for _ in range(12):
+        p = random_poly(rng, dim, 4, nterms=rng.randint(0, 6))
+        for degree in range(8):
+            kernel = form_kernel(dim, degree)
+            assert kernel.pair(p) == pair(kernel, p)
+            assert kernel.poly(kernel.pair(p)) == Series(p, degree).poly
+
+
 def test_product_of_two_forms():
     kernel = form_kernel(2, 2)
     product = pair(kernel, Poly.constant(2, 1))
