@@ -123,6 +123,12 @@ def test_only_the_package_built_tables_skip_the_checks():
     assert _callers("MomentTable._of") == {"oracle": {"measure_moments"}, "genfunc": {"series_to_moments"}}
 
 
+def test_only_the_file_reader_builds_checked_tables():
+    """In src, the checked `MomentTable(...)` reads only a table file, once per `invert`; tests and
+    unpickling (`Value.__reduce__`, a call by type) are its other callers."""
+    assert _callers("MomentTable") == {"jsonio": {"moment_table_from_json"}}
+
+
 def test_oracle_scales_its_own_points():
     """The oracle reads no `homogeneous` row: its per-simplex scale keeps it apart from the kernels it checks."""
     tree = ast.parse((Path(polymom.__file__).parent / "oracle.py").read_text(encoding="utf-8"))

@@ -1,11 +1,21 @@
 """Moment tables the package builds itself, by the oracle and from a generating series, are
 tables the checked constructor accepts as they stand: complete, indexed by tuples of ints,
-valued in Fractions, and equal after a pickle round trip."""
+valued in Fractions, and equal after a pickle round trip.  The checked constructor accepts a
+complete table whatever the order of its keys and the int type of its index entries, and refuses
+one dropped index, one index past the order and one index entry that is no integer."""
 
 import pickle
+import re
 from fractions import Fraction as F
 
 import pytest
+
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # the property below is skipped without hypothesis
+    given = None
+
+from polymom.errors import DimensionError
 
 from polymom import Poly, Series, VertexSet, WeightedMeasure, measure_genfunc, measure_moments, uniform_measure
 from polymom.genfunc import series_to_moments, taylor
@@ -82,3 +92,46 @@ def test_the_empty_series_gives_the_zero_table():
     t = series_to_moments(Series(Poly(3, {}), 2), 3)
     _check(t)
     assert set(t.moments.values()) == {0}
+
+
+class Int(int):
+    """A plain int subclass, which the checked constructor reads as the int it is."""
+
+
+def _refused(dim, order, moments, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        MomentTable(dim, order, moments)
+
+
+if given is not None:
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=80)
+    @given(st.integers(1, 3), st.integers(0, 6), st.data())
+    def test_the_checked_constructor_reads_every_index_entry_by_one_rule(dim, order, data):
+        """Accepted in any key order and with int-subclass entries; refused, by the first fault
+        and with the message it has always had, when an index is dropped, when one is past the
+        order, and when an entry is 1.0 or True."""
+        indices = monomials_upto(dim, order)
+        values = data.draw(st.lists(st.fractions(max_denominator=9), min_size=len(indices), max_size=len(indices)))
+        canonical = MomentTable(dim, order, dict(zip(indices, values)))
+        shuffled = data.draw(st.permutations(list(zip(indices, values))))
+        assert MomentTable(dim, order, dict(shuffled)) == canonical
+        assert MomentTable(dim, order, {tuple(map(Int, e)): v for e, v in shuffled}) == canonical
+
+        k, n = data.draw(st.integers(0, len(indices) - 1)), len(indices)
+        dropped, kept = shuffled[k][0], shuffled[:k] + shuffled[k + 1 :]
+        missing = f"moment table must be complete to order {order}: {n - 1} of {n} moments, first missing [{dropped}]"
+        _refused(dim, order, dict(kept), DimensionError, missing)
+        past = (order + 1,) + (0,) * (dim - 1)
+        message = f"moment index {past} is not in R^{dim} up to order {order}"
+        _refused(dim, order, dict(kept + [(past, 0)]), DimensionError, message)
+        j = data.draw(st.integers(0, dim - 1))
+        as_float = dropped[:j] + (float(dropped[j]),) + dropped[j + 1 :]
+        message = "'float' object cannot be interpreted as an integer"
+        _refused(dim, order, dict(kept + [(as_float, 0)]), TypeError, message)
+        ones = [e for e in indices if 1 in e]
+        if ones:
+            one = data.draw(st.sampled_from(ones))
+            as_bool = tuple(True if x == 1 else x for x in one)
+            table = {(as_bool if e == one else e): v for e, v in shuffled}
+            _refused(dim, order, table, TypeError, "moment index entry must be an integer, not bool")
