@@ -6,9 +6,10 @@ matrix building is graded lexicographic: ascending total degree, and within a
 degree descending lexicographic exponents, so that for two variables the
 order reads 1, u1, u2, u1^2, u1*u2, u2^2.
 
-`Poly(dim, terms)` and `MomentTable(dim, order, moments)` check and coerce
-what they are given, for input; results built in the package go through the
-unchecked `Poly._of` and `MomentTable._of`.  `Poly` has no arithmetic:
+`Poly(dim, terms)` and `MomentTable(dim, order, moments)` check what they are
+given, for input: each exponent or index entry by `value.integer` and each
+coefficient or moment by `linalg.rat`.  Results built in the package go through
+the unchecked `Poly._of` and `MomentTable._of`.  `Poly` has no arithmetic:
 `FormKernel` multiplies and divides by vertex forms below a degree, and
 divides exactly by direction forms, in integers, and `form_kernel` builds one
 kernel per (dim, degree) for every caller.  `MomentTable` holds the moments
@@ -23,7 +24,6 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, islice
 from math import factorial, lcm, prod
-from operator import length_hint
 from types import MappingProxyType
 
 from .errors import DimensionError
@@ -262,9 +262,10 @@ def normalizers(dim, order) -> tuple:
 
 class MomentTable(Value):
     """All moments m_I with |I| <= order, zeros stored explicitly.  `MomentTable(dim, order,
-    moments)` is for input: it reads each value by `rat` and checks that the indices are
-    exactly the complete table's, each a tuple of ints.  Tables built here, whose indices and
-    values are canonical by construction, go through the unchecked `MomentTable._of`."""
+    moments)` is for input: it reads each value by `rat` and each index entry by `integer`,
+    names the first index out of range, and checks that the indices are exactly the complete
+    table's.  Tables built here, whose indices and values are canonical by construction, go
+    through the unchecked `MomentTable._of`."""
 
     __slots__ = ("dim", "order", "moments")
 
@@ -277,14 +278,7 @@ class MomentTable(Value):
             expected = expected * (n - m + i) // i
             if expected > cap:
                 break
-        # a table of the expected size is complete exactly when its indices are the canonical
-        # ones, all of ints: lengths first, so that the canonical set is no larger than the
-        # indices, and types last, since (True, 1) and (1.0, 1) equal (1, 1)
-        if len(self.moments) == expected and set(map(length_hint, self.moments)) == {self.dim}:
-            if self.moments.keys() == _indices(self.dim, self.order):
-                if all(type(x) is int for e in self.moments for x in e):
-                    return
-        # name the first fault
+        # name the first fault; distinct indices in range, as many as expected, are the complete table
         for e in self.moments:
             entries = [integer(x, "moment index entry", signed=True) for x in e]
             if len(entries) != self.dim or min(entries, default=0) < 0 or sum(entries) > self.order:
@@ -315,12 +309,6 @@ class MomentTable(Value):
 
     def sorted_items(self):
         return [(e, self.moments[e]) for e in sorted(self.moments, key=grlex_key)]
-
-
-@lru_cache(maxsize=16)
-def _indices(dim, order):
-    """The indices of a complete table, |I| <= order in R^dim."""
-    return frozenset(monomials_upto(dim, order))
 
 
 def _normalizer(exps, dim, extra) -> int:
