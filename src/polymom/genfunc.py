@@ -27,7 +27,7 @@ from .errors import (
     DimensionError,
     PolymomError,
 )
-from .geometry import VertexSet, WeightedMeasure, check_simplex, homogeneous, is_degenerate
+from .geometry import VertexSet, WeightedMeasure, check_simplex, coordinates, edge_det, homogeneous
 from .linalg import RatMat, det, integer_vector, rat
 from .poly import ZERO, MomentTable, Poly, Series, _normalizer, form_kernel, normalizers
 from .value import Value, integer
@@ -43,7 +43,7 @@ class LinearForm(Value):
     __slots__ = ("vertex",)
 
     def __init__(self, vertex):
-        self._fill(tuple(rat(c) for c in vertex))
+        self._fill(coordinates(vertex, "vertex"))
 
     @property
     def dim(self):
@@ -133,7 +133,7 @@ def simplex_genfunc(s, vs: VertexSet, weight, allow_degenerate=False) -> RatFun:
     singular limit measure (a point mass when its vertices coincide).
     """
     s = check_simplex(s, vs)
-    if not allow_degenerate and is_degenerate(s, vs):
+    if not allow_degenerate and edge_det(s, vs) == 0:
         raise DegenerateSimplexError(f"degenerate simplex {s}; pass allow_degenerate for singular terms")
     forms = [LinearForm(vs.points[i]) for i in s]
     return RatFun(Poly.constant(vs.dim, rat(weight)), forms)
@@ -204,8 +204,8 @@ class TangentCone(Value):
     __slots__ = ("vertex", "edges")
 
     def __init__(self, vertex, edges):
-        vertex = tuple(rat(c) for c in vertex)
-        edges = tuple(tuple(rat(c) for c in e) for e in edges)
+        vertex = coordinates(vertex, "vertex")
+        edges = tuple(coordinates(e, "edge") for e in edges)
         d = len(vertex)
         if len(edges) != d or any(len(e) != d for e in edges):
             raise DimensionError(f"a simple vertex in R^{d} needs exactly {d} edge vectors")
@@ -284,7 +284,7 @@ def brion_genfunc(p: SimplePolytope) -> RatFun:
 
 
 def _vertex_pairings(p: SimplePolytope, z):
-    z = [rat(c) for c in z]
+    z = coordinates(z, "direction")
     if len(z) != p.dim:
         raise DimensionError(f"direction of length {len(z)} in R^{p.dim}")
     data = []

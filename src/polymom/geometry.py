@@ -2,7 +2,8 @@
 
 Vertex sets are ordered and may contain repeated points (a multiset); any
 (d+1)-subset of indices whose points fail to span is degenerate, which covers
-duplicates automatically.  All predicates are exact sign-of-determinant
+duplicates automatically.  A point, vertex, edge or direction is read by
+`coordinates`, one `linalg.rat` per coordinate, and a string is refused.  All predicates are exact sign-of-determinant
 tests, never epsilon comparisons.  Each point p is one primitive integer row
 `homogeneous(p)` = (W, W*p), W > 0 the lcm of its denominators; the
 `linalg.integer_det` of a simplex's rows, in the given order, over the
@@ -35,7 +36,7 @@ class VertexSet(Value):
 
     def __init__(self, dim, points):
         dim = integer(dim, "vertex set dimension")
-        pts = tuple(tuple(rat(c) for c in p) for p in points)
+        pts = tuple(coordinates(p, "point") for p in points)
         if any(len(p) != dim for p in pts):
             raise DimensionError(f"every point must have {dim} coordinates")
         self._fill(dim, pts)
@@ -44,6 +45,15 @@ class VertexSet(Value):
 
     def __len__(self):
         return len(self.points)
+
+
+def coordinates(p, what) -> tuple:
+    """The coordinates of a point or a vector as a tuple of Fractions, each read by `rat`.  A
+    string is a TypeError: it iterates as its characters, so "10" would read as (1, 0).  `what`
+    names the argument in the message."""
+    if isinstance(p, str):
+        raise TypeError(f"{what} must be a sequence of coordinates, not a string")
+    return tuple(map(rat, p))
 
 
 def homogeneous(point) -> tuple:
@@ -75,10 +85,6 @@ def edge_det(s, vs: VertexSet) -> Fraction:
 def volume(s, vs: VertexSet) -> Fraction:
     """Euclidean volume |det|/d!; zero exactly when the simplex is degenerate."""
     return abs(edge_det(s, vs)) / factorial(vs.dim)
-
-
-def is_degenerate(s, vs: VertexSet) -> bool:
-    return edge_det(s, vs) == 0
 
 
 class Classification(Value):
@@ -132,7 +138,7 @@ class WeightedMeasure(Value):
             merged[s] = merged.get(s, Fraction(0)) + w
         clean = tuple(sorted((s, w) for s, w in merged.items() if w != 0))
         for s, _ in clean:
-            if is_degenerate(s, vertex_set):
+            if edge_det(s, vertex_set) == 0:
                 raise DegenerateSimplexError(f"degenerate simplex {s} in measure")
         self._fill(vertex_set, clean)
 

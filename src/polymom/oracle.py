@@ -43,8 +43,8 @@ from math import comb, factorial, lcm, prod
 from operator import add, mul, sub
 
 from .errors import DegenerateSimplexError, DimensionError
-from .geometry import VertexSet, WeightedMeasure, edge_det
-from .linalg import integer_vector, rat
+from .geometry import VertexSet, WeightedMeasure, coordinates, edge_det
+from .linalg import integer_vector
 from .poly import MomentTable, Poly, monomials_of_degree, monomials_upto
 from .value import integer
 
@@ -212,7 +212,7 @@ def measure_moments(m: WeightedMeasure, order: int, rho: Poly | None = None) -> 
 def axial_moment(m: WeightedMeasure, z, j: int) -> Fraction:
     """Exact integral of <x, z>^j against the measure: the order-0 table of the density
     <x, z>^j, whose coefficient at x^e, |e| = j, is j!/e! Z^e / L^j for z = Z / L, Z integer."""
-    z = [rat(c) for c in z]
+    z = coordinates(z, "direction")
     vs = m.vertex_set
     if len(z) != vs.dim:
         raise DimensionError(f"direction of length {len(z)} in R^{vs.dim}")

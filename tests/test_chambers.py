@@ -8,7 +8,7 @@ try:
 except ImportError:  # the properties below are skipped without hypothesis
     given = None
 
-from polymom import VertexSet, WeightedMeasure, chambers, density, measure_moments, uniform_measure
+from polymom import VertexSet, WeightedMeasure, chambers, density, measure_moments, uniform_measure, volume
 from polymom.chambers import (
     build_chambers,
     chamber_densities,
@@ -16,7 +16,6 @@ from polymom.chambers import (
     render_svg,
 )
 from polymom.errors import DimensionError, NotSpanningError
-from polymom.geometry import is_degenerate
 
 PENTAGON_WEIGHTS = {
     (2, 3, 4): 1,
@@ -132,7 +131,7 @@ def test_one_line_derivation_per_point_pair(monkeypatch):
     cm = build_chambers(vs)
     assert len(calls) == 14  # the 15 index pairs, less the repeated point's pair with itself
     assert cm.edges[(0, 3)] == cm.edges[(3, 4)] and (0, 4) not in cm.edges
-    triangles = [s for s in combinations(range(6), 3) if not is_degenerate(s, vs)]
+    triangles = [s for s in combinations(range(6), 3) if volume(s, vs)]
     cm = chamber_densities(cm, [(s, F(1)) for s in triangles])
     assert len(calls) == 14
     assert [ch.density for ch in cm.chambers] == _reference_densities(cm, [(s, F(1)) for s in triangles])
@@ -223,7 +222,7 @@ if given is not None:
             vs = VertexSet(2, points)
         except NotSpanningError:
             assume(False)
-        triangles = [s for s in combinations(range(n), 3) if not is_degenerate(s, vs)]
+        triangles = [s for s in combinations(range(n), 3) if volume(s, vs)]
         chosen = draw(st.lists(st.sampled_from(triangles), unique=True, min_size=1, max_size=6))
         return WeightedMeasure(vs, [(s, draw(nonzero_rationals)) for s in chosen])
 
@@ -250,7 +249,7 @@ if given is not None:
             vs = VertexSet(2, points)
         except NotSpanningError:
             assume(False)
-        triangles = [s for s in combinations(range(n), 3) if not is_degenerate(s, vs)]
+        triangles = [s for s in combinations(range(n), 3) if volume(s, vs)]
         chosen = draw(st.lists(st.sampled_from(triangles), unique=True, min_size=1, max_size=6))
         return WeightedMeasure(vs, [(s, draw(nonzero_rationals)) for s in chosen])
 

@@ -2,12 +2,13 @@
 
 Each example takes the valid pentagon files of one command, changes one node
 of one file (deletes it, duplicates a list entry, or replaces it by null, a
-bool, a float, a huge int, "1/0" or nested lists) and runs the command in
-process.  Whatever the change, the command must end with a documented exit
-code and at most one bounded line on stderr, in bounded time.  A null, bool,
-float, "1/0" or nested-list value is valid nowhere in these files, so it
-must exit exactly 2.  Runs derandomized, so a failure repeats from run to
-run.
+bool, a float, a huge int, "1/0", a digit string or nested lists) and runs
+the command in process.  Whatever the change, the command must end with a
+documented exit code and at most one bounded line on stderr, in bounded time.
+A null, bool, float, "1/0" or nested-list value is valid nowhere in these
+files, and a digit string nowhere a list is due (a point "10" is not the
+point (1, 0)), so there it must exit exactly 2.  Runs derandomized, so a
+failure repeats from run to run.
 """
 
 import contextlib
@@ -43,7 +44,8 @@ COMMANDS = {
     "chambers": (["vertices", "measure"], ["--svg", "SVG", "--out", "OUT"]),
 }
 REPLACEMENTS = {
-    "null": None, "bool": True, "float": 0.5, "huge int": 10**40, "1/0": "1/0", "nested lists": [[1, [2]]],
+    "null": None, "bool": True, "float": 0.5, "huge int": 10**40, "1/0": "1/0", "digit string": "10",
+    "nested lists": [[1, [2]]],
 }
 MUTATIONS = ["delete", "duplicate", *REPLACEMENTS]
 MALFORMED = {"null", "bool", "float", "1/0", "nested lists"}
@@ -93,6 +95,8 @@ def test_mutated_input_exits_documented_code_in_one_line(command, data):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
         elapsed = time.perf_counter() - start
-    assert code in ((2,) if mutation in MALFORMED else (0, 2, 3, 4)), err.getvalue()
+    replaced = reduce(getitem, path, FILES[target])
+    malformed = mutation in MALFORMED or (mutation == "digit string" and isinstance(replaced, list))
+    assert code in ((2,) if malformed else (0, 2, 3, 4)), err.getvalue()
     assert err.getvalue().count("\n") <= 1 and len(err.getvalue()) <= 300, err.getvalue()
     assert elapsed < 5

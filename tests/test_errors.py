@@ -1,6 +1,7 @@
 """Each documented refusal, by its error type: one table for the library, one for its integer
 arguments and one for the CLI."""
 
+import json
 import random
 import re
 from pathlib import Path
@@ -91,6 +92,13 @@ LIBRARY = [
     ("solve-non-square", lambda: solve(RatMat(1, 2, [1, 2]), [1]), DimensionError, "square matrix"),
     ("solve-rhs-length", lambda: solve(RatMat.identity(2), [1]), DimensionError, "right-hand side of length 1"),
     ("inverse-non-square", lambda: mat_inverse(RatMat(1, 2, [1, 2])), DimensionError, "square matrix"),
+    ("vertex-set-string-point", lambda: VertexSet(1, ["5", "7"]), TypeError, "^point must be a sequence"),
+    ("vertex-set-string-points", lambda: VertexSet(2, "10"), TypeError, "^point must be a sequence"),
+    ("linear-form-string-vertex", lambda: LinearForm("10"), TypeError, "^vertex must be a sequence"),
+    ("cone-string-vertex", lambda: TangentCone("00", [(1, 0), (0, 1)]), TypeError, "^vertex must be a sequence"),
+    ("cone-string-edge", lambda: TangentCone((0, 0), ["10", (0, 1)]), TypeError, "^edge must be a sequence"),
+    ("axial-moment-string-direction", lambda: axial_moment(TRIANGLE, "12", 2), TypeError, "^direction must be"),
+    ("brion-axial-string-direction", lambda: brion_axial_moment(box_polytope(2), "12", 2), TypeError, "^direction"),
 ]
 
 
@@ -166,3 +174,19 @@ def test_cli_refusal(args, code, message, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert re.fullmatch(f"error: {message.format(data=re.escape(str(data)))}\n", captured.err), captured.err
+
+
+# A point given as a string is malformed, not read one character per coordinate: "10" is not (1, 0).
+STRING_POINTS = [("string-point", ["10", "01", "00"]), ("string-points", "10")]
+
+
+@pytest.mark.parametrize("points", [row[1] for row in STRING_POINTS], ids=[row[0] for row in STRING_POINTS])
+def test_cli_refuses_a_string_point(points, tmp_path, capsys):
+    """`polymom moments` on a measure file whose points are strings exits 2, naming the file."""
+    path = tmp_path / "measure.json"
+    atoms = [{"simplex": [0, 1, 2], "weight": "1"}]
+    path.write_text(json.dumps({"vertices": {"dim": 2, "points": points}, "atoms": atoms}))
+    assert main(["moments", str(path), "--order", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: point must be a sequence of coordinates, not a string\n"

@@ -37,7 +37,6 @@ from polymom.errors import DegenerateDirectionError, DegenerateSimplexError, Dim
 from polymom import genfunc
 from polymom.jsonio import measure_from_json, ratfun_to_json
 from polymom.linalg import integer_vector
-from polymom.geometry import is_degenerate
 from polymom.poly import FormKernel, monomials_of_degree, monomials_upto
 from polymom.verify import (
     _nonzero_direction,
@@ -516,7 +515,7 @@ def _random_measure(rng, dim):
     atoms = []
     for _ in range(rng.randint(0, 4)):
         s = tuple(sorted(rng.sample(range(len(points)), dim + 1)))
-        if not is_degenerate(s, vs):
+        if volume(s, vs):
             atoms.append((s, random_rational(rng)))
     return WeightedMeasure(vs, atoms)
 

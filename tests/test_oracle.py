@@ -24,7 +24,7 @@ from polymom import (
 from polymom import oracle
 from polymom.cli import main
 from polymom.errors import DegenerateSimplexError, DimensionError, NotSpanningError
-from polymom.geometry import edge_det, is_degenerate
+from polymom.geometry import edge_det
 from polymom.poly import monomials_upto
 from polymom.verify import random_point, random_rational, random_simplex_vertices
 from polyops import plus, times
@@ -207,7 +207,7 @@ def test_measure_moments_match_power_table_reference():
         atoms = [
             (s, random_rational(rng))
             for s in combinations(range(dim + 3), dim + 1)
-            if not is_degenerate(s, vs) and rng.random() < 0.5
+            if edge_det(s, vs) and rng.random() < 0.5
         ]
         m = WeightedMeasure(vs, atoms)
         rho = None
@@ -264,7 +264,7 @@ def test_forward_series_sizes(dim, order, seed, dense):
     largest order the forward-series benchmark asks in that dimension."""
     rng = random.Random(seed)
     vs = VertexSet(dim, [random_point(rng, dim) for _ in range(dim + 3)])
-    simplices = [s for s in combinations(range(dim + 3), dim + 1) if not is_degenerate(s, vs)]
+    simplices = [s for s in combinations(range(dim + 3), dim + 1) if edge_det(s, vs)]
     m = WeightedMeasure(vs, [(s, random_rational(rng) or 1) for s in rng.sample(simplices, 4)])
     rho = _dense_rho(dim) if dense else None
     assert measure_moments(m, order, rho) == _reference_measure_moments(m, order, rho)
@@ -278,7 +278,7 @@ def test_rules_of_four_to_six_groups(dim, order, seed, dense):
     meet in one table: three signed simplices on d+3 shared rational points."""
     rng = random.Random(seed)
     vs = VertexSet(dim, [random_point(rng, dim) for _ in range(dim + 3)])
-    simplices = [s for s in combinations(range(dim + 3), dim + 1) if not is_degenerate(s, vs)]
+    simplices = [s for s in combinations(range(dim + 3), dim + 1) if edge_det(s, vs)]
     m = WeightedMeasure(vs, [(s, random_rational(rng) or 1) for s in rng.sample(simplices, 3)])
     rho = _dense_rho(dim) if dense else None
     assert measure_moments(m, order, rho) == _reference_measure_moments(m, order, rho)
@@ -300,7 +300,7 @@ def test_densities_of_odd_degree(dim, order, seed, r):
     1 or 3, against the reference at every degree of the table."""
     rng = random.Random(seed)
     vs = VertexSet(dim, [random_point(rng, dim) for _ in range(dim + 3)])
-    simplices = [s for s in combinations(range(dim + 3), dim + 1) if not is_degenerate(s, vs)]
+    simplices = [s for s in combinations(range(dim + 3), dim + 1) if edge_det(s, vs)]
     m = WeightedMeasure(vs, [(s, random_rational(rng) or 1) for s in rng.sample(simplices, 3)])
     rho = _odd_rho(dim, r)
     assert measure_moments(m, order, rho) == _reference_measure_moments(m, order, rho)
@@ -312,7 +312,7 @@ def test_axial_moment_at_seven_is_the_power_expansion(dim):
     exact to degree 7 has 4 groups."""
     rng = random.Random(70 + dim)
     vs = VertexSet(dim, [random_point(rng, dim) for _ in range(dim + 2)])
-    simplices = [s for s in combinations(range(dim + 2), dim + 1) if not is_degenerate(s, vs)]
+    simplices = [s for s in combinations(range(dim + 2), dim + 1) if edge_det(s, vs)]
     m = WeightedMeasure(vs, [(s, random_rational(rng) or 1) for s in simplices[:2]])
     z = tuple(random_rational(rng) or F(1, 2) for _ in range(dim))
     table = measure_moments(m, 7)
@@ -351,7 +351,7 @@ def _distinct_denominators(dim, atoms, seed):
             vs = VertexSet(dim, points)
         except NotSpanningError:
             continue
-        simplices = [s for s in combinations(range(dim + 4), dim + 1) if not is_degenerate(s, vs)]
+        simplices = [s for s in combinations(range(dim + 4), dim + 1) if edge_det(s, vs)]
         if len(simplices) >= atoms:
             break
     chosen = rng.sample(simplices, atoms)
@@ -436,7 +436,7 @@ def test_shared_plans_leave_no_trace_between_calls(dense):
     measures = []
     for _ in range(2):
         vs = VertexSet(2, [random_point(rng, 2) for _ in range(5)])
-        simplices = [s for s in combinations(range(5), 3) if not is_degenerate(s, vs)]
+        simplices = [s for s in combinations(range(5), 3) if edge_det(s, vs)]
         measures.append(WeightedMeasure(vs, [(s, random_rational(rng) or 1) for s in simplices[:3]]))
     rho = _dense_rho(2) if dense else None
     first = [measure_moments(m, 6, rho) for m in measures]
@@ -502,7 +502,7 @@ if given is not None:
             vs = VertexSet(dim, points)
         except NotSpanningError:
             assume(False)
-        simplices = [s for s in combinations(range(n), dim + 1) if not is_degenerate(s, vs)]
+        simplices = [s for s in combinations(range(n), dim + 1) if edge_det(s, vs)]
         chosen = draw(st.lists(st.sampled_from(simplices), unique=True, min_size=1, max_size=4))
         return WeightedMeasure(vs, [(s, draw(nonzero_rationals)) for s in chosen]), order
 
