@@ -15,7 +15,7 @@ import argparse
 import json
 import sys
 
-from . import SUITE_NAMES, inverse, jsonio
+from . import SUITE_NAMES, jsonio
 from .errors import DimensionError, PolymomError, PreconditionError
 from .geometry import density
 
@@ -85,13 +85,12 @@ def cmd_genfunc(args):
     return EXIT_OK
 
 
-def _parse_columns(text, vs):
+def _parse_columns(text, all_columns):
     """Translate the 1-based column numbers of the worked examples."""
     try:
         numbers = [int(x) for x in text.split(",") if x.strip()]
     except ValueError:
         raise InputError(f"--columns takes comma-separated integers, got {text!r}")
-    all_columns = inverse.extended_columns(vs)
     for number in numbers:
         if not 1 <= number <= len(all_columns):
             raise DimensionError(f"column number {number} out of range")
@@ -99,9 +98,11 @@ def _parse_columns(text, vs):
 
 
 def cmd_invert(args):
+    from . import inverse
+
     vs = _decode(jsonio.vertex_set_from_json, args.vertices)
     table = _decode(jsonio.moment_table_from_json, args.moments)
-    columns = _parse_columns(args.columns, vs) if args.columns else None
+    columns = _parse_columns(args.columns, inverse.extended_columns(vs)) if args.columns else None
     if args.svg and vs.dim != 2:
         raise DimensionError("--svg requires a 2-d vertex set")
     rec = inverse.reconstruct(table, vs, args.pivot, columns)

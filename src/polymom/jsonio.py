@@ -15,7 +15,6 @@ reproduction.
 from __future__ import annotations
 
 from .geometry import VertexSet, WeightedMeasure
-from .inverse import Reconstruction
 from .linalg import rat_str
 from .poly import MomentTable, Poly
 
@@ -82,7 +81,7 @@ def ratfun_to_json(f) -> dict:
     }
 
 
-def reconstruction_to_json(r: Reconstruction) -> dict:
+def reconstruction_to_json(r) -> dict:
     return {
         "pivot": r.pivot,
         "weights": [

@@ -194,6 +194,7 @@ def test_genfunc_and_moments_load_only_the_module_they_run(tmp_path, command, lo
     code, _, after = _child(BUDGET_CHILD, *command, str(measure), "--out", str(tmp_path / "out.json"))
     assert code == 0 and loaded in after
     assert absent not in after
+    assert "polymom.inverse" not in after
 
 
 # Every name `from polymom import *` binds: the exports, SUITE_NAMES and the submodules they come from.
