@@ -9,9 +9,9 @@ of the vertex forms 1 - <v, u>, which makes every function here rational
 with denominator a sub-multiset of vertex forms.  Denominators are kept as
 form multisets and never expanded.  `poly.FormKernel` multiplies and divides
 by forms in integers, each the vertex's `geometry.homogeneous` row; `taylor`
-expands and `RatFun.cancel` cancels with the kernel of `poly.form_kernel`.
-`brion_genfunc` sums its vertex cones in the same kernel, and divides out
-their edge directions with `FormKernel.divide`.
+expands into a `Series`, which holds the kernel's pair, and `RatFun.cancel`
+cancels with the kernel of `poly.form_kernel`.  `brion_genfunc` sums its vertex
+cones in the same kernel, and divides out edge directions with `FormKernel.divide`.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm, perm, prod
-from operator import ge, sub
+from operator import ge, mul, sub
 
 from .errors import (
     DegenerateDirectionError,
@@ -28,8 +28,8 @@ from .errors import (
     PolymomError,
 )
 from .geometry import VertexSet, WeightedMeasure, check_simplex, coordinates, edge_det, homogeneous
-from .linalg import RatMat, det, integer_vector, rat
-from .poly import ZERO, MomentTable, Poly, Series, _normalizer, form_kernel, normalizers
+from .linalg import _integer_rows, integer_det, integer_vector, rat
+from .poly import ZERO, MomentTable, Poly, Series, form_kernel, normalizers
 from .value import Value, integer
 
 
@@ -167,35 +167,35 @@ def measure_genfunc(m: WeightedMeasure) -> RatFun:
 
 
 def taylor(f: RatFun, order: int) -> Series:
-    """Exact truncated expansion about the origin: the `FormKernel.pair` of the numerator's
-    terms of degree <= order, then one `FormKernel.over` per denominator form."""
+    """Exact truncated expansion about the origin, as the series's pair: the `FormKernel.pair`
+    of the numerator's terms of degree <= order, then one `FormKernel.over` per denominator form."""
     kernel = form_kernel(f.dim, order)
     series = kernel.pair(f.numerator)
     for form in f.denominator:
         series = kernel.over(series, homogeneous(form.vertex))
-    return Series(kernel.poly(series), order)
+    return Series._of(f.dim, order, *series)
 
 
 def series_to_moments(series: Series, dim: int) -> MomentTable:
     """Read a normalized generating series as a moment table.
 
     The coefficient at u^I is (|I|+d)!/prod(i_j!) * m_I, so the moment is the
-    coefficient over that normalizer: one `Fraction` per term present, and one
-    shared zero for every absent one.  Mutually inverse with `moments_to_series`.
+    coefficient over that normalizer: one `Fraction` per nonzero row of the
+    series's pair, one shared zero for every other.  Inverse to `moments_to_series`.
     """
     dim = integer(dim, "dimension")
     if series.dim != dim:
         raise DimensionError(f"series has {series.dim} variables, expected {dim}")
-    terms, table = series.poly.terms, {}
-    for e, n in zip(form_kernel(dim, series.order).rows, normalizers(dim, series.order)):
-        c = terms.get(e)
-        table[e] = Fraction(c.numerator, c.denominator * n) if c else ZERO
-    return MomentTable._of(dim, series.order, table)
+    rows, scale = form_kernel(dim, series.order).rows, series.scale
+    moments = zip(rows, series.vector, normalizers(dim, series.order))
+    return MomentTable._of(dim, series.order, {e: Fraction(x, scale * n) if x else ZERO for e, x, n in moments})
 
 
 def moments_to_series(table: MomentTable) -> Series:
-    terms = {e: _normalizer(e, table.dim, 0) * value for e, value in table.moments.items()}
-    return Series(Poly(table.dim, terms), table.order)
+    """The series's pair is the `integer_vector` of each moment times its normalizer, by row."""
+    dim, order = table.dim, table.order
+    moments = map(mul, normalizers(dim, order), map(table.__getitem__, form_kernel(dim, order).rows))
+    return Series._of(dim, order, *integer_vector(moments))
 
 
 class TangentCone(Value):
@@ -215,8 +215,9 @@ class TangentCone(Value):
 
     @property
     def det_abs(self) -> Fraction:
-        """|det| of the edge vectors."""
-        return abs(det(RatMat.from_rows(self.edges)))
+        """|det| of the edge vectors, from their `integer_vector` rows."""
+        rows, scale = _integer_rows(self.edges)
+        return abs(Fraction(integer_det(rows), scale))
 
 
 class SimplePolytope(Value):

@@ -12,10 +12,10 @@ coefficient or moment by `linalg.rat`.  Results built in the package go through
 the unchecked `Poly._of` and `MomentTable._of`.  `Poly` has no arithmetic:
 `FormKernel` multiplies and divides by vertex forms below a degree, and
 divides exactly by direction forms, in integers, and `form_kernel` builds one
-kernel per (dim, degree) for every caller.  `MomentTable` holds the moments
-m_I to an order, and `_normalizer` is the factor (|I|+d)!/prod(i_j!) between a
-moment and its coefficient in the normalized generating series; `normalizers`
-holds one row of them per (dim, order), beside the kernel's rows.
+kernel per (dim, degree) for every caller; a `Series` is one kernel's pair.
+`MomentTable` holds the moments m_I to an order, and `_normalizer` is the factor
+(|I|+d)!/prod(i_j!) between a moment and its coefficient in the normalized generating
+series; `normalizers` holds one row of them per (dim, order), beside the kernel's rows.
 """
 
 from __future__ import annotations
@@ -23,11 +23,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, islice
-from math import factorial, lcm, prod
-from types import MappingProxyType
+from math import factorial, gcd, prod
 
 from .errors import DimensionError
-from .linalg import rat
+from .linalg import integer_vector, rat
 from .value import Value, integer
 
 # The coefficient of an absent term, shared rather than built on every read.
@@ -105,12 +104,6 @@ class Poly(Value):
 
     __hash__ = None
 
-    def drop_above(self, degree) -> "Poly":
-        """Discard all terms of total degree > degree; the polynomial itself when it has none."""
-        if self.degree() <= degree:
-            return self
-        return Poly._of(self.dim, {e: c for e, c in self.terms.items() if sum(e) <= degree})
-
     def __repr__(self):
         return f"Poly({self})"
 
@@ -139,22 +132,32 @@ class Poly(Value):
 
 
 class Series(Value):
-    """A polynomial together with the truncation order it is exact to."""
+    """Every coefficient up to the order, as a `MomentTable` holds every moment: the `form_kernel(dim,
+    order)` pair, scale > 0 and no common factor, so equal series have equal fields; `poly` is formed on read."""
 
-    __slots__ = ("poly", "order")
+    __slots__ = ("dim", "order", "vector", "scale")
 
     def __init__(self, poly: Poly, order: int):
         order = integer(order, "series order")
-        self._fill(poly.drop_above(order), order)
+        self._fill(poly.dim, order, *form_kernel(poly.dim, order).pair(poly))
+
+    @classmethod
+    def _of(cls, dim, order, vector, scale) -> "Series":
+        """Unchecked constructor for a kernel pair built here, with scale > 0: reduced by its gcd."""
+        g = gcd(scale, *vector)
+        s = object.__new__(cls)
+        s._fill(dim, order, [x // g for x in vector], scale // g)
+        return s
 
     __hash__ = None
 
     @property
-    def dim(self):
-        return self.poly.dim
+    def poly(self) -> Poly:
+        return form_kernel(self.dim, self.order).poly((self.vector, self.scale))
 
-    def coefficient(self, exponents):
-        return self.poly.coefficient(exponents)
+    def coefficient(self, exponents) -> Fraction:
+        rows, e = form_kernel(self.dim, self.order).rows, tuple(exponents)
+        return Fraction(self.vector[rows.index(e)], self.scale) if e in rows else ZERO
 
     def truncate(self, order) -> "Series":
         if order > self.order:
@@ -164,35 +167,31 @@ class Series(Value):
     def __repr__(self):
         return f"Series({self.poly}, order={self.order})"
 
+    def __reduce__(self):
+        return Series, (self.poly, self.order)
+
 
 class FormKernel:
     """Integer products and series quotients by vertex forms below a degree, and exact
     quotients by direction forms: a polynomial is an (integer vector, scale) pair over the
     `rows`, and the form of a vertex v is its `geometry.homogeneous` row (W, W*v), read as
     W - <W*v, u>, the form times W; a direction g is the row (0, g).  `pair` and `poly` turn a
-    polynomial into a pair and back, and `at` maps each row's exponents to its position.  Get
-    one from `form_kernel`, which builds each (dim, degree) once and shares it; `rows` and `up`
-    are tuples and `at` a read-only view, so no caller can alter them."""
+    polynomial into a pair and back.  Get one from `form_kernel`, which builds each (dim,
+    degree) once and shares it; `rows` and `up` are tuples, so no caller can alter them."""
 
-    __slots__ = ("dim", "degree", "rows", "at", "up")
+    __slots__ = ("dim", "degree", "rows", "up")
 
     def __init__(self, dim, degree):
         self.dim, self.degree, self.rows = dim, degree, tuple(monomials_upto(dim, degree))
         at = {e: r for r, e in enumerate(self.rows)}
-        self.at = MappingProxyType(at)
         # up[v][q] is the row of u_v times the monomial of row q, for the rows below the degree
         below = [e for e in self.rows if sum(e) < degree]
         self.up = tuple(tuple(at[e[:v] + (e[v] + 1,) + e[v + 1 :]] for e in below) for v in range(dim))
 
     def pair(self, p: Poly):
-        """The pair of the polynomial's terms of degree <= the kernel's, over the lcm of their
-        denominators; each term goes to its row by `at`, and `poly` reads the pair back."""
-        terms = [(e, c) for e, c in p.terms.items() if sum(e) <= self.degree]
-        scale = lcm(*(c.denominator for _, c in terms))
-        vector = [0] * len(self.rows)
-        for e, c in terms:
-            vector[self.at[e]] = c.numerator * (scale // c.denominator)
-        return vector, scale
+        """The `integer_vector` of the polynomial's coefficients on the rows, so its terms above
+        the kernel's degree drop; `poly` reads the pair back."""
+        return integer_vector(p.terms.get(e, ZERO) for e in self.rows)
 
     def poly(self, pair) -> Poly:
         """The polynomial a pair stands for."""

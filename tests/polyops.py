@@ -1,8 +1,8 @@
 """Polynomial arithmetic for the tests' reference computations.
 
 `polymom.Poly` has no ring operators: the library multiplies and divides by
-forms in `poly.FormKernel`.  The references multiply and add term by term, by
-the plain definitions, so that they check the kernel rather than share it.
+forms in `poly.FormKernel`.  The references multiply, add and truncate term by
+term, by the plain definitions, so that they check the kernel rather than share it.
 """
 
 from operator import add
@@ -18,6 +18,11 @@ def times(p, q):
             e = tuple(map(add, e1, e2))
             out[e] = out.get(e, 0) + c1 * c2
     return Poly(p.dim, out)
+
+
+def drop_above(p, degree):
+    """The polynomial's terms of total degree <= degree, term by term."""
+    return Poly(p.dim, {e: c for e, c in p.terms.items() if sum(e) <= degree})
 
 
 def plus(p, q):

@@ -37,7 +37,7 @@ from polymom.errors import DegenerateDirectionError, DegenerateSimplexError, Dim
 from polymom import genfunc
 from polymom.jsonio import measure_from_json, ratfun_to_json
 from polymom.linalg import integer_vector
-from polymom.poly import FormKernel, monomials_of_degree, monomials_upto
+from polymom.poly import ZERO, FormKernel, monomials_of_degree, monomials_upto
 from polymom.verify import (
     _nonzero_direction,
     box_polytope,
@@ -46,7 +46,7 @@ from polymom.verify import (
     random_simplex_vertices,
     triangle_polytope,
 )
-from polyops import pairing, plus, times, vertex_form
+from polyops import drop_above, pairing, plus, times, vertex_form
 
 
 def form(*coords):
@@ -248,6 +248,42 @@ class TestSeriesMoments:
         assert t[(1, 2)] == F(3367, 60)
         assert simplex_monomial_moment((0, 1, 2), triangle_115232, (1, 2)) == F(3367, 60)
 
+    @pytest.mark.parametrize(
+        "vs, simplices, order",
+        [
+            (VertexSet(2, [(-1, 0), (1, 0), (0, 1), (0, F(1, 3))]), [(0, 1, 3), (1, 2, 3), (2, 0, 3)], 8),
+            (VertexSet(3, [(-1, 0, 0), (1, 0, 0), (0, F(3, 2), 0), (0, 0, 1)]), [(0, 1, 2, 3)], 5),
+        ],
+    )
+    def test_the_forward_path_forms_no_poly_and_one_fraction_per_nonzero_moment(
+        self, monkeypatch, vs, simplices, order
+    ):
+        """`taylor` hands `series_to_moments` its integer pair: with every way to a `Poly`
+        refusing, the table still equals the oracle's, and only its nonzero moments are new
+        `Fraction`s, the others (odd in x_1, on these measures symmetric in x_1) the shared zero."""
+        m = uniform_measure(vs, simplices)
+        f, expected = measure_genfunc(m), measure_moments(m, order)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the forward path formed a Poly")
+
+        made = []
+        new = F.__new__
+
+        def counted(cls, *args, **kwargs):
+            made.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(FormKernel, "poly", refuse)
+        monkeypatch.setattr(Poly, "_of", classmethod(refuse))
+        monkeypatch.setattr(Poly, "__init__", refuse)
+        monkeypatch.setattr(F, "__new__", staticmethod(counted))
+        table = series_to_moments(taylor(f, order), vs.dim)
+        monkeypatch.undo()
+        assert table == expected
+        nonzero = [v for v in table.moments.values() if v is not ZERO]
+        assert len(made) == len(nonzero) and all(nonzero) and any(v is ZERO for v in table.moments.values())
+
 
 class TestBrion:
     def test_interval(self):
@@ -414,17 +450,17 @@ class TestSingularTerm:
 
 def _reference_taylor(f, order):
     """Expansion by truncated geometric-series powers, one product per form."""
-    result = f.numerator.drop_above(order)
+    result = drop_above(f.numerator, order)
     for form in f.denominator:
         g = pairing(form.vertex)
         geo = Poly.constant(f.dim, 1)
         power = Poly.constant(f.dim, 1)
         for _ in range(order):
-            power = times(power, g).drop_above(order)
+            power = drop_above(times(power, g), order)
             if power.is_zero():
                 break
             geo = plus(geo, power)
-        result = times(result, geo).drop_above(order)
+        result = drop_above(times(result, geo), order)
     return Series(result, order)
 
 

@@ -20,10 +20,10 @@ sympy = pytest.importorskip("sympy")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from polymom import LinearForm, Poly, RatFun, taylor  # noqa: E402
-from polymom.genfunc import _normalizer, form_kernel  # noqa: E402
+from polymom.genfunc import form_kernel  # noqa: E402
 from polymom.geometry import homogeneous  # noqa: E402
 from polymom.linalg import integer_vector  # noqa: E402
-from polymom.poly import monomials_upto  # noqa: E402
+from polymom.poly import _normalizer, monomials_upto  # noqa: E402
 from polyops import pairing, plus, times, vertex_form  # noqa: E402
 
 DIM = 3

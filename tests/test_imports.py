@@ -123,6 +123,12 @@ def test_only_the_package_built_tables_skip_the_checks():
     assert _callers("MomentTable._of") == {"oracle": {"measure_moments"}, "genfunc": {"series_to_moments"}}
 
 
+def test_only_the_package_built_series_skip_the_checks():
+    """The unchecked `Series._of` takes only the pairs `taylor` expands and `moments_to_series`
+    reads off a table; every polynomial from outside goes through `Series(poly, order)`."""
+    assert _callers("Series._of") == {"genfunc": {"taylor", "moments_to_series"}}
+
+
 def test_only_the_file_reader_builds_checked_tables():
     """In src, the checked `MomentTable(...)` reads only a table file, once per `invert`; tests and
     unpickling (`Value.__reduce__`, a call by type) are its other callers."""

@@ -45,7 +45,7 @@ from polymom.errors import (
     NotWeaklyNonDegenerateError,
 )
 from polymom.inverse import numerator_degree
-from polyops import times, vertex_form
+from polyops import drop_above, times, vertex_form
 from polymom.jsonio import vertex_set_from_json
 from polymom.linalg import solve
 from polymom.poly import monomials_upto
@@ -145,8 +145,8 @@ def _reference_numerator(table, vs):
     k = numerator_degree(vs)
     phi = Poly.constant(vs.dim, 1)
     for p in vs.points:
-        phi = times(phi, vertex_form(p)).drop_above(k)
-    return times(moments_to_series(table).poly, phi).drop_above(k)
+        phi = drop_above(times(phi, vertex_form(p)), k)
+    return drop_above(times(moments_to_series(table).poly, phi), k)
 
 
 def _rational_multiset_any_dim(rng, dim, n):

@@ -5,6 +5,11 @@ from operator import add
 
 import pytest
 
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # the properties below are skipped without hypothesis
+    given = None
+
 from polymom import Poly, Series, monomials_of_degree, monomials_upto
 from polymom.errors import DimensionError
 from polymom.geometry import homogeneous
@@ -177,3 +182,34 @@ def test_series_order_tracking():
     assert s.truncate(1).order == 1
     with pytest.raises(DimensionError):
         s.truncate(4)
+
+
+if given is not None:
+
+    @st.composite
+    def _series_args(draw):
+        """(dim, order, poly): a polynomial in 1-3 variables with terms up to degree 7."""
+        dim, order = draw(st.integers(1, 3)), draw(st.integers(0, 6))
+        exponents = st.tuples(*[st.integers(0, 7 // dim) for _ in range(dim)])
+        terms = draw(st.dictionaries(exponents, st.fractions(max_denominator=12), max_size=8))
+        return dim, order, Poly(dim, terms)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=80)
+    @given(_series_args(), st.data())
+    def test_truncating_a_series_is_building_it_to_the_lower_order(args, data):
+        _, order, p = args
+        lower = data.draw(st.integers(0, order))
+        assert Series(p, order).truncate(lower) == Series(p, lower)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=80)
+    @given(_series_args(), st.data())
+    def test_the_unchecked_series_is_the_reduced_pair(args, data):
+        """`Series._of` reduces a pair by its common factor, so a pair and any positive multiple
+        of it are one series, the one the checked constructor builds from its polynomial."""
+        dim, order, _ = args
+        n = len(form_kernel(dim, order).rows)
+        vector = data.draw(st.lists(st.integers(-50, 50), min_size=n, max_size=n))
+        scale, c = data.draw(st.integers(1, 60)), data.draw(st.integers(1, 30))
+        series = Series._of(dim, order, vector, scale)
+        assert Series._of(dim, order, [c * x for x in vector], c * scale) == series
+        assert series == Series(form_kernel(dim, order).poly((vector, scale)), order)

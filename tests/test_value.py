@@ -10,7 +10,9 @@ from polymom import (
     Degeneracy,
     FormBasis,
     MomentTable,
+    Poly,
     Reconstruction,
+    Series,
     SimplePolytope,
     TangentCone,
     VertexSet,
@@ -33,12 +35,20 @@ def _triangle_reconstruction():
     return reconstruct(measure_moments(uniform_measure(TRIANGLE, [(0, 1, 2)]), 0), TRIANGLE)
 
 
+def _series():
+    """1/2 + 3*u1 + u1^3 to order 2."""
+    return Series(Poly(2, {(0, 0): F(1, 2), (1, 0): 3, (3, 0): 1}), 2)
+
+
 class TestRepr:
     """The repr text of the dataclasses these classes were, byte for byte."""
 
     def test_moment_table(self):
         table = MomentTable(1, 1, {(0,): F(2), (1,): F(-1, 3)})
         assert repr(table) == "MomentTable(dim=1, order=1, moments={(0,): Fraction(2, 1), (1,): Fraction(-1, 3)})"
+
+    def test_series_prints_its_polynomial_to_its_order(self):
+        assert repr(_series()) == "Series(1/2 + 3*u1, order=2)"
 
     def test_reconstruction(self):
         assert repr(_triangle_reconstruction()) == (
@@ -99,6 +109,7 @@ FROZEN = [
     lambda: TRIANGLE,
     lambda: TangentCone((1, 0), [(-1, 0), (-1, 1)]),
     lambda: SimplePolytope(1, [TangentCone((0,), [(1,)]), TangentCone((1,), [(-1,)])]),
+    _series,
 ]
 
 
@@ -119,8 +130,8 @@ class TestFrozen:
     @pytest.mark.parametrize("make", FROZEN)
     def test_equal_values_hash_alike(self, make):
         value = make()
-        if isinstance(value, MomentTable):
-            with pytest.raises(TypeError):  # a dict field, as with the dataclass
+        if isinstance(value, (MomentTable, Series)):
+            with pytest.raises(TypeError):  # a dict or list field, as with the dataclass
                 hash(value)
         else:
             assert hash(value) == hash(make())
