@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import time
 from fractions import Fraction as F
@@ -608,6 +610,43 @@ def dot(p, q):
 
 def cross(p, q):
     return (p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2], p[0] * q[1] - p[1] * q[0])
+
+
+def _oracle_tables():
+    """Tables to order 5 of a weighted 2-d measure and a 3-d simplex, each plain and under `_dense_rho`."""
+    rng = random.Random(37)
+    plane = VertexSet(2, [random_point(rng, 2) for _ in range(5)])
+    simplices = [s for s in combinations(range(5), 3) if edge_det(s, plane)][:3]
+    measures = [
+        WeightedMeasure(plane, [(s, random_rational(rng) or 1) for s in simplices]),
+        uniform_measure(random_simplex_vertices(rng, 3), [(0, 1, 2, 3)]),
+    ]
+    return [measure_moments(m, 5, rho) for m in measures for rho in (None, _dense_rho(m.vertex_set.dim))]
+
+
+class TestTableValues:
+    @pytest.mark.parametrize("case", range(4), ids=["2d-plain", "2d-density", "3d-plain", "3d-density"])
+    def test_a_table_is_its_moments(self, case):
+        """The checked table of an oracle table's moments equals it, and so do its pickle
+        round trip and its copies."""
+        table = _oracle_tables()[case]
+        assert MomentTable(table.dim, table.order, dict(table.moments)) == table
+        assert pickle.loads(pickle.dumps(table)) == table
+        assert copy.copy(table) == table == copy.deepcopy(table)
+        assert [table[e] for e in monomials_upto(table.dim, table.order)] == list(table.moments.values())
+
+    @pytest.mark.parametrize("index", [(3, 0), (0, 0, 0), (-1, 1), (0,), ()])
+    def test_an_index_outside_the_table_is_a_key_error(self, index):
+        table = MomentTable(2, 2, {e: F(i) for i, e in enumerate(monomials_upto(2, 2))})
+        with pytest.raises(KeyError) as exc:
+            table[index]
+        assert exc.value.args == (index,)
+
+    def test_the_repr_lists_every_moment_in_canonical_order(self):
+        table = MomentTable(2, 1, {(0, 0): F(0), (1, 0): F(1, 2), (0, 1): F(-3)})
+        assert repr(table) == (
+            "MomentTable(dim=2, order=1, moments={(0, 0): Fraction(0, 1), (1, 0): Fraction(1, 2), (0, 1): Fraction(-3, 1)})"
+        )
 
 
 class TestTableChecks:
