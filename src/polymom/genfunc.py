@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm, perm, prod
-from operator import ge, mul, sub
+from operator import mul
 
 from .errors import (
     DegenerateDirectionError,
@@ -29,7 +29,7 @@ from .errors import (
 )
 from .geometry import VertexSet, WeightedMeasure, check_simplex, coordinates, edge_det, homogeneous
 from .linalg import _integer_rows, integer_det, integer_vector, rat
-from .poly import ZERO, MomentTable, Poly, Series, form_kernel, normalizers
+from .poly import MomentTable, Poly, Series, form_kernel, normalizers
 from .value import Value, integer
 
 
@@ -168,9 +168,11 @@ def measure_genfunc(m: WeightedMeasure) -> RatFun:
 
 def taylor(f: RatFun, order: int) -> Series:
     """Exact truncated expansion about the origin, as the series's pair: the `FormKernel.pair`
-    of the numerator's terms of degree <= order, then one `FormKernel.over` per denominator form."""
+    of the numerator's terms of degree <= order, read on the rows to its own degree, which are
+    a prefix of the order's, and padded with zeros; then one `FormKernel.over` per denominator form."""
     kernel = form_kernel(f.dim, order)
-    series = kernel.pair(f.numerator)
+    vector, scale = form_kernel(f.dim, min(max(f.numerator.degree(), 0), kernel.degree)).pair(f.numerator)
+    series = vector + [0] * (len(kernel.rows) - len(vector)), scale
     for form in f.denominator:
         series = kernel.over(series, homogeneous(form.vertex))
     return Series._of(f.dim, order, *series)
@@ -180,22 +182,23 @@ def series_to_moments(series: Series, dim: int) -> MomentTable:
     """Read a normalized generating series as a moment table.
 
     The coefficient at u^I is (|I|+d)!/prod(i_j!) * m_I, so the moment is the
-    coefficient over that normalizer: one `Fraction` per nonzero row of the
-    series's pair, one shared zero for every other.  Inverse to `moments_to_series`.
+    coefficient over that normalizer: with N the lcm of the normalizers, the
+    table's pair is the series's vector times N/n, row by row, over the scale
+    times N, in integers.  Inverse to `moments_to_series`.
     """
     dim = integer(dim, "dimension")
     if series.dim != dim:
         raise DimensionError(f"series has {series.dim} variables, expected {dim}")
-    rows, scale = form_kernel(dim, series.order).rows, series.scale
-    moments = zip(rows, series.vector, normalizers(dim, series.order))
-    return MomentTable._of(dim, series.order, {e: Fraction(x, scale * n) if x else ZERO for e, x, n in moments})
+    ns = normalizers(dim, series.order)
+    common = lcm(*ns)
+    vector = [x * (common // n) for x, n in zip(series.vector, ns)]
+    return MomentTable._of(dim, series.order, vector, series.scale * common)
 
 
 def moments_to_series(table: MomentTable) -> Series:
-    """The series's pair is the `integer_vector` of each moment times its normalizer, by row."""
-    dim, order = table.dim, table.order
-    moments = map(mul, normalizers(dim, order), map(table.__getitem__, form_kernel(dim, order).rows))
-    return Series._of(dim, order, *integer_vector(moments))
+    """The series's pair is the table's vector times the normalizers, row by row, over its scale."""
+    vector = list(map(mul, normalizers(table.dim, table.order), table.vector))
+    return Series._of(table.dim, table.order, vector, table.scale)
 
 
 class TangentCone(Value):
@@ -322,37 +325,45 @@ def density_op(f: Series, rho: Poly) -> Series:
 
     The coefficients of the result are (|I|+d+deg rho)!/prod(i_j!) times the
     moments of the measure rho*mu.  By the power rule d^K u^E = E!/(E-K)! u^(E-K),
-    a series term c u^E and a density term r u^K with E >= K add
-    r c prod_j E_j!/(E_j-K_j)! at u^(E-K), in one pass over the pairs of terms.
+    a density term r u^K takes the series's row E = I+K, times r prod_j E_j!/(E_j-K_j)!,
+    to the result's row I.  The result's rows are a prefix of the series's, and
+    `FormKernel.up` reads the row of I+K; rho is cleared by `integer_vector`, so
+    all of it is in integers.
     """
     delta = _homogeneous_degree(rho)
     if f.dim != rho.dim:
         raise DimensionError("density and series dimension mismatch")
     if f.order < delta:
         raise DimensionError(f"series order {f.order} too small for degree {delta} density")
-    out = {}
-    for k, r in rho.terms.items():
-        for e, c in f.poly.terms.items():
-            if all(map(ge, e, k)):
-                at = tuple(map(sub, e, k))
-                out[at] = out.get(at, 0) + r * c * prod(map(perm, e, k))
-    return Series(Poly(f.dim, out), f.order - delta)
+    kernel, ints = form_kernel(f.dim, f.order), integer_vector(rho.terms.values())
+    out = [0] * comb(f.order - delta + f.dim, f.dim)
+    for k, r in zip(rho.terms, ints[0]):
+        # at[q] is the series's row of the result's row q times u^K
+        at = range(len(out))
+        for up_v, power in zip(kernel.up, k):
+            for _ in range(power):
+                at = [up_v[q] for q in at]
+        for q, e in enumerate(at):
+            out[q] += r * f.vector[e] * prod(map(perm, kernel.rows[e], k))
+    return Series._of(f.dim, f.order - delta, out, f.scale * ints[1])
 
 
 def euler_op(f_rho_mu: Series, dim: int, delta: int) -> Series:
     """Renormalize the series of F_(rho mu) into the series of F^rho_mu.
 
     Applies the product over l = d+1 .. d+delta of (sum_k u_k d/du_k + l),
-    which multiplies the coefficient at u^I by (|I|+d+1) ... (|I|+d+delta).
-    The printed range starting at l = d fails the 1-d uniform-measure check;
-    the range used here is the one the identity actually satisfies.  dim and
-    delta are read by `value.integer` before any term is.
+    which multiplies the coefficient at u^I by (|I|+d+1) ... (|I|+d+delta),
+    row by row on the series's vector.  The printed range starting at l = d
+    fails the 1-d uniform-measure check; the range used here is the one the
+    identity actually satisfies.  dim and delta are read by `value.integer`
+    before any row is.
     """
     dim, delta = integer(dim, "euler_op dim"), integer(delta, "euler_op delta")
     if dim != f_rho_mu.dim:
         raise DimensionError(f"series has {f_rho_mu.dim} variables, expected {dim}")
-    terms = {e: c * perm(sum(e) + dim + delta, delta) for e, c in f_rho_mu.poly.terms.items()}
-    return Series(Poly(f_rho_mu.dim, terms), f_rho_mu.order)
+    rows = form_kernel(dim, f_rho_mu.order).rows
+    vector = [x * perm(sum(e) + dim + delta, delta) for e, x in zip(rows, f_rho_mu.vector)]
+    return Series._of(dim, f_rho_mu.order, vector, f_rho_mu.scale)
 
 
 def _homogeneous_degree(rho: Poly) -> int:

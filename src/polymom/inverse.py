@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import comb, prod
+from math import comb, gcd, prod
 from operator import getitem, mul
 
 from .errors import (
@@ -28,8 +28,8 @@ from .errors import (
     NotWeaklyNonDegenerateError,
 )
 from .geometry import Degeneracy, VertexSet, WeightedMeasure, check_pivot, classify, edge_det, homogeneous
-from .linalg import RatMat, det, eliminate, integer_det, integer_vector
-from .poly import MomentTable, Poly, _normalizer, form_kernel
+from .linalg import RatMat, det, eliminate, integer_det
+from .poly import MomentTable, Poly, form_kernel, normalizers
 from .value import Value, integer
 
 
@@ -164,7 +164,10 @@ def _numerator_pair(table: MomentTable, vs: VertexSet):
     if table.order < kernel.degree:
         missing = [e for e in kernel.rows if sum(e) > table.order]
         raise IncompleteMomentsError(f"need all moments up to order {kernel.degree}", missing)
-    series = integer_vector(_normalizer(e, vs.dim, 0) * table[e] for e in kernel.rows)
+    # the table's rows to the kernel's degree are a prefix of its own
+    vector = list(map(mul, normalizers(vs.dim, kernel.degree), table.vector))
+    g = gcd(table.scale, *vector)
+    series = [x // g for x in vector], table.scale // g
     for p in vs.points:
         series = kernel.times(series, homogeneous(p))
     return series

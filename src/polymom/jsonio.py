@@ -44,7 +44,7 @@ def moment_table_to_json(t: MomentTable) -> dict:
         "dim": t.dim,
         "order": t.order,
         "moments": [
-            {"index": list(e), "value": rat_str(v)} for e, v in t.sorted_items()
+            {"index": list(e), "value": rat_str(v)} for e, v in t.moments.items()
         ],
     }
 

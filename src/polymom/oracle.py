@@ -67,12 +67,11 @@ def _plan(d, degree, order):
     - the rows are the monomials of degree <= ceil(order/2) in canonical order, row 0 the
       constant and rows 1..d the coordinates; steps gives, for each row after those, its
       parent's row and the variable x_j, its last one, that the parent is multiplied by;
-    - degrees[g] = (block, den, weights, half, pairs): block lists the monomials of degree
-      g in canonical order; den = (d+2t+1)! 4^t and weights holds one integer per node of
-      rule t = t_g, k_i D^(2t+1-r-g), k_i = (-1)^i C(d+2t+1, i), so the rule weighs a node
-      of group i by k_i D^(2t+1) over den, and len(weights) is the rule's prefix; half
-      lists the rows of degree g//2, and pairs holds, per monomial I of block, the row of
-      A, the first g//2 units of I, and the row of B = I - A.
+    - degrees[g] = (den, weights, half, pairs): den = (d+2t+1)! 4^t and weights holds one
+      integer per node of rule t = t_g, k_i D^(2t+1-r-g), k_i = (-1)^i C(d+2t+1, i), so the
+      rule weighs a node of group i by k_i D^(2t+1) over den, and len(weights) is the rule's
+      prefix; half lists the rows of degree g//2, and pairs holds, per monomial I of degree
+      g in canonical order, the row of A, the first g//2 units of I, and the row of B = I - A.
     """
     r = degree - order
     odd, depth = [[] for _ in range(d + 1)], []
@@ -94,16 +93,15 @@ def _plan(d, degree, order):
         # group i = (n - D) / 2 of rule t holds the nodes of depth D <= n, a prefix of depth
         weights = tuple((-1) ** ((n - D) // 2) * comb(n, (n - D) // 2) * D ** (2 * t + 1 - r - g)
                         for D in depth if D <= n)
-        block = tuple(monomials_of_degree(d, g))
         half = tuple(map(where.get, monomials_of_degree(d, g // 2)))
         pairs = []
-        for e in block:
+        for e in monomials_of_degree(d, g):
             a, rest = [], g // 2
             for k in e:
                 a.append(min(k, rest))
                 rest -= a[-1]
             pairs.append((where[tuple(a)], where[tuple(map(sub, e, a))]))
-        degrees.append((block, factorial(n) * 4**t, weights, half, tuple(pairs)))
+        degrees.append((factorial(n) * 4**t, weights, half, tuple(pairs)))
     odd = tuple(map(tuple, odd))
     return odd, tuple(depth), tuple(steps), tuple(degrees)
 
@@ -179,7 +177,7 @@ def measure_moments(m: WeightedMeasure, order: int, rho: Poly | None = None) -> 
     rho_ints = [(c.numerator * (clear // c.denominator), K, r - sum(K)) for K, c in terms.items()]
     odd, depth, steps, degrees = _plan(d, order + r, order)
     scale, q, stacks = _nodes(odd, m)
-    totals = [[0] * len(block) for block, *_ in degrees]
+    totals = [[0] * len(pairs) for *_, pairs in degrees]
     for lifts, columns in stacks:
         # clear * (D L)^r * rho(X / (D L)) at each node X, an integer form of degree r in X,
         # times the atom's lifted weight
@@ -197,16 +195,14 @@ def measure_moments(m: WeightedMeasure, order: int, rho: Poly | None = None) -> 
             rows.append(list(map(mul, rows[parent], columns[j])))
         # m_I for |I| = g is the dot of the weighted row of X^A with the row of X^B, all
         # cut to the prefix of rule t_g
-        for sums, (_, _, weights, half, pairs) in zip(totals, degrees):
+        for sums, (_, weights, half, pairs) in zip(totals, degrees):
             folded = list(map(mul, _spread(weights, len(lifts)), root))
             weighted = {a: list(map(mul, folded, rows[a])) for a in half}
             sums[:] = map(add, sums, [sum(map(mul, weighted[a], rows[b])) for a, b in pairs])
-    # the sums stand over den q L^(g+r) clear at degree g
-    moments = {}
-    for g, (sums, (block, den, *_)) in enumerate(zip(totals, degrees)):
-        den *= q * scale ** (g + r) * clear
-        moments.update(zip(block, (Fraction(t, den) for t in sums)))
-    return MomentTable._of(d, order, moments)
+    # the sums stand over den q L^(g+r) clear at degree g: bring every degree over their lcm
+    dens = [den * q * scale ** (g + r) * clear for g, (den, *_) in enumerate(degrees)]
+    common = lcm(*dens)
+    return MomentTable._of(d, order, [t * (common // den) for sums, den in zip(totals, dens) for t in sums], common)
 
 
 def axial_moment(m: WeightedMeasure, z, j: int) -> Fraction:

@@ -260,54 +260,74 @@ def normalizers(dim, order) -> tuple:
 
 
 class MomentTable(Value):
-    """All moments m_I with |I| <= order, zeros stored explicitly.  `MomentTable(dim, order,
+    """All moments m_I with |I| <= order, as a `Series` holds every coefficient: the moments on
+    the rows of `form_kernel(dim, order)` over one denominator, scale > 0 and no common factor,
+    so equal tables have equal fields; `moments` is formed on read.  `MomentTable(dim, order,
     moments)` is for input: it reads each value by `rat` and each index entry by `integer`,
     names the first index out of range, and checks that the indices are exactly the complete
-    table's.  Tables built here, whose indices and values are canonical by construction, go
-    through the unchecked `MomentTable._of`."""
+    table's.  Tables built here go through the unchecked `MomentTable._of`."""
 
-    __slots__ = ("dim", "order", "moments")
+    __slots__ = ("dim", "order", "vector", "scale")
 
     def __init__(self, dim: int, order: int, moments: dict):
         order = integer(order, "moment order")
-        self._fill(integer(dim, "moment table dimension"), order, {e: rat(v) for e, v in moments.items()})
+        dim, moments = integer(dim, "moment table dimension"), {e: rat(v) for e, v in moments.items()}
         # comb(order + dim, dim) in partial products, which at least double: stop past 10^100 > len(moments)
-        n, m, expected, cap = self.order + self.dim, min(self.order, self.dim), 1, 10**100
+        n, m, expected, cap = order + dim, min(order, dim), 1, 10**100
         for i in range(1, m + 1):
             expected = expected * (n - m + i) // i
             if expected > cap:
                 break
         # name the first fault; distinct indices in range, as many as expected, are the complete table
-        for e in self.moments:
-            entries = [integer(x, "moment index entry", signed=True) for x in e]
-            if len(entries) != self.dim or min(entries, default=0) < 0 or sum(entries) > self.order:
-                raise DimensionError(f"moment index {e} is not in R^{self.dim} up to order {self.order}")
-        if len(self.moments) != expected:
-            message = f"moment table must be complete to order {self.order}: "
-            message += f"{len(self.moments)} of {expected if expected <= cap else 'more than 10^100'} moments"
-            # every index is in range, so exactly expected - len(moments) are absent: stop at the last
-            shown = min(5, expected - len(self.moments))
+        read = {}
+        for e, v in moments.items():
+            entries = tuple(integer(x, "moment index entry", signed=True) for x in e)
+            if len(entries) != dim or min(entries, default=0) < 0 or sum(entries) > order:
+                raise DimensionError(f"moment index {e} is not in R^{dim} up to order {order}")
+            read[entries] = v
+        if len(read) != expected:
+            message = f"moment table must be complete to order {order}: "
+            message += f"{len(read)} of {expected if expected <= cap else 'more than 10^100'} moments"
+            # every index is in range, so exactly expected - len(read) are absent: stop at the last
+            shown = min(5, expected - len(read))
             # an index in R^dim prints in at least 3*dim characters: list the first absent
             # ones, after ", first missing ", only if the line can stay under 300
-            if len(message) + 16 + shown * (3 * self.dim + 2) < 300:
-                indices = (e for j in range(self.order + 1) for e in monomials_of_degree(self.dim, j))
-                absent = (e for e in indices if e not in self.moments)
+            if len(message) + 16 + shown * (3 * dim + 2) < 300:
+                indices = (e for j in range(order + 1) for e in monomials_of_degree(dim, j))
+                absent = (e for e in indices if e not in read)
                 message += f", first missing {list(islice(absent, shown))}"
             raise DimensionError(message)
+        self._fill(dim, order, *integer_vector(map(read.__getitem__, form_kernel(dim, order).rows)))
 
     @classmethod
-    def _of(cls, dim, order, moments) -> "MomentTable":
-        """Unchecked constructor for tables built here: a dict of every index of the complete
-        table, each a tuple of ints, in canonical order, to Fractions, kept as it is given."""
+    def _of(cls, dim, order, vector, scale) -> "MomentTable":
+        """Unchecked constructor for moments built here on the kernel's rows, with scale > 0:
+        reduced by its gcd."""
+        g = gcd(scale, *vector)
         t = object.__new__(cls)
-        t._fill(dim, order, moments)
+        t._fill(dim, order, [x // g for x in vector], scale // g)
         return t
 
-    def __getitem__(self, index):
-        return self.moments[tuple(index)]
+    __hash__ = None
 
-    def sorted_items(self):
-        return [(e, self.moments[e]) for e in sorted(self.moments, key=grlex_key)]
+    @property
+    def moments(self) -> dict:
+        rows = form_kernel(self.dim, self.order).rows
+        return {e: Fraction(x, self.scale) if x else ZERO for e, x in zip(rows, self.vector)}
+
+    def __getitem__(self, index):
+        index = tuple(index)
+        try:
+            x = self.vector[form_kernel(self.dim, self.order).rows.index(index)]
+        except ValueError:
+            raise KeyError(index) from None
+        return Fraction(x, self.scale) if x else ZERO
+
+    def __repr__(self):
+        return f"MomentTable(dim={self.dim}, order={self.order}, moments={self.moments})"
+
+    def __reduce__(self):
+        return MomentTable, (self.dim, self.order, self.moments)
 
 
 def _normalizer(exps, dim, extra) -> int:

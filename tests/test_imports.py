@@ -124,9 +124,10 @@ def test_only_the_package_built_tables_skip_the_checks():
 
 
 def test_only_the_package_built_series_skip_the_checks():
-    """The unchecked `Series._of` takes only the pairs `taylor` expands and `moments_to_series`
-    reads off a table; every polynomial from outside goes through `Series(poly, order)`."""
-    assert _callers("Series._of") == {"genfunc": {"taylor", "moments_to_series"}}
+    """The unchecked `Series._of` takes only the pairs `taylor` expands, `moments_to_series`
+    reads off a table, and `density_op` and `euler_op` map row by row from a series; every
+    polynomial from outside goes through `Series(poly, order)`."""
+    assert _callers("Series._of") == {"genfunc": {"taylor", "moments_to_series", "density_op", "euler_op"}}
 
 
 def test_only_the_file_reader_builds_checked_tables():

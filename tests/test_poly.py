@@ -10,7 +10,7 @@ try:
 except ImportError:  # the properties below are skipped without hypothesis
     given = None
 
-from polymom import Poly, Series, monomials_of_degree, monomials_upto
+from polymom import MomentTable, Poly, Series, monomials_of_degree, monomials_upto
 from polymom.errors import DimensionError
 from polymom.geometry import homogeneous
 from polymom.linalg import integer_vector
@@ -213,3 +213,16 @@ if given is not None:
         series = Series._of(dim, order, vector, scale)
         assert Series._of(dim, order, [c * x for x in vector], c * scale) == series
         assert series == Series(form_kernel(dim, order).poly((vector, scale)), order)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=80)
+    @given(_series_args(), st.data())
+    def test_the_unchecked_table_is_the_reduced_pair(args, data):
+        """`MomentTable._of` reduces a pair by its common factor, so a pair and any positive multiple
+        of it are one table, the one the checked constructor builds from its moments by row."""
+        dim, order, _ = args
+        rows = form_kernel(dim, order).rows
+        vector = data.draw(st.lists(st.integers(-50, 50), min_size=len(rows), max_size=len(rows)))
+        scale, c = data.draw(st.integers(1, 60)), data.draw(st.integers(1, 30))
+        table = MomentTable._of(dim, order, vector, scale)
+        assert MomentTable._of(dim, order, [c * x for x in vector], c * scale) == table
+        assert table == MomentTable(dim, order, {e: F(x, scale) for e, x in zip(rows, vector)})
