@@ -335,9 +335,9 @@ def density_op(f: Series, rho: Poly) -> Series:
         raise DimensionError("density and series dimension mismatch")
     if f.order < delta:
         raise DimensionError(f"series order {f.order} too small for degree {delta} density")
-    kernel, ints = form_kernel(f.dim, f.order), integer_vector(rho.terms.values())
+    kernel, (ints, clear) = form_kernel(f.dim, f.order), integer_vector(rho.terms.values())
     out = [0] * comb(f.order - delta + f.dim, f.dim)
-    for k, r in zip(rho.terms, ints[0]):
+    for k, r in zip(rho.terms, ints):
         # at[q] is the series's row of the result's row q times u^K
         at = range(len(out))
         for up_v, power in zip(kernel.up, k):
@@ -345,7 +345,7 @@ def density_op(f: Series, rho: Poly) -> Series:
                 at = [up_v[q] for q in at]
         for q, e in enumerate(at):
             out[q] += r * f.vector[e] * prod(map(perm, kernel.rows[e], k))
-    return Series._of(f.dim, f.order - delta, out, f.scale * ints[1])
+    return Series._of(f.dim, f.order - delta, out, f.scale * clear)
 
 
 def euler_op(f_rho_mu: Series, dim: int, delta: int) -> Series:
