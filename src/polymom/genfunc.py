@@ -9,7 +9,8 @@ of the vertex forms 1 - <v, u>, which makes every function here rational
 with denominator a sub-multiset of vertex forms.  Denominators are kept as
 form multisets and never expanded.  `poly.FormKernel` multiplies and divides
 by forms in integers, each the vertex's `geometry.homogeneous` row; `taylor`
-expands into a `Series`, which holds the kernel's pair, and `RatFun.cancel`
+expands into a `Series`, which holds the kernel's pair, `series_to_moments`
+reads that pair into a `MomentTable`'s in integers, and `RatFun.cancel`
 cancels with the kernel of `poly.form_kernel`.  `brion_genfunc` sums its vertex
 cones in the same kernel, and divides out edge directions with `FormKernel.divide`.
 """

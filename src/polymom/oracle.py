@@ -27,11 +27,13 @@ degree's weights.  A measure of many atoms goes through in stacks of at most
 `STACK` atoms, which share the denominators, so their sums add.  A moment of
 degree g splits as X^I = X^A X^B with |A| = g//2, so it is one dot of the
 weighted row of X^A with the row of X^B: the rows are built only to degree
-ceil(k/2), and every sum is cut to its rule's prefix.  Each moment takes one
-`Fraction` at the end.  The oracle only evaluates monomials at points and
-shares no code with `genfunc` or `inverse`, so it can arbitrate their
-results; it writes its tables as `poly.MomentTable` through the unchecked
-`MomentTable._of`, since their indices and values are canonical by construction.
+ceil(k/2), and every sum is cut to its rule's prefix.  At the end each
+degree's sums are brought over the lcm of the degrees' denominators, so the
+table is one integer vector in row order over one scale, and no `Fraction`
+is formed.  The oracle only evaluates monomials at points and shares no
+code with `genfunc` or `inverse`, so it can arbitrate their results; it
+writes its tables as `poly.MomentTable` pairs through the unchecked
+`MomentTable._of`, since their rows and values are canonical by construction.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Sparse multivariate polynomials, truncated power series and moment tables over Fractions.
+"""Sparse polynomials over Fractions; truncated power series and moment tables as integer pairs.
 
 Terms are stored as a dict mapping exponent tuples to nonzero Fraction
 coefficients.  The canonical term order used for iteration, serialization and
@@ -12,10 +12,11 @@ coefficient or moment by `linalg.rat`.  Results built in the package go through
 the unchecked `Poly._of` and `MomentTable._of`.  `Poly` has no arithmetic:
 `FormKernel` multiplies and divides by vertex forms below a degree, and
 divides exactly by direction forms, in integers, and `form_kernel` builds one
-kernel per (dim, degree) for every caller; a `Series` is one kernel's pair.
-`MomentTable` holds the moments m_I to an order, and `_normalizer` is the factor
-(|I|+d)!/prod(i_j!) between a moment and its coefficient in the normalized generating
-series; `normalizers` holds one row of them per (dim, order), beside the kernel's rows.
+kernel per (dim, degree) for every caller; a `Series` is one kernel's pair, and so
+is a `MomentTable`, which holds the moments m_I to an order, so tables compare as
+integers.  `_normalizer` is the factor (|I|+d)!/prod(i_j!) between a moment and its
+coefficient in the normalized generating series; `normalizers` holds one row of them
+per (dim, order), beside the kernel's rows.
 """
 
 from __future__ import annotations
