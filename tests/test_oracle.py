@@ -624,6 +624,13 @@ def _oracle_tables():
     return [measure_moments(m, 5, rho) for m in measures for rho in (None, _dense_rho(m.vertex_set.dim))]
 
 
+class _One:
+    """An index entry that reads as 1 but hashes apart from it."""
+
+    def __index__(self):
+        return 1
+
+
 class TestTableValues:
     @pytest.mark.parametrize("case", range(4), ids=["2d-plain", "2d-density", "3d-plain", "3d-density"])
     def test_a_table_is_its_moments(self, case):
@@ -644,26 +651,16 @@ class TestTableValues:
 
     def test_an_int_like_index_finds_its_row(self):
         """An index entry read by `operator.index` keys its row, though it hashes apart from the int."""
-
-        class One:
-            def __index__(self):
-                return 1
-
         moments = {e: F(0) for e in monomials_upto(2, 2) if e != (1, 1)}
-        table = MomentTable(2, 2, {**moments, (One(), 1): F(3)})
+        table = MomentTable(2, 2, {**moments, (_One(), 1): F(3)})
         assert table[(1, 1)] == 3 and table == MomentTable(2, 2, {**moments, (1, 1): F(3)})
 
     def test_two_keys_for_one_index_leave_a_table_incomplete(self):
         """(1, 1) and an int-like key that reads as (1, 1) are one index, so the table of the
         expected size misses one, and the first missing is named."""
-
-        class One:
-            def __index__(self):
-                return 1
-
         moments = {e: F(0) for e in monomials_upto(2, 2) if e != (0, 2)}
         with pytest.raises(DimensionError, match=r": 5 of 6 moments, first missing \[\(0, 2\)\]$"):
-            MomentTable(2, 2, {**moments, (One(), 1): F(3)})
+            MomentTable(2, 2, {**moments, (_One(), 1): F(3)})
 
     def test_the_repr_lists_every_moment_in_canonical_order(self):
         table = MomentTable(2, 1, {(0, 0): F(0), (1, 0): F(1, 2), (0, 1): F(-3)})
