@@ -142,6 +142,15 @@ def test_oracle_scales_its_own_points():
     assert "homogeneous" not in _used(tree) | {name for name, _ in _imported(tree)}
 
 
+def test_oracle_keeps_its_own_row_maps():
+    """The oracle reads none of the kernels it checks: its density fold and shift walk the rows of
+    its own plan, not `FormKernel`'s row maps or the series normalizers."""
+    tree = ast.parse((Path(polymom.__file__).parent / "oracle.py").read_text(encoding="utf-8"))
+    names = _used(tree) | {name for name, _ in _imported(tree)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert not names & {"form_kernel", "FormKernel", "normalizers"}
+
+
 # A child that imports the CLI, then runs one command, and prints the modules each step added.
 BUDGET_CHILD = """
 import json, sys

@@ -401,6 +401,51 @@ def test_more_atoms_than_one_stack(dim, atoms):
         assert axial_moment(m, z, j) == _power_expansion(plain, z, j)
 
 
+def _apex_measure(dim, kind, seed):
+    """A signed measure shaped by how its atoms share vertices, over rational points:
+    - "apart": three atoms on pairwise disjoint vertices, so each atom is its own apex;
+    - "origin": two atoms on the origin beside two on one far vertex, so one apex shifts by
+      zero and the other by a vector of large numerators over small denominators;
+    - "fan": STACK + 1 atoms that all hold vertex 0, so one apex takes more than one stack."""
+    rng = random.Random(seed)
+    while True:
+        if kind == "apart":
+            points = [random_point(rng, dim) for _ in range(3 * (dim + 1))]
+            simplices = [tuple(range(a * (dim + 1), (a + 1) * (dim + 1))) for a in range(3)]
+        elif kind == "origin":
+            far = tuple(F(rng.choice([-1, 1]) * rng.randrange(10**6, 10**7), rng.randrange(1, 8)) for _ in range(dim))
+            points = [(F(0),) * dim, far] + [random_point(rng, dim) for _ in range(4 * dim)]
+            simplices = [(a // 2,) + tuple(range(2 + a * dim, 2 + (a + 1) * dim)) for a in range(4)]
+        else:
+            points = [random_point(rng, dim) for _ in range(oracle.STACK + 2)]
+            faces = list(combinations(range(1, oracle.STACK + 2), dim))
+            simplices = [(0,) + face for face in rng.sample(faces, min(len(faces), 3 * oracle.STACK))]
+        try:
+            vs = VertexSet(dim, points)
+        except NotSpanningError:
+            continue
+        simplices = [s for s in simplices if edge_det(s, vs)]
+        if kind == "fan":
+            simplices = simplices[: oracle.STACK + 1]
+        if len(simplices) == {"apart": 3, "origin": 4, "fan": oracle.STACK + 1}[kind]:
+            return WeightedMeasure(vs, [(s, random_rational(rng) or 1) for s in simplices])
+
+
+APEX_ORDERS = {1: 7, 2: 5, 3: 4, 4: 3}
+
+
+@pytest.mark.parametrize("kind", ["apart", "origin", "fan"])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_atoms_grouped_by_shared_vertex(dim, kind):
+    """Atoms with no shared vertex, an apex at the origin beside a far one, and more atoms on
+    one vertex than one stack holds, in one to four dimensions: the top order of the table,
+    plain and under densities of degree 1, 2 and 3, against the reference."""
+    m = _apex_measure(dim, kind, 100 * dim + len(kind))
+    order = APEX_ORDERS[dim]
+    for rho in (None, _odd_rho(dim, 1), _dense_rho(dim), _odd_rho(dim, 3)):
+        assert measure_moments(m, order, rho) == _reference_measure_moments(m, order, rho)
+
+
 def test_axial_moment_in_four_dimensions():
     """<x, z>^j for j = 0..4 in 4-d, against the power expansion of the reference table."""
     m = _distinct_denominators(4, 3, 4004)
@@ -528,6 +573,16 @@ if given is not None:
         rho = data.draw(densities(m.vertex_set.dim))
         assert measure_moments(m, order, rho) == _reference_measure_moments(m, order, rho)
 
+    @settings(derandomize=True, database=None, deadline=None, max_examples=30)
+    @given(st.sampled_from(["apart", "origin", "fan"]), st.integers(1, 4), st.integers(0, 10**6), st.data())
+    def test_atoms_grouped_by_shared_vertex_property(kind, dim, seed, data):
+        """`_apex_measure` at any seed and order, without a density or under one of degree 1 to 3."""
+        m = _apex_measure(dim, kind, seed)
+        order = data.draw(st.integers(0, APEX_ORDERS[dim]))
+        r = data.draw(st.sampled_from([None, 1, 2, 3]))
+        rho = None if r is None else _dense_rho(dim) if r == 2 else _odd_rho(dim, r)
+        assert measure_moments(m, order, rho) == _reference_measure_moments(m, order, rho)
+
     @properties
     @given(signed_measures())
     def test_simplex_monomial_moment_is_the_one_atom_table(case):
@@ -591,6 +646,13 @@ class TestSympyCrossCheck:
         expect = self._integrals(vs, order)
         table = measure_moments(uniform_measure(vs, [tuple(range(len(points)))]), order)
         assert table.moments == expect
+
+    def test_a_tetrahedron_off_the_origin(self):
+        """A 3-d simplex with no vertex at the origin and every coordinate of its vertex 0 nonzero,
+        to order 4: sympy's integrator slows sharply off the origin, so the order stays low."""
+        vs = VertexSet(3, [(1, -1, 1), (F(5, 2), -1, F(3, 2)), (F(3, 2), 1, 1), (1, F(-1, 2), 2)])
+        expect = self._integrals(vs, 4)
+        assert measure_moments(uniform_measure(vs, [(0, 1, 2, 3)]), 4).moments == expect
 
     def test_unit_simplices(self):
         tri = VertexSet(2, [(0, 0), (1, 0), (0, 1)])

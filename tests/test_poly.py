@@ -184,6 +184,17 @@ def test_series_order_tracking():
         s.truncate(4)
 
 
+def test_truncation_reads_its_order_as_the_constructor_does():
+    s = Series(Poly(2, {(0, 0): 4, (1, 0): 2, (1, 1): 3}), 2)
+    assert s.truncate(1) == Series(Poly(2, {(0, 0): 4, (1, 0): 2}), 1)
+    with pytest.raises(TypeError, match="^series order must be an integer, not bool$"):
+        s.truncate(True)
+    with pytest.raises(TypeError):
+        s.truncate(1.0)
+    with pytest.raises(DimensionError, match="^series order must be non-negative, got -1$"):
+        s.truncate(-1)
+
+
 if given is not None:
 
     @st.composite
@@ -200,6 +211,20 @@ if given is not None:
         _, order, p = args
         lower = data.draw(st.integers(0, order))
         assert Series(p, order).truncate(lower) == Series(p, lower)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=80)
+    @given(_series_args(), st.data())
+    def test_truncating_any_pair_is_the_series_of_its_polynomial(args, data):
+        """A series from any pair truncates to the series of its polynomial at any lower order,
+        reduced anew, and refuses a higher one."""
+        dim, order, _ = args
+        n = len(form_kernel(dim, order).rows)
+        vector = data.draw(st.lists(st.integers(-50, 50), min_size=n, max_size=n))
+        s = Series._of(dim, order, vector, data.draw(st.integers(1, 60)))
+        lower = data.draw(st.integers(0, order))
+        assert s.truncate(lower) == Series(s.poly, lower)
+        with pytest.raises(DimensionError, match=f"^cannot extend a series from order {order} to {order + 1}$"):
+            s.truncate(order + 1)
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=80)
     @given(_series_args(), st.data())
