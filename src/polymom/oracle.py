@@ -1,46 +1,54 @@
-"""Exact moments by rational simplex cubature, the ground truth for every other module.
+"""Exact moments by rational cubature on cones, the ground truth for every other module.
 
-An atom (s, w) contributes w times the integral over the standard simplex
-T_d of the pulled-back integrand x(t)^I rho(x(t)), computed with the
-Grundmann-Moller rule (SIAM J. Numer. Anal. 15, 1978).  With index t the rule
-is exact to degree 2t+1.  Its group i = 0..t has the nodes with barycentric
-coordinates (2 beta_j + 1) / D, D = d+2t+1-2i and |beta| = t-i, and the weight
-(-1)^i D^(2t+1) / (4^t i! (d+2t+1-i)!) on T_d.  All of these are rational, so
-the result is exact.  The nodes of a group depend on D alone, so the rule of
-index t uses exactly the node groups D = d+1, d+3, ..., d+2t+1: the rules are
-nested.  A moment of degree g under a density of degree r needs the rule
-exact to degree g+r, index t_g = (g+r)//2.  A table to order k computes the
-nodes of the rule for k+r and sums each degree over those of its own rule.
+An atom (s, w) contributes w times the integral over the standard simplex T_d of the
+pulled-back monomial x(t)^I.  Seen from one of its vertices, the apex a, the simplex is a
+cone over the opposite facet, and y = x - a is linear in t.  A monomial y^J of degree g is
+homogeneous there, so with t = s u, u on the facet's simplex T_(d-1) and dt = s^(d-1) ds du,
 
-Everything that does not depend on the atoms is one plan per (d, rule
-degree, order), built once and kept (`_plan`): the nodes as one flat list by
-ascending D, so that the nodes of every smaller rule are a prefix of it; the
-monomial rows to half the order, each its parent's times one coordinate; and
-per degree a denominator, one integer weight per node of its rule and the
-pair of rows each moment is read from.  The arithmetic is in integers and in
-one pass over all atoms: the vertices are scaled by one common denominator
-L, so a node is X / (D L) with X an integer vector, and the nodes of every
-atom come as one integer column per coordinate, node-major and atom-minor,
-so that each rule's nodes stay a prefix.  The atoms' weights, over their
-common denominator, and the density at each node are folded into each
-degree's weights.  A measure of many atoms goes through in stacks of at most
-`STACK` atoms, which share the denominators, so their sums add.  A moment of
-degree g splits as X^I = X^A X^B with |A| = g//2, so it is one dot of the
-weighted row of X^A with the row of X^B: the rows are built only to degree
-ceil(k/2), and every sum is cut to its rule's prefix.  At the end each
-degree's sums are brought over the lcm of the degrees' denominators, so the
-table is one integer vector in row order over one scale, and no `Fraction`
-is formed.  The oracle only evaluates monomials at points and shares no
-code with `genfunc` or `inverse`, so it can arbitrate their results; it
-writes its tables as `poly.MomentTable` pairs through the unchecked
-`MomentTable._of`, since their rows and values are canonical by construction.
+    integral over T_d of y^J dt = 1/(g+d) * integral over T_(d-1) of y(u)^J du,
+
+the homogeneous reduction (Lasserre, Proc. AMS 126, 1998).  The facet integral is taken
+with the (d-1)-dimensional Grundmann-Moller rule (SIAM J. Numer. Anal. 15, 1978) of index
+t = g // 2, which is exact to degree 2t+1 >= g, so every moment is exact.  Its group
+i = 0..t has the nodes with barycentric coordinates (2 beta_j + 1) / D on the d facet
+vertices, D = d+2t-2i and |beta| = t-i, and the weight (-1)^i D^(2t+1) / (4^t i! (d+2t-i)!)
+on T_(d-1).  All of these are rational.  The nodes of a group depend on D alone, so the rule
+of index t uses exactly the groups D = d, d+2, ..., d+2t: the rules are nested, and a table
+to order k computes the nodes of the rule of index k // 2 and sums each degree over the
+prefix of its own rule.  That rule has C(d+t, d) nodes, where the d-dimensional one has
+C(d+t+1, d+1).
+
+An atom's apex is its vertex that lies in the most atoms, the lowest index among equals, so
+atoms that share a vertex share their apex.  The atoms of one apex give one table z of
+y-moments, and one exact Taylor shift takes it back to x = y + a: m_I is the sum over J <= I
+of C(I, J) a^(I-J) z_J, taken one variable at a time, and skipped at an apex at the origin.
+
+Everything that does not depend on the atoms is one plan per (d, order), built once and
+kept (`_plan`).  The arithmetic is in integers: the vertices are scaled by one common
+denominator L, so a node is X / (D L) with X an integer vector; the nodes of the atoms of
+one apex come as one integer column per coordinate, node-major and atom-minor, so that each
+rule's nodes stay a prefix, and the atoms' weights, over their common denominator, are
+folded into each degree's weights.  An apex's atoms go through in stacks of at most `STACK`
+atoms, whose sums add.  A moment of degree g splits as X^J = X^A X^B with |A| = g//2, so it
+is one dot of the weighted row of X^A with the row of X^B: the rows are built only to degree
+ceil(k/2).  Before the shift every degree is brought over the lcm of the degrees'
+denominators, which the plan holds, and the shift runs on the apex times L, so the table is
+one integer vector in row order over one scale, and no `Fraction` is formed.
+
+A density rho of degree r goes through the plain table to order k + r: m_I(rho mu) is the
+sum over K of rho_K m_(I+K)(mu), in integers along the plan's own row map.  The oracle only
+evaluates monomials at points and shares no code with `genfunc` or `inverse`, nor reads the
+kernels of `poly` they run on, so it can arbitrate their results; it writes its tables as
+`poly.MomentTable` pairs through the unchecked `MomentTable._of`, since their rows and values
+are canonical by construction.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement, cycle, repeat
+from itertools import accumulate, combinations_with_replacement, cycle, repeat
 from math import comb, factorial, lcm, prod
 from operator import add, mul, sub
 
@@ -52,48 +60,50 @@ from .value import integer
 
 
 @lru_cache(maxsize=16)
-def _plan(d, degree, order):
-    """What a table to `order` with the rule exact to `degree` needs apart from its atoms,
-    built once per (d, degree, order); r = degree - order is the density's degree.
+def _plan(d, order):
+    """What a table to `order` needs apart from its atoms, built once per (d, order).
 
-    Group i of the rule of index t has the nodes (2 beta + 1) / D, D = d+2t+1-2i and
-    |beta| = t-i: they depend on D alone.  So the rule of index t uses exactly the node
-    groups D = d+1, d+3, ..., d+2t+1, and listing the groups of the largest rule, index
-    s = degree // 2, by ascending D makes the nodes of every rule t <= s a prefix of that
-    list.  Degree g of the table takes the smallest exact rule, t_g = (g+r) // 2.
-
-    Returns (odd, depth, steps, degrees), every sequence a tuple:
-    - odd[j] holds the barycentric numerator 2 beta_j + 1 of vertex j at every node, the
-      centroid first and then each group by ascending D;
-    - depth holds each node's D, so a node is the barycentric point odd / D;
-    - the rows are the monomials of degree <= ceil(order/2) in canonical order, row 0 the
-      constant and rows 1..d the coordinates; steps gives, for each row after those, its
-      parent's row and the variable x_j, its last one, that the parent is multiplied by;
-    - degrees[g] = (den, weights, half, pairs): den = (d+2t+1)! 4^t and weights holds one
-      integer per node of rule t = t_g, k_i D^(2t+1-r-g), k_i = (-1)^i C(d+2t+1, i), so the
-      rule weighs a node of group i by k_i D^(2t+1) over den, and len(weights) is the rule's
-      prefix; half lists the rows of degree g//2, and pairs holds, per monomial I of degree
-      g in canonical order, the row of A, the first g//2 units of I, and the row of B = I - A.
+    Returns (odd, depth, steps, degrees, common, shift, up), every sequence a tuple:
+    - odd[j], j < d, holds the barycentric numerator 2 beta_j + 1 of facet vertex j at every
+      node of the facet rule of index order // 2, the centroid first and then each group by
+      ascending D, and depth holds each node's D, so a node is the point odd / D;
+    - the rows are the monomials of degree <= order in canonical order; those of degree <=
+      ceil(order/2) come first, row 0 the constant and rows 1..d the coordinates, and steps
+      gives, for each of them after those, its parent's row and the variable x_j, its last
+      one, that the parent is multiplied by;
+    - degrees[g] = (lift, weights, half, pairs): weights holds one integer per node of the rule
+      of index t = g // 2, k_i D^(2t+1-g), k_i = (-1)^i C(d+2t, i), which stand over the
+      denominator (d+2t)! 4^t (g+d), and lift is common over that denominator, so common is
+      their lcm; len(weights) is the rule's prefix; half lists the rows of degree g//2, and
+      pairs holds, per monomial J of degree g in canonical order, the row of A, the first g//2
+      units of J, and the row of B = J - A;
+    - shift = (lines, back): along x_v the rows are laid out block by block by their exponent
+      i of x_v, each block in row order, so the rest of the exponent sits at the same place in
+      every block and block i is as long as a prefix of block i-1.  lines[v] = (into, rounds):
+      into takes each place of that layout from the layout of x_(v-1), or from row order, and
+      rounds holds, for k = 1..order, the place where block k starts and, for each place from
+      there on, the place in the block below with the same rest; back takes each row from
+      the layout of x_(d-1);
+    - up[v][p] is the row of x_v times the monomial of row p, for the rows of degree < order.
     """
-    r = degree - order
-    odd, depth = [[] for _ in range(d + 1)], []
-    for h in range(degree // 2 + 1):
-        for beta in combinations_with_replacement(range(d + 1), h):
+    odd, depth = [[] for _ in range(d)], []
+    for h in range(order // 2 + 1):
+        for beta in combinations_with_replacement(range(d), h):
             for j, column in enumerate(odd):
                 column.append(2 * beta.count(j) + 1)
-            depth.append(d + 1 + 2 * h)
-    rows = monomials_upto(d, (order + 1) // 2)
+            depth.append(d + 2 * h)
+    rows = monomials_upto(d, order)
     where = {e: p for p, e in enumerate(rows)}
     steps = []
-    for e in rows[d + 1 :]:
+    for e in rows[d + 1 : comb((order + 1) // 2 + d, d)]:
         j = max(v for v, k in enumerate(e) if k)
         steps.append((where[e[:j] + (e[j] - 1,) + e[j + 1 :]], j))
     degrees = []
     for g in range(order + 1):
-        t = (g + r) // 2
-        n = d + 2 * t + 1
+        t = g // 2
+        n = d + 2 * t
         # group i = (n - D) / 2 of rule t holds the nodes of depth D <= n, a prefix of depth
-        weights = tuple((-1) ** ((n - D) // 2) * comb(n, (n - D) // 2) * D ** (2 * t + 1 - r - g)
+        weights = tuple((-1) ** ((n - D) // 2) * comb(n, (n - D) // 2) * D ** (2 * t + 1 - g)
                         for D in depth if D <= n)
         half = tuple(map(where.get, monomials_of_degree(d, g // 2)))
         pairs = []
@@ -103,9 +113,22 @@ def _plan(d, degree, order):
                 a.append(min(k, rest))
                 rest -= a[-1]
             pairs.append((where[tuple(a)], where[tuple(map(sub, e, a))]))
-        degrees.append((factorial(n) * 4**t, weights, half, tuple(pairs)))
-    odd = tuple(map(tuple, odd))
-    return odd, tuple(depth), tuple(steps), tuple(degrees)
+        degrees.append((factorial(n) * 4**t * (g + d), weights, half, tuple(pairs)))
+    common = lcm(*(den for den, *_ in degrees))
+    lines, place = [], range(len(rows))
+    for v in range(d):
+        blocks = [[p for p, e in enumerate(rows) if e[v] == i] for i in range(order + 1)]
+        layout = [p for block in blocks for p in block]
+        at = {p: n for n, p in enumerate(layout)}
+        down = [at[p] for below, block in zip(blocks, blocks[1:]) for p in below[: len(block)]]
+        starts = accumulate(map(len, blocks[:-1]))
+        rounds = tuple((start, tuple(down[start - len(blocks[0]) :])) for start in starts)
+        lines.append((tuple(map(place.__getitem__, layout)), rounds))
+        place = at
+    shift = tuple(lines), tuple(map(place.__getitem__, range(len(rows))))
+    up = tuple(tuple(where[e[:v] + (e[v] + 1,) + e[v + 1 :]] for e in rows if sum(e) < order) for v in range(d))
+    degrees = tuple((common // den, *rest) for den, *rest in degrees)
+    return tuple(map(tuple, odd)), tuple(depth), tuple(steps), degrees, common, shift, up
 
 
 def _spread(values, times):
@@ -121,33 +144,85 @@ def _spread(values, times):
 STACK = 8
 
 
-def _nodes(odd, m: WeightedMeasure):
+def _cones(odd, m: WeightedMeasure):
     """The common denominator L of the atoms' vertices, the common denominator q of their
-    weights, and the atoms in stacks of at most STACK, each built when it is reached."""
+    weights, and per apex its point times L and its atoms in stacks of at most STACK, each
+    built when it is reached.  An atom's apex is its vertex in the most atoms, the lowest
+    index among equals."""
     vs = m.vertex_set
     scale = lcm(*(c.denominator for s, _ in m.atoms for v in s for c in vs.points[v]))
     q = lcm(*(w.denominator for _, w in m.atoms))
     points = {v: [c.numerator * (scale // c.denominator) for c in vs.points[v]] for s, _ in m.atoms for v in s}
-    stacks = (_stack(odd, points, q, vs.dim, m.atoms[i : i + STACK]) for i in range(0, len(m.atoms), STACK))
+    count = Counter(v for s, _ in m.atoms for v in s)
+    cones = {}
+    for s, w in m.atoms:
+        apex = min(s, key=lambda v: (-count[v], v))
+        cones.setdefault(apex, []).append(([v for v in s if v != apex], w))
+    stacks = ((points[apex], (_stack(odd, points, points[apex], q, atoms[i : i + STACK])
+                              for i in range(0, len(atoms), STACK))) for apex, atoms in cones.items())
     return scale, q, stacks
 
 
-def _stack(odd, points, q, dim, atoms):
-    """Each atom's weight times q, and every node of the rule on every atom as one integer
-    column per coordinate, in which node n of atom a, the point X / (D L), sits at
-    n * len(atoms) + a, so that the nodes of every rule stay a prefix."""
+def _stack(odd, points, apex, q, atoms):
+    """Each atom's weight times q, and every node of the facet rule on every atom's facet, less
+    the apex, as one integer column per coordinate, in which node n of atom a, the point
+    X / (D L), sits at n * len(atoms) + a, so that the nodes of every rule stay a prefix."""
     lifts = [w.numerator * (q // w.denominator) for _, w in atoms]
     spread = [_spread(numerators, len(atoms)) for numerators in odd]
     columns = []
-    for j in range(dim):
+    for j, a in enumerate(apex):
         column = [0] * len(spread[0])
-        # vertex k of every atom, times its barycentric numerator at every node
-        for numerators, vertices in zip(spread, zip(*(s for s, _ in atoms))):
-            xs = [points[v][j] for v in vertices]
+        # facet vertex k of every atom, less the apex, times its barycentric numerator at every node
+        for numerators, vertices in zip(spread, zip(*(facet for facet, _ in atoms))):
+            xs = [points[v][j] - a for v in vertices]
             if any(xs):
                 column = list(map(add, column, map(mul, numerators, cycle(xs))))
         columns.append(column)
     return lifts, columns
+
+
+def _shift(vector, apex, shift):
+    """The Taylor shift of a table of y-moments by the apex A, both over the same scale:
+    m_I = sum over J <= I of C(I, J) A^(I-J) z_J, one variable at a time.  In the layout of
+    x_v, round k adds A_v times block i-1 to block i for every i >= k at once, so after the
+    last round block i holds the sum over j <= i of C(i, j) A_v^(i-j) times block j."""
+    lines, back = shift
+    for a, (into, rounds) in zip(apex, lines):
+        vector = list(map(vector.__getitem__, into))
+        if a:
+            for start, down in rounds:
+                vector[start:] = list(map(add, vector[start:], map(mul, map(vector.__getitem__, down), repeat(a))))
+    return list(map(vector.__getitem__, back))
+
+
+def _table(m: WeightedMeasure, order):
+    """The plain table's integer vector in row order and its scale."""
+    d = m.vertex_set.dim
+    odd, depth, steps, degrees, common, shift, _ = _plan(d, order)
+    scale, q, cones = _cones(odd, m)
+    total = [0] * comb(order + d, d)
+    for apex, stacks in cones:
+        sums = [[0] * len(pairs) for *_, pairs in degrees]
+        for lifts, columns in stacks:
+            # the monomials to half the order, each its parent's row times one coordinate
+            rows = [[1] * len(columns[0]), *columns]
+            for parent, j in steps:
+                rows.append(list(map(mul, rows[parent], columns[j])))
+            # z_J for |J| = g is the dot of the weighted row of X^A with the row of X^B, all
+            # cut to the prefix of rule g // 2
+            for s, (_, weights, half, pairs) in zip(sums, degrees):
+                folded = list(map(mul, _spread(weights, len(lifts)), cycle(lifts)))
+                weighted = {a: list(map(mul, folded, rows[a])) for a in half}
+                s[:] = map(add, s, [sum(map(mul, weighted[a], rows[b])) for a, b in pairs])
+        # degree g stands over common q L^g / lift: the table of z_J L^|J| common q, which the
+        # shift by the apex times L takes to the table of m_I L^|I| common q
+        z = [x * lift for (lift, *_), s in zip(degrees, sums) for x in s]
+        total = list(map(add, total, _shift(z, apex, shift) if any(apex) else z))
+    # bring every degree over common q L^order
+    vector = []
+    for g in range(order + 1):
+        vector += map(mul, total[len(vector) : comb(g + d, d)], repeat(scale ** (order - g)))
+    return vector, common * q * scale**order
 
 
 def simplex_monomial_moment(s, vs: VertexSet, index) -> Fraction:
@@ -173,38 +248,21 @@ def measure_moments(m: WeightedMeasure, order: int, rho: Poly | None = None) -> 
     if rho is not None and rho.dim != d:
         raise DimensionError(f"density has {rho.dim} variables, measure lives in R^{d}")
     order = integer(order, "moment order")
-    terms = {(0,) * d: 1} if rho is None else rho.terms
-    r = max(map(sum, terms), default=0)
-    clear = lcm(*(c.denominator for c in terms.values()))
-    rho_ints = [(c.numerator * (clear // c.denominator), K, r - sum(K)) for K, c in terms.items()]
-    odd, depth, steps, degrees = _plan(d, order + r, order)
-    scale, q, stacks = _nodes(odd, m)
-    totals = [[0] * len(pairs) for *_, pairs in degrees]
-    for lifts, columns in stacks:
-        # clear * (D L)^r * rho(X / (D L)) at each node X, an integer form of degree r in X,
-        # times the atom's lifted weight
-        root = [0] * len(depth) * len(lifts)
-        for c, K, gap in rho_ints:
-            term = _spread([c * (scale * D) ** gap for D in depth], len(lifts))
-            for column, k in zip(columns, K):
-                if k:
-                    term = map(mul, term, map(pow, column, repeat(k)))
-            root = list(map(add, root, term))
-        root = list(map(mul, root, cycle(lifts)))
-        # the monomials to half the order, each its parent's row times one coordinate
-        rows = [[1] * len(root), *columns]
-        for parent, j in steps:
-            rows.append(list(map(mul, rows[parent], columns[j])))
-        # m_I for |I| = g is the dot of the weighted row of X^A with the row of X^B, all
-        # cut to the prefix of rule t_g
-        for sums, (_, weights, half, pairs) in zip(totals, degrees):
-            folded = list(map(mul, _spread(weights, len(lifts)), root))
-            weighted = {a: list(map(mul, folded, rows[a])) for a in half}
-            sums[:] = map(add, sums, [sum(map(mul, weighted[a], rows[b])) for a, b in pairs])
-    # the sums stand over den q L^(g+r) clear at degree g: bring every degree over their lcm
-    dens = [den * q * scale ** (g + r) * clear for g, (den, *_) in enumerate(degrees)]
-    common = lcm(*dens)
-    return MomentTable._of(d, order, [t * (common // den) for sums, den in zip(totals, dens) for t in sums], common)
+    if rho is None:
+        return MomentTable._of(d, order, *_table(m, order))
+    # m_I(rho mu) = sum over K of rho_K m_(I+K)(mu), read from the plain table to order + r
+    r = max(map(sum, rho.terms), default=0)
+    vector, scale = _table(m, order + r)
+    up = _plan(d, order + r)[-1]
+    ints, clear = integer_vector(rho.terms.values())
+    out = [0] * comb(order + d, d)
+    for c, K in zip(ints, rho.terms):
+        rows = range(len(out))
+        for v, k in enumerate(K):
+            for _ in range(k):
+                rows = map(up[v].__getitem__, rows)
+        out = list(map(add, out, map(mul, map(vector.__getitem__, rows), repeat(c))))
+    return MomentTable._of(d, order, out, scale * clear)
 
 
 def axial_moment(m: WeightedMeasure, z, j: int) -> Fraction:

@@ -490,8 +490,8 @@ def test_shared_plans_leave_no_trace_between_calls(dense):
     second = [measure_moments(m, 6, rho) for m in reversed(measures)][::-1]
     oracle._plan.cache_clear()
     assert first == second == [measure_moments(m, 6, rho) for m in measures]
-    plan = oracle._plan(2, 6 + 2 * dense, 6)
-    assert plan is oracle._plan(2, 6 + 2 * dense, 6)
+    plan = oracle._plan(2, 6 + 2 * dense)
+    assert plan is oracle._plan(2, 6 + 2 * dense)
     assert isinstance(plan, tuple) and _tuples_all_the_way(plan)
 
 
