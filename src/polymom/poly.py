@@ -24,7 +24,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, islice
-from math import factorial, gcd, prod
+from math import comb, factorial, gcd, prod
+from types import MappingProxyType
 
 from .errors import DimensionError
 from .linalg import integer_vector, rat
@@ -157,13 +158,18 @@ class Series(Value):
         return form_kernel(self.dim, self.order).poly((self.vector, self.scale))
 
     def coefficient(self, exponents) -> Fraction:
-        rows, e = form_kernel(self.dim, self.order).rows, tuple(exponents)
-        return Fraction(self.vector[rows.index(e)], self.scale) if e in rows else ZERO
+        e = tuple(exponents)
+        try:
+            return Fraction(self.vector[form_kernel(self.dim, self.order).where[e]], self.scale)
+        except (KeyError, TypeError):  # no row, or an entry that cannot key one
+            return ZERO
 
     def truncate(self, order) -> "Series":
+        """The series to a lower order: the prefix of the pair, on the lower kernel's rows."""
         if order > self.order:
             raise DimensionError(f"cannot extend a series from order {self.order} to {order}")
-        return Series(self.poly, order)
+        order = integer(order, "series order")
+        return Series._of(self.dim, order, self.vector[: comb(order + self.dim, self.dim)], self.scale)
 
     def __repr__(self):
         return f"Series({self.poly}, order={self.order})"
@@ -178,13 +184,15 @@ class FormKernel:
     `rows`, and the form of a vertex v is its `geometry.homogeneous` row (W, W*v), read as
     W - <W*v, u>, the form times W; a direction g is the row (0, g).  `pair` and `poly` turn a
     polynomial into a pair and back.  Get one from `form_kernel`, which builds each (dim,
-    degree) once and shares it; `rows` and `up` are tuples, so no caller can alter them."""
+    degree) once and shares it; `rows` and `up` are tuples and `where`, the row of each
+    exponent tuple, is a read-only view, so no caller can alter them."""
 
-    __slots__ = ("dim", "degree", "rows", "up")
+    __slots__ = ("dim", "degree", "rows", "where", "up")
 
     def __init__(self, dim, degree):
         self.dim, self.degree, self.rows = dim, degree, tuple(monomials_upto(dim, degree))
         at = {e: r for r, e in enumerate(self.rows)}
+        self.where = MappingProxyType(at)
         # up[v][q] is the row of u_v times the monomial of row q, for the rows below the degree
         below = [e for e in self.rows if sum(e) < degree]
         self.up = tuple(tuple(at[e[:v] + (e[v] + 1,) + e[v + 1 :]] for e in below) for v in range(dim))
@@ -319,8 +327,8 @@ class MomentTable(Value):
     def __getitem__(self, index):
         index = tuple(index)
         try:
-            x = self.vector[form_kernel(self.dim, self.order).rows.index(index)]
-        except ValueError:
+            x = self.vector[form_kernel(self.dim, self.order).where[index]]
+        except (KeyError, TypeError):  # no row, or an entry that cannot key one
             raise KeyError(index) from None
         return Fraction(x, self.scale) if x else ZERO
 

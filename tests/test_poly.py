@@ -60,6 +60,14 @@ def test_kernel_pair_is_the_coefficients_on_its_rows(dim):
             assert kernel.poly(kernel.pair(p)) == Series(p, degree).poly
 
 
+@pytest.mark.parametrize("dim, degree", [(1, 0), (2, 4), (3, 3)])
+def test_kernel_rows_are_keyed_by_a_read_only_view(dim, degree):
+    kernel = form_kernel(dim, degree)
+    assert dict(kernel.where) == {e: r for r, e in enumerate(kernel.rows)}
+    with pytest.raises(TypeError):
+        kernel.where[kernel.rows[0]] = 1
+
+
 def test_product_of_two_forms():
     kernel = form_kernel(2, 2)
     product = pair(kernel, Poly.constant(2, 1))
