@@ -63,10 +63,10 @@ from .value import integer
 def _plan(d, order):
     """What a table to `order` needs apart from its atoms, built once per (d, order).
 
-    Returns (odd, depth, steps, degrees, common, shift, up), every sequence a tuple:
+    Returns (odd, steps, degrees, common, shift, up), every sequence a tuple:
     - odd[j], j < d, holds the barycentric numerator 2 beta_j + 1 of facet vertex j at every
       node of the facet rule of index order // 2, the centroid first and then each group by
-      ascending D, and depth holds each node's D, so a node is the point odd / D;
+      ascending D, so a node is the point odd / D;
     - the rows are the monomials of degree <= order in canonical order; those of degree <=
       ceil(order/2) come first, row 0 the constant and rows 1..d the coordinates, and steps
       gives, for each of them after those, its parent's row and the variable x_j, its last
@@ -128,7 +128,7 @@ def _plan(d, order):
     shift = tuple(lines), tuple(map(place.__getitem__, range(len(rows))))
     up = tuple(tuple(where[e[:v] + (e[v] + 1,) + e[v + 1 :]] for e in rows if sum(e) < order) for v in range(d))
     degrees = tuple((common // den, *rest) for den, *rest in degrees)
-    return tuple(map(tuple, odd)), tuple(depth), tuple(steps), degrees, common, shift, up
+    return tuple(map(tuple, odd)), tuple(steps), degrees, common, shift, up
 
 
 def _spread(values, times):
@@ -164,9 +164,9 @@ def _cones(odd, m: WeightedMeasure):
 
 
 def _stack(odd, points, apex, q, atoms):
-    """Each atom's weight times q, and every node of the facet rule on every atom's facet, less
-    the apex, as one integer column per coordinate, in which node n of atom a, the point
-    X / (D L), sits at n * len(atoms) + a, so that the nodes of every rule stay a prefix."""
+    """Each atom's weight times q, and every node of the facet rule on every atom's facet, seen
+    from the apex, as one integer column per coordinate, in which node n of atom a, the point
+    apex + X / (D L), sits at n * len(atoms) + a, so that the nodes of every rule stay a prefix."""
     lifts = [w.numerator * (q // w.denominator) for _, w in atoms]
     spread = [_spread(numerators, len(atoms)) for numerators in odd]
     columns = []
@@ -198,7 +198,7 @@ def _shift(vector, apex, shift):
 def _table(m: WeightedMeasure, order):
     """The plain table's integer vector in row order and its scale."""
     d = m.vertex_set.dim
-    odd, depth, steps, degrees, common, shift, _ = _plan(d, order)
+    odd, steps, degrees, common, shift, _ = _plan(d, order)
     scale, q, cones = _cones(odd, m)
     total = [0] * comb(order + d, d)
     for apex, stacks in cones:
