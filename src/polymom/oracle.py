@@ -115,6 +115,7 @@ def _plan(d, order):
             pairs.append((where[tuple(a)], where[tuple(map(sub, e, a))]))
         degrees.append((factorial(n) * 4**t * (g + d), weights, half, tuple(pairs)))
     common = lcm(*(den for den, *_ in degrees))
+    degrees = tuple((common // den, *rest) for den, *rest in degrees)
     lines, place = [], range(len(rows))
     for v in range(d):
         blocks = [[p for p, e in enumerate(rows) if e[v] == i] for i in range(order + 1)]
@@ -127,7 +128,6 @@ def _plan(d, order):
         place = at
     shift = tuple(lines), tuple(map(place.__getitem__, range(len(rows))))
     up = tuple(tuple(where[e[:v] + (e[v] + 1,) + e[v + 1 :]] for e in rows if sum(e) < order) for v in range(d))
-    degrees = tuple((common // den, *rest) for den, *rest in degrees)
     return tuple(map(tuple, odd)), tuple(steps), degrees, common, shift, up
 
 

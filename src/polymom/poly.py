@@ -158,11 +158,12 @@ class Series(Value):
         return form_kernel(self.dim, self.order).poly((self.vector, self.scale))
 
     def coefficient(self, exponents) -> Fraction:
-        e = tuple(exponents)
+        where, e = form_kernel(self.dim, self.order).where, tuple(exponents)
         try:
-            return Fraction(self.vector[form_kernel(self.dim, self.order).where[e]], self.scale)
+            row = where[e]
         except (KeyError, TypeError):  # no row, or an entry that cannot key one
             return ZERO
+        return Fraction(self.vector[row], self.scale)
 
     def truncate(self, order) -> "Series":
         """The series to a lower order: the prefix of the pair, on the lower kernel's rows."""
@@ -325,9 +326,9 @@ class MomentTable(Value):
         return {e: Fraction(x, self.scale) if x else ZERO for e, x in zip(rows, self.vector)}
 
     def __getitem__(self, index):
-        index = tuple(index)
+        where, index = form_kernel(self.dim, self.order).where, tuple(index)
         try:
-            x = self.vector[form_kernel(self.dim, self.order).where[index]]
+            x = self.vector[where[index]]
         except (KeyError, TypeError):  # no row, or an entry that cannot key one
             raise KeyError(index) from None
         return Fraction(x, self.scale) if x else ZERO

@@ -704,7 +704,7 @@ class TestTableValues:
         assert copy.copy(table) == table == copy.deepcopy(table)
         assert [table[e] for e in monomials_upto(table.dim, table.order)] == list(table.moments.values())
 
-    @pytest.mark.parametrize("index", [(3, 0), (0, 0, 0), (-1, 1), (0,), ()])
+    @pytest.mark.parametrize("index", [(3, 0), (0, 0, 0), (-1, 1), (0,), (), ([1], 0)])
     def test_an_index_outside_the_table_is_a_key_error(self, index):
         table = MomentTable(2, 2, {e: F(i) for i, e in enumerate(monomials_upto(2, 2))})
         with pytest.raises(KeyError) as exc:
