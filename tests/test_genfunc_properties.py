@@ -1,5 +1,5 @@
-"""Exact division by linear forms and denominator cancellation as
-hypothesis properties.
+"""Exact division by linear forms, denominator cancellation and the
+measure's generating function as hypothesis properties.
 
 The divisors are the two kinds `genfunc` divides by: vertex forms
 1 - <v,u>, by `FormKernel.over` in `RatFun.cancel`, and homogeneous
@@ -10,8 +10,10 @@ division is the independent reference for the quotient and for exactness.
 derandomized, so a failure repeats from run to run.
 """
 
+import random
+from collections import Counter
 from fractions import Fraction as F
-from math import factorial
+from math import comb, factorial, lcm
 
 import pytest
 
@@ -19,11 +21,12 @@ hypothesis = pytest.importorskip("hypothesis")
 sympy = pytest.importorskip("sympy")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from polymom import LinearForm, Poly, RatFun, taylor  # noqa: E402
+from polymom import LinearForm, Poly, RatFun, VertexSet, WeightedMeasure, measure_genfunc, taylor  # noqa: E402
 from polymom.genfunc import form_kernel  # noqa: E402
-from polymom.geometry import homogeneous  # noqa: E402
+from polymom.geometry import edge_det, homogeneous  # noqa: E402
 from polymom.linalg import integer_vector  # noqa: E402
 from polymom.poly import _normalizer, monomials_upto  # noqa: E402
+from polymom.verify import random_point, random_rational, random_simplex_vertices  # noqa: E402
 from polyops import pairing, plus, times, vertex_form  # noqa: E402
 
 DIM = 3
@@ -172,3 +175,102 @@ def test_normalizer_is_the_integer_factorial_ratio(dim, extra):
             expected /= factorial(k)
         value = _normalizer(exps, dim, extra)
         assert value == expected and value.denominator == 1
+
+
+def _counter_measure_genfunc(m):
+    """The measure's generating function through `Counter` multisets of `homogeneous` rows, the
+    integer numerator read back by `FormKernel.poly`, and the checked `RatFun(Poly, forms)`."""
+    vs = m.vertex_set
+    rows = [homogeneous(p) for p in vs.points]
+    denominators = [Counter(rows[i] for i in s if any(vs.points[i])) for s, _ in m.atoms]
+    common = Counter()
+    for counts in denominators:
+        common |= counts
+    missing = [common - counts for counts in denominators]
+    kernel = form_kernel(vs.dim, max((sum(counts.values()) for counts in missing), default=0))
+    parts = []
+    for (_, w), counts in zip(m.atoms, missing):
+        part = ([w.numerator] + [0] * (len(kernel.rows) - 1), w.denominator)
+        for row in counts.elements():
+            part = kernel.times(part, row)
+        parts.append(part)
+    scale = lcm(*(s for _, s in parts))
+    pair = [sum(v[r] * (scale // s) for v, s in parts) for r in range(len(kernel.rows))], scale
+    forms = {r: LinearForm(p) for r, p in zip(rows, vs.points)}
+    remaining = []
+    for row in common.elements() if any(pair[0]) else ():
+        vector, scale = kernel.over(pair, row)
+        below = comb(kernel.degree - 1 + kernel.dim, kernel.dim)
+        if any(vector[below:]):
+            remaining.append(forms[row])
+        else:
+            kernel, pair = form_kernel(kernel.dim, kernel.degree - 1), (vector[:below], scale)
+    return RatFun(kernel.poly(pair), remaining)
+
+
+def _atom_through(rng, vs, i):
+    """A non-flat simplex of the vertex set through vertex i, or None after a few draws."""
+    others = [j for j in range(len(vs)) if j != i]
+    for _ in range(20):
+        s = tuple(sorted([i, *rng.sample(others, vs.dim)]))
+        if edge_det(s, vs):
+            return s
+    return None
+
+
+def _measure(kind, dim, seed, origin, repeated):
+    """A seeded measure in R^dim: a signed sum of 1-4 simplices on random points, the first through
+    the origin and the second through a repeated point when asked; a simplex fanned from an interior
+    point at a random density (`dissection`); or that fan minus the simplex at the same density,
+    whose weights cancel to the zero measure (`cancelling`).  The fans put a corner at the origin
+    when asked."""
+    rng = random.Random(seed)
+    corners = list(random_simplex_vertices(rng, dim).points)
+    if kind == "sum":
+        points = corners + [random_point(rng, dim, span=3, max_den=2) for _ in range(rng.randint(0, 2))]
+        if origin:
+            points.append((0,) * dim)
+        if repeated:
+            points.append(points[0])
+        vs = VertexSet(dim, points)
+        through = [len(points) - 1 - repeated] if origin else []
+        through += [len(points) - 1, 0] if repeated else []
+        atoms = [_atom_through(rng, vs, i) for i in through]
+        atoms += [_atom_through(rng, vs, rng.randrange(len(points))) for _ in range(rng.randint(1, 4 - len(atoms)))]
+        return WeightedMeasure(vs, [(s, random_rational(rng) or 1) for s in atoms if s is not None])
+    if origin:
+        corners = [tuple(c - a for c, a in zip(p, corners[0])) for p in corners]
+    bary = [rng.randint(1, 4) for _ in corners]
+    centre = tuple(sum(b * p[k] for b, p in zip(bary, corners)) / sum(bary) for k in range(dim))
+    vs = VertexSet(dim, corners + [centre])
+    density = random_rational(rng) or 1
+    fan = [tuple(j for j in range(dim + 2) if j != omit) for omit in range(dim + 1)]
+    atoms = [(s, density * abs(edge_det(s, vs))) for s in fan]
+    if kind == "cancelling":
+        whole = tuple(range(dim + 1))
+        atoms.append((whole, -density * abs(edge_det(whole, vs))))
+    return WeightedMeasure(vs, atoms)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=90)
+@given(
+    st.sampled_from(["sum", "dissection", "cancelling"]),
+    st.integers(1, 3),
+    st.integers(0, 2**32),
+    st.booleans(),
+    st.booleans(),
+)
+def test_measure_genfunc_equals_the_counter_construction(kind, dim, seed, origin, repeated):
+    """`measure_genfunc` gives the numerator, the denominator tuple and the text of the
+    construction through `Counter` multisets and `RatFun(Poly, forms)`, on repeated points, a
+    vertex at the origin, dissections, whose interior form cancels, and weights that cancel to
+    the zero measure, which keeps a zero numerator and no form."""
+    m = _measure(kind, dim, seed, origin, repeated)
+    f, expected = measure_genfunc(m), _counter_measure_genfunc(m)
+    assert f.numerator == expected.numerator
+    assert f.denominator == expected.denominator
+    assert str(f) == str(expected) and f == expected
+    if kind == "cancelling":
+        assert f.numerator.is_zero() and f.denominator == ()
+    if kind == "dissection":
+        assert all(form.vertex != m.vertex_set.points[-1] for form in f.denominator)

@@ -9,8 +9,10 @@ from polymom import (
     Classification,
     Degeneracy,
     FormBasis,
+    LinearForm,
     MomentTable,
     Poly,
+    RatFun,
     Reconstruction,
     Series,
     SimplePolytope,
@@ -38,6 +40,12 @@ def _triangle_reconstruction():
 def _series():
     """1/2 + 3*u1 + u1^3 to order 2."""
     return Series(Poly(2, {(0, 0): F(1, 2), (1, 0): 3, (3, 0): 1}), 2)
+
+
+def _ratfun():
+    """(1/2 + 3*u1*u2) / ((1 - u2/3)(1 - u1)^2), the trivial form dropped."""
+    forms = [LinearForm((1, 0)), LinearForm((0, F(1, 3))), LinearForm((0, 0)), LinearForm((1, 0))]
+    return RatFun(Poly(2, {(0, 0): F(1, 2), (1, 1): 3}), forms)
 
 
 class TestRepr:
@@ -110,6 +118,8 @@ FROZEN = [
     lambda: TangentCone((1, 0), [(-1, 0), (-1, 1)]),
     lambda: SimplePolytope(1, [TangentCone((0,), [(1,)]), TangentCone((1,), [(-1,)])]),
     _series,
+    _ratfun,
+    lambda: LinearForm((1, F(-1, 2))),
 ]
 
 
@@ -130,7 +140,7 @@ class TestFrozen:
     @pytest.mark.parametrize("make", FROZEN)
     def test_equal_values_hash_alike(self, make):
         value = make()
-        if isinstance(value, (MomentTable, Series)):
+        if isinstance(value, (MomentTable, RatFun, Series)):
             with pytest.raises(TypeError):  # a dict or list field, as with the dataclass
                 hash(value)
         else:
