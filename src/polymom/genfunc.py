@@ -8,19 +8,23 @@ For the uniform measure on a simplex this is d!*Vol divided by the product
 of the vertex forms 1 - <v, u>, which makes every function here rational
 with denominator a sub-multiset of vertex forms.  Denominators are kept as
 form multisets and never expanded.  `poly.FormKernel` multiplies and divides
-by forms in integers, each the vertex's `geometry.homogeneous` row; `taylor`
-expands into a `Series`, which holds the kernel's pair, `series_to_moments`
-reads that pair into a `MomentTable`'s in integers, and `RatFun.cancel`
-cancels with the kernel of `poly.form_kernel`.  `brion_genfunc` sums its vertex
-cones in the same kernel, and divides out edge directions with `FormKernel.divide`.
+by forms in integers, each the vertex's `geometry.homogeneous` row.  A `RatFun`
+holds its numerator as the kernel's pair, as a `Series` and a `MomentTable` hold
+theirs, with each form's row beside the form: `measure_genfunc` builds the pair
+and forms a `LinearForm` only for each form it keeps, `taylor` expands the pair
+by those rows into a `Series`, and `series_to_moments` reads the series's pair
+into a `MomentTable`'s, so no `Poly` and no `Fraction` is formed from the
+measure to the table.  `RatFun.cancel` cancels in the same kernel, and
+`brion_genfunc` sums its vertex cones there and divides out edge directions
+with `FormKernel.divide`.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm, perm, prod
-from operator import mul
+from itertools import repeat
+from operator import add, mul
 
 from .errors import (
     DegenerateDirectionError,
@@ -61,24 +65,55 @@ class LinearForm(Value):
 
 
 class RatFun(Value):
-    """Polynomial numerator over a multiset of vertex linear forms."""
+    """Polynomial numerator over a multiset of vertex linear forms, the numerator held as the
+    kernel's pair.
 
-    __slots__ = ("numerator", "denominator")
+    `vector` and `scale` are the content-free pair, scale > 0, of the numerator on
+    `form_kernel(dim, degree)`, `degree` its degree (0 for the zero numerator), so equal
+    functions have equal fields; `numerator` is formed on read.  `denominator` is the tuple of
+    the nontrivial forms, sorted by vertex, and `rows` holds each one's `homogeneous` row in
+    the same order; a zero numerator keeps no form.  `RatFun(poly, forms)` is for input and
+    checks the forms' dimension; the functions built here go through the unchecked `RatFun._of`.
+    """
+
+    __slots__ = ("dim", "degree", "vector", "scale", "denominator", "rows")
 
     def __init__(self, numerator: Poly, denominator=()):
-        denom = tuple(sorted(f for f in denominator if not f.is_trivial()))
-        for f in denom:
+        forms = [f for f in denominator if not f.is_trivial()]
+        for f in forms:
             if f.dim != numerator.dim:
                 raise DimensionError("denominator form dimension mismatch")
-        if numerator.is_zero():
-            denom = ()
-        self._fill(numerator, denom)
+        kernel = form_kernel(numerator.dim, max(numerator.degree(), 0))
+        self._hold(kernel, kernel.pair(numerator), [(homogeneous(f.vertex), f) for f in forms])
+
+    @classmethod
+    def _of(cls, kernel, pair, forms) -> "RatFun":
+        """Unchecked constructor for a pair built here, see `_hold`."""
+        f = object.__new__(cls)
+        f._hold(kernel, pair, forms)
+        return f
+
+    def _hold(self, kernel, pair, forms):
+        """Fill the fields from a pair on a kernel whose degree bounds the numerator's, its scale
+        nonzero, and (`homogeneous` row, form) pairs of nontrivial forms in any order: the pair
+        reduced by its gcd, signed so that the scale is positive, and cut to the rows of its
+        own degree, and the forms sorted by vertex, the key `LinearForm.__lt__` reads."""
+        vector, scale = pair
+        last = len(vector) - 1
+        while last and not vector[last]:
+            last -= 1
+        degree, g = sum(kernel.rows[last]), gcd(scale, *vector)
+        if scale < 0:
+            g = -g
+        kept = sorted(forms, key=lambda form: form[1].vertex) if vector[last] else ()
+        vector = [x // g for x in vector[: comb(degree + kernel.dim, kernel.dim)]]
+        self._fill(kernel.dim, degree, vector, scale // g, tuple(f for _, f in kept), tuple(r for r, _ in kept))
 
     __hash__ = None
 
     @property
-    def dim(self):
-        return self.numerator.dim
+    def numerator(self) -> Poly:
+        return form_kernel(self.dim, self.degree).poly((self.vector, self.scale))
 
     def __repr__(self):
         return f"RatFun({self})"
@@ -93,6 +128,9 @@ class RatFun(Value):
         factors = "".join(f"({form})" for form in forms)
         return f"({num}) / {factors}" if " " in num else f"{num} / {factors}"
 
+    def __reduce__(self):
+        return RatFun, (self.numerator, self.denominator)
+
     def cancel(self) -> "RatFun":
         """Divide out every denominator form that exactly divides the numerator.
 
@@ -106,24 +144,24 @@ class RatFun(Value):
         leaves the multiplicity of every other in the numerator unchanged,
         and one pass cancels each form as often as both sides hold it.
         """
-        kernel = form_kernel(self.dim, self.numerator.degree())
-        pair = kernel.pair(self.numerator)
-        return _divided(kernel, pair, ((homogeneous(f.vertex), f) for f in self.denominator))
+        forms = zip(self.rows, (f.vertex for f in self.denominator))
+        return _divided(form_kernel(self.dim, self.degree), (self.vector, self.scale), forms)
 
 
 def _divided(kernel, pair, forms) -> RatFun:
-    """The pair over the forms, given as (`homogeneous` row, form) pairs, with every form
+    """The pair over the forms, given as (`homogeneous` row, vertex) pairs, with every form
     that exactly divides it divided out as in `RatFun.cancel`: the kernel's degree need
-    only bound the numerator's.  A zero numerator keeps no form."""
+    only bound the numerator's.  A zero numerator keeps no form, and a `LinearForm` is
+    formed only for each form kept."""
     remaining = []
-    for row, f in forms if any(pair[0]) else ():
+    for row, vertex in forms if any(pair[0]) else ():
         vector, scale = kernel.over(pair, row)
         below = comb(kernel.degree - 1 + kernel.dim, kernel.dim)
         if any(vector[below:]):
-            remaining.append(f)
+            remaining.append((row, vertex))
         else:
             kernel, pair = form_kernel(kernel.dim, kernel.degree - 1), (vector[:below], scale)
-    return RatFun(kernel.poly(pair), remaining)
+    return RatFun._of(kernel, pair, [(row, LinearForm(vertex)) for row, vertex in remaining])
 
 
 def simplex_genfunc(s, vs: VertexSet, weight, allow_degenerate=False) -> RatFun:
@@ -136,46 +174,58 @@ def simplex_genfunc(s, vs: VertexSet, weight, allow_degenerate=False) -> RatFun:
     s = check_simplex(s, vs)
     if not allow_degenerate and edge_det(s, vs) == 0:
         raise DegenerateSimplexError(f"degenerate simplex {s}; pass allow_degenerate for singular terms")
-    forms = [LinearForm(vs.points[i]) for i in s]
-    return RatFun(Poly.constant(vs.dim, rat(weight)), forms)
+    weight = rat(weight)
+    forms = [(homogeneous(vs.points[i]), LinearForm(vs.points[i])) for i in s if any(vs.points[i])]
+    return RatFun._of(form_kernel(vs.dim, 0), ([weight.numerator], weight.denominator), forms)
 
 
 def measure_genfunc(m: WeightedMeasure) -> RatFun:
     """Sum of the per-atom transforms over a common denominator, cancelled.
 
     The resulting denominator is always a sub-multiset of the vertex forms of
-    the input; interior vertices introduced by a dissection cancel out.  The
-    form multisets count `homogeneous` rows, the zero vertex's dropped.
+    the input; interior vertices introduced by a dissection cancel out.  Each
+    atom's form multiset is a count per `homogeneous` row, the zero vertex's
+    dropped, and the common multiset takes each row's largest count.
     """
     vs = m.vertex_set
     rows = [homogeneous(p) for p in vs.points]
-    denominators = [Counter(rows[i] for i in s if any(vs.points[i])) for s, _ in m.atoms]
-    common = Counter()
-    for counts in denominators:
-        common |= counts
-    missing = [common - counts for counts in denominators]
-    kernel = form_kernel(vs.dim, max((sum(counts.values()) for counts in missing), default=0))
+    counts, common, vertex = [], {}, {}
+    for s, _ in m.atoms:
+        here = {}
+        for i in s:
+            if any(vs.points[i]):
+                here[rows[i]] = here.get(rows[i], 0) + 1
+                vertex[rows[i]] = vs.points[i]
+        for row, n in here.items():
+            if n > common.get(row, 0):
+                common[row] = n
+        counts.append(here)
+    total = sum(common.values())
+    kernel = form_kernel(vs.dim, max((total - sum(here.values()) for here in counts), default=0))
     parts = []
-    for (_, w), counts in zip(m.atoms, missing):
+    for (_, w), here in zip(m.atoms, counts):
         part = ([w.numerator] + [0] * (len(kernel.rows) - 1), w.denominator)
-        for row in counts.elements():
-            part = kernel.times(part, row)
+        for row, n in common.items():
+            for _ in range(n - here.get(row, 0)):
+                part = kernel.times(part, row)
         parts.append(part)
     scale = lcm(*(s for _, s in parts))
-    numerator = [sum(v[r] * (scale // s) for v, s in parts) for r in range(len(kernel.rows))]
-    forms = {r: LinearForm(p) for r, p in zip(rows, vs.points)}
-    return _divided(kernel, (numerator, scale), ((r, forms[r]) for r in common.elements()))
+    numerator = [0] * len(kernel.rows)
+    for v, s in parts:
+        numerator = list(map(add, numerator, map(mul, v, repeat(scale // s))))
+    forms = ((row, vertex[row]) for row, n in common.items() for _ in range(n))
+    return _divided(kernel, (numerator, scale), forms)
 
 
 def taylor(f: RatFun, order: int) -> Series:
-    """Exact truncated expansion about the origin, as the series's pair: the `FormKernel.pair`
-    of the numerator's terms of degree <= order, read on the rows to its own degree, which are
-    a prefix of the order's, and padded with zeros; then one `FormKernel.over` per denominator form."""
+    """Exact truncated expansion about the origin, as the series's pair: the numerator's rows
+    to degree min(deg, order), a prefix of the order's, padded with zeros, over its scale; then
+    one `FormKernel.over` per denominator form, by the row it holds."""
     kernel = form_kernel(f.dim, order)
-    vector, scale = form_kernel(f.dim, min(max(f.numerator.degree(), 0), kernel.degree)).pair(f.numerator)
-    series = vector + [0] * (len(kernel.rows) - len(vector)), scale
-    for form in f.denominator:
-        series = kernel.over(series, homogeneous(form.vertex))
+    vector = f.vector[: comb(min(f.degree, kernel.degree) + f.dim, f.dim)]
+    series = vector + [0] * (len(kernel.rows) - len(vector)), f.scale
+    for row in f.rows:
+        series = kernel.over(series, row)
     return Series._of(f.dim, order, *series)
 
 
@@ -285,7 +335,8 @@ def brion_genfunc(p: SimplePolytope) -> RatFun:
         if pair is None:
             raise PolymomError("edge pairing failed to cancel; cone data does not describe a simple polytope")
         kernel = form_kernel(d, kernel.degree - 1)
-    return RatFun(kernel.poly(pair), [LinearForm(c.vertex) for c in p.cones]).cancel()
+    forms = [(row, LinearForm(c.vertex)) for row, c in zip(rows, p.cones) if any(c.vertex)]
+    return RatFun._of(kernel, pair, forms).cancel()
 
 
 def _vertex_pairings(p: SimplePolytope, z):

@@ -15,8 +15,11 @@ vertices, D = d+2t-2i and |beta| = t-i, and the weight (-1)^i D^(2t+1) / (4^t i!
 on T_(d-1).  All of these are rational.  The nodes of a group depend on D alone, so the rule
 of index t uses exactly the groups D = d, d+2, ..., d+2t: the rules are nested, and a table
 to order k computes the nodes of the rule of index k // 2 and sums each degree over the
-prefix of its own rule.  That rule has C(d+t, d) nodes, where the d-dimensional one has
-C(d+t+1, d+1).
+prefix of its own rule.  A node whose numerators share an odd factor m is the point of the
+node of depth D/m, so each distinct point is kept once, at its first place, and carries the
+weights of all its copies: that rule has at most C(d+t, d) nodes, where the d-dimensional one
+has C(d+t+1, d+1).  On a segment facet (d = 2) the rule of index 4 keeps 13 of 15, and on a
+point facet (d = 1) every rule is the one node.
 
 An atom's apex is its vertex that lies in the most atoms, the lowest index among equals, so
 atoms that share a vertex share their apex.  The atoms of one apex give one table z of
@@ -49,7 +52,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, combinations_with_replacement, cycle, repeat
-from math import comb, factorial, lcm, prod
+from math import comb, factorial, gcd, lcm, prod
 from operator import add, mul, sub
 
 from .errors import DegenerateSimplexError, DimensionError
@@ -66,15 +69,17 @@ def _plan(d, order):
     Returns (odd, steps, degrees, common, shift, up), every sequence a tuple:
     - odd[j], j < d, holds the barycentric numerator 2 beta_j + 1 of facet vertex j at every
       node of the facet rule of index order // 2, the centroid first and then each group by
-      ascending D, so a node is the point odd / D;
+      ascending D, so a node is the point odd / D; a node whose numerators share an odd factor
+      m > 1 is the point of the node of depth D/m, which comes first, and is dropped;
     - the rows are the monomials of degree <= order in canonical order; those of degree <=
       ceil(order/2) come first, row 0 the constant and rows 1..d the coordinates, and steps
       gives, for each of them after those, its parent's row and the variable x_j, its last
       one, that the parent is multiplied by;
     - degrees[g] = (lift, weights, half, pairs): weights holds one integer per node of the rule
-      of index t = g // 2, k_i D^(2t+1-g), k_i = (-1)^i C(d+2t, i), which stand over the
-      denominator (d+2t)! 4^t (g+d), and lift is common over that denominator, so common is
-      their lcm; len(weights) is the rule's prefix; half lists the rows of degree g//2, and
+      of index t = g // 2, k_i D^(2t+1-g), k_i = (-1)^i C(d+2t, i), plus k_i m^(2t+1) D^(2t+1-g)
+      for each dropped node of the rule at depth m D, which stand over the denominator (d+2t)!
+      4^t (g+d), and lift is common over that denominator, so common is their lcm;
+      len(weights) is the rule's prefix; half lists the rows of degree g//2, and
       pairs holds, per monomial J of degree g in canonical order, the row of A, the first g//2
       units of J, and the row of B = J - A;
     - shift = (lines, back): along x_v the rows are laid out block by block by their exponent
@@ -86,12 +91,22 @@ def _plan(d, order):
       the layout of x_(d-1);
     - up[v][p] is the row of x_v times the monomial of row p, for the rows of degree < order.
     """
-    odd, depth = [[] for _ in range(d)], []
+    # each distinct point once, at its first place: numerators 2 beta + 1 with an odd common
+    # factor m > 1 make the node of depth D / m, whose sources gain (D, m)
+    odd, depth, sources, place = [[] for _ in range(d)], [], [], {}
     for h in range(order // 2 + 1):
         for beta in combinations_with_replacement(range(d), h):
-            for j, column in enumerate(odd):
-                column.append(2 * beta.count(j) + 1)
-            depth.append(d + 2 * h)
+            numerators = tuple(2 * beta.count(j) + 1 for j in range(d))
+            m = gcd(*numerators)
+            at = place.get(tuple(x // m for x in numerators))
+            if at is None:
+                place[numerators] = len(depth)
+                for column, x in zip(odd, numerators):
+                    column.append(x)
+                depth.append(d + 2 * h)
+                sources.append([(d + 2 * h, 1)])
+            else:
+                sources[at].append((d + 2 * h, m))
     rows = monomials_upto(d, order)
     where = {e: p for p, e in enumerate(rows)}
     steps = []
@@ -102,9 +117,12 @@ def _plan(d, order):
     for g in range(order + 1):
         t = g // 2
         n = d + 2 * t
-        # group i = (n - D) / 2 of rule t holds the nodes of depth D <= n, a prefix of depth
-        weights = tuple((-1) ** ((n - D) // 2) * comb(n, (n - D) // 2) * D ** (2 * t + 1 - g)
-                        for D in depth if D <= n)
+        # group i = (n - D) / 2 of rule t holds the nodes of depth D <= n, a prefix of depth; a
+        # node of depth D = m D' is the kept one's point, X = m X', so its weight k D^(2t+1-g) on
+        # X^J is k m^(2t+1) D'^(2t+1-g) on X'^J
+        weights = tuple(sum((-1) ** ((n - D) // 2) * comb(n, (n - D) // 2) * m ** (2 * t + 1)
+                            for D, m in here if D <= n) * kept ** (2 * t + 1 - g)
+                        for kept, here in zip(depth, sources) if kept <= n)
         half = tuple(map(where.get, monomials_of_degree(d, g // 2)))
         pairs = []
         for e in monomials_of_degree(d, g):

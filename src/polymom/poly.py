@@ -90,9 +90,6 @@ class Poly(Value):
     def monomial(cls, dim, exponents, coef=1) -> "Poly":
         return cls(dim, {tuple(exponents): rat(coef)})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
         return max((sum(e) for e in self.terms), default=-1)
@@ -167,9 +164,9 @@ class Series(Value):
 
     def truncate(self, order) -> "Series":
         """The series to a lower order: the prefix of the pair, on the lower kernel's rows."""
+        order = integer(order, "series order")
         if order > self.order:
             raise DimensionError(f"cannot extend a series from order {self.order} to {order}")
-        order = integer(order, "series order")
         return Series._of(self.dim, order, self.vector[: comb(order + self.dim, self.dim)], self.scale)
 
     def __repr__(self):

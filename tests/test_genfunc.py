@@ -201,7 +201,7 @@ class TestMeasureGenfunc:
     def test_empty_measure(self, pentagon_set):
         m = uniform_measure(pentagon_set, [])
         f = measure_genfunc(m)
-        assert f.numerator.is_zero() and f.denominator == ()
+        assert not f.numerator.terms and f.denominator == ()
 
 
 class TestTaylor:
@@ -256,11 +256,11 @@ class TestSeriesMoments:
         ],
     )
     def test_the_forward_path_forms_no_poly_and_no_fraction(self, monkeypatch, vs, simplices, order):
-        """`taylor` hands `series_to_moments` its integer pair, and the table holds its own: with
-        every way to a `Poly` refusing, no `Fraction` is formed from `taylor` to the table, nor
-        by the oracle without a density, and the two tables are equal."""
+        """`measure_genfunc` hands `taylor` the kernel pair its `RatFun` holds, `taylor` hands
+        `series_to_moments` its integer pair, and the table holds its own: with every way to a
+        `Poly` refusing, no `Fraction` is formed from the measure to the table, nor by the oracle
+        without a density, and the two tables are equal."""
         m = uniform_measure(vs, simplices)
-        f = measure_genfunc(m)
 
         def refuse(*args, **kwargs):
             raise AssertionError("the forward path formed a Poly")
@@ -276,7 +276,7 @@ class TestSeriesMoments:
         monkeypatch.setattr(Poly, "_of", classmethod(refuse))
         monkeypatch.setattr(Poly, "__init__", refuse)
         monkeypatch.setattr(F, "__new__", staticmethod(counted))
-        table = series_to_moments(taylor(f, order), vs.dim)
+        table = series_to_moments(taylor(measure_genfunc(m), order), vs.dim)
         expected = measure_moments(m, order)
         monkeypatch.undo()
         assert made == [] and table == expected
@@ -455,7 +455,7 @@ def _reference_taylor(f, order):
         power = Poly.constant(f.dim, 1)
         for _ in range(order):
             power = drop_above(times(power, g), order)
-            if power.is_zero():
+            if not power.terms:
                 break
             geo = plus(geo, power)
         result = drop_above(times(result, geo), order)

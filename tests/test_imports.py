@@ -134,6 +134,14 @@ def test_only_the_package_built_series_skip_the_checks():
     }
 
 
+def test_only_the_package_built_ratfuns_skip_the_checks():
+    """The unchecked `RatFun._of` takes only the pairs built here: what `_divided` leaves after
+    cancelling, which `measure_genfunc` and `RatFun.cancel` reach, a simplex's weight over its
+    forms, and Brion's vertex sum before it cancels; every polynomial from outside goes through
+    `RatFun(poly, forms)`."""
+    assert _callers("RatFun._of") == {"genfunc": {"_divided", "simplex_genfunc", "brion_genfunc"}}
+
+
 def test_only_the_file_reader_builds_checked_tables():
     """In src, the checked `MomentTable(...)` reads only a table file, once per `invert`; tests and
     unpickling (`Value.__reduce__`, a call by type) are its other callers."""

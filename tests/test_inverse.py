@@ -112,7 +112,7 @@ class TestRecoverNumerator:
 
     def test_zero_moments(self, pentagon_set):
         table = MomentTable(2, 2, {e: F(0) for e in monomials_upto(2, 2)})
-        assert recover_numerator(table, pentagon_set).is_zero()
+        assert not recover_numerator(table, pentagon_set).terms
 
     def test_triangle_degree_zero(self, triangle_115232):
         table = MomentTable(2, 0, {(0, 0): F(7, 2)})

@@ -160,7 +160,7 @@ def test_non_integer_exponent_rejected(exponent):
 
 def test_no_stored_zeros():
     p = Poly(2, {(1, 0): F(1) - F(1), (0, 1): F(0)})
-    assert p.terms == {} and p.is_zero()
+    assert p.terms == {} and p == Poly(2)
     assert form_kernel(2, 1).poly(([0, 2, 0], 3)).terms == {(1, 0): F(2, 3)}
 
 
@@ -201,6 +201,17 @@ def test_truncation_reads_its_order_as_the_constructor_does():
         s.truncate(1.0)
     with pytest.raises(DimensionError, match="^series order must be non-negative, got -1$"):
         s.truncate(-1)
+
+
+@pytest.mark.parametrize("order", [5.0, "9"])
+def test_truncation_reads_its_order_before_comparing_it(order):
+    """Above the series's order, a float once read as an extension (DimensionError) and a string
+    failed the comparison with a bare TypeError; both are refused as the constructor refuses them."""
+    s = Series(Poly(1, {(0,): 1, (1,): 2, (3,): 3}), 3)
+    with pytest.raises(TypeError, match="^'(float|str)' object cannot be interpreted as an integer$"):
+        s.truncate(order)
+    with pytest.raises(TypeError, match="^'(float|str)' object cannot be interpreted as an integer$"):
+        Series(s.poly, order)
 
 
 if given is not None:
