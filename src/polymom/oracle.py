@@ -91,8 +91,8 @@ def _plan(d, order):
       the layout of x_(d-1);
     - up[v][p] is the row of x_v times the monomial of row p, for the rows of degree < order.
     """
-    # each distinct point once, at its first place: numerators 2 beta + 1 with an odd common
-    # factor m > 1 make the node of depth D / m, whose sources gain (D, m)
+    # sources[n] holds (D, m) for kept node n, m = 1, and for each dropped node of depth D
+    # whose numerators are m times node n's
     odd, depth, sources, place = [[] for _ in range(d)], [], [], {}
     for h in range(order // 2 + 1):
         for beta in combinations_with_replacement(range(d), h):
