@@ -41,3 +41,16 @@ def pairing(vertex):
 def vertex_form(vertex):
     """The vertex form 1 - <v, u> as a polynomial."""
     return plus(Poly.constant(len(vertex), 1), pairing([-c for c in vertex]))
+
+
+def series_over(p, vertices, degree):
+    """The series of p / prod of (1 - <v, u>) over the vertices to the degree, term by term:
+    p times each form's geometric series, the sum of <v, u>^j for j <= degree, cut to it."""
+    p = drop_above(p, degree)
+    for vertex in vertices:
+        term = total = Poly.constant(p.dim, 1)
+        for _ in range(degree):
+            term = times(term, pairing(vertex))
+            total = plus(total, term)
+        p = drop_above(times(p, total), degree)
+    return p

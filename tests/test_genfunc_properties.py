@@ -12,6 +12,7 @@ derandomized, so a failure repeats from run to run.
 
 import random
 from collections import Counter
+from functools import reduce
 from fractions import Fraction as F
 from math import comb, factorial, lcm
 
@@ -27,7 +28,7 @@ from polymom.geometry import edge_det, homogeneous  # noqa: E402
 from polymom.linalg import integer_vector  # noqa: E402
 from polymom.poly import _normalizer, monomials_upto  # noqa: E402
 from polymom.verify import random_point, random_rational, random_simplex_vertices  # noqa: E402
-from polyops import pairing, plus, times, vertex_form  # noqa: E402
+from polyops import pairing, plus, series_over, times, vertex_form  # noqa: E402
 
 DIM = 3
 
@@ -164,6 +165,55 @@ def test_series_quotient_divides_exactly_when_the_kernel_division_does(p, form, 
         for e, c in quotient.terms.items():
             at_one[e[1:]] = at_one.get(e[1:], 0) + w * c
         assert kernel.poly((vector, scale)) == Poly(DIM, at_one)
+
+
+# the kernel degree per dimension 1-4, kept where the term-by-term reference stays quick
+QUOTIENT_DEGREES = (6, 5, 4, 3)
+
+
+@st.composite
+def quotients(draw):
+    """A kernel of dimension 1-4, an integer pair on its rows, and 0-4 vertices X / W with W
+    up to 12, so each form's `homogeneous` W divides the drawn one."""
+    dim = draw(st.integers(1, 4))
+    kernel = form_kernel(dim, draw(st.integers(0, QUOTIENT_DEGREES[dim - 1])))
+    n = len(kernel.rows)
+    pair = draw(st.lists(st.integers(-30, 30), min_size=n, max_size=n)), draw(st.integers(1, 12))
+    numerators = st.lists(st.integers(-12, 12), min_size=dim, max_size=dim)
+    vertex = st.builds(lambda xs, w: tuple(F(x, w) for x in xs), numerators, st.integers(1, 12))
+    return kernel, pair, draw(st.lists(vertex, max_size=4))
+
+
+def check_series_over(kernel, pair, vertices):
+    """`FormKernel.over` by the vertices' rows gives the series of p / prod of (1 - <v, u>) to
+    the kernel's degree, as the term-by-term reference does."""
+    rows = [homogeneous(v) for v in vertices]
+    vector, scale = reduce(kernel.over, rows, pair)
+    assert len(vector) == len(kernel.rows) and scale > 0
+    assert kernel.poly((vector, scale)) == series_over(kernel.poly(pair), vertices, kernel.degree)
+
+
+@properties
+@given(quotients())
+def test_series_quotient_by_forms_matches_the_term_by_term_reference(case):
+    check_series_over(*case)
+
+
+@pytest.mark.parametrize(
+    "dim, degree, vector, vertices",
+    [
+        (2, 5, [3, -1, 2, 0, 5, 0], [(F(1, 3), F(-2, 3)), (F(1, 3), F(-2, 3)), (F(1, 4), 0)]),
+        (3, 4, [1, 2, 0, -3, 0, 4], [(1, 0, -2), (0, 3, 1), (-1, -1, 0)]),
+        (2, 4, [0, 0, 0], [(F(1, 6), F(5, 12)), (2, F(-1, 7))]),
+        (4, 3, [2, -1, 1, 0, 3], []),
+        (1, 6, [5], [(F(7, 12),), (F(7, 12),), (F(7, 12),)]),
+    ],
+    ids=["repeated-row", "all-w-one", "zero-pair", "no-rows", "one-dim-cube"],
+)
+def test_series_quotient_by_forms_at_named_cases(dim, degree, vector, vertices):
+    """A repeated row, every W = 1, a zero pair, no rows at all, and one row three times in 1-d."""
+    kernel = form_kernel(dim, degree)
+    check_series_over(kernel, (vector + [0] * (len(kernel.rows) - len(vector)), 7), vertices)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])

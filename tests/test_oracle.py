@@ -446,6 +446,23 @@ def test_atoms_grouped_by_shared_vertex(dim, kind):
         assert measure_moments(m, order, rho) == _reference_measure_moments(m, order, rho)
 
 
+# an odd order per dimension; the test takes it and the even one above it
+SPLIT_ORDERS = {1: 7, 2: 5, 3: 3}
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_low_orders_and_both_parities_on_two_stack_sizes(dim):
+    """Orders 0, 1 and 2, where a moment's monomial need not be split into two built rows (at
+    orders 0 and 1 no degree is), and an odd and an even order above them, on STACK + 1 atoms
+    of one apex, so stacks of STACK atoms and of one share each plan: every table, plain and
+    under densities of degree 1 and 2, against the reference."""
+    m = _apex_measure(dim, "fan", 900 + dim)
+    odd = SPLIT_ORDERS[dim]
+    for order in (0, 1, 2, odd, odd + 1):
+        for rho in (None, _odd_rho(dim, 1), _dense_rho(dim)):
+            assert measure_moments(m, order, rho) == _reference_measure_moments(m, order, rho)
+
+
 def test_axial_moment_in_four_dimensions():
     """<x, z>^j for j = 0..4 in 4-d, against the power expansion of the reference table."""
     m = _distinct_denominators(4, 3, 4004)
