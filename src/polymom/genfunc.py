@@ -72,17 +72,25 @@ class RatFun(Value):
     `form_kernel(dim, degree)`, `degree` its degree (0 for the zero numerator), so equal
     functions have equal fields; `numerator` is formed on read.  `denominator` is the tuple of
     the nontrivial forms, sorted by vertex, and `rows` holds each one's `homogeneous` row in
-    the same order; a zero numerator keeps no form.  `RatFun(poly, forms)` is for input and
-    checks the forms' dimension; the functions built here go through the unchecked `RatFun._of`.
+    the same order; a zero numerator keeps no form.  `RatFun(poly, forms)` is for input: a
+    numerator that is not a `Poly` or a form that is not a `LinearForm` is a TypeError, and a
+    form of another dimension a DimensionError; the functions built here go through the
+    unchecked `RatFun._of`.
     """
 
     __slots__ = ("dim", "degree", "vector", "scale", "denominator", "rows")
 
     def __init__(self, numerator: Poly, denominator=()):
-        forms = [f for f in denominator if not f.is_trivial()]
-        for f in forms:
-            if f.dim != numerator.dim:
-                raise DimensionError("denominator form dimension mismatch")
+        if not isinstance(numerator, Poly):
+            raise TypeError(f"a RatFun numerator must be a Poly, not {type(numerator).__name__}")
+        forms = []
+        for f in denominator:
+            if not isinstance(f, LinearForm):
+                raise TypeError(f"a denominator form must be a LinearForm, not {type(f).__name__}")
+            if not f.is_trivial():
+                forms.append(f)
+        if any(f.dim != numerator.dim for f in forms):
+            raise DimensionError("denominator form dimension mismatch")
         kernel = form_kernel(numerator.dim, max(numerator.degree(), 0))
         self._hold(kernel, kernel.pair(numerator), [(homogeneous(f.vertex), f) for f in forms])
 

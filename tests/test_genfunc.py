@@ -508,6 +508,29 @@ def test_taylor_refuses_a_bool_or_fractional_order(order):
         taylor(f, order)
 
 
+@pytest.mark.parametrize(
+    "numerator, forms, message",
+    [
+        (Poly.constant(2, 1), [(1, 0)], "^a denominator form must be a LinearForm, not tuple$"),
+        (Poly.constant(2, 1), "ab", "^a denominator form must be a LinearForm, not str$"),
+        ((1, 0), [LinearForm((1, 0))], "^a RatFun numerator must be a Poly, not tuple$"),
+    ],
+    ids=["tuple-form", "string-of-forms", "tuple-numerator"],
+)
+def test_checked_ratfun_refuses_what_is_not_a_poly_or_a_form(numerator, forms, message):
+    """A form that is not a `LinearForm`, a string of forms and a numerator that is not a
+    `Poly` once raised a bare AttributeError from deep in the constructor."""
+    with pytest.raises(TypeError, match=message):
+        RatFun(numerator, forms)
+
+
+def test_checked_ratfun_checks_only_the_nontrivial_forms_dimension():
+    """The constant form 1 is dropped before the dimension check, as it always was."""
+    assert RatFun(Poly.constant(2, 3), [LinearForm((0, 0, 0))]) == RatFun(Poly.constant(2, 3))
+    with pytest.raises(DimensionError, match="^denominator form dimension mismatch$"):
+        RatFun(Poly.constant(2, 3), [LinearForm((1, 0, 0))])
+
+
 def _reference_measure_genfunc(m):
     """Common-denominator numerator as a chain of `Poly` products, then `cancel`."""
     vs = m.vertex_set
