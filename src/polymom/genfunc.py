@@ -12,9 +12,11 @@ by forms in integers, each the vertex's `geometry.homogeneous` row.  A `RatFun`
 holds its numerator as the kernel's pair, as a `Series` and a `MomentTable` hold
 theirs, with each form's row beside the form: `measure_genfunc` builds the pair
 and forms a `LinearForm` only for each form it keeps, `taylor` expands the pair
-by those rows into a `Series`, and `series_to_moments` reads the series's pair
-into a `MomentTable`'s, so no `Poly` and no `Fraction` is formed from the
-measure to the table.  `RatFun.cancel` cancels in the same kernel, and
+by all those rows in one quotient into a `Series`, taken on F(lambda u), lambda
+the lcm of the forms' W, so that every step is an integer product and the
+series carries lambda^order where one form at a time carried each W^order, and
+`series_to_moments` reads the series's pair into a `MomentTable`'s, so no
+`Poly` and no `Fraction` is formed from the measure to the table.  `RatFun.cancel` cancels in the same kernel, and
 `brion_genfunc` sums its vertex cones there and divides out edge directions
 with `FormKernel.divide`.
 """
@@ -227,14 +229,12 @@ def measure_genfunc(m: WeightedMeasure) -> RatFun:
 
 def taylor(f: RatFun, order: int) -> Series:
     """Exact truncated expansion about the origin, as the series's pair: the numerator's rows
-    to degree min(deg, order), a prefix of the order's, padded with zeros, over its scale; then
-    one `FormKernel.over` per denominator form, by the row it holds."""
+    to degree min(deg, order), a prefix of the order's, over its scale, then one
+    `FormKernel.over` by every row it holds, which expands F(lambda u), lambda the lcm of the
+    forms' W, so that no form divides."""
     kernel = form_kernel(f.dim, order)
     vector = f.vector[: comb(min(f.degree, kernel.degree) + f.dim, f.dim)]
-    series = vector + [0] * (len(kernel.rows) - len(vector)), f.scale
-    for row in f.rows:
-        series = kernel.over(series, row)
-    return Series._of(f.dim, order, *series)
+    return Series._of(f.dim, order, *kernel.over((vector, f.scale), *f.rows))
 
 
 def series_to_moments(series: Series, dim: int) -> MomentTable:

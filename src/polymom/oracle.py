@@ -32,11 +32,15 @@ denominator L, so a node is X / (D L) with X an integer vector; the nodes of the
 one apex come as one integer column per coordinate, node-major and atom-minor, so that each
 rule's nodes stay a prefix, and the atoms' weights, over their common denominator, are
 folded into each degree's weights.  An apex's atoms go through in stacks of at most `STACK`
-atoms, whose sums add.  A moment of degree g splits as X^J = X^A X^B with |A| = g//2, so it
-is one dot of the weighted row of X^A with the row of X^B: the rows are built only to degree
-ceil(k/2).  Before the shift every degree is brought over the lcm of the degrees'
-denominators, which the plan holds, and the shift runs on the apex times L, so the table is
-one integer vector in row order over one scale, and no `Fraction` is formed.
+atoms, whose sums add.  The rows X^B are built to degree h = ceil(k/2), and a moment of
+degree g splits as X^J = X^A X^B with |A| = max(0, g-h) and |B| = min(g, h), so it is one
+dot of the weighted row of X^A with the row of X^B: weighted rows are formed only at degree
+g - h, and at g <= h the weighted row is the folded weights themselves.  Each degree's
+weights and each facet slot's numerators, laid over a stack of A atoms, are one more memo
+per (d, order, A) (`_spreads`), shared by every stack of that size.  Before the shift every
+degree is brought over the lcm of the degrees' denominators, which the plan holds, and the
+shift runs on the apex times L, so the table is one integer vector in row order over one
+scale, and no `Fraction` is formed.
 
 A density rho of degree r goes through the plain table to order k + r: m_I(rho mu) is the
 sum over K of rho_K m_(I+K)(mu), in integers along the plan's own row map.  The oracle only
@@ -79,9 +83,10 @@ def _plan(d, order):
       of index t = g // 2, k_i D^(2t+1-g), k_i = (-1)^i C(d+2t, i), plus k_i m^(2t+1) D^(2t+1-g)
       for each dropped node of the rule at depth m D, which stand over the denominator (d+2t)!
       4^t (g+d), and lift is common over that denominator, so common is their lcm;
-      len(weights) is the rule's prefix; half lists the rows of degree g//2, and
-      pairs holds, per monomial J of degree g in canonical order, the row of A, the first g//2
-      units of J, and the row of B = J - A;
+      len(weights) is the rule's prefix.  With h = ceil(order/2) the top degree of the built
+      rows, a monomial J of degree g splits as A of degree max(0, g-h), the first units of J,
+      and B = J - A of degree min(g, h): half lists the rows of degree g-h, or the constant's
+      row 0 when g <= h, and pairs holds the rows of A and B per J, in canonical order;
     - shift = (lines, back): along x_v the rows are laid out block by block by their exponent
       i of x_v, each block in row order, so the rest of the exponent sits at the same place in
       every block and block i is as long as a prefix of block i-1.  lines[v] = (into, rounds):
@@ -113,7 +118,7 @@ def _plan(d, order):
     for e in rows[d + 1 : comb((order + 1) // 2 + d, d)]:
         j = max(v for v, k in enumerate(e) if k)
         steps.append((where[e[:j] + (e[j] - 1,) + e[j + 1 :]], j))
-    degrees = []
+    degrees, h = [], (order + 1) // 2
     for g in range(order + 1):
         t = g // 2
         n = d + 2 * t
@@ -123,10 +128,10 @@ def _plan(d, order):
         weights = tuple(sum((-1) ** ((n - D) // 2) * comb(n, (n - D) // 2) * m ** (2 * t + 1)
                             for D, m in here if D <= n) * kept ** (2 * t + 1 - g)
                         for kept, here in zip(depth, sources) if kept <= n)
-        half = tuple(map(where.get, monomials_of_degree(d, g // 2)))
+        half = tuple(map(where.get, monomials_of_degree(d, max(0, g - h))))
         pairs = []
         for e in monomials_of_degree(d, g):
-            a, rest = [], g // 2
+            a, rest = [], max(0, g - h)
             for k in e:
                 a.append(min(k, rest))
                 rest -= a[-1]
@@ -149,12 +154,17 @@ def _plan(d, order):
     return tuple(map(tuple, odd)), tuple(steps), degrees, common, shift, up
 
 
-def _spread(values, times):
-    """Each value repeated `times` times in a row: a per-node list laid over the atoms."""
-    spread = [0] * (len(values) * times)
-    for a in range(times):
-        spread[a::times] = values
-    return spread
+@lru_cache(maxsize=64)
+def _spreads(d, order, atoms):
+    """Each degree's weights and each facet slot's numerators of `_plan(d, order)`, laid over a
+    stack of `atoms` atoms: every value repeated `atoms` times in a row, as tuples, built once
+    per (d, order, atoms)."""
+    odd, _, degrees, *_ = _plan(d, order)
+
+    def spread(values):
+        return tuple(x for x in values for _ in range(atoms))
+
+    return tuple(spread(weights) for _, weights, *_ in degrees), tuple(map(spread, odd))
 
 
 # atoms stacked in one pass: the rows grow with the stack, so a measure of many atoms,
@@ -162,41 +172,42 @@ def _spread(values, times):
 STACK = 8
 
 
-def _cones(odd, m: WeightedMeasure):
+def _cones(order, m: WeightedMeasure):
     """The common denominator L of the atoms' vertices, the common denominator q of their
     weights, and per apex its point times L and its atoms in stacks of at most STACK, each
     built when it is reached.  An atom's apex is its vertex in the most atoms, the lowest
-    index among equals."""
+    index among equals; each distinct vertex is read once."""
     vs = m.vertex_set
-    scale = lcm(*(c.denominator for s, _ in m.atoms for v in s for c in vs.points[v]))
-    q = lcm(*(w.denominator for _, w in m.atoms))
-    points = {v: [c.numerator * (scale // c.denominator) for c in vs.points[v]] for s, _ in m.atoms for v in s}
     count = Counter(v for s, _ in m.atoms for v in s)
+    scale = lcm(*(c.denominator for v in count for c in vs.points[v]))
+    q = lcm(*(w.denominator for _, w in m.atoms))
+    points = {v: [c.numerator * (scale // c.denominator) for c in vs.points[v]] for v in count}
     cones = {}
     for s, w in m.atoms:
         apex = min(s, key=lambda v: (-count[v], v))
         cones.setdefault(apex, []).append(([v for v in s if v != apex], w))
-    stacks = ((points[apex], (_stack(odd, points, points[apex], q, atoms[i : i + STACK])
+    stacks = ((points[apex], (_stack(order, points, points[apex], q, atoms[i : i + STACK])
                               for i in range(0, len(atoms), STACK))) for apex, atoms in cones.items())
     return scale, q, stacks
 
 
-def _stack(odd, points, apex, q, atoms):
-    """Each atom's weight times q, and every node of the facet rule on every atom's facet, seen
+def _stack(order, points, apex, q, atoms):
+    """Each atom's weight times q, every node of the facet rule on every atom's facet, seen
     from the apex, as one integer column per coordinate, in which node n of atom a, the point
-    apex + X / (D L), sits at n * len(atoms) + a, so that the nodes of every rule stay a prefix."""
+    apex + X / (D L), sits at n * len(atoms) + a, so that the nodes of every rule stay a prefix,
+    and each degree's weights laid over the same places."""
     lifts = [w.numerator * (q // w.denominator) for _, w in atoms]
-    spread = [_spread(numerators, len(atoms)) for numerators in odd]
+    weights, odd = _spreads(len(apex), order, len(atoms))
     columns = []
     for j, a in enumerate(apex):
-        column = [0] * len(spread[0])
+        column = [0] * len(odd[0])
         # facet vertex k of every atom, less the apex, times its barycentric numerator at every node
-        for numerators, vertices in zip(spread, zip(*(facet for facet, _ in atoms))):
+        for numerators, vertices in zip(odd, zip(*(facet for facet, _ in atoms))):
             xs = [points[v][j] - a for v in vertices]
             if any(xs):
                 column = list(map(add, column, map(mul, numerators, cycle(xs))))
         columns.append(column)
-    return lifts, columns
+    return lifts, columns, weights
 
 
 def _shift(vector, apex, shift):
@@ -216,22 +227,25 @@ def _shift(vector, apex, shift):
 def _table(m: WeightedMeasure, order):
     """The plain table's integer vector in row order and its scale."""
     d = m.vertex_set.dim
-    odd, steps, degrees, common, shift, _ = _plan(d, order)
-    scale, q, cones = _cones(odd, m)
+    _, steps, degrees, common, shift, _ = _plan(d, order)
+    scale, q, cones = _cones(order, m)
     total = [0] * comb(order + d, d)
     for apex, stacks in cones:
         sums = [[0] * len(pairs) for *_, pairs in degrees]
-        for lifts, columns in stacks:
-            # the monomials to half the order, each its parent's row times one coordinate
-            rows = [[1] * len(columns[0]), *columns]
+        for lifts, columns, weights in stacks:
+            # the monomials to half the order, each its parent's row times one coordinate; the
+            # constant's row 0 is never formed
+            rows = [None, *columns]
             for parent, j in steps:
                 rows.append(list(map(mul, rows[parent], columns[j])))
             # z_J for |J| = g is the dot of the weighted row of X^A with the row of X^B, all
-            # cut to the prefix of rule g // 2
-            for s, (_, weights, half, pairs) in zip(sums, degrees):
-                folded = list(map(mul, _spread(weights, len(lifts)), cycle(lifts)))
-                weighted = {a: list(map(mul, folded, rows[a])) for a in half}
-                s[:] = map(add, s, [sum(map(mul, weighted[a], rows[b])) for a, b in pairs])
+            # cut to the prefix of rule g // 2: at A = 1 the weighted row is the folded weights,
+            # and at B = 1 too (g = 0) the dot is their sum
+            for s, spread, (_, _, half, pairs) in zip(sums, weights, degrees):
+                folded = list(map(mul, spread, cycle(lifts)))
+                weighted = {a: list(map(mul, folded, rows[a])) if a else folded for a in half}
+                dots = [sum(map(mul, weighted[a], rows[b])) if b else sum(folded) for a, b in pairs]
+                s[:] = map(add, s, dots)
         # degree g stands over common q L^g / lift: the table of z_J L^|J| common q, which the
         # shift by the apex times L takes to the table of m_I L^|I| common q
         z = [x * lift for (lift, *_), s in zip(degrees, sums) for x in s]

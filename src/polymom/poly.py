@@ -23,8 +23,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement, islice
-from math import comb, factorial, gcd, prod
+from itertools import accumulate, combinations_with_replacement, islice, repeat
+from math import comb, factorial, gcd, lcm, prod
+from operator import itemgetter, mul
 from types import MappingProxyType
 
 from .errors import DimensionError
@@ -182,13 +183,15 @@ class FormKernel:
     `rows`, and the form of a vertex v is its `geometry.homogeneous` row (W, W*v), read as
     W - <W*v, u>, the form times W; a direction g is the row (0, g).  `pair` and `poly` turn a
     polynomial into a pair and back.  Get one from `form_kernel`, which builds each (dim,
-    degree) once and shares it; `rows` and `up` are tuples and `where`, the row of each
-    exponent tuple, is a read-only view, so no caller can alter them."""
+    degree) once and shares it; `rows`, `degrees`, the degree of each row, and `up` are tuples
+    and `where`, the row of each exponent tuple, is a read-only view, so no caller can alter
+    them."""
 
-    __slots__ = ("dim", "degree", "rows", "where", "up")
+    __slots__ = ("dim", "degree", "rows", "degrees", "where", "up")
 
     def __init__(self, dim, degree):
         self.dim, self.degree, self.rows = dim, degree, tuple(monomials_upto(dim, degree))
+        self.degrees = tuple(map(sum, self.rows))
         at = {e: r for r, e in enumerate(self.rows)}
         self.where = MappingProxyType(at)
         # up[v][q] is the row of u_v times the monomial of row q, for the rows below the degree
@@ -215,19 +218,29 @@ class FormKernel:
                     out[q] -= c * x
         return out, scale * (w or 1)
 
-    def over(self, pair, form):
-        """The series quotient by the form; the scale gains W^degree.  The
-        recurrence G_j = H_j + <v, u> G_(j-1) runs in place over ascending rows
-        of W^degree * H: a row of degree j stays a multiple of W^(degree-j),
-        so its carry divides exactly."""
-        (vector, scale), (w, *wv) = pair, form
-        top = w**self.degree
-        out = [top * x for x in vector]
-        for q, ups in enumerate(zip(*self.up)):
-            carry = out[q] // w
-            for r, c in zip(ups, wv):
-                out[r] += c * carry
-        return out, scale * top
+    def over(self, pair, *forms):
+        """The series quotient by every form at once, over lambda, the lcm of their W; the pair's
+        vector may stop early, its missing rows zero.  On F(lambda u) the pair's row of degree j
+        is times lambda^j, and each form's recurrence G_j = H_j + <lambda v, u> G_(j-1) runs in
+        place over ascending rows, where lambda v = (lambda/W)(W v) is an integer row, so nothing
+        divides; row j then takes lambda^(degree-j), and the scale gains lambda^degree."""
+        (vector, scale), lam = pair, lcm(*map(itemgetter(0), forms))
+        if lam > 1:
+            powers = list(accumulate(repeat(lam, self.degree), mul, initial=1))
+            vector = map(mul, vector, map(powers.__getitem__, self.degrees))
+        out = list(vector)
+        out += [0] * (len(self.rows) - len(out))
+        ups = tuple(zip(*self.up))
+        for w, *wv in forms:
+            steps = wv if w == lam else list(map(mul, wv, repeat(lam // w)))
+            # a list iterator reads each row when it reaches it, after every row below has added to it
+            for x, rows in zip(out, ups):
+                for r, c in zip(rows, steps):
+                    out[r] += c * x
+        if lam == 1:
+            return out, scale
+        powers.reverse()
+        return list(map(mul, out, map(powers.__getitem__, self.degrees))), scale * powers[0]
 
     def divide(self, pair, form):
         """The exact quotient by a form with W = 0, the -<g, u> that `times` multiplies by, as a

@@ -495,6 +495,7 @@ def test_shared_kernels_leave_no_trace_between_calls():
     kernel = genfunc.form_kernel(2, 6)
     assert kernel is genfunc.form_kernel(2, 6)
     assert isinstance(kernel.rows, tuple) and isinstance(kernel.up, tuple)
+    assert kernel.degrees == tuple(map(sum, kernel.rows))
     assert all(isinstance(up_v, tuple) for up_v in kernel.up)
     with pytest.raises(TypeError):  # a float order does not read the shared kernel of 6
         taylor(fs[0], 6.0)

@@ -185,12 +185,16 @@ def quotients(draw):
 
 
 def check_series_over(kernel, pair, vertices):
-    """`FormKernel.over` by the vertices' rows gives the series of p / prod of (1 - <v, u>) to
-    the kernel's degree, as the term-by-term reference does."""
+    """`FormKernel.over` by all the vertices' rows at once, and by one row at a time, gives the
+    series of p / prod of (1 - <v, u>) to the kernel's degree, as the term-by-term reference
+    does, over the scale times lambda^degree, lambda the lcm of the rows' W."""
     rows = [homogeneous(v) for v in vertices]
-    vector, scale = reduce(kernel.over, rows, pair)
-    assert len(vector) == len(kernel.rows) and scale > 0
-    assert kernel.poly((vector, scale)) == series_over(kernel.poly(pair), vertices, kernel.degree)
+    expected = series_over(kernel.poly(pair), vertices, kernel.degree)
+    vector, scale = kernel.over(pair, *rows)
+    assert len(vector) == len(kernel.rows)
+    assert scale == pair[1] * lcm(*(w for w, *_ in rows)) ** kernel.degree
+    assert kernel.poly((vector, scale)) == expected
+    assert kernel.poly(reduce(kernel.over, rows, pair)) == expected
 
 
 @properties
@@ -211,9 +215,11 @@ def test_series_quotient_by_forms_matches_the_term_by_term_reference(case):
     ids=["repeated-row", "all-w-one", "zero-pair", "no-rows", "one-dim-cube"],
 )
 def test_series_quotient_by_forms_at_named_cases(dim, degree, vector, vertices):
-    """A repeated row, every W = 1, a zero pair, no rows at all, and one row three times in 1-d."""
+    """A repeated row, every W = 1, a zero pair, no rows at all, and one row three times in 1-d,
+    each with its vector in full and stopping early, its missing rows zero."""
     kernel = form_kernel(dim, degree)
     check_series_over(kernel, (vector + [0] * (len(kernel.rows) - len(vector)), 7), vertices)
+    check_series_over(kernel, (vector, 7), vertices)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])

@@ -495,7 +495,8 @@ def _tuples_all_the_way(value):
 @pytest.mark.parametrize("dense", [False, True], ids=["plain", "density"])
 def test_shared_plans_leave_no_trace_between_calls(dense):
     """Two measures that share (d, order) give the same tables in either order, and again
-    after the plan memo is emptied; every field of a plan is a tuple."""
+    after the plan and spread memos are emptied; every field of a plan, and of each stack
+    size's spread weights and numerators, is a tuple."""
     rng = random.Random(43)
     measures = []
     for _ in range(2):
@@ -506,10 +507,16 @@ def test_shared_plans_leave_no_trace_between_calls(dense):
     first = [measure_moments(m, 6, rho) for m in measures]
     second = [measure_moments(m, 6, rho) for m in reversed(measures)][::-1]
     oracle._plan.cache_clear()
+    oracle._spreads.cache_clear()
     assert first == second == [measure_moments(m, 6, rho) for m in measures]
+    assert oracle._spreads.cache_info().currsize > 0
     plan = oracle._plan(2, 6 + 2 * dense)
     assert plan is oracle._plan(2, 6 + 2 * dense)
     assert isinstance(plan, tuple) and _tuples_all_the_way(plan)
+    for atoms in range(1, oracle.STACK + 1):
+        spreads = oracle._spreads(2, 6 + 2 * dense, atoms)
+        assert spreads is oracle._spreads(2, 6 + 2 * dense, atoms)
+        assert isinstance(spreads, tuple) and _tuples_all_the_way(spreads)
 
 
 def _refuse_work(monkeypatch):
