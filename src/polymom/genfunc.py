@@ -16,9 +16,9 @@ by all those rows in one quotient into a `Series`, taken on F(lambda u), lambda
 the lcm of the forms' W, so that every step is an integer product and the
 series carries lambda^order where one form at a time carried each W^order, and
 `series_to_moments` reads the series's pair into a `MomentTable`'s, so no
-`Poly` and no `Fraction` is formed from the measure to the table.  `RatFun.cancel` cancels in the same kernel, and
-`brion_genfunc` sums its vertex cones there and divides out edge directions
-with `FormKernel.divide`.
+`Poly` and no `Fraction` is formed from the measure to the table.
+`RatFun.cancel` cancels in the same kernel, and `brion_genfunc` sums its vertex
+cones there and divides out edge directions with `FormKernel.divide`.
 """
 
 from __future__ import annotations
