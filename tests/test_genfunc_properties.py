@@ -20,7 +20,7 @@ import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 sympy = pytest.importorskip("sympy")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from polymom import LinearForm, Poly, RatFun, VertexSet, WeightedMeasure, measure_genfunc, taylor  # noqa: E402
 from polymom.genfunc import form_kernel  # noqa: E402
@@ -276,12 +276,23 @@ def _atom_through(rng, vs, i):
 
 def _measure(kind, dim, seed, origin, repeated):
     """A seeded measure in R^dim: a signed sum of 1-4 simplices on random points, the first through
-    the origin and the second through a repeated point when asked; a simplex fanned from an interior
-    point at a random density (`dissection`); or that fan minus the simplex at the same density,
-    whose weights cancel to the zero measure (`cancelling`).  The fans put a corner at the origin
-    when asked."""
+    the origin and the second through a repeated point when asked; 20-40 signed simplices on 8-12
+    shared points, the origin and a repeated point among them (`shared`), so that atoms with and
+    without the origin's trivial form meet in one sum; a simplex fanned from an interior point at a
+    random density (`dissection`); or that fan minus the simplex at the same density, whose weights
+    cancel to the zero measure (`cancelling`).  The fans put a corner at the origin when asked."""
     rng = random.Random(seed)
     corners = list(random_simplex_vertices(rng, dim).points)
+    if kind == "shared":
+        extra = rng.randint(8, 12) - len(corners) - 2
+        points = corners + [random_point(rng, dim, span=3, max_den=2) for _ in range(extra)]
+        vs = VertexSet(dim, points + [(0,) * dim, points[0]])
+        atoms, target = {_atom_through(rng, vs, i) for i in (len(points), len(points) + 1)}, rng.randint(20, 40)
+        for _ in range(20 * target):
+            if len(atoms - {None}) == target:
+                break
+            atoms.add(_atom_through(rng, vs, rng.randrange(len(vs))))
+        return WeightedMeasure(vs, [(s, random_rational(rng) or 1) for s in sorted(atoms - {None})])
     if kind == "sum":
         points = corners + [random_point(rng, dim, span=3, max_den=2) for _ in range(rng.randint(0, 2))]
         if origin:
@@ -308,19 +319,22 @@ def _measure(kind, dim, seed, origin, repeated):
     return WeightedMeasure(vs, atoms)
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=90)
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@example("shared", 3, 0, True, True)
+@example("shared", 4, 0, True, True)
+@example("shared", 4, 1, True, True)
 @given(
-    st.sampled_from(["sum", "dissection", "cancelling"]),
-    st.integers(1, 3),
+    st.sampled_from(["sum", "shared", "dissection", "cancelling"]),
+    st.integers(1, 4),
     st.integers(0, 2**32),
     st.booleans(),
     st.booleans(),
 )
 def test_measure_genfunc_equals_the_counter_construction(kind, dim, seed, origin, repeated):
     """`measure_genfunc` gives the numerator, the denominator tuple and the text of the
-    construction through `Counter` multisets and `RatFun(Poly, forms)`, on repeated points, a
-    vertex at the origin, dissections, whose interior form cancels, and weights that cancel to
-    the zero measure, which keeps a zero numerator and no form."""
+    construction through `Counter` multisets and `RatFun(Poly, forms)`, in R^1 to R^4, on repeated
+    points, a vertex at the origin, many atoms on shared points, dissections, whose interior form
+    cancels, and weights that cancel to the zero measure, which keeps a zero numerator and no form."""
     m = _measure(kind, dim, seed, origin, repeated)
     f, expected = measure_genfunc(m), _counter_measure_genfunc(m)
     assert f.numerator == expected.numerator

@@ -15,7 +15,7 @@ from polymom.errors import DimensionError
 from polymom.geometry import homogeneous
 from polymom.linalg import integer_vector
 from polymom.poly import form_kernel, grlex_key
-from polyops import pairing, times
+from polyops import drop_above, pairing, plus, times
 
 
 def random_poly(rng, dim, degree, nterms=4):
@@ -115,19 +115,6 @@ def test_ring_axioms():
         assert fxy == list(map(add, fx, fy))
 
 
-def test_truncated_product_law():
-    """A product in the kernel of degree k is the full product truncated at k."""
-    rng = random.Random(31)
-    full = form_kernel(2, 9)
-    for _ in range(8):
-        a = random_poly(rng, 2, 4)
-        f = homogeneous([F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(2)])
-        k = rng.randint(0, 5)
-        kernel = form_kernel(2, k)
-        lhs = kernel.poly(kernel.times(pair(kernel, Series(a, k).poly), f))
-        assert Series(lhs, k) == Series(full.poly(full.times(pair(full, a), f)), k)
-
-
 def homogenize(p, total):
     """Pad each term with a power of a fresh leading variable up to `total`."""
     assert p.degree() <= total
@@ -223,6 +210,39 @@ if given is not None:
         exponents = st.tuples(*[st.integers(0, 7 // dim) for _ in range(dim)])
         terms = draw(st.dictionaries(exponents, st.fractions(max_denominator=12), max_size=8))
         return dim, order, Poly(dim, terms)
+
+    @st.composite
+    def _products(draw):
+        """A kernel of dimension 1-4 and degree 0-5, an integer pair on its rows whose last nonzero
+        row has a drawn degree up to the kernel's, and a form: a vertex's `homogeneous` row with W
+        up to 12, a direction row (0, g), or the zero vertex's row."""
+        dim, degree = draw(st.integers(1, 4)), draw(st.integers(0, 5))
+        last = draw(st.integers(0, degree))
+        n = comb(last + dim, dim)
+        vector = draw(st.lists(st.integers(-30, 30), min_size=n, max_size=n))
+        # one row of the last degree is nonzero; comb(last - 1 + dim, dim) rows lie below it
+        vector[draw(st.integers(comb(last - 1 + dim, dim), n - 1))] = draw(st.integers(-30, 30).filter(bool))
+        entries = st.lists(st.integers(-12, 12), min_size=dim, max_size=dim)
+        vertex = st.builds(lambda xs, w: homogeneous([F(x, w) for x in xs]), entries, st.integers(1, 12))
+        direction = entries.filter(any).map(lambda g: (0, *g))
+        form = draw(st.one_of(vertex, direction, st.just((1,) + (0,) * dim)))
+        return form_kernel(dim, degree), (vector, draw(st.integers(1, 12))), form
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(_products())
+    def test_truncated_product_law(case):
+        """A product in the kernel of degree k is the full product truncated at k, by the
+        term-by-term reference: the form's row (W, W*v) stands for 1 - <v, u> and (0, g) for
+        -<g, u>, and the scale gains W, or nothing for a direction.  The pair is given on every
+        row of the kernel, its rows past its own zero, including pairs that reach the top degree,
+        where the product truncates."""
+        kernel, (vector, scale), (w, *wv) = case
+        padded = vector + [0] * (len(kernel.rows) - len(vector))
+        form = plus(Poly.constant(kernel.dim, F(w, w or 1)), pairing([F(-c, w or 1) for c in wv]))
+        expected = drop_above(times(kernel.poly((padded, scale)), form), kernel.degree)
+        product = kernel.times((padded, scale), (w, *wv))
+        assert product[1] == scale * (w or 1) and len(product[0]) == len(kernel.rows)
+        assert kernel.poly(product) == expected
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=80)
     @given(_series_args(), st.data())
