@@ -24,6 +24,7 @@ cones there and divides out edge directions with `FormKernel.divide`.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from math import comb, factorial, gcd, lcm, perm, prod
 from itertools import repeat
 from operator import add, mul
@@ -193,38 +194,27 @@ def measure_genfunc(m: WeightedMeasure) -> RatFun:
     """Sum of the per-atom transforms over a common denominator, cancelled.
 
     The resulting denominator is always a sub-multiset of the vertex forms of
-    the input; interior vertices introduced by a dissection cancel out.  Each
-    atom's form multiset is a count per `homogeneous` row, the zero vertex's
-    dropped, and the common multiset takes each row's largest count.
+    the input; interior vertices introduced by a dissection cancel out.  No atom
+    is flat, so its vertices are distinct points with distinct `homogeneous`
+    rows: each atom's forms are a dict of its rows, the zero vertex's dropped,
+    and the common denominator is their union in order of first appearance.
+    An atom's part is its weight times the rows it lacks, grown from the
+    constant on its own rows, one degree longer for an atom at the origin.
     """
     vs = m.vertex_set
     rows = [homogeneous(p) for p in vs.points]
-    counts, common, vertex = [], {}, {}
-    for s, _ in m.atoms:
-        here = {}
-        for i in s:
-            if any(vs.points[i]):
-                here[rows[i]] = here.get(rows[i], 0) + 1
-                vertex[rows[i]] = vs.points[i]
-        for row, n in here.items():
-            if n > common.get(row, 0):
-                common[row] = n
-        counts.append(here)
-    total = sum(common.values())
-    kernel = form_kernel(vs.dim, max((total - sum(here.values()) for here in counts), default=0))
+    atoms = [{rows[i]: vs.points[i] for i in s if any(vs.points[i])} for s, _ in m.atoms]
+    common = {row: p for here in atoms for row, p in here.items()}
+    kernel = form_kernel(vs.dim, max((len(common) - len(here) for here in atoms), default=0))
     parts = []
-    for (_, w), here in zip(m.atoms, counts):
-        part = ([w.numerator] + [0] * (len(kernel.rows) - 1), w.denominator)
-        for row, n in common.items():
-            for _ in range(n - here.get(row, 0)):
-                part = kernel.times(part, row)
-        parts.append(part)
+    for (_, w), here in zip(m.atoms, atoms):
+        lacking = (row for row in common if row not in here)
+        parts.append(reduce(kernel.times, lacking, ([w.numerator], w.denominator)))
     scale = lcm(*(s for _, s in parts))
     numerator = [0] * len(kernel.rows)
     for v, s in parts:
-        numerator = list(map(add, numerator, map(mul, v, repeat(scale // s))))
-    forms = ((row, vertex[row]) for row, n in common.items() for _ in range(n))
-    return _divided(kernel, (numerator, scale), forms)
+        numerator[: len(v)] = map(add, numerator, map(mul, v, repeat(scale // s)))
+    return _divided(kernel, (numerator, scale), common.items())
 
 
 def taylor(f: RatFun, order: int) -> Series:
@@ -232,9 +222,9 @@ def taylor(f: RatFun, order: int) -> Series:
     to degree min(deg, order), a prefix of the order's, over its scale, then one
     `FormKernel.over` by every row it holds, which expands F(lambda u), lambda the lcm of the
     forms' W, so that no form divides."""
-    kernel = form_kernel(f.dim, order)
+    kernel = form_kernel(f.dim, integer(order, "series order"))
     vector = f.vector[: comb(min(f.degree, kernel.degree) + f.dim, f.dim)]
-    return Series._of(f.dim, order, *kernel.over((vector, f.scale), *f.rows))
+    return Series._of(f.dim, kernel.degree, *kernel.over((vector, f.scale), *f.rows))
 
 
 def series_to_moments(series: Series, dim: int) -> MomentTable:
@@ -326,9 +316,7 @@ def brion_genfunc(p: SimplePolytope) -> RatFun:
         weights.append(weight)
     directions = sorted(set().union(*at))
     kernel = form_kernel(d, len(rows) - 1 + len(directions) - d)
-    full = ([1] + [0] * (len(kernel.rows) - 1), 1)
-    for row in rows:
-        full = kernel.times(full, row)
+    full = reduce(kernel.times, rows, ([1], 1))
     parts = []
     for row, here, weight in zip(rows, at, weights):
         vector, scale = kernel.over(full, row)

@@ -95,11 +95,13 @@ def _product_columns(vs: VertexSet, columns):
 
     Each product is formed when read, from the longest prefix it shares with
     the column before it, one form at a time; only the products along that
-    prefix are held.  The scale is the product of the column's rows' W.
+    prefix are held.  The stack starts from the constant, and `FormKernel.times`
+    keeps each product on its own rows, to degree j after j forms, so a whole
+    column stands on every row.  The scale is the product of its rows' W.
     """
     kernel = form_kernel(vs.dim, numerator_degree(vs))
     forms = [homogeneous(p) for p in vs.points]
-    path, stack = (), [([1] + [0] * (len(kernel.rows) - 1), 1)]
+    path, stack = (), [([1], 1)]
     for column in columns:
         shared = next((j for j, (a, b) in enumerate(zip(path, column)) if a != b), len(path))
         del stack[shared + 1 :]

@@ -181,17 +181,19 @@ class FormKernel:
     """Integer products and series quotients by vertex forms below a degree, and exact
     quotients by direction forms: a polynomial is an (integer vector, scale) pair over the
     `rows`, and the form of a vertex v is its `geometry.homogeneous` row (W, W*v), read as
-    W - <W*v, u>, the form times W; a direction g is the row (0, g).  `pair` and `poly` turn a
-    polynomial into a pair and back.  Get one from `form_kernel`, which builds each (dim,
-    degree) once and shares it; `rows`, `degrees`, the degree of each row, and `up` are tuples
-    and `where`, the row of each exponent tuple, is a read-only view, so no caller can alter
-    them."""
+    W - <W*v, u>, the form times W; a direction g is the row (0, g).  `times` and `over` read
+    one pair contract: the vector may stop early, its missing rows zero.  `pair` and `poly`
+    turn a polynomial into a pair and back.  Get one from `form_kernel`, which builds each
+    (dim, degree) once and shares it; `rows`, `degrees`, the degree of each row, `sizes`, the
+    length of a product whose input stops at each row, and `up` are tuples and `where`, the
+    row of each exponent tuple, is a read-only view, so no caller can alter them."""
 
-    __slots__ = ("dim", "degree", "rows", "degrees", "where", "up")
+    __slots__ = ("dim", "degree", "rows", "degrees", "sizes", "where", "up")
 
     def __init__(self, dim, degree):
         self.dim, self.degree, self.rows = dim, degree, tuple(monomials_upto(dim, degree))
         self.degrees = tuple(map(sum, self.rows))
+        self.sizes = tuple(comb(min(g + 1, degree) + dim, dim) for g in self.degrees)
         at = {e: r for r, e in enumerate(self.rows)}
         self.where = MappingProxyType(at)
         # up[v][q] is the row of u_v times the monomial of row q, for the rows below the degree
@@ -209,9 +211,12 @@ class FormKernel:
         return Poly._of(self.dim, {e: Fraction(x, scale) for e, x in zip(self.rows, vector) if x})
 
     def times(self, pair, form):
-        """The product with the form; the scale gains W, and nothing for a direction row (0, g)."""
+        """The product with the form on its own rows: the vector may stop early, as in `over`, and
+        the product stops one degree past it, capped at the kernel's, `sizes` long.  The scale
+        gains W, and nothing for a direction row (0, g)."""
         (vector, scale), (w, *wv) = pair, form
         out = [w * x for x in vector]
+        out += [0] * (self.sizes[len(vector) - 1] - len(out))
         for up_v, c in zip(self.up, wv):
             if c:
                 for q, x in zip(up_v, vector):

@@ -510,6 +510,23 @@ def test_taylor_refuses_a_bool_or_fractional_order(order):
 
 
 @pytest.mark.parametrize(
+    "order, error, message",
+    [
+        (-1, DimensionError, "^series order must be non-negative, got -1$"),
+        (True, TypeError, "^series order must be an integer, not bool$"),
+        (2.0, TypeError, "^'float' object cannot be interpreted as an integer$"),
+    ],
+    ids=["negative", "bool", "float"],
+)
+def test_taylor_names_the_series_order_it_refuses(order, error, message):
+    """The order is read as `Series` reads it, before a kernel is built; -1 and True were once
+    refused as a kernel "degree", an argument `taylor` does not take."""
+    f = RatFun(Poly.constant(2, 1), [LinearForm((1, 0)), LinearForm((0, 1))])
+    with pytest.raises(error, match=message):
+        taylor(f, order)
+
+
+@pytest.mark.parametrize(
     "numerator, forms, message",
     [
         (Poly.constant(2, 1), [(1, 0)], "^a denominator form must be a LinearForm, not tuple$"),

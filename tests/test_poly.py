@@ -234,15 +234,18 @@ if given is not None:
         """A product in the kernel of degree k is the full product truncated at k, by the
         term-by-term reference: the form's row (W, W*v) stands for 1 - <v, u> and (0, g) for
         -<g, u>, and the scale gains W, or nothing for a direction.  The pair is given on every
-        row of the kernel, its rows past its own zero, including pairs that reach the top degree,
-        where the product truncates."""
+        row of the kernel, its rows past its own zero, and cut to its own rows, where the product
+        stands on the rows one degree past the pair's, or to the kernel's degree; pairs reach the
+        top degree too, where the product truncates."""
         kernel, (vector, scale), (w, *wv) = case
         padded = vector + [0] * (len(kernel.rows) - len(vector))
         form = plus(Poly.constant(kernel.dim, F(w, w or 1)), pairing([F(-c, w or 1) for c in wv]))
         expected = drop_above(times(kernel.poly((padded, scale)), form), kernel.degree)
-        product = kernel.times((padded, scale), (w, *wv))
-        assert product[1] == scale * (w or 1) and len(product[0]) == len(kernel.rows)
-        assert kernel.poly(product) == expected
+        own = comb(min(kernel.degrees[len(vector) - 1] + 1, kernel.degree) + kernel.dim, kernel.dim)
+        for fed, rows in [(padded, len(kernel.rows)), (vector, own)]:
+            product = kernel.times((fed, scale), (w, *wv))
+            assert product[1] == scale * (w or 1) and len(product[0]) == rows
+            assert kernel.poly(product) == expected
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=80)
     @given(_series_args(), st.data())
