@@ -23,7 +23,7 @@ sympy = pytest.importorskip("sympy")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from polymom import LinearForm, Poly, RatFun, VertexSet, WeightedMeasure, measure_genfunc, taylor  # noqa: E402
-from polymom.genfunc import form_kernel  # noqa: E402
+from polymom.genfunc import _divided, form_kernel  # noqa: E402
 from polymom.geometry import edge_det, homogeneous  # noqa: E402
 from polymom.linalg import integer_vector  # noqa: E402
 from polymom.poly import _normalizer, monomials_upto  # noqa: E402
@@ -233,6 +233,55 @@ def test_normalizer_is_the_integer_factorial_ratio(dim, extra):
         assert value == expected and value.denominator == 1
 
 
+def _over_each(kernel, pair, forms):
+    """The pair over the (`homogeneous` row, vertex) forms, a form divided out whenever
+    `FormKernel.over` by it leaves no term of the kernel's degree, as `RatFun.cancel` argues:
+    the kernel, the pair and the forms left."""
+    remaining = []
+    for row, vertex in forms if any(pair[0]) else ():
+        vector, scale = kernel.over(pair, row)
+        below = comb(kernel.degree - 1 + kernel.dim, kernel.dim)
+        if any(vector[below:]):
+            remaining.append((row, vertex))
+        else:
+            kernel, pair = form_kernel(kernel.dim, kernel.degree - 1), (vector[:below], scale)
+    return kernel, pair, remaining
+
+
+@st.composite
+def divisions(draw):
+    """A kernel of dimension 1-4, an integer pair on all its rows that is a drawn pair times 0-3
+    vertex forms, plus, when asked, u_v times a drawn polynomial, which vanishes wherever u_v
+    does, and the forms to divide by, as (`homogeneous` row, vertex): those on top and up to two
+    more, in any order, with W up to 6."""
+    dim = draw(st.integers(1, 4))
+    kernel = form_kernel(dim, draw(st.integers(0, QUOTIENT_DEGREES[dim - 1])))
+    numerators = st.lists(st.integers(-6, 6), min_size=dim, max_size=dim).filter(any)
+    vertex = st.builds(lambda xs, w: tuple(F(x, w) for x in xs), numerators, st.integers(1, 6))
+    on_top = draw(st.lists(vertex, max_size=min(3, kernel.degree)))
+    size = comb(kernel.degree - len(on_top) + dim, dim)
+    pair = draw(st.lists(st.integers(-20, 20), min_size=size, max_size=size)), draw(st.integers(1, 9))
+    pair = reduce(kernel.times, map(homogeneous, on_top), pair)
+    vector = pair[0] + [0] * (len(kernel.rows) - len(pair[0]))
+    if kernel.degree and draw(st.booleans()):
+        up = kernel.up[draw(st.integers(0, dim - 1))]
+        for q, x in zip(up, draw(st.lists(st.integers(-3, 3), min_size=len(up), max_size=len(up)))):
+            vector[q] += x
+    vertices = draw(st.permutations(on_top + draw(st.lists(vertex, max_size=2))))
+    return kernel, (vector, pair[1]), [(homogeneous(v), v) for v in vertices]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(divisions())
+def test_divided_equals_a_quotient_by_every_form(case):
+    """`_divided` keeps the forms, and gives the pair, that a quotient by each form in turn does,
+    on pairs with forms on top, on repeated forms, and on pairs that vanish on a coordinate plane,
+    hence at a point of a form's hyperplane on an axis, without the form dividing them."""
+    kernel, pair, forms = case
+    kernel, pair, remaining = _over_each(kernel, pair, forms)
+    assert _divided(*case) == RatFun._of(kernel, pair, [(row, LinearForm(v)) for row, v in remaining])
+
+
 def _counter_measure_genfunc(m):
     """The measure's generating function through `Counter` multisets of `homogeneous` rows, the
     integer numerator read back by `FormKernel.poly`, and the checked `RatFun(Poly, forms)`."""
@@ -253,15 +302,8 @@ def _counter_measure_genfunc(m):
     scale = lcm(*(s for _, s in parts))
     pair = [sum(v[r] * (scale // s) for v, s in parts) for r in range(len(kernel.rows))], scale
     forms = {r: LinearForm(p) for r, p in zip(rows, vs.points)}
-    remaining = []
-    for row in common.elements() if any(pair[0]) else ():
-        vector, scale = kernel.over(pair, row)
-        below = comb(kernel.degree - 1 + kernel.dim, kernel.dim)
-        if any(vector[below:]):
-            remaining.append(forms[row])
-        else:
-            kernel, pair = form_kernel(kernel.dim, kernel.degree - 1), (vector[:below], scale)
-    return RatFun(kernel.poly(pair), remaining)
+    kernel, pair, remaining = _over_each(kernel, pair, [(row, forms[row]) for row in common.elements()])
+    return RatFun(kernel.poly(pair), [form for _, form in remaining])
 
 
 def _atom_through(rng, vs, i):

@@ -15,7 +15,8 @@ are a triangle dissected at an interior point, whose vertex form cancels; a
 signed 2-d measure on a multiset with a repeated point; and a signed sum of
 three tetrahedra in R^3, one vertex at the origin.  The same three measures
 also hold `moments-<k>.json`, the moment table `polymom moments --order k`
-writes, at orders 0, 3 and 8 (6 for the 3-d case).
+writes, at orders 0, 3 and 8 (6 for the 3-d case), and for the two 2-d
+measures at order 14 too.
 
 The chambers case holds `vertices.json` and `measure.json` and the expected
 `--svg` and `--out` bytes of `polymom chambers`.  Its seven points have
@@ -89,6 +90,7 @@ def test_genfunc_bytes(case, tmp_path, capsys):
 
 
 MOMENTS_RUNS = [(case, k) for case in GENFUNC_CASES for k in (0, 3, 6 if case.endswith("d3") else 8)]
+MOMENTS_RUNS += [("genfunc_dissection", 14), ("genfunc_multiset_d2", 14)]
 
 
 @pytest.mark.parametrize("case, order", MOMENTS_RUNS, ids=[f"{c}-{k}" for c, k in MOMENTS_RUNS])

@@ -41,6 +41,14 @@ def test_standard_simplex_closed_form():
             assert simplex_monomial_moment((0, 1, 2), vs, (i, j)) == expect
 
 
+def test_standard_triangle_to_order_24():
+    """Every moment of the standard triangle to order 24 is i! j! / (i+j+2)!: one atom, its apex
+    at the origin, through the facet rules up to index 12."""
+    vs = VertexSet(2, [(0, 0), (1, 0), (0, 1)])
+    table = measure_moments(WeightedMeasure(vs, [((0, 1, 2), 1)]), 24)
+    assert table.moments == {(i, j): F(factorial(i) * factorial(j), factorial(i + j + 2)) for i, j in monomials_upto(2, 24)}
+
+
 def test_triangle_values(triangle_115232):
     t = triangle_115232
     assert simplex_monomial_moment((0, 1, 2), t, (0, 0)) == F(7, 2)
@@ -605,6 +613,40 @@ if given is not None:
         order = data.draw(st.integers(0, APEX_ORDERS[dim]))
         r = data.draw(st.sampled_from([None, 1, 2, 3]))
         rho = None if r is None else _dense_rho(dim) if r == 2 else _odd_rho(dim, r)
+        assert measure_moments(m, order, rho) == _reference_measure_moments(m, order, rho)
+
+    @st.composite
+    def planar_measures(draw):
+        """A signed 2-d measure of 1-4 atoms on 5 or 6 rational points, the origin first, so that
+        atoms share vertices; in a fan every atom holds the origin, so it is their apex."""
+        n = draw(st.integers(5, 6))
+        points = [(F(0), F(0)), *draw(st.lists(st.tuples(rationals, rationals), min_size=n - 1, max_size=n - 1))]
+        assume(len(set(points)) == n)
+        try:
+            vs = VertexSet(2, points)
+        except NotSpanningError:
+            assume(False)
+        fan = draw(st.booleans())
+        simplices = [s for s in combinations(range(n), 3) if edge_det(s, vs) and (s[0] == 0 or not fan)]
+        assume(simplices)
+        chosen = draw(st.lists(st.sampled_from(simplices), unique=True, min_size=1, max_size=4))
+        return WeightedMeasure(vs, [(s, draw(nonzero_rationals)) for s in chosen])
+
+    @st.composite
+    def planar_densities(draw):
+        """A density of degree 1 or 2 in 2-d with rational coefficients, not homogeneous."""
+        r = draw(st.integers(1, 2))
+        exponents = st.tuples(st.integers(0, r), st.integers(0, r)).filter(lambda e: sum(e) <= r)
+        terms = draw(st.dictionaries(exponents, nonzero_rationals, min_size=1, max_size=4))
+        terms[draw(st.sampled_from([(r, 0), (r - 1, 1), (0, r)]))] = draw(nonzero_rationals)
+        terms[(0, 0)] = draw(nonzero_rationals)
+        return Poly(2, terms)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=30)
+    @given(planar_measures(), st.integers(7, 12), planar_densities())
+    def test_planar_tables_at_high_orders_match_reference_property(m, order, rho):
+        """2-d tables at orders 7-12, on atoms that share vertices, some fanned from an apex at the
+        origin, under densities of degree 1 and 2, against the reference."""
         assert measure_moments(m, order, rho) == _reference_measure_moments(m, order, rho)
 
     @properties
