@@ -163,9 +163,21 @@ def _divided(kernel, pair, forms) -> RatFun:
     """The pair over the forms, given as (`homogeneous` row, vertex) pairs, with every form
     that exactly divides it divided out as in `RatFun.cancel`: the kernel's degree need
     only bound the numerator's.  A zero numerator keeps no form, and a `LinearForm` is
-    formed only for each form kept."""
+    formed only for each form kept.  The form W - <X, u> divides p only if p vanishes at
+    e_k W / X_k, k the first place with X_k != 0, where X_k^D p is the sum of c_j W^j X_k^(D-j)
+    over the rows of u_k^j; when that is nonzero, the form is kept with no quotient taken."""
     remaining = []
     for row, vertex in forms if any(pair[0]) else ():
+        (w, *x), pure = row, [0]
+        k = next(k for k, c in enumerate(x) if c)
+        for _ in range(kernel.degree):
+            pure.append(kernel.up[k][pure[-1]])
+        value, power = 0, 1
+        for r in reversed(pure):
+            value, power = value * w + pair[0][r] * power, power * x[k]
+        if value:
+            remaining.append((row, vertex))
+            continue
         vector, scale = kernel.over(pair, row)
         below = comb(kernel.degree - 1 + kernel.dim, kernel.dim)
         if any(vector[below:]):
@@ -378,6 +390,8 @@ def density_op(f: Series, rho: Poly) -> Series:
     `FormKernel.up` reads the row of I+K; rho is cleared by `integer_vector`, so
     all of it is in integers.
     """
+    if not isinstance(rho, Poly):
+        raise TypeError(f"a density must be a Poly, not {type(rho).__name__}")
     delta = _homogeneous_degree(rho)
     if f.dim != rho.dim:
         raise DimensionError("density and series dimension mismatch")

@@ -7,19 +7,26 @@ homogeneous there, so with t = s u, u on the facet's simplex T_(d-1) and dt = s^
 
     integral over T_d of y^J dt = 1/(g+d) * integral over T_(d-1) of y(u)^J du,
 
-the homogeneous reduction (Lasserre, Proc. AMS 126, 1998).  The facet integral is taken
-with the (d-1)-dimensional Grundmann-Moller rule (SIAM J. Numer. Anal. 15, 1978) of index
-t = g // 2, which is exact to degree 2t+1 >= g, so every moment is exact.  Its group
-i = 0..t has the nodes with barycentric coordinates (2 beta_j + 1) / D on the d facet
-vertices, D = d+2t-2i and |beta| = t-i, and the weight (-1)^i D^(2t+1) / (4^t i! (d+2t-i)!)
-on T_(d-1).  All of these are rational.  The nodes of a group depend on D alone, so the rule
-of index t uses exactly the groups D = d, d+2, ..., d+2t: the rules are nested, and a table
-to order k computes the nodes of the rule of index k // 2 and sums each degree over the
-prefix of its own rule.  A node whose numerators share an odd factor m is the point of the
-node of depth D/m, so each distinct point is kept once, at its first place, and carries the
-weights of all its copies: that rule has at most C(d+t, d) nodes, where the d-dimensional one
-has C(d+t+1, d+1).  On a segment facet (d = 2) the rule of index 4 keeps 13 of 15, and on a
-point facet (d = 1) every rule is the one node.
+the homogeneous reduction (Lasserre, Proc. AMS 126, 1998).  The facet integral is taken with
+a rule of index t = g // 2 that is exact to degree 2t+1 >= g, so every moment is exact.  The
+rules are nested, so a table to order k computes the nodes of the rule of index k // 2 and sums
+each degree over the prefix of its own rule.  A node is barycentric numerators over their sum
+D, its depth, on the facet vertices.  Only the nodes and weights depend on the facet:
+- on a point facet (d = 1) every rule is the one node;
+- on a segment (d = 2) rule t is the first 2t+1 nodes in Farey order, 1/2, 0, 1, 1/3, 2/3,
+  1/4, 3/4, 1/5, 4/5, 2/5, 3/5, ..., the node p/D read as the numerators (D - p, p), with the
+  weights that integrate their Lagrange basis over [0, 1].  Those are exact to degree 2t, and
+  the prefix is symmetric about 1/2, so they are exact to 2t+1 (`_segment`);
+- on facets of d >= 3 it is the (d-1)-dimensional Grundmann-Moller rule (SIAM J. Numer.
+  Anal. 15, 1978).  Its group i = 0..t has the nodes with numerators 2 beta_j + 1 on the d
+  facet vertices, D = d+2t-2i and |beta| = t-i, and the weight (-1)^i D^(2t+1) / (4^t i!
+  (d+2t-i)!) on T_(d-1).  All of these are rational, and the nodes of a group depend on D
+  alone, so rule t uses exactly the groups D = d, d+2, ..., d+2t.  A node whose numerators
+  share an odd factor m is the point of the node of depth D/m, so each distinct point is kept
+  once, at its first place, and carries the weights of all its copies: that rule has at most
+  C(d+t, d) nodes, where the d-dimensional one has C(d+t+1, d+1) (`_grundmann_moller`).  On a
+  segment it would keep 9, 13, 17, 23, 31, 37 and 55 nodes at t = 3..8 and 10, where 2t+1
+  suffice.
 
 An atom's apex is its vertex that lies in the most atoms, the lowest index among equals, so
 atoms that share a vertex share their apex.  The atoms of one apex give one table z of
@@ -66,25 +73,103 @@ from .poly import MomentTable, Poly, monomials_of_degree, monomials_upto
 from .value import integer
 
 
+def _grundmann_moller(d, order):
+    """The facet rules of indices 0..order // 2 for d = 1 or d >= 3, as `_plan` reads them: the
+    nodes' numerator columns, the centroid first and then each group by ascending D, and per
+    degree g the pair (denominator, weights) of rule t = g // 2: k_i D^(2t+1-g), k_i = (-1)^i
+    C(d+2t, i), at each node, plus k_i m^(2t+1) D^(2t+1-g) for each of its dropped copies of
+    depth m D, over (d+2t)! 4^t (g+d)."""
+    # sources[n] holds (D, m) for kept node n, m = 1, and for each dropped node of depth D
+    # whose numerators are m times node n's
+    nodes, depth, sources, place = [[] for _ in range(d)], [], [], {}
+    for h in range(order // 2 + 1):
+        for beta in combinations_with_replacement(range(d), h):
+            numerators = tuple(2 * beta.count(j) + 1 for j in range(d))
+            m = gcd(*numerators)
+            at = place.get(tuple(x // m for x in numerators))
+            if at is None:
+                place[numerators] = len(depth)
+                for column, x in zip(nodes, numerators):
+                    column.append(x)
+                depth.append(d + 2 * h)
+                sources.append([(d + 2 * h, 1)])
+            else:
+                sources[at].append((d + 2 * h, m))
+    rules = []
+    for g in range(order + 1):
+        t = g // 2
+        n = d + 2 * t
+        # group i = (n - D) / 2 of rule t holds the nodes of depth D <= n, a prefix of depth; a
+        # node of depth D = m D' is the kept one's point, X = m X', so its weight k D^(2t+1-g) on
+        # X^J is k m^(2t+1) D'^(2t+1-g) on X'^J
+        weights = tuple(sum((-1) ** ((n - D) // 2) * comb(n, (n - D) // 2) * m ** (2 * t + 1)
+                            for D, m in here if D <= n) * kept ** (2 * t + 1 - g)
+                        for kept, here in zip(depth, sources) if kept <= n)
+        rules.append((factorial(n) * 4**t * (g + d), weights))
+    return nodes, rules
+
+
+def _segment(order):
+    """The facet rules of indices 0..order // 2 for d = 2, as `_grundmann_moller` returns its
+    own: the first 2t+1 nodes p/D in Farey order, whose pairs p/D, 1 - p/D come by ascending
+    D and p < D/2 prime to D, and each rule's Lagrange weights over [0, 1], by degree."""
+    t = order // 2
+    points, D = [(1, 2), (0, 1), (1, 1)], 2
+    while len(points) < 2 * t + 1:
+        D += 1
+        points += [(q, D) for p in range(1, (D + 1) // 2) if gcd(p, D) == 1 for q in (p, D - p)]
+    points = points[: 2 * t + 1]
+    # on s = M u, M the lcm of the depths, node p/D is the integer p M / D, and u^j integrates
+    # to M^j / (j + 1), here over T = lcm(1..2t+1); the Lagrange basis of node x is omega(s) /
+    # (s - x) over its value at x, omega the product of (s - y) over the rule's nodes, and the
+    # two nodes of a pair have one weight
+    M, T = lcm(*(D for _, D in points)), lcm(*range(1, 2 * t + 2))
+    xs = [p * (M // D) for p, D in points]
+    powers = [M**j * (T // (j + 1)) for j in range(2 * t + 1)]
+    omega, rules = [1], []
+    for n in range(1, 2 * t + 2, 2):
+        for x in xs[len(omega) - 1 : n]:
+            omega = [a - x * b for a, b in zip([0, *omega], [*omega, 0])]
+        sums, values = [], []
+        for x in xs[:n:2]:
+            total = c = 0
+            # the quotient omega(s) / (s - x) from its top coefficient down, integrated
+            for a, power in zip(reversed(omega[1:]), reversed(powers[:n])):
+                c = a + x * c
+                total += c * power
+            sums.append(total)
+            values.append(prod(x - y for y in xs[:n] if y != x))
+        # the weights are A / (T B)
+        B = lcm(*values)
+        A = [a * (B // v) for a, v in zip(sums, values)]
+        A[1:] = [a for a in A[1:] for _ in (0, 1)]
+        for g in range(n - 1, min(n + 1, order + 1)):
+            # node X / (D L) takes w / (D^g (g + 2)) = A (M/D)^g / (T B M^g (g + 2)) at degree g
+            weights = [a * (M // D) ** g for a, (_, D) in zip(A, points)]
+            den = T * B * M**g * (g + 2)
+            c = gcd(den, *weights)
+            rules.append((den // c, tuple(w // c for w in weights)))
+    return [[D - p for p, D in points], [p for p, D in points]], rules
+
+
 @lru_cache(maxsize=16)
 def _plan(d, order):
     """What a table to `order` needs apart from its atoms, built once per (d, order).
 
-    Returns (odd, steps, degrees, common, shift, up), every sequence a tuple:
-    - odd[j], j < d, holds the barycentric numerator 2 beta_j + 1 of facet vertex j at every
-      node of the facet rule of index order // 2, the centroid first and then each group by
-      ascending D, so a node is the point odd / D; a node whose numerators share an odd factor
-      m > 1 is the point of the node of depth D/m, which comes first, and is dropped;
+    Returns (nodes, steps, degrees, common, shift, up), every sequence a tuple:
+    - nodes[j], j < d, holds the barycentric numerator of facet vertex j at every node of the
+      facet rule of index order // 2, from `_segment` for d = 2 and `_grundmann_moller`
+      otherwise, so a node is the point nodes / D, D the sum of its numerators, and the nodes
+      of each lower rule are a prefix;
     - the rows are the monomials of degree <= order in canonical order; those of degree <=
       ceil(order/2) come first, row 0 the constant and rows 1..d the coordinates, and steps
       gives, for each of them after those, its parent's row and the variable x_j, its last
       one, that the parent is multiplied by;
     - degrees[g] = (lift, weights, half, pairs): weights holds one integer per node of the rule
-      of index t = g // 2, k_i D^(2t+1-g), k_i = (-1)^i C(d+2t, i), plus k_i m^(2t+1) D^(2t+1-g)
-      for each dropped node of the rule at depth m D, which stand over the denominator (d+2t)!
-      4^t (g+d), and lift is common over that denominator, so common is their lcm;
-      len(weights) is the rule's prefix.  With h = ceil(order/2) the top degree of the built
-      rows, a monomial J of degree g splits as A of degree max(0, g-h), the first units of J,
+      of index t = g // 2, the node's weight over D^g (g+d), since X / D stands for X^J / D^g,
+      all over one denominator, and lift is common over that denominator, so common is their
+      lcm; len(weights) is the rule's prefix.  With h = ceil(order/2) the top degree of the
+      built rows, a monomial J of degree g splits as A of degree max(0, g-h), the first units of J,
       and B = J - A of degree min(g, h): half lists the rows of degree g-h, or the constant's
       row 0 when g <= h, and pairs holds the rows of A and B per J, in canonical order;
     - shift = (lines, back): along x_v the rows are laid out block by block by their exponent
@@ -96,22 +181,7 @@ def _plan(d, order):
       the layout of x_(d-1);
     - up[v][p] is the row of x_v times the monomial of row p, for the rows of degree < order.
     """
-    # sources[n] holds (D, m) for kept node n, m = 1, and for each dropped node of depth D
-    # whose numerators are m times node n's
-    odd, depth, sources, place = [[] for _ in range(d)], [], [], {}
-    for h in range(order // 2 + 1):
-        for beta in combinations_with_replacement(range(d), h):
-            numerators = tuple(2 * beta.count(j) + 1 for j in range(d))
-            m = gcd(*numerators)
-            at = place.get(tuple(x // m for x in numerators))
-            if at is None:
-                place[numerators] = len(depth)
-                for column, x in zip(odd, numerators):
-                    column.append(x)
-                depth.append(d + 2 * h)
-                sources.append([(d + 2 * h, 1)])
-            else:
-                sources[at].append((d + 2 * h, m))
+    nodes, rules = _segment(order) if d == 2 else _grundmann_moller(d, order)
     rows = monomials_upto(d, order)
     where = {e: p for p, e in enumerate(rows)}
     steps = []
@@ -119,15 +189,7 @@ def _plan(d, order):
         j = max(v for v, k in enumerate(e) if k)
         steps.append((where[e[:j] + (e[j] - 1,) + e[j + 1 :]], j))
     degrees, h = [], (order + 1) // 2
-    for g in range(order + 1):
-        t = g // 2
-        n = d + 2 * t
-        # group i = (n - D) / 2 of rule t holds the nodes of depth D <= n, a prefix of depth; a
-        # node of depth D = m D' is the kept one's point, X = m X', so its weight k D^(2t+1-g) on
-        # X^J is k m^(2t+1) D'^(2t+1-g) on X'^J
-        weights = tuple(sum((-1) ** ((n - D) // 2) * comb(n, (n - D) // 2) * m ** (2 * t + 1)
-                            for D, m in here if D <= n) * kept ** (2 * t + 1 - g)
-                        for kept, here in zip(depth, sources) if kept <= n)
+    for g, (den, weights) in enumerate(rules):
         half = tuple(map(where.get, monomials_of_degree(d, max(0, g - h))))
         pairs = []
         for e in monomials_of_degree(d, g):
@@ -136,7 +198,7 @@ def _plan(d, order):
                 a.append(min(k, rest))
                 rest -= a[-1]
             pairs.append((where[tuple(a)], where[tuple(map(sub, e, a))]))
-        degrees.append((factorial(n) * 4**t * (g + d), weights, half, tuple(pairs)))
+        degrees.append((den, weights, half, tuple(pairs)))
     common = lcm(*(den for den, *_ in degrees))
     degrees = tuple((common // den, *rest) for den, *rest in degrees)
     lines, place = [], range(len(rows))
@@ -151,7 +213,7 @@ def _plan(d, order):
         place = at
     shift = tuple(lines), tuple(map(place.__getitem__, range(len(rows))))
     up = tuple(tuple(where[e[:v] + (e[v] + 1,) + e[v + 1 :]] for e in rows if sum(e) < order) for v in range(d))
-    return tuple(map(tuple, odd)), tuple(steps), degrees, common, shift, up
+    return tuple(map(tuple, nodes)), tuple(steps), degrees, common, shift, up
 
 
 @lru_cache(maxsize=64)
@@ -159,12 +221,12 @@ def _spreads(d, order, atoms):
     """Each degree's weights and each facet slot's numerators of `_plan(d, order)`, laid over a
     stack of `atoms` atoms: every value repeated `atoms` times in a row, as tuples, built once
     per (d, order, atoms)."""
-    odd, _, degrees, *_ = _plan(d, order)
+    nodes, _, degrees, *_ = _plan(d, order)
 
     def spread(values):
         return tuple(x for x in values for _ in range(atoms))
 
-    return tuple(spread(weights) for _, weights, *_ in degrees), tuple(map(spread, odd))
+    return tuple(spread(weights) for _, weights, *_ in degrees), tuple(map(spread, nodes))
 
 
 # atoms stacked in one pass: the rows grow with the stack, so a measure of many atoms,
@@ -197,12 +259,12 @@ def _stack(order, points, apex, q, atoms):
     apex + X / (D L), sits at n * len(atoms) + a, so that the nodes of every rule stay a prefix,
     and each degree's weights laid over the same places."""
     lifts = [w.numerator * (q // w.denominator) for _, w in atoms]
-    weights, odd = _spreads(len(apex), order, len(atoms))
+    weights, nodes = _spreads(len(apex), order, len(atoms))
     columns = []
     for j, a in enumerate(apex):
-        column = [0] * len(odd[0])
+        column = [0] * len(nodes[0])
         # facet vertex k of every atom, less the apex, times its barycentric numerator at every node
-        for numerators, vertices in zip(odd, zip(*(facet for facet, _ in atoms))):
+        for numerators, vertices in zip(nodes, zip(*(facet for facet, _ in atoms))):
             xs = [points[v][j] - a for v in vertices]
             if any(xs):
                 column = list(map(add, column, map(mul, numerators, cycle(xs))))
@@ -277,6 +339,8 @@ def measure_moments(m: WeightedMeasure, order: int, rho: Poly | None = None) -> 
     """
     vs = m.vertex_set
     d = vs.dim
+    if rho is not None and not isinstance(rho, Poly):
+        raise TypeError(f"a density must be a Poly, not {type(rho).__name__}")
     if rho is not None and rho.dim != d:
         raise DimensionError(f"density has {rho.dim} variables, measure lives in R^{d}")
     order = integer(order, "moment order")

@@ -99,6 +99,8 @@ LIBRARY = [
     ("cone-string-edge", lambda: TangentCone((0, 0), ["10", (0, 1)]), TypeError, "^edge must be a sequence"),
     ("axial-moment-string-direction", lambda: axial_moment(TRIANGLE, "12", 2), TypeError, "^direction must be"),
     ("brion-axial-string-direction", lambda: brion_axial_moment(box_polytope(2), "12", 2), TypeError, "^direction"),
+    ("measure-moments-string-density", lambda: measure_moments(TRIANGLE, 2, "x"), TypeError, "^a density must be a Poly, not str$"),
+    ("density-op-dict-density", lambda: density_op(SERIES, {(1, 0): 1}), TypeError, "^a density must be a Poly, not dict$"),
 ]
 
 

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import pickle
 import random
 import time
@@ -492,6 +493,43 @@ def test_axial_moment_at_directions_with_zero_entries(z, j):
     assert axial_moment(m, z, j) == expect
     if not any(z):
         assert expect == (table[(0, 0, 0)] if j == 0 else 0)
+
+
+def test_segment_rules_are_symmetric_and_exact():
+    """The 2-d plan's rule of index t = 0..12 is its first 2t+1 nodes, distinct points of [0, 1]
+    closed under u -> 1 - u with equal weights there, and integrates u^j exactly for j <= 2t+1.
+    Node i is the numerators (D - p, p) over D, and degree g holds w / (D^g (g + 2)) over its
+    denominator, common / lift."""
+    nodes, _, degrees, common, *_ = oracle._plan(2, 25)
+    for g, (lift, weights, *_) in enumerate(degrees):
+        t = g // 2
+        assert len(weights) == 2 * t + 1
+        rule = {}
+        for a, p, x in zip(*nodes, weights):
+            rule[F(p, a + p)] = F(x * lift * (a + p) ** g * (g + 2), common)
+        assert len(rule) == 2 * t + 1 and all(0 <= u <= 1 and rule[1 - u] == w for u, w in rule.items())
+        for j in range(2 * t + 2):
+            assert sum(w * u**j for u, w in rule.items()) == F(1, j + 1)
+
+
+@pytest.mark.parametrize("order", range(31))
+def test_segment_plan_keeps_one_node_per_degree_of_exactness(order):
+    assert len(oracle._plan(2, order)[0][0]) == 2 * (order // 2) + 1
+
+
+# sha256 of the repr of the plans to orders 0..top, the Grundmann-Moller rule one dimension down
+GRUNDMANN_MOLLER_PLANS = {
+    (1, 12): "e3a53e18b82a2d3802a075cc9f2987355fd77c9b2e25c883592816c274fe67c4",
+    (3, 8): "834a1ce6c8eb40c5a63904217de2cb34a90fe2c7cca9e238acc3c5e8ca7d4523",
+    (4, 6): "e629083125aa90618f3285451f22d9acf6a59891ef8b3c6c07a39a9548f267b4",
+}
+
+
+@pytest.mark.parametrize("dim, top", GRUNDMANN_MOLLER_PLANS)
+def test_plans_off_the_plane_are_pinned(dim, top):
+    """Only d = 2 takes the segment rule: the plans of d = 1, 3 and 4 are pinned, field for field."""
+    plans = [oracle._plan(dim, order) for order in range(top + 1)]
+    assert hashlib.sha256(repr(plans).encode()).hexdigest() == GRUNDMANN_MOLLER_PLANS[dim, top]
 
 
 def _tuples_all_the_way(value):
