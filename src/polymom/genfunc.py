@@ -175,15 +175,13 @@ def _divided(kernel, pair, forms) -> RatFun:
         value, power = 0, 1
         for r in reversed(pure):
             value, power = value * w + pair[0][r] * power, power * x[k]
-        if value:
-            remaining.append((row, vertex))
-            continue
-        vector, scale = kernel.over(pair, row)
-        below = comb(kernel.degree - 1 + kernel.dim, kernel.dim)
-        if any(vector[below:]):
-            remaining.append((row, vertex))
-        else:
-            kernel, pair = form_kernel(kernel.dim, kernel.degree - 1), (vector[:below], scale)
+        if not value:
+            vector, scale = kernel.over(pair, row)
+            below = comb(kernel.degree - 1 + kernel.dim, kernel.dim)
+            if not any(vector[below:]):
+                kernel, pair = form_kernel(kernel.dim, kernel.degree - 1), (vector[:below], scale)
+                continue
+        remaining.append((row, vertex))
     return RatFun._of(kernel, pair, [(row, LinearForm(vertex)) for row, vertex in remaining])
 
 

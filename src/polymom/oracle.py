@@ -8,25 +8,21 @@ homogeneous there, so with t = s u, u on the facet's simplex T_(d-1) and dt = s^
     integral over T_d of y^J dt = 1/(g+d) * integral over T_(d-1) of y(u)^J du,
 
 the homogeneous reduction (Lasserre, Proc. AMS 126, 1998).  The facet integral is taken with
-a rule of index t = g // 2 that is exact to degree 2t+1 >= g, so every moment is exact.  The
-rules are nested, so a table to order k computes the nodes of the rule of index k // 2 and sums
-each degree over the prefix of its own rule.  A node is barycentric numerators over their sum
-D, its depth, on the facet vertices.  Only the nodes and weights depend on the facet:
-- on a point facet (d = 1) every rule is the one node;
-- on a segment (d = 2) rule t is the first 2t+1 nodes in Farey order, 1/2, 0, 1, 1/3, 2/3,
-  1/4, 3/4, 1/5, 4/5, 2/5, 3/5, ..., the node p/D read as the numerators (D - p, p), with the
-  weights that integrate their Lagrange basis over [0, 1].  Those are exact to degree 2t, and
-  the prefix is symmetric about 1/2, so they are exact to 2t+1 (`_segment`);
-- on facets of d >= 3 it is the (d-1)-dimensional Grundmann-Moller rule (SIAM J. Numer.
-  Anal. 15, 1978).  Its group i = 0..t has the nodes with numerators 2 beta_j + 1 on the d
-  facet vertices, D = d+2t-2i and |beta| = t-i, and the weight (-1)^i D^(2t+1) / (4^t i!
-  (d+2t-i)!) on T_(d-1).  All of these are rational, and the nodes of a group depend on D
-  alone, so rule t uses exactly the groups D = d, d+2, ..., d+2t.  A node whose numerators
-  share an odd factor m is the point of the node of depth D/m, so each distinct point is kept
-  once, at its first place, and carries the weights of all its copies: that rule has at most
-  C(d+t, d) nodes, where the d-dimensional one has C(d+t+1, d+1) (`_grundmann_moller`).  On a
-  segment it would keep 9, 13, 17, 23, 31, 37 and 55 nodes at t = 3..8 and 10, where 2t+1
-  suffice.
+a rational rule of index t = g // 2, exact to degree 2t+1 >= g, so every moment is exact.  The
+rules are nested: a table to order k computes the nodes of the rule of index k // 2, and each
+degree sums over its own rule's prefix.  A node is barycentric numerators on the facet
+vertices over their sum D, its depth, and only the nodes and weights depend on the facet:
+- a point (d = 1) takes its one node;
+- a segment (d = 2) takes the first 2t+1 nodes in Farey order, 1/2, 0, 1, 1/3, 2/3, 1/4, 3/4,
+  1/5, 4/5, 2/5, 3/5, ..., p/D read as (D - p, p), with the weights that integrate their
+  Lagrange basis over [0, 1]: exact to degree 2t, and to 2t+1 since the prefix is symmetric
+  (`_segment`);
+- a facet of d >= 3 takes the Grundmann-Moller rule (SIAM J. Numer. Anal. 15, 1978), whose
+  group i = 0..t has the numerators 2 beta_j + 1, D = d+2t-2i and |beta| = t-i, and the weight
+  (-1)^i D^(2t+1) / (4^t i! (d+2t-i)!) on T_(d-1).  A node whose numerators share an odd
+  factor m is the point of the node of depth D/m, so each distinct point is kept once, at its
+  first place, with its copies' weights: at most C(d+t, d) nodes (`_grundmann_moller`).  On a
+  segment it would keep 9, 13, 17, 23, 31, 37 and 55 nodes at t = 3..8 and 10.
 
 An atom's apex is its vertex that lies in the most atoms, the lowest index among equals, so
 atoms that share a vertex share their apex.  The atoms of one apex give one table z of
@@ -165,11 +161,11 @@ def _plan(d, order):
       ceil(order/2) come first, row 0 the constant and rows 1..d the coordinates, and steps
       gives, for each of them after those, its parent's row and the variable x_j, its last
       one, that the parent is multiplied by;
-    - degrees[g] = (lift, weights, half, pairs): weights holds one integer per node of the rule
-      of index t = g // 2, the node's weight over D^g (g+d), since X / D stands for X^J / D^g,
-      all over one denominator, and lift is common over that denominator, so common is their
-      lcm; len(weights) is the rule's prefix.  With h = ceil(order/2) the top degree of the
-      built rows, a monomial J of degree g splits as A of degree max(0, g-h), the first units of J,
+    - degrees[g] = (lift, weights, half, pairs): weights holds, per node of the rule of index
+      t = g // 2, the node's weight over D^g (g+d), as X^J at the node X / D is over D^g, all
+      over one denominator, and lift is common over that denominator, so common is their lcm;
+      len(weights) is the rule's prefix.  With h = ceil(order/2) the top degree of the built
+      rows, a monomial J of degree g splits as A of degree max(0, g-h), the first units of J,
       and B = J - A of degree min(g, h): half lists the rows of degree g-h, or the constant's
       row 0 when g <= h, and pairs holds the rows of A and B per J, in canonical order;
     - shift = (lines, back): along x_v the rows are laid out block by block by their exponent

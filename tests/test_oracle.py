@@ -496,11 +496,13 @@ def test_axial_moment_at_directions_with_zero_entries(z, j):
 
 
 def test_segment_rules_are_symmetric_and_exact():
-    """The 2-d plan's rule of index t = 0..12 is its first 2t+1 nodes, distinct points of [0, 1]
-    closed under u -> 1 - u with equal weights there, and integrates u^j exactly for j <= 2t+1.
-    Node i is the numerators (D - p, p) over D, and degree g holds w / (D^g (g + 2)) over its
-    denominator, common / lift."""
+    """The 2-d plan's nodes come in Farey order, and its rule of index t = 0..12 is its first 2t+1
+    nodes, distinct points of [0, 1] closed under u -> 1 - u with equal weights there, and
+    integrates u^j exactly for j <= 2t+1.  Node i is the numerators (D - p, p) over D, and
+    degree g holds w / (D^g (g + 2)) over its denominator, common / lift."""
     nodes, _, degrees, common, *_ = oracle._plan(2, 25)
+    farey = [F(1, 2), 0, 1, F(1, 3), F(2, 3), F(1, 4), F(3, 4), F(1, 5), F(4, 5), F(2, 5), F(3, 5)]
+    assert [F(p, a + p) for a, p in zip(*nodes)][:11] == farey
     for g, (lift, weights, *_) in enumerate(degrees):
         t = g // 2
         assert len(weights) == 2 * t + 1
